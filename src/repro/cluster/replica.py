@@ -363,14 +363,10 @@ class ReplicaApplier:
         recovered = dict(inner.evaluator.globals)
         inner.load_module(self.module_source)
         inner.evaluator.globals.update(recovered)
-        scratch = [nid for nid in store._records if nid >= watermark]
-        for nid in scratch:
-            record = store._records.pop(nid)
-            if record.name:
-                store._name_index.get(record.name, set()).discard(nid)
+        store.drop_records(
+            [nid for nid in store.node_ids() if nid >= watermark]
+        )
         store._reset_ids(watermark)
-        if scratch:
-            store._touch()
 
     def __repr__(self) -> str:
         return (

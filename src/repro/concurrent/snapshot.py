@@ -112,6 +112,12 @@ class StoreSnapshot:
         self.version = version
         self._base_records = records
         self._ceiling = ceiling
+        # The live name and value indexes, captured with the records: a
+        # whole-table rebind (Store.load_rows) installs fresh dicts, so
+        # these stay the ones describing the table this snapshot reads.
+        self._name_index = store._name_index
+        self._attr_index = store._indexes.attr_index
+        self._token_index = store._indexes.token_index
         # Pre-images fed by the live store's mutators.  Entries are never
         # removed, so a hit is authoritative forever.
         self._overlay: dict[int, _SnapRecord] = {}
@@ -132,8 +138,9 @@ class StoreSnapshot:
         # entries never invalidate, local mutators invalidate their tree.
         self._order_cache: dict[int, tuple] = {}
         self._cached_roots: dict[int, set[int]] = {}
-        # Set by Store.restore(): the base dict was rebound and is frozen
-        # in place, so no further pre-images are needed (or wanted).
+        # Set by Store.load_rows(): the base dict was rebound and is
+        # frozen in place, so no further pre-images are needed (or
+        # wanted).
         self._detached = False
         # Store API compatibility: evaluation hot paths guard on this.
         self._obs = None
@@ -330,7 +337,7 @@ class StoreSnapshot:
                 return list(memo)
         candidates: set[int] = set()
         ceiling = self._ceiling
-        live = self.store._name_index.get(name)
+        live = self._name_index.get(name)
         if live:
             # tuple(): GIL-atomic copy; construction in other threads may
             # grow the set while we iterate.
@@ -363,25 +370,22 @@ class StoreSnapshot:
             self._descendants_named[(nid, name)] = tuple(out)
         return out
 
-    def attr_eq_probe(self, name: str, value: str) -> tuple[int, ...] | None:
+    def attr_eq_probe(self, name: str, value: str) -> tuple[int, ...]:
         """Snapshot-consistent attribute-value probe.
 
-        Candidates come from the live attribute index (filtered to ids
+        Candidates come from the store's attribute index (filtered to ids
         below the ceiling — post-snapshot attributes are invisible) plus
         the overlay (attributes whose value changed, or which were
         reclaimed, after snapshot time keep their snapshot-time content
         there); each candidate is then verified against the snapshot's
         own record resolution, which also rejects attributes revalued
-        *to* the target after snapshot time.  Returns None — caller
-        falls back to scanning — when the live indexes are not built:
-        a snapshot reader never builds them, that is the writer's job.
+        *to* the target after snapshot time.  The index is maintained by
+        the writer from the store's birth, so a reader always has one to
+        ask and never builds anything itself.
         """
-        manager = self.store._indexes
-        if not manager.built:
-            return None
         ceiling = self._ceiling
         candidates: set[int] = set()
-        live = manager.attr_index.get((name, value))
+        live = self._attr_index.get((name, value))
         if live:
             # tuple(): GIL-atomic copy; the writer may mutate postings
             # while this reader iterates.
@@ -412,19 +416,15 @@ class StoreSnapshot:
     def token_probe(self, needle: str) -> tuple[int, ...] | None:
         """Snapshot-consistent ``contains`` candidate probe (superset;
         callers verify).  Same three-way sourcing as
-        :meth:`attr_eq_probe`; None when the needle cannot be anchored
-        or the live indexes are not built."""
+        :meth:`attr_eq_probe`; None when the needle cannot be anchored."""
         from repro.index.manager import token_matcher, tokenize
 
         matches = token_matcher(needle)
         if matches is None:
             return None
-        manager = self.store._indexes
-        if not manager.built:
-            return None
         ceiling = self._ceiling
         candidates: set[int] = set()
-        for tok, postings in list(manager.token_index.items()):
+        for tok, postings in list(self._token_index.items()):
             if matches(tok):
                 for c in tuple(postings):
                     if c < ceiling:
@@ -717,8 +717,8 @@ class StoreSnapshot:
 
     @property
     def detached(self) -> bool:
-        """True once the base store was checkpoint-restored from under us
-        (the captured view stays fully readable)."""
+        """True once the base store rebound its record table from under
+        us (the captured view, indexes included, stays fully readable)."""
         return self._detached
 
     def __repr__(self) -> str:

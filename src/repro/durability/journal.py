@@ -72,7 +72,7 @@ from repro.semantics.update import (
     RenameRequest,
     SetValueRequest,
 )
-from repro.xdm.store import NodeKind, Store
+from repro.xdm.store import Store
 
 from repro.durability.faults import (
     CRASH_AFTER_JOURNAL,
@@ -179,33 +179,6 @@ def _subtree_rows(store: Store, root: int) -> list[list]:
         stack.extend(rec.attributes)
         stack.extend(rec.children)
     return rows
-
-
-def materialize_rows(store: Store, rows: list) -> int:
-    """Install journaled node rows that are not in the store yet (replay).
-
-    Rows for ids the store already holds are skipped: a node's links only
-    ever change through journaled update primitives, so an existing
-    record is already at the state the row captured.  Returns the number
-    of records created.
-    """
-    from repro.xdm.store import _NodeRecord
-
-    created = 0
-    for nid, kind, name, parent, children, attributes, value in rows:
-        if nid in store._records:
-            continue
-        record = _NodeRecord(NodeKind(kind), name, value)
-        record.parent = parent
-        record.children = list(children)
-        record.attributes = list(attributes)
-        store._records[nid] = record
-        if record.kind is NodeKind.ELEMENT and name:
-            store._name_index.setdefault(name, set()).add(nid)
-        created += 1
-    if created:
-        store._touch()
-    return created
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from repro.durability import manifest as manifest_mod
 from repro.durability.journal import (
     ScanResult,
     decode_request,
-    materialize_rows,
     scan_journal,
 )
 
@@ -112,7 +111,7 @@ def replay_record(store: Store, record: dict) -> tuple[int, int]:
         raise JournalCorruptionError(
             f"journal record is missing field {exc}"
         ) from exc
-    created = materialize_rows(store, nodes)
+    created = store.install_rows(nodes)
     store._reset_ids(pre)
     requests = [decode_request(op) for op in ops]
     try:

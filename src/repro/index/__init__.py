@@ -5,10 +5,10 @@ Three pieces:
 * :mod:`repro.index.manager` — the :class:`IndexManager` living on every
   :class:`~repro.xdm.store.Store`: hash indexes over attribute values and
   text-atom tokens, maintained incrementally by the store's mutation
-  primitives (and therefore in O(|Δ|) inside ``apply_update_list``),
-  lazily built on first probe.  The store's element-name index
-  (``_name_index``) is the structural half; the manager exposes its
-  cardinalities to the optimizer.
+  primitives (and therefore in O(|Δ|) inside ``apply_update_list``)
+  from the store's birth, so a document is indexed as it is parsed.
+  The store's element-name index (``_name_index``) is the structural
+  half; the manager exposes its cardinalities to the optimizer.
 * :mod:`repro.index.stats` — :class:`Statistics`: per-element-name
   cardinalities fed by the live name index, with an XMark-seeded variant
   for cost estimation before a document is loaded.

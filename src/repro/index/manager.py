@@ -31,6 +31,7 @@ import time
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import StoreError
+from repro.xdm.store import NodeKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.xdm.store import Store, _NodeRecord
@@ -87,21 +88,38 @@ def token_matcher(needle: str) -> Callable[[str], bool] | None:
     return matches
 
 
+def _build(
+    records: dict[int, "_NodeRecord"],
+) -> tuple[dict[tuple[str, str], set[int]], dict[str, set[int]]]:
+    """Both indexes computed from scratch over *records*."""
+    attr: dict[tuple[str, str], set[int]] = {}
+    token: dict[str, set[int]] = {}
+    for nid, rec in records.items():
+        if rec.kind is NodeKind.ATTRIBUTE:
+            attr.setdefault((rec.name or "", rec.value or ""), set()).add(nid)
+        elif rec.kind is NodeKind.TEXT:
+            for tok in tokenize(rec.value):
+                token.setdefault(tok, set()).add(nid)
+    return attr, token
+
+
 class IndexManager:
     """The value indexes of one store, plus their maintenance counters.
 
-    Lifecycle: indexes are *lazy* — nothing is built until the first
-    probe against the live store (``ensure_built``).  Once built they are
-    maintained incrementally by the store's mutation hooks; a whole-store
-    invalidation (checkpoint restore, persistence load) drops them, and
-    the next probe rebuilds.  All maintenance happens on the writer's
-    thread; snapshot readers only ever *read* the built dicts (via
-    GIL-atomic copies) and never trigger a build.
+    Lifecycle: the indexes live exactly as long as their store.  They
+    start empty with it, and every node the store allocates, revalues,
+    renames or frees updates its own postings through the hooks below —
+    so a document is indexed while it is parsed and no probe ever builds.
+    The one exception is a whole-table rebind (checkpoint restore,
+    persistence load), which installs records wholesale:
+    :meth:`ensure_built` then rebuilds from the new records, and
+    :attr:`rebuilds` counts exactly those rebinds.  All maintenance
+    happens on the writer's thread; snapshot readers only read the dicts
+    they captured when they opened (via GIL-atomic copies).
     """
 
     __slots__ = (
         "_store",
-        "built",
         "attr_index",
         "token_index",
         "probes",
@@ -113,7 +131,6 @@ class IndexManager:
 
     def __init__(self, store: "Store") -> None:
         self._store = store
-        self.built = False
         # (attribute name, value) -> ids of attribute nodes bearing it.
         self.attr_index: dict[tuple[str, str], set[int]] = {}
         # token -> ids of text nodes whose value contains it.
@@ -129,25 +146,15 @@ class IndexManager:
     # ------------------------------------------------------------------
 
     def ensure_built(self) -> None:
-        """Build the indexes from the store's records (idempotent)."""
-        if self.built:
-            return
-        from repro.xdm.store import NodeKind
+        """Rebuild both indexes from the store's current records.
 
+        Called when the store rebinds its whole record table.  The result
+        goes into *fresh* dicts rather than clearing the old ones: a
+        snapshot opened before the rebind keeps the dicts that index its
+        own (now frozen) table.
+        """
         start = time.perf_counter()
-        attr: dict[tuple[str, str], set[int]] = {}
-        token: dict[str, set[int]] = {}
-        for nid, rec in self._store._records.items():
-            if rec.kind is NodeKind.ATTRIBUTE:
-                attr.setdefault(
-                    (rec.name or "", rec.value or ""), set()
-                ).add(nid)
-            elif rec.kind is NodeKind.TEXT:
-                for tok in tokenize(rec.value):
-                    token.setdefault(tok, set()).add(nid)
-        self.attr_index = attr
-        self.token_index = token
-        self.built = True
+        self.attr_index, self.token_index = _build(self._store._records)
         self.rebuilds += 1
         elapsed = (time.perf_counter() - start) * 1000.0
         self.rebuild_ms += elapsed
@@ -156,27 +163,12 @@ class IndexManager:
             obs.count("index.rebuilds")
             obs.observe("index.rebuild_ms", elapsed)
 
-    def invalidate(self) -> None:
-        """Drop the indexes; the next probe rebuilds from scratch."""
-        if not self.built:
-            return
-        self.built = False
-        self.attr_index = {}
-        self.token_index = {}
-
-    def rebuild(self) -> None:
-        """Force a fresh build (recovery verification, tests)."""
-        self.invalidate()
-        self.ensure_built()
-
     # ------------------------------------------------------------------
     # Maintenance hooks (called by the store's mutators, pre-mutation
-    # state in *rec*; no-ops while unbuilt)
+    # state in *rec*)
     # ------------------------------------------------------------------
 
     def _add(self, kind, name: Optional[str], value: Optional[str], nid: int) -> None:
-        from repro.xdm.store import NodeKind
-
         if kind is NodeKind.ATTRIBUTE:
             self.attr_index.setdefault(
                 (name or "", value or ""), set()
@@ -188,8 +180,6 @@ class IndexManager:
             self.maintained += 1
 
     def _remove(self, kind, name: Optional[str], value: Optional[str], nid: int) -> None:
-        from repro.xdm.store import NodeKind
-
         if kind is NodeKind.ATTRIBUTE:
             key = (name or "", value or "")
             postings = self.attr_index.get(key)
@@ -228,7 +218,6 @@ class IndexManager:
 
     def attr_probe(self, name: str, value: str) -> tuple[int, ...]:
         """Ids of attribute nodes bearing ``name="value"`` (exact)."""
-        self.ensure_built()
         self.probes += 1
         out = tuple(self.attr_index.get((name, value), ()))
         self.hits += len(out)
@@ -247,7 +236,6 @@ class IndexManager:
         matches = token_matcher(needle)
         if matches is None:
             return None
-        self.ensure_built()
         self.probes += 1
         out: set[int] = set()
         for tok, postings in list(self.token_index.items()):
@@ -264,11 +252,6 @@ class IndexManager:
     # Introspection
     # ------------------------------------------------------------------
 
-    def distinct_attr_values(self, name: str) -> int:
-        """Distinct values currently indexed for attribute *name*."""
-        self.ensure_built()
-        return sum(1 for key in self.attr_index if key[0] == name)
-
     def counters(self) -> dict[str, float]:
         return {
             "probes": self.probes,
@@ -282,33 +265,22 @@ class IndexManager:
         """Compare the maintained indexes against a fresh rebuild.
 
         Raises :class:`~repro.errors.StoreError` on any divergence — the
-        incremental maintenance hooks must keep the built indexes exactly
+        incremental maintenance hooks must keep the indexes exactly
         equal to what a from-scratch build over the current records
-        produces.  No-op while unbuilt.
+        produces.
         """
-        if not self.built:
-            return
-        from repro.xdm.store import NodeKind
-
-        attr: dict[tuple[str, str], set[int]] = {}
-        token: dict[str, set[int]] = {}
-        for nid, rec in self._store._records.items():
-            if rec.kind is NodeKind.ATTRIBUTE:
-                attr.setdefault(
-                    (rec.name or "", rec.value or ""), set()
-                ).add(nid)
-            elif rec.kind is NodeKind.TEXT:
-                for tok in tokenize(rec.value):
-                    token.setdefault(tok, set()).add(nid)
-        if attr != self.attr_index:
-            diff = set(attr) ^ set(self.attr_index)
-            raise StoreError(
-                f"attribute index out of sync; diverging keys: "
-                f"{sorted(diff)[:5]}"
-            )
-        if token != self.token_index:
-            diff = set(token) ^ set(self.token_index)
-            raise StoreError(
-                f"token index out of sync; diverging tokens: "
-                f"{sorted(diff)[:5]}"
-            )
+        attr, token = _build(self._store._records)
+        for label, fresh, kept in (
+            ("attribute index", attr, self.attr_index),
+            ("token index", token, self.token_index),
+        ):
+            if fresh != kept:
+                diff = [
+                    key
+                    for key in fresh.keys() | kept.keys()
+                    if fresh.get(key) != kept.get(key)
+                ]
+                raise StoreError(
+                    f"{label} out of sync; diverging keys: "
+                    f"{sorted(diff)[:5]}"
+                )

@@ -29,7 +29,7 @@ from typing import Any
 from repro.engine import Engine
 from repro.errors import XQueryError
 from repro.xdm.nodes import Node
-from repro.xdm.store import NodeKind, Store
+from repro.xdm.store import Store
 from repro.xdm.values import (
     XS_BOOLEAN,
     XS_DECIMAL,
@@ -214,7 +214,7 @@ def load_engine(path: str) -> Engine:
         static_checks=settings.get("static_checks", False),
     )
     store = engine.store
-    _restore_records(store, payload["records"], payload["next_id"])
+    store.load_rows(payload["records"], payload["next_id"])
     engine.evaluator.globals = {
         name: [_load_item(entry, store) for entry in value]
         for name, value in payload["globals"].items()
@@ -227,22 +227,3 @@ def load_engine(path: str) -> Engine:
         engine.register_module(uri, text)
     store.check_invariants()
     return engine
-
-
-def _restore_records(store: Store, records: list, next_id: int) -> None:
-    # Rebuild the raw record table; the store's public constructors cannot
-    # express arbitrary ids, so this (deliberately) reaches inside.
-    from repro.xdm.store import _NodeRecord
-
-    store._records = {}
-    store._name_index = {}
-    for nid, kind, name, parent, children, attributes, value in records:
-        record = _NodeRecord(NodeKind(kind), name, value)
-        record.parent = parent
-        record.children = list(children)
-        record.attributes = list(attributes)
-        store._records[nid] = record
-        if record.kind is NodeKind.ELEMENT and name:
-            store._name_index.setdefault(name, set()).add(nid)
-    store._reset_ids(next_id)
-    store._touch()

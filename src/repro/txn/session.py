@@ -458,7 +458,6 @@ class Transaction:
                 from repro.durability.journal import (
                     JournalEntry,
                     encode_request,
-                    materialize_rows,
                 )
 
                 checkpoint = store.checkpoint()
@@ -468,7 +467,7 @@ class Transaction:
                         for requests, rows, pre, post, _sem in (
                             live_statements
                         ):
-                            materialize_rows(store, rows)
+                            store.install_rows(rows)
                             store._reset_ids(pre)
                             for request in requests:
                                 request.apply(store)

@@ -117,7 +117,7 @@ class TransactionView(StoreSnapshot):
         # nothing may be memoized across mutations.
         candidates: set[int] = set()
         ceiling = self._ceiling
-        live = self.store._name_index.get(name)
+        live = self._name_index.get(name)
         if live:
             for c in tuple(live):
                 if c < ceiling:

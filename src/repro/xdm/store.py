@@ -108,8 +108,8 @@ class Store:
         # in the store (live or detached).  Maintained on create/rename;
         # used by the descendant-axis fast path.
         self._name_index: dict[str, set[int]] = {}
-        # Value indexes (attribute values, text tokens): lazily built on
-        # first probe, then maintained incrementally by the mutators
+        # Value indexes (attribute values, text tokens): empty with the
+        # store, then maintained incrementally by _alloc and the mutators
         # below.  Deferred import — repro.index imports store symbols.
         from repro.index.manager import IndexManager
 
@@ -138,23 +138,19 @@ class Store:
         self._snapshots: list["StoreSnapshot"] = []
 
     def _touch(self, *roots: int) -> None:
-        """Invalidate cached order keys.
+        """Invalidate cached order keys (and nothing else: the name and
+        value indexes are kept in step by the mutators themselves).
 
         With explicit *roots* (the affected trees' **pre-mutation** root
         ids) only those trees' keys are dropped; mutators compute the
         roots before restructuring, since a mutation can change which tree
         a node belongs to.  With no arguments the whole cache is wiped
-        (checkpoint restore, persistence load).
+        (raw record installs, whole-table rebinds).
         """
         self._version += 1
         if not roots:
             self._order_cache.clear()
             self._cached_roots.clear()
-            # A whole-store invalidation (restore, persistence load) can
-            # rebind records wholesale, bypassing the per-mutator index
-            # hooks — drop the value indexes rather than risk stale
-            # postings; the next probe rebuilds.
-            self._indexes.invalidate()
             return
         for root in roots:
             nids = self._cached_roots.pop(root, None)
@@ -226,8 +222,7 @@ class Store:
             # Every element enters the name index at birth — including
             # deep-copy clones, which do not go through create_element.
             self._name_index.setdefault(name, set()).add(nid)
-        if self._indexes.built:
-            self._indexes.on_alloc(nid, kind, name, value)
+        self._indexes.on_alloc(nid, kind, name, value)
         if self._obs is not None:
             self._obs.count("store.nodes_created")
         return nid
@@ -370,9 +365,9 @@ class Store:
     def attr_eq_probe(self, name: str, value: str) -> tuple[int, ...]:
         """Ids of attribute nodes bearing ``name="value"``, store-wide.
 
-        Builds the value indexes on first use.  Exact on content; callers
-        re-check attachment (owner element, containment) because the
-        index is content-keyed and also lists detached attributes.
+        Exact on content; callers re-check attachment (owner element,
+        containment) because the index is content-keyed and also lists
+        detached attributes.
         """
         return self._indexes.attr_probe(name, value)
 
@@ -628,8 +623,7 @@ class Store:
         if rec.kind is NodeKind.ELEMENT and rec.name != name:
             self._name_index.get(rec.name, set()).discard(nid)
             self._name_index.setdefault(name, set()).add(nid)
-        if self._indexes.built:
-            self._indexes.on_rename(nid, rec, name)
+        self._indexes.on_rename(nid, rec, name)
         rec.name = name
         self._version += 1
 
@@ -642,8 +636,7 @@ class Store:
             )
         if self._snapshots:
             self._cow(nid)
-        if self._indexes.built:
-            self._indexes.on_set_value(nid, rec, value)
+        self._indexes.on_set_value(nid, rec, value)
         rec.value = value
         self._version += 1
 
@@ -718,14 +711,61 @@ class Store:
             stack.extend(rec.children)
             stack.extend(rec.attributes)
         dead = [nid for nid in self._records if nid not in reachable]
-        for nid in dead:
+        self.drop_records(dead)
+        return len(dead)
+
+    # ------------------------------------------------------------------
+    # Raw record rows (replay, reload, restore)
+    #
+    # The constructors cannot express arbitrary ids, so journal replay,
+    # transaction commit, persistence load and checkpoint restore install
+    # whole records.  A row is ``(nid, kind, name, parent, children,
+    # attributes, value)``, *kind* a NodeKind or its string value.  These
+    # methods are the only writers of the record table besides the
+    # mutators above, and keep the name and value indexes in step.
+    # ------------------------------------------------------------------
+
+    def _put(self, nid, kind, name, parent, children, attributes, value):
+        rec = _NodeRecord(NodeKind(kind), name, value)
+        rec.parent = parent
+        rec.children = list(children)
+        rec.attributes = list(attributes)
+        self._records[nid] = rec
+        if rec.kind is NodeKind.ELEMENT and name:
+            self._name_index.setdefault(name, set()).add(nid)
+        return rec
+
+    def install_rows(self, rows: Iterable) -> int:
+        """Install *rows* whose ids the store does not hold yet.
+
+        Rows for ids already present are skipped: a node's links only
+        ever change through update primitives, so an existing record is
+        already at the state the row captured.  Each new record gets its
+        postings exactly as an allocation would.  Returns the number of
+        records created.
+        """
+        created = 0
+        for row in rows:
+            nid = row[0]
+            if nid in self._records:
+                continue
+            rec = self._put(*row)
+            self._indexes.on_alloc(nid, rec.kind, rec.name, rec.value)
+            created += 1
+        if created:
+            self._touch()
+        return created
+
+    def drop_records(self, nids: Iterable[int]) -> None:
+        """Remove the records of *nids* outright, postings included
+        (garbage collection, discarding scratch allocations)."""
+        for nid in nids:
             rec = self._records[nid]
             if self._snapshots:
                 self._cow(nid)
             if rec.kind is NodeKind.ELEMENT and rec.name:
                 self._name_index.get(rec.name, set()).discard(nid)
-            if self._indexes.built:
-                self._indexes.on_free(nid, rec)
+            self._indexes.on_free(nid, rec)
             del self._records[nid]
             key = self._order_cache.pop(nid, None)
             if key is not None:
@@ -734,7 +774,27 @@ class Store:
                     cached.discard(nid)
                     if not cached:
                         del self._cached_roots[key[0]]
-        return len(dead)
+
+    def load_rows(self, rows: Iterable, next_id: int) -> None:
+        """Replace the whole record table with *rows* (persistence load,
+        checkpoint restore) and re-seed allocation at *next_id*.
+
+        The record table and both indexes are *rebound*, never cleared in
+        place, so every active snapshot keeps the frozen set it captured;
+        they are detached, since pre-images from the new table would
+        describe a different world.  The name index is filled as rows go
+        in, the value indexes in one rebuild afterwards.
+        """
+        for snapshot in self._snapshots:
+            snapshot._detached = True
+        self._snapshots = []
+        self._records = {}
+        self._name_index = {}
+        for row in rows:
+            self._put(*row)
+        self._reset_ids(next_id)
+        self._indexes.ensure_built()
+        self._touch()
 
     # ------------------------------------------------------------------
     # Checkpoint / restore (failure atomicity for snap)
@@ -763,27 +823,10 @@ class Store:
 
     def restore(self, checkpoint: "StoreCheckpoint") -> None:
         """Reset the store to a previously captured checkpoint."""
-        # Rebinding ``_records`` freezes the old dict in place, which is
-        # exactly what active snapshots captured — they need no further
-        # copy-on-write pre-images (and must not receive pre-images from
-        # the restored world), so detach them all.
-        for snapshot in self._snapshots:
-            snapshot._detached = True
-        self._snapshots = []
-        self._records = {}
-        self._name_index = {}
-        for nid, (kind, name, parent, children, attributes, value) in (
-            checkpoint.records.items()
-        ):
-            rec = _NodeRecord(kind, name, value)
-            rec.parent = parent
-            rec.children = list(children)
-            rec.attributes = list(attributes)
-            self._records[nid] = rec
-            if kind is NodeKind.ELEMENT and name:
-                self._name_index.setdefault(name, set()).add(nid)
-        self._reset_ids(checkpoint.next_id)
-        self._touch()
+        self.load_rows(
+            ((nid, *row) for nid, row in checkpoint.records.items()),
+            checkpoint.next_id,
+        )
 
     # ------------------------------------------------------------------
     # Introspection / debugging helpers
@@ -849,8 +892,8 @@ class Store:
                         f"node {nid} indexed under {name!r} but named "
                         f"{self._rec(nid).name!r}"
                     )
-        # Value indexes: when built, the incrementally maintained postings
-        # must agree exactly with a from-scratch rebuild.
+        # Value indexes: the incrementally maintained postings must agree
+        # exactly with a from-scratch rebuild.
         self._indexes.verify()
         # Order cache: no stale keys, and the root index mirrors the cache.
         for nid, key in self._order_cache.items():

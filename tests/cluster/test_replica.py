@@ -151,6 +151,33 @@ class TestCrashDuringCatchUp:
         assert restarted.fingerprint() == recovery_fingerprint(path)
 
 
+class TestModuleSource:
+    MODULE = """
+    declare variable $scratch := <tmp kind="scratch">scratch text</tmp>;
+    declare function entries() { count($doc/log/e) };
+    """
+
+    def test_scratch_nodes_leave_no_postings_behind(self, tmp_path):
+        path, engine = fresh(tmp_path)
+        engine.load_module(self.MODULE)
+        append(engine, 0)
+        # Re-registering the module allocates a second $scratch tree
+        # above the recovered watermark; the replica removes it again,
+        # and its attribute and text postings must go with it.
+        replica = ReplicaApplier(path, module_source=self.MODULE)
+        store = replica.engine.store
+        store.check_invariants()
+        assert replica.execute("entries()").first_value() == 1
+        assert replica.execute("string($scratch/@kind)").strings() == [
+            "scratch"
+        ]
+        follower = JournalFollower(path, after_seq=replica.applied_seq)
+        append(engine, 1)
+        replica.apply_records(follower.poll())
+        store.check_invariants()
+        assert replica.fingerprint() == recovery_fingerprint(path)
+
+
 class TestServing:
     def test_reads_serve_and_writes_are_refused_unpromoted(self, tmp_path):
         path, engine = fresh(tmp_path)

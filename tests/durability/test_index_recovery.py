@@ -3,10 +3,10 @@ replay must yield indexes in exact agreement with a from-scratch rebuild
 over the recovered records — no stale postings survive a crash, and no
 postings are lost.
 
-The index is deliberately *not* journaled: recovery replays ops against a
-fresh store whose ``_touch()``/per-op hooks keep (or lazily rebuild) the
-index, so agreement here proves the maintenance hooks and the bulk
-rebuild compute the same function of the records.
+The index is deliberately *not* journaled: recovery loads the checkpoint
+(one bulk rebuild) and replays ops through the per-op hooks, so agreement
+here proves the maintenance hooks and the bulk rebuild compute the same
+function of the records.
 """
 
 import pytest
@@ -39,8 +39,7 @@ UPDATES = [
 
 
 def assert_indexes_match_fresh_rebuild(store):
-    """Build via probes, verify, and compare against a scratch manager."""
-    store.token_probe("gadget")  # forces ensure_built on the live index
+    """Verify, and compare against a scratch manager's bulk rebuild."""
     live = store.indexes
     live.verify()
     scratch = IndexManager(store)
@@ -54,9 +53,6 @@ def crash_recover(tmp_path, crash_point, crash_on_update):
     path = str(tmp_path / "d")
     engine = DurableEngine(path, faults=faults)
     engine.load_document("doc", DOC)
-    # Warm the live index so the crash interrupts *maintained* state, not
-    # a never-built one.
-    engine.store.token_probe("widget")
     for update in UPDATES[:crash_on_update]:
         engine.execute(update)
     faults.arm(crash_point)
@@ -106,7 +102,6 @@ class TestIndexRecovery:
     def test_recovered_engine_maintains_incrementally(self, tmp_path):
         engine = crash_recover(tmp_path, CRASH_BEFORE_FSYNC, 2)
         store = engine.store
-        store.token_probe("gadget")  # build on the recovered store
         rebuilds = store.indexes.rebuilds
         engine.execute(UPDATES[2])  # re-issue the crashed insert
         engine.gc()  # reclaim constructor intermediates

@@ -24,7 +24,6 @@ from repro.durability.journal import (
     Journal,
     decode_request,
     encode_request,
-    materialize_rows,
     scan_journal,
 )
 from repro.errors import JournalCorruptionError
@@ -330,7 +329,7 @@ class TestMaterializeRows:
         )
         journal.close()
         # Every referenced row already exists in this very store.
-        assert materialize_rows(store, entry.nodes) == 0
+        assert store.install_rows(entry.nodes) == 0
 
 
 class TestBatchModeFlush:

@@ -1,10 +1,12 @@
-"""The value-index manager: lazy build, O(|op|) maintenance, probe
-supersets, and the stale-index regression the ``_touch`` hook guards
-against."""
+"""The value-index manager: indexes that live as long as their store,
+O(|op|) maintenance, probe supersets, and the stale-index regressions
+around update, restore and reload."""
 
 import pytest
 
 from repro.engine import Engine
+from repro.errors import UpdateApplicationError
+from repro.persist import load_engine, save_engine
 from repro.errors import StoreError
 from repro.index.manager import IndexManager, token_matcher, tokenize
 from repro.xdm import NodeKind, Store
@@ -58,13 +60,17 @@ class TestTokenMatcher:
 
 
 class TestLazyBuildAndMaintenance:
-    def test_nothing_built_until_first_probe(self):
+    """Build and maintenance: the postings are written as nodes are
+    allocated, so nothing is ever built lazily."""
+
+    def test_fresh_store_answers_without_rebuild(self):
         store = Store()
-        build_doc(store)
-        assert not store.indexes.built
-        store.attr_eq_probe("k", "1")
-        assert store.indexes.built
-        assert store.indexes.rebuilds == 1
+        root, a, _, ta, _ = build_doc(store)
+        (aid,) = store.attr_eq_probe("k", "1")
+        assert store.parent(aid) == a
+        assert ta in store.token_probe("hello")
+        assert store.indexes.rebuilds == 0
+        store.indexes.verify()
 
     def test_attr_probe_finds_attribute_nodes(self):
         store = Store()
@@ -100,7 +106,6 @@ class TestLazyBuildAndMaintenance:
     def test_set_value_moves_postings(self):
         store = Store()
         root, a, b, ta, tb = build_doc(store)
-        store.token_probe("hello")  # build
         store.set_value(ta, "changed entirely")
         assert ta not in store.token_probe("hello")
         assert ta in store.token_probe("changed")
@@ -121,7 +126,6 @@ class TestLazyBuildAndMaintenance:
     def test_gc_frees_postings(self):
         store = Store()
         root, a, b, ta, tb = build_doc(store)
-        store.token_probe("hello")  # build
         store.detach(a)
         store.gc([root])
         assert ta not in store.token_probe("hello")
@@ -130,7 +134,6 @@ class TestLazyBuildAndMaintenance:
     def test_maintenance_is_counted(self):
         store = Store()
         root, a, b, ta, _ = build_doc(store)
-        store.token_probe("hello")
         before = store.indexes.maintained
         store.set_value(ta, "x")
         assert store.indexes.maintained > before
@@ -138,16 +141,15 @@ class TestLazyBuildAndMaintenance:
     def test_verify_detects_corruption(self):
         store = Store()
         build_doc(store)
-        store.token_probe("hello")
         store.indexes.token_index["bogus"] = {999}
         with pytest.raises(StoreError):
             store.indexes.verify()
 
 
 class TestStaleIndexRegression:
-    """Satellite: an in-place rename/replace through the update language
-    must never leave stale postings behind, and a full store reload
-    (which bypasses per-op hooks via ``_touch()``) must invalidate."""
+    """An in-place rename/replace through the update language must never
+    leave stale postings behind, and neither may a checkpoint restore
+    or a persistence load, which rebind the whole record table."""
 
     DOC = (
         "<inventory>"
@@ -164,7 +166,6 @@ class TestStaleIndexRegression:
     def test_replace_value_via_update_language(self):
         engine = self.fresh()
         store = engine.store
-        # Build, then mutate through a snap.
         assert len(store.token_probe("widget")) == 1
         engine.execute(
             "snap { replace value of { $doc//item[@id='a']/name } "
@@ -188,20 +189,52 @@ class TestStaleIndexRegression:
         assert store.attr_eq_probe("ident", "a") == (aid,)
         store.indexes.verify()
 
-    def test_touch_invalidates_whole_index(self):
+    def test_touch_leaves_postings_intact(self):
         engine = self.fresh()
         store = engine.store
-        store.token_probe("widget")
-        assert store.indexes.built
-        store._touch()  # restore/reload path: no per-op hooks fired
-        assert not store.indexes.built
-        # The next probe rebuilds from the current records.
+        attr = dict(store.indexes.attr_index)
+        tokens = dict(store.indexes.token_index)
+        store._touch()  # clears order keys only
+        assert store.indexes.attr_index == attr
+        assert store.indexes.token_index == tokens
         assert len(store.token_probe("widget")) == 1
-        assert store.indexes.rebuilds == 2
+        assert store.indexes.rebuilds == 0
+
+    def test_restore_rebuilds_once_and_verifies(self):
+        engine = Engine(atomic_snaps=True)
+        engine.load_document("doc", self.DOC)
+        store = engine.store
+        before = store.indexes.rebuilds
+        # The rename and the delete apply, then the insert finds its
+        # anchor detached mid-Δ: the atomic snap restores the checkpoint.
+        with pytest.raises(UpdateApplicationError):
+            engine.execute(
+                "snap { rename { $doc//item[@id='a']/@id } to { 'ident' },"
+                " delete { $doc//item[@id='b'] },"
+                " insert { <x/> } after { $doc//item[@id='b'] } }"
+            )
+        assert store.indexes.rebuilds == before + 1
+        store.indexes.verify()
+        assert len(store.attr_eq_probe("id", "a")) == 1
+        assert store.attr_eq_probe("ident", "a") == ()
+
+    def test_load_engine_rebuilds_once_and_verifies(self, tmp_path):
+        engine = self.fresh()
+        engine.execute(
+            "snap { replace value of { $doc//item[@id='a']/name } "
+            "with { 'gadget' } }"
+        )
+        path = str(tmp_path / "db.json")
+        save_engine(engine, path)
+        loaded = load_engine(path)
+        store = loaded.store
+        assert store.indexes.rebuilds == 1
+        store.indexes.verify()
+        assert len(store.token_probe("gadget")) == 1
+        assert len(store.attr_eq_probe("id", "b")) == 1
 
     def test_check_invariants_covers_indexes(self):
         engine = self.fresh()
-        engine.store.token_probe("widget")
         engine.store.check_invariants()
 
 
@@ -214,8 +247,8 @@ class TestCounters:
         counters = store.indexes.counters()
         assert counters["probes"] == 2
         assert counters["hits"] >= 2
-        assert counters["rebuilds"] == 1
-        assert counters["rebuild_ms"] >= 0
+        assert counters["rebuilds"] == 0
+        assert counters["rebuild_ms"] == 0
 
     def test_index_counters_flow_into_query_stats(self):
         engine = Engine()
@@ -226,23 +259,43 @@ class TestCounters:
             "$doc//p[@id = 'x']", collect_stats=True
         )
         assert result.stats.counters.get("index.probes", 0) >= 1
-        assert "index.rebuilds" in result.stats.counters
+        # The document was indexed while it was parsed: the query
+        # probes without building anything.
+        assert result.stats.counters.get("index.rebuilds", 0) == 0
 
 
 class TestSnapshotProbes:
-    def test_snapshot_reader_never_builds(self):
+    def test_snapshot_of_unwritten_store_answers_probes(self):
         store = Store()
-        build_doc(store)
+        root, a, b, ta, _ = build_doc(store)
         snap = store.begin_snapshot()
-        assert snap.attr_eq_probe("k", "1") is None
-        assert snap.token_probe("hello") is None
-        assert not store.indexes.built
+        (aid,) = snap.attr_eq_probe("k", "1")
+        assert snap.parent(aid) == a
+        assert snap.token_probe("hello") == (ta,)
+        assert store.indexes.rebuilds == 0
         store.release_snapshot(snap)
+
+    def test_snapshot_keeps_its_indexes_across_restore(self):
+        # A restore rebinds the record table and the indexes; a snapshot
+        # opened before it keeps answering from the set it captured, even
+        # after the live store moves on.
+        store = Store()
+        root, a, b, ta, _ = build_doc(store)
+        checkpoint = store.checkpoint()
+        snap = store.begin_snapshot()
+        store.restore(checkpoint)
+        assert snap.detached
+        (aid,) = store.attr_eq_probe("k", "1")
+        store.set_value(aid, "9")
+        store.set_value(ta, "changed")
+        assert snap.attr_eq_probe("k", "1") == (aid,)
+        assert snap.attr_eq_probe("k", "9") == ()
+        assert snap.token_probe("hello") == (ta,)
+        store.check_invariants()
 
     def test_snapshot_sees_pre_mutation_postings(self):
         store = Store()
         root, a, b, ta, _ = build_doc(store)
-        store.token_probe("hello")  # build on the live store
         snap = store.begin_snapshot()
         store.set_value(ta, "changed")
         # Live index moved on; the snapshot probe recovers the pre-image.
@@ -254,7 +307,6 @@ class TestSnapshotProbes:
     def test_snapshot_attr_probe_filters_post_ceiling_nodes(self):
         store = Store()
         root, a, b, _, _ = build_doc(store)
-        store.attr_eq_probe("k", "1")
         snap = store.begin_snapshot()
         c = store.create_element("c")
         store.set_attribute(c, store.create_attribute("k", "1"))

@@ -1,6 +1,7 @@
 """Property: indexed execution is observationally equivalent to
 unindexed execution — for randomized XMark-style queries, across random
-update sequences, and for snapshot readers taken mid-update-stream.
+update sequences, across transactional commits and rolled-back snaps,
+and for snapshot readers taken mid-update-stream.
 
 The fast paths only ever *narrow* work (probe supersets are re-verified
 against exact semantics), so any divergence is a bug in maintenance,
@@ -8,9 +9,11 @@ probe verification, or snapshot consistency."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import Engine, ExecutionOptions
+from repro.errors import UpdateApplicationError
 from repro.semantics.context import DynamicContext
 from repro.semantics.evaluator import Evaluator
 from repro.xdm.nodes import Node
@@ -21,8 +24,8 @@ _NO_INDEX = ExecutionOptions(use_indexes=False)
 WORDS = ["fine", "word", "widget", "rare", "zebra", ""]
 
 
-def fresh_engine(seed: int) -> Engine:
-    engine = Engine()
+def fresh_engine(seed: int, atomic_snaps: bool = False) -> Engine:
+    engine = Engine(atomic_snaps=atomic_snaps)
     config = XMarkConfig(
         persons=12, items=10, open_auctions=6, closed_auctions=8, seed=seed
     )
@@ -67,6 +70,58 @@ def run_both(engine: Engine, query: str):
     )
 
 
+def run_on_snapshot(engine: Engine, snap, prepared, use_indexes: bool):
+    """Evaluate a prepared query's body against *snap*."""
+    doc_nid = engine.evaluator.globals["doc"][0].nid
+    ev = Evaluator(snap, engine.functions)
+    ev.use_indexes = use_indexes
+    ev.globals = {"doc": [Node(snap, doc_nid)]}
+    value, _ = ev.evaluate(
+        prepared._module.body, DynamicContext(dict(ev.globals))
+    )
+    return [n.nid for n in value]
+
+
+def transactional_commit(engine: Engine, rng: random.Random) -> None:
+    """Two statements in one transaction.  The commit installs the new
+    subtree as raw rows (``Store.install_rows``) and then applies the
+    buffered requests."""
+    n = rng.randrange(20)
+    word = rng.choice(WORDS[:-1])
+    with engine.session() as session:
+        with session.transaction() as txn:
+            txn.execute(
+                f'snap {{ insert {{ <person id="person{n}"><name>{word}'
+                "</name></person> } into { $doc//people } }"
+            )
+            txn.execute(
+                "snap { replace value of { ($doc//item)[1]/name } "
+                f'with {{ "{word} #{n}" }} }}'
+            )
+
+
+def rolled_back_snap(engine: Engine, rng: random.Random) -> None:
+    """A snap that revalues and renames, then fails mid-Δ: the insert's
+    anchor was detached by the delete before it.  Under ``atomic_snaps``
+    the store restores its checkpoint (``Store.load_rows``)."""
+    n = rng.randrange(20)
+    with pytest.raises(UpdateApplicationError):
+        engine.execute(
+            "snap { replace value of { ($doc//person)[1]/@id } "
+            f'with {{ "person{n}" }}, '
+            "rename { ($doc//item)[1]/@id } to { 'ident' }, "
+            "delete { ($doc//closed_auction)[1] }, "
+            "insert { <closed_auction/> } after "
+            "{ ($doc//closed_auction)[1] } }"
+        )
+
+
+STEPS = {
+    "transactional-commit": transactional_commit,
+    "rolled-back-snap": rolled_back_snap,
+}
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_reads_indexed_equals_unindexed(seed):
@@ -82,9 +137,6 @@ def test_reads_indexed_equals_unindexed(seed):
 def test_update_streams_keep_equivalence(seed, data):
     rng = random.Random(seed)
     engine = fresh_engine(seed)
-    # Force the index to build before the update stream starts, so the
-    # incremental maintenance path (not rebuild-on-probe) is exercised.
-    engine.store.token_probe("fine")
     for _ in range(data.draw(st.integers(1, 4), label="rounds")):
         update = data.draw(
             st.sampled_from(updates_pool(rng)), label="update"
@@ -105,10 +157,8 @@ def test_snapshot_reads_mid_update_stream(seed):
     rng = random.Random(seed)
     engine = fresh_engine(seed)
     store = engine.store
-    engine.store.token_probe("fine")  # live index built and maintained
     queries = query_pool(rng)
     prepared = [engine.prepare(q) for q in queries]
-    doc_nid = engine.evaluator.globals["doc"][0].nid
 
     engine.execute(rng.choice(updates_pool(rng)))
     snap = store.begin_snapshot()
@@ -119,15 +169,40 @@ def test_snapshot_reads_mid_update_stream(seed):
     # ...while the snapshot reader answers from its epoch, with and
     # without index probes.
     for query, pq in zip(queries, prepared):
-        results = []
-        for use_indexes in (True, False):
-            ev = Evaluator(snap, engine.functions)
-            ev.use_indexes = use_indexes
-            ev.globals = {"doc": [Node(snap, doc_nid)]}
-            value, _ = ev.evaluate(
-                pq._module.body, DynamicContext(dict(ev.globals))
-            )
-            results.append([n.nid for n in value])
-        assert results[0] == results[1], query
+        fast = run_on_snapshot(engine, snap, pq, use_indexes=True)
+        slow = run_on_snapshot(engine, snap, pq, use_indexes=False)
+        assert fast == slow, query
     store.release_snapshot(snap)
+    store.check_invariants()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.lists(st.sampled_from(sorted(STEPS)), min_size=1, max_size=3),
+)
+def test_commits_and_rollbacks_keep_equivalence(seed, steps):
+    """The two paths that install or replace records wholesale — a
+    transactional commit and a snap rolled back to its checkpoint —
+    leave the maintained indexes equal to a rebuild, indexed answers
+    equal to unindexed ones on the live store, and a snapshot opened
+    before the step still answering (either way) as the store did
+    then."""
+    rng = random.Random(seed)
+    engine = fresh_engine(seed, atomic_snaps=True)
+    store = engine.store
+    for step in steps:
+        queries = query_pool(rng)
+        prepared = [engine.prepare(q) for q in queries]
+        before = [run_both(engine, q)[1] for q in queries]
+        snap = store.begin_snapshot()
+        STEPS[step](engine, rng)
+        store.indexes.verify()
+        for query, pq, then in zip(queries, prepared, before):
+            fast, slow = run_both(engine, query)
+            assert fast == slow, (step, query)
+            for use_indexes in (True, False):
+                got = run_on_snapshot(engine, snap, pq, use_indexes)
+                assert got == then, (step, query, use_indexes)
+        store.release_snapshot(snap)
     store.check_invariants()
