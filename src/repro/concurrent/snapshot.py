@@ -696,16 +696,10 @@ class StoreSnapshot:
         """Snapshots never collect (local space dies with the snapshot)."""
         return 0
 
-    def checkpoint(self):
+    def begin_undo(self):
         raise StoreError(
-            "snapshots cannot be checkpointed; updating queries must run "
-            "against the live store"
-        )
-
-    def restore(self, checkpoint) -> None:
-        raise StoreError(
-            "snapshots cannot be restored; updating queries must run "
-            "against the live store"
+            "snapshots cannot apply an atomic Δ; updating queries must "
+            "run against the live store"
         )
 
     # -- introspection -----------------------------------------------------

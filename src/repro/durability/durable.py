@@ -410,13 +410,10 @@ class DurableEngine:
         """Scope one MVCC transaction: commit on clean exit, roll back
         on exception.
 
-        Historically this raised — the legacy checkpoint/rollback
-        transaction would have un-applied snaps the journal had already
-        made durable.  The session-based transaction has no such
-        problem: statements buffer on a snapshot view and nothing
-        touches the store or the journal until the atomic commit (one
-        journal frame group), so durable engines support multi-query
-        atomicity directly::
+        Statements buffer on a snapshot view and nothing touches the
+        store or the journal until the atomic commit (one journal frame
+        group), so durable engines support multi-query atomicity
+        directly::
 
             with durable.transaction() as txn:
                 txn.execute('snap insert nodes <bid/> into $bids')

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -815,44 +814,6 @@ class Engine:
             limits=limits,
             on_commit=on_commit,
         )
-
-    def transaction(self):
-        """Group several ``execute`` calls into an all-or-nothing unit.
-
-        .. deprecated:: 1.4
-            Use :meth:`session` — ``with engine.session() as s:`` plus
-            ``s.transaction()`` — which adds snapshot isolation,
-            optimistic conflict validation and group-atomic journaling.
-            This shim keeps the historical checkpoint/rollback contract
-            (engine-level ``execute`` calls inside the block write the
-            live store immediately; an exception restores store and
-            bindings) and will be removed in a future release.
-        """
-        # Warn at call time, not at __enter__, so the warning points at
-        # the caller's `engine.transaction()` line.
-        warnings.warn(
-            "Engine.transaction() is deprecated; use Engine.session() "
-            "for snapshot-isolated, conflict-validated transactions",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._legacy_transaction()
-
-    @contextmanager
-    def _legacy_transaction(self):
-        checkpoint = self.store.checkpoint()
-        globals_snapshot = {
-            name: list(value)
-            for name, value in self.evaluator.globals.items()
-        }
-        documents_snapshot = dict(self.evaluator.documents)
-        try:
-            yield self
-        except BaseException:
-            self.store.restore(checkpoint)
-            self.evaluator.globals = globals_snapshot
-            self.evaluator.documents = documents_snapshot
-            raise
 
     # ------------------------------------------------------------------
     # Utilities

@@ -229,7 +229,9 @@ def apply_update_list(
     With ``atomic=True`` a precondition failure mid-application rolls the
     store back to its pre-Δ state before re-raising — snap as a
     failure-containment boundary (an extension the paper's Section 5
-    sketches for its full version).
+    sketches for its full version).  The rollback replays an undo log
+    (:meth:`~repro.xdm.store.Store.begin_undo`) holding the pre-image of
+    each record Δ touched, so it costs O(|Δ|), not O(store).
 
     With a *journal*, the applied requests — in their resolved order,
     after conflict checking — are appended as one durable record before
@@ -243,10 +245,10 @@ def apply_update_list(
     With a *control* (an
     :class:`~repro.concurrent.control.ExecutionControl`), application
     stays interruptible even inside a huge Δ: the conflict scan polls it
-    unconditionally (pure reads), and the apply loop polls it when the
-    rollback checkpoint exists — a mid-apply interrupt then restores the
-    pre-Δ store, preserving the all-or-nothing discipline.  Without a
-    checkpoint the loop never polls (an interrupt there would half-apply).
+    unconditionally (pure reads), and the apply loop polls it when an
+    undo log is recording — a mid-apply interrupt then rolls back to the
+    pre-Δ store, preserving the all-or-nothing discipline.  Without an
+    undo log the loop never polls (an interrupt there would half-apply).
     The control's admission guard, when present, bounds the Δ length
     before anything applies and the journal's circuit breaker, when
     present, refuses the commit with a typed
@@ -298,77 +300,81 @@ def apply_update_list(
         entry = journal.build_entry(
             store, [delta[index] for index in order], semantics
         )
-    checkpoint = store.checkpoint() if atomic and delta else None
-    indexes = getattr(store, "_indexes", None)
-    maintained_before = indexes.maintained if indexes is not None else 0
+    undo = store.begin_undo() if atomic and delta else None
     try:
-        if checkpoint is None or control is None:
-            for index in order:
-                delta[index].apply(store)
-        else:
-            # Interruptible application: with a rollback checkpoint a
-            # fired deadline/cancel/budget mid-Δ restores the pre-Δ
-            # store, so polling here cannot half-apply a snap.
-            for position, index in enumerate(order):
-                if position % 64 == 0:
-                    control.check()
-                delta[index].apply(store)
-    except UpdateApplicationError:
-        # A failed snap journals nothing: the entry is discarded whole.
-        if checkpoint is not None:
-            store.restore(checkpoint)
-        if breaker is not None and delta:
-            # The journal was never exercised; a half-open probe slot
-            # must not stay reserved for an outcome that never comes.
-            breaker.release_probe()
-        raise
-    except ExecutionControlError:
-        # Only reachable from the polling loop, which requires the
-        # checkpoint: the Δ is un-applied whole, never half-applied.
-        store.restore(checkpoint)
-        if breaker is not None and delta:
-            breaker.release_probe()
-        raise
-    if tracer is not None and indexes is not None:
-        # O(|Δ|) incremental index maintenance done inside this snap —
-        # the number the "no rebuild on the write path" claim rests on.
-        tracer.observe(
-            "index.maintained_per_snap",
-            indexes.maintained - maintained_before,
-        )
-    if entry is not None:
+        indexes = getattr(store, "_indexes", None)
+        maintained_before = indexes.maintained if indexes is not None else 0
         try:
-            journal.commit(entry, store)
-        except Exception as exc:
-            from repro.errors import DurabilityError, StaleEpochError
+            if undo is None or control is None:
+                for index in order:
+                    delta[index].apply(store)
+            else:
+                # Interruptible application: with an undo log a fired
+                # deadline/cancel/budget mid-Δ rolls back to the pre-Δ
+                # store, so polling here cannot half-apply a snap.
+                for position, index in enumerate(order):
+                    if position % 64 == 0:
+                        control.check()
+                    delta[index].apply(store)
+        except UpdateApplicationError:
+            # A failed snap journals nothing: the entry is discarded whole.
+            if undo is not None:
+                store.rollback_undo(undo)
+            if breaker is not None and delta:
+                # The journal was never exercised; a half-open probe slot
+                # must not stay reserved for an outcome that never comes.
+                breaker.release_probe()
+            raise
+        except ExecutionControlError:
+            # Only reachable from the polling loop, which requires the undo
+            # log: the Δ is un-applied whole, never half-applied.
+            store.rollback_undo(undo)
+            if breaker is not None and delta:
+                breaker.release_probe()
+            raise
+        if tracer is not None and indexes is not None:
+            # O(|Δ|) incremental index maintenance done inside this snap —
+            # the number the "no rebuild on the write path" claim rests on.
+            tracer.observe(
+                "index.maintained_per_snap",
+                indexes.maintained - maintained_before,
+            )
+        if entry is not None:
+            try:
+                journal.commit(entry, store)
+            except Exception as exc:
+                from repro.errors import DurabilityError, StaleEpochError
 
-            if isinstance(exc, StaleEpochError):
-                # A deposed primary's fenced append: un-apply so the
-                # dead engine's memory does not silently diverge, and
-                # let the typed refusal through unwrapped.
-                if checkpoint is not None:
-                    store.restore(checkpoint)
-                raise
-            if not isinstance(exc, OSError):
-                raise
-            # The append failed but the process lives: un-apply (when we
-            # can) so memory does not run ahead of disk, and surface a
-            # typed error either way.
-            if checkpoint is not None:
-                store.restore(checkpoint)
+                if isinstance(exc, StaleEpochError):
+                    # A deposed primary's fenced append: un-apply so the
+                    # dead engine's memory does not silently diverge, and
+                    # let the typed refusal through unwrapped.
+                    if undo is not None:
+                        store.rollback_undo(undo)
+                    raise
+                if not isinstance(exc, OSError):
+                    raise
+                # The append failed but the process lives: un-apply (when we
+                # can) so memory does not run ahead of disk, and surface a
+                # typed error either way.
+                if undo is not None:
+                    store.rollback_undo(undo)
+                if breaker is not None:
+                    breaker.record_failure(f"journal append failed: {exc}")
+                raise DurabilityError(
+                    f"journal append failed: {exc}"
+                    + ("" if undo is not None else "; the in-memory "
+                       "store kept the snap (atomic_snaps was off)")
+                ) from exc
             if breaker is not None:
-                breaker.record_failure(f"journal append failed: {exc}")
-            raise DurabilityError(
-                f"journal append failed: {exc}"
-                + ("" if checkpoint is not None else "; the in-memory "
-                   "store kept the snap (atomic_snaps was off)")
-            ) from exc
-        if breaker is not None:
-            breaker.record_success()
-    elif breaker is not None and delta:
-        # Journal present but entry None cannot happen for a non-empty
-        # Δ today; keep the probe accounting robust regardless.
-        breaker.release_probe()
+                breaker.record_success()
+        elif breaker is not None and delta:
+            # Journal present but entry None cannot happen for a non-empty
+            # Δ today; keep the probe accounting robust regardless.
+            breaker.release_probe()
+    finally:
+        if undo is not None:
+            store.end_undo(undo)
     if txn_log is not None and delta:
         # The Δ is fully applied (and journaled when durable): publish it
         # for OCC validation by open transactions.

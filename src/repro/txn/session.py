@@ -460,80 +460,83 @@ class Transaction:
                     encode_request,
                 )
 
-                checkpoint = store.checkpoint()
                 applied: list = []
+                undo = store.begin_undo()
                 try:
-                    with maybe_span(span_tracer, "txn.apply"):
-                        for requests, rows, pre, post, _sem in (
-                            live_statements
-                        ):
-                            store.install_rows(rows)
-                            store._reset_ids(pre)
-                            for request in requests:
-                                request.apply(store)
-                            if store._next_id != post:
-                                raise UpdateApplicationError(
-                                    "transaction replay diverged: store "
-                                    f"watermark {store._next_id} != "
-                                    f"expected {post}"
-                                )
-                            applied.extend(requests)
-                except XQueryError as exc:
-                    # Validation is Δ-vs-Δ; a precondition the rules
-                    # cannot see (e.g. an anchor moved by a commuting
-                    # commit) can still fail here.  All-or-nothing:
-                    # restore and abort as a (retryable) conflict.
-                    store.restore(checkpoint)
-                    if breaker is not None:
-                        breaker.release_probe()
-                    tracer.count("txn.aborts")
-                    raise TransactionConflictError(
-                        "transaction aborted: a buffered update failed "
-                        f"against the committed store ({exc})",
-                        detail=str(exc),
-                    ) from exc
-                if journal is not None:
-                    entries = [
-                        JournalEntry(
-                            seq=0,  # assigned by commit_group
-                            pre_next_id=pre,
-                            semantics=sem.value,
-                            ops=[
-                                encode_request(request)[0]
-                                for request in requests
-                            ],
-                            nodes=rows,
-                            post_next_id=post,
-                        )
-                        for requests, rows, pre, post, sem in (
-                            live_statements
-                        )
-                    ]
                     try:
-                        with maybe_span(span_tracer, "txn.journal"):
-                            journal.commit_group(
-                                entries, store, txn_id=token
-                            )
-                    except OSError as exc:
-                        store.restore(checkpoint)
+                        with maybe_span(span_tracer, "txn.apply"):
+                            for requests, rows, pre, post, _sem in (
+                                live_statements
+                            ):
+                                store.install_rows(rows)
+                                store._reset_ids(pre)
+                                for request in requests:
+                                    request.apply(store)
+                                if store._next_id != post:
+                                    raise UpdateApplicationError(
+                                        "transaction replay diverged: store "
+                                        f"watermark {store._next_id} != "
+                                        f"expected {post}"
+                                    )
+                                applied.extend(requests)
+                    except XQueryError as exc:
+                        # Validation is Δ-vs-Δ; a precondition the rules
+                        # cannot see (e.g. an anchor moved by a commuting
+                        # commit) can still fail here.  All-or-nothing:
+                        # roll back and abort as a (retryable) conflict.
+                        store.rollback_undo(undo)
                         if breaker is not None:
-                            breaker.record_failure(
-                                f"journal group append failed: {exc}"
-                            )
+                            breaker.release_probe()
                         tracer.count("txn.aborts")
-                        raise DurabilityError(
-                            f"journal group append failed: {exc}"
+                        raise TransactionConflictError(
+                            "transaction aborted: a buffered update failed "
+                            f"against the committed store ({exc})",
+                            detail=str(exc),
                         ) from exc
-                    except StaleEpochError:
-                        # A deposed primary's fenced group commit:
-                        # un-apply and let the typed refusal through.
-                        store.restore(checkpoint)
-                        tracer.count("txn.aborts")
-                        raise
-                    if breaker is not None:
-                        breaker.record_success()
-                elif breaker is not None:
-                    breaker.release_probe()
+                    if journal is not None:
+                        entries = [
+                            JournalEntry(
+                                seq=0,  # assigned by commit_group
+                                pre_next_id=pre,
+                                semantics=sem.value,
+                                ops=[
+                                    encode_request(request)[0]
+                                    for request in requests
+                                ],
+                                nodes=rows,
+                                post_next_id=post,
+                            )
+                            for requests, rows, pre, post, sem in (
+                                live_statements
+                            )
+                        ]
+                        try:
+                            with maybe_span(span_tracer, "txn.journal"):
+                                journal.commit_group(
+                                    entries, store, txn_id=token
+                                )
+                        except OSError as exc:
+                            store.rollback_undo(undo)
+                            if breaker is not None:
+                                breaker.record_failure(
+                                    f"journal group append failed: {exc}"
+                                )
+                            tracer.count("txn.aborts")
+                            raise DurabilityError(
+                                f"journal group append failed: {exc}"
+                            ) from exc
+                        except StaleEpochError:
+                            # A deposed primary's fenced group commit:
+                            # un-apply and let the typed refusal through.
+                            store.rollback_undo(undo)
+                            tracer.count("txn.aborts")
+                            raise
+                        if breaker is not None:
+                            breaker.record_success()
+                    elif breaker is not None:
+                        breaker.release_probe()
+                finally:
+                    store.end_undo(undo)
                 self.commit_seq = manager.record_commit(applied)
             tracer.count("txn.commits")
             tracer.count("txn.ops_committed", total_ops)

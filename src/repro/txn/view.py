@@ -13,11 +13,12 @@ transaction see their own effects, while the base store and every other
 snapshot stay untouched until commit replays the buffered Δ under the
 store write lock.
 
-The view also supports :meth:`checkpoint`/:meth:`restore` over its
-*local* state only, so ``apply_update_list(atomic=True)`` gives each
-statement inside the transaction the same failure containment a snap
-has against the live store: a failed statement rolls the view back and
-leaves the transaction usable.
+The view also speaks the store's undo protocol (``begin_undo`` /
+``rollback_undo`` / ``end_undo``) over its *local* state only, so
+``apply_update_list(atomic=True)`` gives each statement inside the
+transaction the same failure containment a snap has against the live
+store: a failed statement rolls the view back and leaves the
+transaction usable.
 """
 
 from __future__ import annotations
@@ -30,24 +31,6 @@ from repro.xdm.store import NodeKind, _NodeRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.xdm.store import Store
-
-
-class _ViewCheckpoint:
-    """Frozen copy of a view's local (mutable) state."""
-
-    __slots__ = ("records", "local_next", "name_index", "materialized")
-
-    def __init__(
-        self,
-        records: dict[int, tuple],
-        local_next: int,
-        name_index: dict[str, set[int]],
-        materialized: set[int],
-    ):
-        self.records = records
-        self.local_next = local_next
-        self.name_index = name_index
-        self.materialized = materialized
 
 
 class TransactionView(StoreSnapshot):
@@ -175,8 +158,10 @@ class TransactionView(StoreSnapshot):
         return None
 
     # -- statement-level failure containment -------------------------------
+    # The store's undo protocol; a view's log is a copy of its local
+    # space, O(what the transaction wrote so far), never O(store).
 
-    def checkpoint(self) -> _ViewCheckpoint:
+    def begin_undo(self) -> tuple:
         records = {
             nid: (
                 rec.kind,
@@ -188,28 +173,27 @@ class TransactionView(StoreSnapshot):
             )
             for nid, rec in self._local.items()
         }
-        return _ViewCheckpoint(
+        return (
             records,
             self._local_next,
             {name: set(ids) for name, ids in self._local_name_index.items()},
             set(self._materialized),
         )
 
-    def restore(self, checkpoint: _ViewCheckpoint) -> None:
-        local: dict[int, _NodeRecord] = {}
-        for nid, row in checkpoint.records.items():
+    def end_undo(self, log: tuple) -> None:
+        pass
+
+    def rollback_undo(self, log: tuple) -> None:
+        records, self._local_next, self._local_name_index, materialized = log
+        self._materialized = materialized
+        self._local = {}
+        for nid, row in records.items():
             kind, name, parent, children, attributes, value = row
             rec = _NodeRecord(kind, name, value)
             rec.parent = parent
             rec.children = list(children)
             rec.attributes = list(attributes)
-            local[nid] = rec
-        self._local = local
-        self._local_next = checkpoint.local_next
-        self._local_name_index = {
-            name: set(ids) for name, ids in checkpoint.name_index.items()
-        }
-        self._materialized = set(checkpoint.materialized)
+            self._local[nid] = rec
         self._forget_memos()
         self._order_cache.clear()
         self._cached_roots.clear()

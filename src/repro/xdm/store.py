@@ -72,15 +72,34 @@ class _NodeRecord:
         self.value = value
 
 
-class StoreCheckpoint:
-    """An immutable snapshot of a store's full state (see
-    :meth:`Store.checkpoint`)."""
+class UndoLog:
+    """What one applied Δ changed (see :meth:`Store.begin_undo`).
 
-    __slots__ = ("records", "next_id")
+    A pre-image consumer like a snapshot: it keeps the first pre-image
+    :meth:`Store._cow` offers per id below the *watermark* (``_next_id``
+    at the start of Δ).  Ids at or above it are Δ's own and are dropped
+    on rollback; the log only tracks how high they reach (*top*).
+    """
 
-    def __init__(self, records: dict, next_id: int):
-        self.records = records
-        self.next_id = next_id
+    __slots__ = ("watermark", "top", "saved")
+
+    def __init__(self, watermark: int):
+        self.watermark = watermark
+        self.top = watermark
+        # nid -> (name, parent, children, attributes, value) before Δ.
+        self.saved: dict[int, tuple] = {}
+
+    def _save_preimages(
+        self, nids: Iterable[int], records: dict[int, "_NodeRecord"]
+    ) -> None:
+        saved = self.saved
+        for nid in nids:
+            if nid >= self.watermark:
+                self.top = max(self.top, nid + 1)
+            elif nid not in saved and nid in records:
+                rec = records[nid]
+                saved[nid] = (rec.name, rec.parent, tuple(rec.children),
+                              tuple(rec.attributes), rec.value)
 
 
 class Store:
@@ -127,15 +146,15 @@ class Store:
         # under the GIL, so even unsupported concurrent constructors get
         # unique ids without a lock on the allocation hot path.
         # _next_id mirrors the watermark (every id below it is spoken
-        # for) for snapshot ceilings and checkpoints; it is exact under
+        # for) for snapshot ceilings and undo logs; it is exact under
         # the supported discipline, where allocation happens
         # single-threaded or under the store's write lock.
         self._id_counter = itertools.count()
-        # Active copy-on-write snapshot views; every structural mutation
-        # offers them a pre-image first (see _cow).  Empty in the
-        # single-threaded case, where the whole machinery costs one
-        # truthiness test per mutation.
-        self._snapshots: list["StoreSnapshot"] = []
+        # Active copy-on-write snapshot views and undo logs; every
+        # structural mutation offers them a pre-image first (see _cow).
+        # Empty in the single-threaded, non-atomic case, where the
+        # whole machinery costs one truthiness test per mutation.
+        self._snapshots: list = []
 
     def _touch(self, *roots: int) -> None:
         """Invalidate cached order keys (and nothing else: the name and
@@ -163,7 +182,7 @@ class Store:
     # ------------------------------------------------------------------
 
     def _cow(self, *nids: int) -> None:
-        """Offer pre-images of *nids* to every active snapshot.
+        """Offer pre-images of *nids* to every snapshot and undo log.
 
         Called by every structural mutator **before** it changes a
         record, so a snapshot always captures the state the record had
@@ -195,7 +214,7 @@ class Store:
         self._snapshots.append(snapshot)
         return snapshot
 
-    def release_snapshot(self, snapshot: "StoreSnapshot") -> None:
+    def release_snapshot(self, snapshot: "StoreSnapshot | UndoLog") -> None:
         """Stop feeding pre-images to *snapshot* (idempotent).
 
         The snapshot remains readable — whatever it has already captured
@@ -210,7 +229,7 @@ class Store:
     # ------------------------------------------------------------------
 
     def _reset_ids(self, next_id: int) -> None:
-        """Re-seed id allocation (restore / persistence load)."""
+        """Re-seed id allocation (rollback / persistence load)."""
         self._next_id = next_id
         self._id_counter = itertools.count(next_id)
 
@@ -715,14 +734,15 @@ class Store:
         return len(dead)
 
     # ------------------------------------------------------------------
-    # Raw record rows (replay, reload, restore)
+    # Raw record rows (replay, reload)
     #
     # The constructors cannot express arbitrary ids, so journal replay,
-    # transaction commit, persistence load and checkpoint restore install
-    # whole records.  A row is ``(nid, kind, name, parent, children,
-    # attributes, value)``, *kind* a NodeKind or its string value.  These
-    # methods are the only writers of the record table besides the
-    # mutators above, and keep the name and value indexes in step.
+    # transaction commit and persistence load install whole records.
+    # A row is ``(nid, kind, name, parent, children, attributes,
+    # value)``, *kind* a NodeKind or its string value.  These methods
+    # and the undo rollback are the only writers of the record table
+    # besides the mutators above, and keep the name and value indexes
+    # in step.
     # ------------------------------------------------------------------
 
     def _put(self, nid, kind, name, parent, children, attributes, value):
@@ -749,6 +769,10 @@ class Store:
             nid = row[0]
             if nid in self._records:
                 continue
+            if self._snapshots:
+                # No pre-image to give, but an undo log learns how high
+                # the ids it must drop on rollback reach.
+                self._cow(nid)
             rec = self._put(*row)
             self._indexes.on_alloc(nid, rec.kind, rec.name, rec.value)
             created += 1
@@ -776,8 +800,8 @@ class Store:
                         del self._cached_roots[key[0]]
 
     def load_rows(self, rows: Iterable, next_id: int) -> None:
-        """Replace the whole record table with *rows* (persistence load,
-        checkpoint restore) and re-seed allocation at *next_id*.
+        """Replace the whole record table with *rows* (persistence load)
+        and re-seed allocation at *next_id*.
 
         The record table and both indexes are *rebound*, never cleared in
         place, so every active snapshot keeps the frozen set it captured;
@@ -797,36 +821,56 @@ class Store:
         self._touch()
 
     # ------------------------------------------------------------------
-    # Checkpoint / restore (failure atomicity for snap)
+    # Undo logs (failure atomicity for snap)
     # ------------------------------------------------------------------
 
-    def checkpoint(self) -> "StoreCheckpoint":
-        """Capture the full store state.
+    def begin_undo(self) -> UndoLog:
+        """Start recording what the mutations that follow change, so a
+        Δ that fails mid-application can be un-applied with
+        :meth:`rollback_undo` (snap as a failure-containment boundary,
+        which the paper's full version proposes).  Costs one pre-image
+        per record touched; callers :meth:`end_undo` on every exit."""
+        log = UndoLog(self._next_id)
+        self._snapshots.append(log)
+        return log
 
-        Used to make update-list application *atomic*: the paper's full
-        version proposes snap as a failure-containment boundary; with a
-        checkpoint, a Δ that fails a precondition mid-application can be
-        rolled back instead of leaving a partial store.
-        """
-        records = {
-            nid: (
-                rec.kind,
-                rec.name,
-                rec.parent,
-                tuple(rec.children),
-                tuple(rec.attributes),
-                rec.value,
-            )
-            for nid, rec in self._records.items()
-        }
-        return StoreCheckpoint(records=records, next_id=self._next_id)
+    def end_undo(self, log: UndoLog) -> None:
+        """Stop recording into *log* (idempotent)."""
+        self.release_snapshot(log)
 
-    def restore(self, checkpoint: "StoreCheckpoint") -> None:
-        """Reset the store to a previously captured checkpoint."""
-        self.load_rows(
-            ((nid, *row) for nid, row in checkpoint.records.items()),
-            checkpoint.next_id,
+    def rollback_undo(self, log: UndoLog) -> None:
+        """Put the store back exactly as it was at :meth:`begin_undo`.
+
+        Records created since are dropped, every logged record gets its
+        pre-image back in place (postings moved where name or value
+        differ), allocation resumes at the watermark.  The table is not
+        rebound: indexes are repaired, not rebuilt, and open snapshots
+        stay attached (offered the pre-images first, as for any
+        mutation)."""
+        self.end_undo(log)
+        records = self._records
+        top = max(self._next_id, log.top)
+        self.drop_records(
+            [nid for nid in range(log.watermark, top) if nid in records]
         )
+        saved = log.saved
+        if self._snapshots and saved:
+            self._cow(*saved)
+        for nid, (name, parent, children, attributes, value) in saved.items():
+            rec = records[nid]
+            if rec.name != name or rec.value != value:
+                if rec.kind is NodeKind.ELEMENT:
+                    self._name_index.get(rec.name, set()).discard(nid)
+                    self._name_index.setdefault(name, set()).add(nid)
+                self._indexes.on_free(nid, rec)
+                self._indexes.on_alloc(nid, rec.kind, name, value)
+                rec.name = name
+                rec.value = value
+            rec.parent = parent
+            rec.children = list(children)
+            rec.attributes = list(attributes)
+        self._reset_ids(log.watermark)
+        self._touch()
 
     # ------------------------------------------------------------------
     # Introspection / debugging helpers

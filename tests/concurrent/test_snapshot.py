@@ -172,20 +172,23 @@ class TestLocalSpace:
         build_tree(store)
         snap = store.begin_snapshot()
         with pytest.raises(StoreError):
-            snap.checkpoint()
+            snap.begin_undo()
         store.release_snapshot(snap)
 
 
 class TestStoreLifecycle:
     def test_restore_detaches_snapshots(self):
+        # Rebinding the whole record table (persistence load) detaches;
+        # rolling back an atomic snap does not (tests/property/
+        # test_undo_log.py).
         store = Store()
         root, *_ = build_tree(store)
-        checkpoint = store.checkpoint()
         snap = store.begin_snapshot()
-        store.restore(checkpoint)
+        store.load_rows([], 0)
         assert snap.detached
         # A detached snapshot still answers from what it froze; the
         # executor just refuses to route new queries onto it.
+        assert snap.name(root) == "doc"
         assert store._snapshots == []
 
     def test_unknown_node_raises(self):

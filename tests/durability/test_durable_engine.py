@@ -215,10 +215,8 @@ class TestEngineSurface:
     def test_transaction_commits_atomically_and_survives_recovery(
         self, tmp_path
     ):
-        # Historically refused: the legacy checkpoint/rollback transaction
-        # would have un-applied journaled snaps.  The session-based
-        # transaction buffers on a snapshot and journals the commit as
-        # one atomic frame group, so durable engines now support it.
+        # The transaction buffers on a snapshot and journals the commit
+        # as one atomic frame group.
         path, engine = fresh(tmp_path)
         with engine.transaction() as txn:
             txn.execute(snap_query("ordered", 1))

@@ -1,6 +1,6 @@
 """The value-index manager: indexes that live as long as their store,
 O(|op|) maintenance, probe supersets, and the stale-index regressions
-around update, restore and reload."""
+around update, rollback and reload."""
 
 import pytest
 
@@ -26,6 +26,22 @@ def build_doc(store):
     store.append_child(root, a)
     store.append_child(root, b)
     return root, a, b, ta, tb
+
+
+def dump_rows(store):
+    """The store's records as :meth:`Store.load_rows` rows."""
+    return [
+        (
+            nid,
+            store.kind(nid),
+            store.name(nid),
+            store.parent(nid),
+            store.children(nid),
+            store.attributes(nid),
+            store.value(nid),
+        )
+        for nid in store.node_ids()
+    ]
 
 
 class TestTokenMatcher:
@@ -148,8 +164,8 @@ class TestLazyBuildAndMaintenance:
 
 class TestStaleIndexRegression:
     """An in-place rename/replace through the update language must never
-    leave stale postings behind, and neither may a checkpoint restore
-    or a persistence load, which rebind the whole record table."""
+    leave stale postings behind, and neither may a rolled-back atomic
+    snap or a persistence load, which rebinds the whole record table."""
 
     DOC = (
         "<inventory>"
@@ -200,23 +216,29 @@ class TestStaleIndexRegression:
         assert len(store.token_probe("widget")) == 1
         assert store.indexes.rebuilds == 0
 
-    def test_restore_rebuilds_once_and_verifies(self):
+    def test_failed_atomic_snap_keeps_index_without_rebuild(self):
         engine = Engine(atomic_snaps=True)
         engine.load_document("doc", self.DOC)
         store = engine.store
         before = store.indexes.rebuilds
-        # The rename and the delete apply, then the insert finds its
-        # anchor detached mid-Δ: the atomic snap restores the checkpoint.
+        (aid,) = store.attr_eq_probe("id", "a")
+        (text,) = store.token_probe("sprocket")
+        # The rename, the revalue and the delete apply, then the insert
+        # finds its anchor detached mid-Δ: the undo log rolls back.
         with pytest.raises(UpdateApplicationError):
             engine.execute(
                 "snap { rename { $doc//item[@id='a']/@id } to { 'ident' },"
+                " replace value of { $doc//item[@id='b']/name } "
+                "with { 'cog' },"
                 " delete { $doc//item[@id='b'] },"
                 " insert { <x/> } after { $doc//item[@id='b'] } }"
             )
-        assert store.indexes.rebuilds == before + 1
+        assert store.indexes.rebuilds == before
         store.indexes.verify()
-        assert len(store.attr_eq_probe("id", "a")) == 1
+        assert store.attr_eq_probe("id", "a") == (aid,)
         assert store.attr_eq_probe("ident", "a") == ()
+        assert store.token_probe("sprocket") == (text,)
+        assert store.token_probe("cog") == ()
 
     def test_load_engine_rebuilds_once_and_verifies(self, tmp_path):
         engine = self.fresh()
@@ -276,14 +298,14 @@ class TestSnapshotProbes:
         store.release_snapshot(snap)
 
     def test_snapshot_keeps_its_indexes_across_restore(self):
-        # A restore rebinds the record table and the indexes; a snapshot
-        # opened before it keeps answering from the set it captured, even
-        # after the live store moves on.
+        # Reloading rows rebinds the record table and the indexes; a
+        # snapshot opened before it keeps answering from the set it
+        # captured, even after the live store moves on.
         store = Store()
         root, a, b, ta, _ = build_doc(store)
-        checkpoint = store.checkpoint()
+        rows = dump_rows(store)
         snap = store.begin_snapshot()
-        store.restore(checkpoint)
+        store.load_rows(rows, store._next_id)
         assert snap.detached
         (aid,) = store.attr_eq_probe("k", "1")
         store.set_value(aid, "9")

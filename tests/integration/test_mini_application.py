@@ -109,30 +109,15 @@ class TestOrderFlow:
         with pytest.raises(DynamicError):
             shop.execute("ship-order(1)")
 
-    def test_transactional_batch(self, shop):
-        # Legacy shim: still works, now with a DeprecationWarning.
-        with pytest.raises(DynamicError):
-            with pytest.warns(DeprecationWarning, match="session"):
-                with shop.transaction():
-                    shop.execute('place-order("apple", 5)')
-                    shop.execute('place-order("pear", 99)')
-                    # Reject the whole batch if anything was rejected:
-                    shop.execute(
-                        'if (exists($audit/rejected)) then error("batch") '
-                        "else ()"
-                    )
-        # Everything rolled back, including the first (valid) order.
-        assert shop.execute("count($orders/order)").first_value() == 0
-        assert shop.execute('stock-of("apple")').first_value() == 10.0
-
     def test_transactional_batch_session_api(self, shop):
-        # The same batch through the Session API: the rejected batch
-        # rolls back without ever touching the live store.
+        # A rejected batch rolls back whole, including the first (valid)
+        # order, without ever touching the live store.
         session = shop.session()
         with pytest.raises(DynamicError):
             with session.transaction() as txn:
                 txn.execute('place-order("apple", 5)')
                 txn.execute('place-order("pear", 99)')
+                # Reject the whole batch if anything was rejected:
                 txn.execute(
                     'if (exists($audit/rejected)) then error("batch") '
                     "else ()"

@@ -1,10 +1,9 @@
-"""Engine-level transactions: the deprecated shim and the Session API.
+"""Engine-level transactions through the Session API.
 
-The legacy ``Engine.transaction()`` context manager (checkpoint at
-entry, restore on exception, writes land immediately) survives as a
-deprecation shim — every historical behavior still holds, plus a
-``DeprecationWarning``.  New code goes through ``engine.session()``;
-the deep transactional coverage lives in ``tests/txn/``.
+``engine.session()`` is the one transactional surface; the deep
+transactional coverage lives in ``tests/txn/``.  The commit and
+rollback classes below pin, on sessions, the contract the removed
+``Engine.transaction()`` context manager used to offer.
 """
 
 import pytest
@@ -20,16 +19,14 @@ def e() -> Engine:
     return engine
 
 
-def legacy_txn(engine):
-    with pytest.warns(DeprecationWarning, match="session"):
-        return engine.transaction()
+def txn(engine):
+    """One transaction scope on a fresh session."""
+    return engine.session().transaction()
 
 
 class TestDeprecation:
-    def test_legacy_transaction_warns(self, e):
-        with pytest.warns(DeprecationWarning, match="Engine.session"):
-            with e.transaction():
-                pass
+    def test_engine_transaction_is_removed(self, e):
+        assert not hasattr(e, "transaction")
 
     def test_session_api_does_not_warn(self, e):
         import warnings
@@ -46,64 +43,64 @@ class TestDeprecation:
 
 class TestLegacyCommit:
     def test_successful_transaction_persists(self, e):
-        with legacy_txn(e):
-            e.execute("snap insert { <row id='1'/> } into { $table }")
-            e.execute("snap insert { <row id='2'/> } into { $table }")
+        with txn(e) as t:
+            t.execute("snap insert { <row id='1'/> } into { $table }")
+            t.execute("snap insert { <row id='2'/> } into { $table }")
         assert e.execute("count($table/row)").first_value() == 3
 
     def test_nested_reads_see_writes(self, e):
-        with legacy_txn(e):
-            e.execute("snap insert { <row id='1'/> } into { $table }")
-            count = e.execute("count($table/row)").first_value()
+        with txn(e) as t:
+            t.execute("snap insert { <row id='1'/> } into { $table }")
+            count = t.execute("count($table/row)").first_value()
             assert count == 2
 
 
 class TestLegacyRollback:
     def test_exception_rolls_back_store(self, e):
         with pytest.raises(DynamicError):
-            with legacy_txn(e):
-                e.execute("snap insert { <row id='1'/> } into { $table }")
-                e.execute("error('boom')")
+            with txn(e) as t:
+                t.execute("snap insert { <row id='1'/> } into { $table }")
+                t.execute("error('boom')")
         assert e.execute("count($table/row)").first_value() == 1
 
     def test_rollback_restores_globals(self, e):
         with pytest.raises(RuntimeError):
-            with legacy_txn(e):
-                e.execute("declare variable $temp := 99; $temp")
-                e.bind("table", None)  # clobber a binding
+            with txn(e) as t:
+                t.execute("declare variable $temp := 99; $temp")
                 raise RuntimeError("abort")
-        # Both the declared variable and the clobbered binding roll back.
+        # A variable declared inside the transaction never reaches the
+        # engine's bindings.
         assert "temp" not in e.evaluator.globals
         assert e.execute("count($table/row)").first_value() == 1
 
     def test_rollback_restores_renames_and_deletes(self, e):
         with pytest.raises(RuntimeError):
-            with legacy_txn(e):
-                e.execute('snap rename { $table/row } to { "tuple" }')
-                e.execute("snap delete { $table/tuple }")
+            with txn(e) as t:
+                t.execute('snap rename { $table/row } to { "tuple" }')
+                t.execute("snap delete { $table/tuple }")
                 raise RuntimeError("abort")
         assert e.execute("count($table/row)").first_value() == 1
         e.store.check_invariants()
 
     def test_python_exception_propagates(self, e):
         with pytest.raises(ZeroDivisionError):
-            with legacy_txn(e):
+            with txn(e):
                 1 / 0
 
     def test_sequential_transactions_independent(self, e):
         with pytest.raises(RuntimeError):
-            with legacy_txn(e):
-                e.execute("snap insert { <row id='x'/> } into { $table }")
+            with txn(e) as t:
+                t.execute("snap insert { <row id='x'/> } into { $table }")
                 raise RuntimeError
-        with legacy_txn(e):
-            e.execute("snap insert { <row id='y'/> } into { $table }")
+        with txn(e) as t:
+            t.execute("snap insert { <row id='y'/> } into { $table }")
         rows = e.execute("$table/row/@id").strings()
         assert rows == ["0", "y"]
 
     def test_queries_after_rollback_work(self, e):
         with pytest.raises(RuntimeError):
-            with legacy_txn(e):
-                e.execute("snap delete { $table/row }")
+            with txn(e) as t:
+                t.execute("snap delete { $table/row }")
                 raise RuntimeError
-        # The restored handles still resolve.
+        # The engine's handles still resolve.
         assert e.execute("string($table/row/@id)").first_value() == "0"

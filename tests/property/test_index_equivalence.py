@@ -103,7 +103,7 @@ def transactional_commit(engine: Engine, rng: random.Random) -> None:
 def rolled_back_snap(engine: Engine, rng: random.Random) -> None:
     """A snap that revalues and renames, then fails mid-Δ: the insert's
     anchor was detached by the delete before it.  Under ``atomic_snaps``
-    the store restores its checkpoint (``Store.load_rows``)."""
+    the store rolls back from its undo log (``Store.rollback_undo``)."""
     n = rng.randrange(20)
     with pytest.raises(UpdateApplicationError):
         engine.execute(
@@ -182,8 +182,8 @@ def test_snapshot_reads_mid_update_stream(seed):
     st.lists(st.sampled_from(sorted(STEPS)), min_size=1, max_size=3),
 )
 def test_commits_and_rollbacks_keep_equivalence(seed, steps):
-    """The two paths that install or replace records wholesale — a
-    transactional commit and a snap rolled back to its checkpoint —
+    """The two paths that install or put back raw records — a
+    transactional commit and a snap rolled back from its undo log —
     leave the maintained indexes equal to a rebuild, indexed answers
     equal to unindexed ones on the live store, and a snapshot opened
     before the step still answering (either way) as the store did

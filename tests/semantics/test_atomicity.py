@@ -31,31 +31,50 @@ def failing_delta(store: Store, root: int, child: int):
 
 
 class TestCheckpointRestore:
+    """The store's undo log: begin_undo is the checkpoint, rollback_undo
+    the restore, at the cost of the records touched in between."""
+
     def test_roundtrip(self):
         store = Store()
         root = store.create_element("root")
         child = store.create_element("child")
         store.append_child(root, child)
-        checkpoint = store.checkpoint()
+        store.set_attribute(root, store.create_attribute("k", "v"))
+        undo = store.begin_undo()
         store.detach(child)
         store.rename(root, "changed")
+        store.set_value(store.attributes(root)[0], "w")
         extra = store.create_element("extra")
         store.append_child(root, extra)
-        store.restore(checkpoint)
+        store.rollback_undo(undo)
         assert store.name(root) == "root"
         assert store.children(root) == (child,)
+        assert store.parent(child) == root
         assert extra not in store
+        assert store.attr_eq_probe("k", "v") == store.attributes(root)
+        assert store.descendants_named(root, "child") == [child]
+        assert store._snapshots == []
         store.check_invariants()
 
     def test_restore_resets_allocation(self):
         store = Store()
         root = store.create_element("root")
-        checkpoint = store.checkpoint()
-        store.create_element("junk")
-        store.restore(checkpoint)
+        undo = store.begin_undo()
+        junk = store.create_element("junk")
+        store.rollback_undo(undo)
         fresh = store.create_element("fresh")
-        assert fresh not in (root,)
+        assert fresh == junk and fresh != root
         store.check_invariants()
+
+    def test_end_without_rollback_keeps_changes(self):
+        store = Store()
+        root = store.create_element("root")
+        undo = store.begin_undo()
+        store.rename(root, "kept")
+        store.end_undo(undo)
+        store.end_undo(undo)  # idempotent
+        assert store.name(root) == "kept"
+        assert store._snapshots == []
 
 
 class TestAtomicApply:
