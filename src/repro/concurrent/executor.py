@@ -747,6 +747,7 @@ def _evaluate_on_snapshot(
     evaluator.globals = dict(bundle.globals)
     evaluator.documents = dict(bundle.documents)
     evaluator.control = control
+    evaluator.use_indexes = options.use_indexes
     tracer = None
     if options.collect_stats:
         from repro.obs.tracer import Tracer

@@ -276,6 +276,9 @@ class StoreSnapshot:
     def children(self, nid: int) -> tuple[int, ...]:
         return tuple(self._rec(nid).children)
 
+    def child_count(self, nid: int) -> int:
+        return len(self._rec(nid).children)
+
     def attributes(self, nid: int) -> tuple[int, ...]:
         return tuple(self._rec(nid).attributes)
 
@@ -370,7 +373,22 @@ class StoreSnapshot:
             self._descendants_named[(nid, name)] = tuple(out)
         return out
 
-    def attr_eq_probe(self, name: str, value: str) -> tuple[int, ...]:
+    def _probes_blind_below(self, nid: int) -> bool:
+        """True when the value probes cannot see into *nid*'s subtree: a
+        snapshot-local tree is query construction, which no index covers
+        (and under which no base node can ever be attached)."""
+        return nid in self._local
+
+    def _local_candidates(self, kind: NodeKind) -> Iterable[int]:
+        """Local ids of *kind* a value probe must consider besides the
+        index postings: none for a read-only snapshot (see
+        :meth:`_probes_blind_below`); a transaction view adds its
+        buffered writes."""
+        return ()
+
+    def attr_eq_probe(
+        self, name: str, value: str, limit: int | None = None
+    ) -> tuple[int, ...] | None:
         """Snapshot-consistent attribute-value probe.
 
         Candidates come from the store's attribute index (filtered to ids
@@ -381,12 +399,16 @@ class StoreSnapshot:
         own record resolution, which also rejects attributes revalued
         *to* the target after snapshot time.  The index is maintained by
         the writer from the store's birth, so a reader always has one to
-        ask and never builds anything itself.
+        ask and never builds anything itself.  None when the live
+        posting list is longer than *limit* (see
+        :meth:`Store.attr_eq_probe`).
         """
         ceiling = self._ceiling
         candidates: set[int] = set()
         live = self._attr_index.get((name, value))
         if live:
+            if limit is not None and len(live) > limit:
+                return None
             # tuple(): GIL-atomic copy; the writer may mutate postings
             # while this reader iterates.
             for c in tuple(live):
@@ -399,6 +421,7 @@ class StoreSnapshot:
                 and (pre.value or "") == value
             ):
                 candidates.add(c)
+        candidates.update(self._local_candidates(NodeKind.ATTRIBUTE))
         out = []
         for candidate in candidates:
             try:
@@ -434,6 +457,7 @@ class StoreSnapshot:
                 matches(tok) for tok in tokenize(pre.value)
             ):
                 candidates.add(c)
+        candidates.update(self._local_candidates(NodeKind.TEXT))
         out = []
         for candidate in candidates:
             try:

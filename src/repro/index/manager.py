@@ -216,10 +216,16 @@ class IndexManager:
     # versions built on the same dicts)
     # ------------------------------------------------------------------
 
-    def attr_probe(self, name: str, value: str) -> tuple[int, ...]:
-        """Ids of attribute nodes bearing ``name="value"`` (exact)."""
+    def attr_probe(
+        self, name: str, value: str, limit: int | None = None
+    ) -> tuple[int, ...] | None:
+        """Ids of attribute nodes bearing ``name="value"`` (exact); None,
+        without counting a probe, when there are more than *limit*."""
+        postings = self.attr_index.get((name, value), ())
+        if limit is not None and len(postings) > limit:
+            return None
         self.probes += 1
-        out = tuple(self.attr_index.get((name, value), ()))
+        out = tuple(postings)
         self.hits += len(out)
         obs = self._store._obs
         if obs is not None:

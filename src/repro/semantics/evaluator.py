@@ -496,21 +496,30 @@ class Evaluator:
             raise TypeError_(
                 f"axis step {expr.axis}::... requires a node context item"
             )
-        if self.use_indexes and len(expr.predicates) == 1:
-            fast = self._indexed_predicate_step(
-                item, expr.axis, expr.test, expr.predicates[0], context
-            )
-            if fast is not None:
-                return EvalResult(fast, _EMPTY)
-        candidates = self._axis_candidates(item, expr)
-        if len(expr.predicates) == 1 and candidates:
-            kept = self._attr_compare_filter(
-                expr.predicates[0], candidates, context
-            )
-            if kept is not None:
-                return EvalResult(list(nodes_in_document_order(kept)), _EMPTY)
+        predicates = expr.predicates
         delta = _EMPTY
-        for predicate in expr.predicates:
+        if predicates and self.use_indexes:
+            probed = self._indexed_predicate_step(
+                item, expr.axis, expr.test, predicates[0], context
+            )
+            if probed is not None:
+                # The probed predicate is boolean-valued, so the probe
+                # result is exactly what the scan keeps after it, in axis
+                # (= document) order: the remaining predicates count
+                # positions over the same list, and filtering keeps it
+                # in document order.
+                for predicate in predicates[1:]:
+                    probed, delta = self._apply_predicate(
+                        predicate, probed, context, delta
+                    )
+                return EvalResult(probed, delta)
+        candidates = self._axis_candidates(item, expr)
+        rest = predicates
+        if predicates and candidates:
+            kept = self._attr_compare_filter(predicates[0], candidates, context)
+            if kept is not None:
+                candidates, rest = kept, predicates[1:]
+        for predicate in rest:
             candidates, delta = self._apply_predicate(
                 predicate, candidates, context, delta
             )
@@ -604,23 +613,34 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Value-index probe fast paths (repro.index)
     #
-    # Three predicate shapes on descendant(-or-self)::name steps go
-    # through the store's value indexes instead of materializing every
-    # named descendant and filtering:
+    # XPathLog's reading of E[@a = $v] as a keyed relation lookup: a
+    # step's *first* predicate, when it has one of three boolean shapes,
+    # goes through the store's value indexes instead of materializing
+    # every candidate node and filtering:
     #
-    #   (A)  name[@attr = $v]            — attribute-value hash probe
+    #   (A)  name[@attr = $v]            — attribute-value hash probe, on
+    #                                      child and descendant(-or-self)
     #   (B)  name[contains(string(.), $v)] — token-index probe
     #   (C)  name[child = $v]            — token-index probe on the
     #                                      child's full string value
+    #
+    # (B) and (C) are descendant(-or-self) only: a token probe reads the
+    # whole vocabulary, which a child list rarely outweighs.  A child-axis
+    # (A) probe declines when the posting list is longer than the
+    # context's child list, so it never costs more than the scan.  The
+    # remaining predicates filter the probe result (see _eval_axis_step),
+    # so positional tails like [@a = $v][1] count exactly as the scan.
     #
     # Each probe yields a candidate *superset* (the indexes are content-
     # keyed and store-wide); candidates are verified against the exact
     # predicate semantics before acceptance, so results are identical to
     # the generic path — only the work is proportional to matches, not
-    # to the subtree.  Every shape falls back (returns None) whenever
-    # any precondition is not met: non-string comparand, unanchorable
-    # needle, snapshot-local context (base indexes do not cover the
-    # snapshot's construction space), or a store without probes.
+    # to the subtree.  The live store, a snapshot and a transaction view
+    # answer through the same probe calls (a view adds its buffered
+    # writes to the candidates).  Every shape falls back (returns None)
+    # whenever any precondition is not met: non-string comparand,
+    # unanchorable needle, a context inside a read-only snapshot's
+    # construction space (no index covers it), or the guard above.
     # ------------------------------------------------------------------
 
     def _indexed_predicate_step(
@@ -631,40 +651,41 @@ class Evaluator:
         predicate: core.CoreExpr,
         context: DynamicContext,
     ) -> list | None:
-        if axis not in ("descendant", "descendant-or-self"):
+        # The predicate's shape first: it rejects most steps (positional
+        # and other predicates) before anything else is looked at.
+        if isinstance(predicate, core.CComparison):
+            if predicate.style != "general" or predicate.op != "eq":
+                return None
+            contains = False
+        elif (
+            isinstance(predicate, core.CCall)
+            and predicate.name == "contains"
+            and len(predicate.args) == 2
+            and axis != "child"
+        ):
+            contains = True
+        else:
+            return None
+        if axis not in ("child", "descendant", "descendant-or-self"):
             return None
         if test.kind != "name" or test.name in (None, "*"):
             return None
         store = self.store
-        if getattr(store, "attr_eq_probe", None) is None:
+        blind = getattr(store, "_probes_blind_below", None)
+        if blind is not None and blind(item.nid):
             return None
-        is_local = getattr(store, "_is_local", None)
-        if is_local is not None and is_local(item.nid):
-            return None
-        or_self = axis == "descendant-or-self"
         name = test.name
-        if (
-            isinstance(predicate, core.CComparison)
-            and predicate.style == "general"
-            and predicate.op == "eq"
-        ):
-            out = self._probe_attr_eq(
-                store, item, name, or_self, predicate, context
-            )
-            if out is None:
-                out = self._probe_child_eq(
-                    store, item, name, or_self, predicate, context
-                )
-            return out
-        if (
-            isinstance(predicate, core.CCall)
-            and predicate.name == "contains"
-            and len(predicate.args) == 2
-        ):
+        or_self = axis == "descendant-or-self"
+        if contains:
             return self._probe_contains(
                 store, item, name, or_self, predicate, context
             )
-        return None
+        out = self._probe_attr_eq(store, item, name, axis, predicate, context)
+        if out is None and axis != "child":
+            out = self._probe_child_eq(
+                store, item, name, or_self, predicate, context
+            )
+        return out
 
     @staticmethod
     def _eq_comparand(
@@ -780,7 +801,7 @@ class Evaluator:
         return EvalResult(list(nodes_in_document_order(results)), delta)
 
     def _probe_attr_eq(
-        self, store, item, name, or_self, predicate, context
+        self, store, item, name, axis, predicate, context
     ) -> list | None:
         matched = self._eq_comparand(predicate, self._attr_compare_operand)
         if matched is None:
@@ -789,9 +810,14 @@ class Evaluator:
         target = self._string_target(other, context)
         if target is None:
             return None
-        aids = store.attr_eq_probe(attr_name, target)
+        child = axis == "child"
+        # On the child axis the scan reads one list: probe only when the
+        # posting list is no longer (both lengths are O(1) to read).
+        limit = store.child_count(item.nid) if child else None
+        aids = store.attr_eq_probe(attr_name, target, limit)
         if aids is None:
             return None
+        or_self = axis == "descendant-or-self"
         out = []
         for aid in aids:
             owner = store.parent(aid)
@@ -799,7 +825,10 @@ class Evaluator:
                 continue
             if store.kind(owner) is not NodeKind.ELEMENT:
                 continue
-            if self._contained(store, owner, item.nid, or_self):
+            if child:
+                if store.parent(owner) == item.nid:
+                    out.append(owner)
+            elif self._contained(store, owner, item.nid, or_self):
                 out.append(owner)
         return self._probe_result(store, out)
 

@@ -234,9 +234,8 @@ class Transaction:
         )
         evaluator.globals = globals_
         evaluator.documents = documents
-        # Value-index probes cannot see buffered writes; the view
-        # refuses them and the evaluator falls back to scans.
-        evaluator.use_indexes = False
+        # Value-index probes stay on: the view adds its buffered writes
+        # to every probe's candidates (see TransactionView).
         self._recorder = TxnRecorder(view)
         evaluator.journal = self._recorder
         self._evaluator = evaluator
@@ -314,6 +313,7 @@ class Transaction:
         evaluator = self._evaluator
         control = ExecutionControl.from_options(opts)
         evaluator.control = control
+        evaluator.use_indexes = opts.use_indexes
         try:
             merged: dict = {}
             if opts.bindings:

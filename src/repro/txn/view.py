@@ -146,16 +146,27 @@ class TransactionView(StoreSnapshot):
                 stack.extend(reversed(cur.children))
         return "".join(parts)
 
-    def attr_eq_probe(self, name: str, value: str) -> tuple[int, ...] | None:
-        # The live value indexes know nothing about buffered writes
-        # (changed attribute values, locally attached attributes), so
-        # index probes are disabled inside a transaction — the caller
-        # falls back to the generic scan, which reads through _rec and
-        # therefore sees the buffered state.
-        return None
+    # -- value probes that see buffered writes ------------------------------
+    # The live postings know nothing about this view's writes.  Every
+    # record a write touched is in the local space, though: constructed
+    # nodes, and base records copied there on first write (a revalued,
+    # renamed or detached attribute or text node, a detached owner).  So
+    # the snapshot's candidates plus the local records of the probed kind
+    # are a superset of the truth, and the snapshot's verification step,
+    # which resolves each candidate through _rec (local copy first),
+    # makes the answer exact.  Local nodes can sit under base nodes and
+    # base nodes under local ones, so no subtree is hidden from a probe.
 
-    def token_probe(self, needle: str) -> tuple[int, ...] | None:
-        return None
+    def _probes_blind_below(self, nid: int) -> bool:
+        return False
+
+    def _local_candidates(self, kind: NodeKind) -> list[int]:
+        return [nid for nid, rec in self._local.items() if rec.kind is kind]
+
+    # Bound here, not only inherited, so that a wrapper installed on one
+    # class (a profiler's, say) never runs inside the other's probes.
+    attr_eq_probe = StoreSnapshot.attr_eq_probe
+    token_probe = StoreSnapshot.token_probe
 
     # -- statement-level failure containment -------------------------------
     # The store's undo protocol; a view's log is a copy of its local

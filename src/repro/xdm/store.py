@@ -307,6 +307,10 @@ class Store:
         """Return the child node ids in document order."""
         return tuple(self._rec(nid).children)
 
+    def child_count(self, nid: int) -> int:
+        """Number of children of *nid*, without copying the child list."""
+        return len(self._rec(nid).children)
+
     def attributes(self, nid: int) -> tuple[int, ...]:
         """Return the attribute node ids of an element, in stable order."""
         return tuple(self._rec(nid).attributes)
@@ -381,14 +385,17 @@ class Store:
         """The store's value-index manager (see :mod:`repro.index`)."""
         return self._indexes
 
-    def attr_eq_probe(self, name: str, value: str) -> tuple[int, ...]:
+    def attr_eq_probe(
+        self, name: str, value: str, limit: int | None = None
+    ) -> tuple[int, ...] | None:
         """Ids of attribute nodes bearing ``name="value"``, store-wide.
 
         Exact on content; callers re-check attachment (owner element,
         containment) because the index is content-keyed and also lists
-        detached attributes.
+        detached attributes.  None when more than *limit* nodes bear the
+        pair: a caller that could scan *limit* nodes instead scans.
         """
-        return self._indexes.attr_probe(name, value)
+        return self._indexes.attr_probe(name, value, limit)
 
     def token_probe(self, needle: str) -> tuple[int, ...] | None:
         """Candidate text-node ids for a ``contains`` search (superset;

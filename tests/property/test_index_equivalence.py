@@ -1,7 +1,9 @@
 """Property: indexed execution is observationally equivalent to
-unindexed execution — for randomized XMark-style queries, across random
-update sequences, across transactional commits and rolled-back snaps,
-and for snapshot readers taken mid-update-stream.
+unindexed execution — for randomized XMark-style queries, for child-axis
+key lookups with positional and value tails, across random update
+sequences, across transactional commits and rolled-back snaps, for
+snapshot readers taken mid-update-stream, and for statements inside a
+transaction that read its own buffered writes.
 
 The fast paths only ever *narrow* work (probe supersets are re-verified
 against exact semantics), so any divergence is a bug in maintenance,
@@ -206,3 +208,121 @@ def test_commits_and_rollbacks_keep_equivalence(seed, steps):
                 assert got == then, (step, query, use_indexes)
         store.release_snapshot(snap)
     store.check_invariants()
+
+
+# --------------------------------------------------------------------------
+# Child-axis key lookups and statements inside a transaction
+# --------------------------------------------------------------------------
+
+TAILS = ["", "[1]", "[last()]", "[position() = 2]", "[number(@amount) >= $x]"]
+
+
+def flat_engine(seed: int) -> Engine:
+    """A flat ``$r`` of bids (plus a nested ``<lot>``), a short ``$log``
+    sharing their keys (its few children make the child-axis cost guard
+    decline), and ``$people`` with text children for the token
+    shapes."""
+    rng = random.Random(seed)
+    engine = Engine()
+    bids = [
+        f'<bid itemid="item{rng.randrange(6)}" '
+        f'amount="{rng.randrange(1, 50)}"/>'
+        for _ in range(rng.randrange(8, 40))
+    ]
+    # A few bids one level down: $r/bid must not see them, $r//bid must.
+    lot = "".join(bids[:3])
+    bids = "".join(bids[3:]) + f"<lot>{lot}</lot>"
+    log = "".join(
+        f'<entry itemid="item{rng.randrange(6)}" '
+        f'amount="{rng.randrange(50)}"/>'
+        for _ in range(rng.randrange(4))
+    )
+    people = "".join(
+        f'<person id="p{i}"><name>{rng.choice(WORDS[:-1])} {i}</name>'
+        "</person>"
+        for i in range(rng.randrange(3, 10))
+    )
+    engine.bind("r", engine.parse_fragment(f"<bids>{bids}</bids>"))
+    engine.bind("log", engine.parse_fragment(f"<log>{log}</log>"))
+    people = engine.parse_fragment(f"<people>{people}</people>")
+    engine.bind("people", people)
+    engine.bind("x", rng.randrange(50))
+    return engine
+
+
+def child_pool(rng: random.Random) -> list[str]:
+    item = f"item{rng.randrange(7)}"
+    tail = rng.choice(TAILS)
+    return [
+        f'$r/bid[@itemid = "{item}"]{tail}',
+        f'$r//bid[@itemid = "{item}"]{tail}',
+        f'$r/bid[@ref = "{item}"]{tail}',
+        f'$log/entry[@itemid = "{item}"]{tail}',
+    ]
+
+
+def txn_pool(rng: random.Random) -> list[str]:
+    word = rng.choice(WORDS[:-1])
+    return child_pool(rng) + [
+        f'$people//person[contains(string(.), "{word}")]',
+        f'$people//person[name = "{word} 1"]',
+    ]
+
+
+# Buffered writes, each followed by reads inside the same transaction.
+TXN_WRITES = {
+    "revalue": "snap { replace value of { ($r/bid[@itemid])[1]/@itemid } "
+    'with { "item6" } }',
+    "insert": 'snap { insert { <bid itemid="item6" amount="7"/> } '
+    "into { $r } }",
+    "delete-owner": 'snap { delete { ($r/bid[@itemid = "item1"])[1] } }',
+    "rename": "snap { rename { ($r/bid[@itemid])[2]/@itemid } "
+    'to { "ref" } }',
+    "insert-text": "snap { insert { <person><name>zebra 1</name></person> }"
+    " into { $people } }",
+    "revalue-text": "snap { replace value of { ($people/person)[1]/name }"
+    ' with { "rare 1" } }',
+}
+
+
+def txn_both(txn, query: str):
+    fast = txn.execute(query)
+    slow = txn.execute(query, options=_NO_INDEX)
+    return [n.nid for n in fast.items], [n.nid for n in slow.items]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_child_axis_reads_indexed_equals_unindexed(seed):
+    rng = random.Random(seed)
+    engine = flat_engine(seed)
+    before = engine.store.indexes.probes
+    for _ in range(4):
+        for query in child_pool(rng):
+            fast, slow = run_both(engine, query)
+            assert fast == slow, query
+    assert engine.store.indexes.probes > before
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.lists(st.sampled_from(sorted(TXN_WRITES)), min_size=1, max_size=4),
+)
+def test_transaction_statements_see_buffered_writes(seed, writes):
+    """Probes inside a transaction answer from the snapshot plus the
+    view's own writes: equal to the scan after every buffered write,
+    and the commit leaves the live indexes exact."""
+    rng = random.Random(seed)
+    engine = flat_engine(seed)
+    with engine.session() as session:
+        with session.transaction() as txn:
+            for write in writes:
+                txn.execute(TXN_WRITES[write])
+                for query in txn_pool(rng):
+                    fast, slow = txn_both(txn, query)
+                    assert fast == slow, (write, query)
+    engine.store.indexes.verify()
+    for query in txn_pool(rng):
+        fast, slow = run_both(engine, query)
+        assert fast == slow, query
