@@ -66,12 +66,12 @@ def store_fingerprint(engine: "Engine") -> str:
     the stores serialize identically for everything the journal
     describes — the chaos harness's byte-agreement check.
     """
-    from repro.persist import _engine_payload
+    from repro.persist import engine_state, record_rows
 
-    payload = _engine_payload(engine)
-    by_id = {record[0]: record for record in payload["records"]}
-    roots: set[int] = set(payload["documents"].values())
-    for value in payload["globals"].values():
+    state = engine_state(engine)
+    by_id = {record[0]: record for record in record_rows(engine.store)}
+    roots: set[int] = set(state["documents"].values())
+    for value in state["globals"].values():
         for item in value:
             if item[0] == "node":
                 roots.add(item[1])
@@ -92,8 +92,8 @@ def store_fingerprint(engine: "Engine") -> str:
         "records": sorted(
             record for nid, record in by_id.items() if nid in reachable
         ),
-        "globals": payload["globals"],
-        "documents": payload["documents"],
+        "globals": state["globals"],
+        "documents": state["documents"],
     }
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -14,6 +14,13 @@ queries (and therefore journal appends) under the store's write lock and
 duck-types :meth:`maybe_compact` to fold the journal into a fresh
 checkpoint once it crosses the configured size.
 
+A checkpoint costs what changed since the last one.  The engine keeps a
+:class:`~repro.persist.RowImage` registered on its store: the encoded
+dump row of every record no mutation has touched since the last
+checkpoint.  Compaction still runs under the store's write lock, but
+there it only encodes the missing rows, joins the cached ones, writes
+and fsyncs.
+
 ``atomic_snaps`` defaults to **True** here (unlike the bare engine): a
 snap whose update list fails a precondition mid-application rolls the
 store back *and journals nothing*, keeping memory and disk in lockstep.
@@ -32,6 +39,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.engine import Engine
 from repro.errors import DurabilityError
 from repro.obs.tracer import SharedTracer
+from repro.persist import RowImage, write_engine
 
 from repro.durability import manifest as manifest_mod
 from repro.durability.faults import CRASH_MID_CHECKPOINT, FaultInjector
@@ -60,7 +68,9 @@ class DurableEngine:
             :class:`~repro.durability.journal.Journal`).
         compact_max_bytes / compact_max_records: journal size bounds;
             :meth:`maybe_compact` folds the journal into a new
-            checkpoint once either is crossed.
+            checkpoint once either is crossed.  Each checkpoint encodes
+            only the rows changed since the previous one (the first
+            one after open or after ``Store.load_rows`` encodes all).
         atomic_snaps: roll back (and journal nothing) on a failed snap.
             Defaults to True — see the module docstring.
         verify_recovery: run ``store.check_invariants()`` after replay.
@@ -107,6 +117,9 @@ class DurableEngine:
         # Serializes compaction against itself (the store write lock
         # serializes it against queries).
         self._compact_lock = threading.Lock()
+        # Encoded checkpoint rows, kept between checkpoints.
+        self._image = RowImage()
+        self.compaction_failures = 0
         journal_opts = dict(
             fsync=fsync,
             fsync_batch=fsync_batch,
@@ -192,18 +205,23 @@ class DurableEngine:
         the manifest replace, so a crash at any interior point recovers
         from the old pair (``CRASH_MID_CHECKPOINT`` in the fault
         matrix).  Serializes against running queries via the store's
-        write lock — do not call while holding it.
+        write lock — do not call while holding it.  A compaction that
+        fails before the manifest replace leaves the old pair current
+        (the engine keeps journaling into it) and raises
+        :class:`~repro.errors.DurabilityError`.
         """
         with self._compact_lock:
-            with self.engine.store.lock.write_locked():
-                self._compact_unsynchronized()
+            self._compact()
 
     def maybe_compact(self) -> bool:
         """Compact when the journal crossed its size bounds.
 
         Non-blocking against concurrent compaction (returns False if one
         is already running); called by the serving layer after write
-        requests, outside the store lock.
+        requests, outside the store lock.  The caller's snap is already
+        durable, so a failed compaction does not fail its request: it is
+        counted (``journal.compaction_failures``, :meth:`health`), the
+        old pair stays current, and False is returned.
         """
         if self.journal.closed or not self.journal.needs_compaction:
             return False
@@ -212,11 +230,26 @@ class DurableEngine:
         try:
             if not self.journal.needs_compaction:
                 return False
-            with self.engine.store.lock.write_locked():
-                self._compact_unsynchronized()
+            self._compact()
             return True
+        except DurabilityError:
+            return False
         finally:
             self._compact_lock.release()
+
+    def _compact(self) -> None:
+        try:
+            with self.engine.store.lock.write_locked():
+                self._compact_unsynchronized()
+        except (OSError, DurabilityError) as exc:
+            self.compaction_failures += 1
+            if self.tracer is not None:
+                self.tracer.count("journal.compaction_failures")
+            if isinstance(exc, OSError):
+                raise DurabilityError(
+                    f"checkpoint compaction failed: {exc}"
+                ) from exc
+            raise
 
     def _compact_unsynchronized(self) -> None:
         # Compaction is fenced exactly like an append: it rewrites the
@@ -230,46 +263,66 @@ class DurableEngine:
         if self.journal.fence is not None:
             self.journal.fence()
         generation = self._generation + 1
-        checkpoint = manifest_mod.checkpoint_name(generation)
+        checkpoint = os.path.join(
+            self.path, manifest_mod.checkpoint_name(generation)
+        )
         journal_file = manifest_mod.journal_name(generation)
         old_checkpoint = manifest_mod.checkpoint_name(self._generation)
         old_journal = self.journal.path
         # Everything journaled so far is folded into this checkpoint.
         seq = self.journal.next_seq - 1
-        self._write_checkpoint(os.path.join(self.path, checkpoint))
-        if self.faults is not None:
-            # The window where the new checkpoint exists but the
-            # manifest still points at the old pair.
-            self.faults.hit(CRASH_MID_CHECKPOINT)
-        self.journal.rotate(
-            os.path.join(self.path, journal_file),
-            base_next_id=self.engine.store._next_id,
-        )
-        manifest_mod.write_manifest(
-            self.path,
-            generation=generation,
-            checkpoint=checkpoint,
-            journal=journal_file,
-            seq=seq,
-        )
+
+        def publish() -> None:
+            try:
+                manifest_mod.write_manifest(
+                    self.path,
+                    generation=generation,
+                    checkpoint=os.path.basename(checkpoint),
+                    journal=journal_file,
+                    seq=seq,
+                )
+            except Exception:
+                # Only the directory fsync follows the replace: if the
+                # manifest already names the new pair, it is current.
+                if manifest_mod.read_manifest(self.path)["journal"] != (
+                    journal_file
+                ):
+                    raise
+
+        try:
+            self._write_checkpoint(checkpoint)
+            if self.faults is not None:
+                # The window where the new checkpoint exists but the
+                # manifest still points at the old pair.
+                self.faults.hit(CRASH_MID_CHECKPOINT)
+            # Appends move to the new journal only once the manifest
+            # names it; on failure they stay on the old, current pair.
+            self.journal.rotate(
+                os.path.join(self.path, journal_file),
+                base_next_id=self.engine.store._next_id,
+                publish=publish,
+            )
+        except Exception:
+            _unlink(
+                checkpoint,
+                f"{checkpoint}.tmp",
+                f"{manifest_mod.manifest_path(self.path)}.tmp",
+            )
+            raise
         self._generation = generation
         if self.tracer is not None:
             self.tracer.count("journal.compactions")
-        for stale in (
-            os.path.join(self.path, old_checkpoint),
-            old_journal,
-        ):
-            try:
-                os.unlink(stale)
-            except OSError:
-                pass
+        _unlink(os.path.join(self.path, old_checkpoint), old_journal)
 
     def _write_checkpoint(self, path: str) -> None:
-        from repro.persist import _engine_payload, _write_payload
-
         # Unlocked internals: compaction already holds the write lock
         # (and RWLock is not reentrant), first open owns the engine.
-        _write_payload(_engine_payload(self.engine), path, fsync=True)
+        # Rows cached in the image since the last checkpoint are reused.
+        write_engine(self.engine, path, image=self._image, fsync=True)
+        if self.tracer is not None:
+            self.tracer.count(
+                "journal.checkpoint_rows_encoded", self._image.encoded
+            )
 
     def _drop_orphans(self, manifest: dict) -> None:
         """Remove checkpoint/journal files a crashed compaction left
@@ -289,10 +342,7 @@ class DurableEngine:
             if entry.startswith(("checkpoint-", "journal-")) or (
                 entry.endswith(".tmp")
             ):
-                try:
-                    os.unlink(os.path.join(self.path, entry))
-                except OSError:
-                    pass
+                _unlink(os.path.join(self.path, entry))
 
     # -- engine surface ---------------------------------------------------
 
@@ -372,6 +422,7 @@ class DurableEngine:
             "journal_records": self.journal.records,
             "journal_bytes": self.journal.bytes,
             "unflushed_commits": self.journal._commits_since_fsync,
+            "compaction_failures": self.compaction_failures,
             "journal_closed": self.journal.closed,
             "recovered": self.recovered,
             "last_recovery": recovery,
@@ -438,3 +489,11 @@ class DurableEngine:
             f"DurableEngine(path={self.path!r}, "
             f"generation={self._generation}, journal={self.journal!r})"
         )
+
+
+def _unlink(*paths: str) -> None:
+    for path in paths:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass

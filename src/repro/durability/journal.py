@@ -60,6 +60,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 from zlib import crc32
@@ -553,26 +554,48 @@ class Journal:
             and self.records >= self.compact_max_records
         )
 
-    def rotate(self, path: str, base_next_id: int) -> None:
+    def rotate(
+        self,
+        path: str,
+        base_next_id: int,
+        publish: Callable[[], None] | None = None,
+    ) -> None:
         """Switch to a fresh journal file (checkpoint compaction).
 
         The sequence numbering continues — the manifest records the last
         sequence folded into the checkpoint, so recovery can prove the
         new journal picks up exactly where the checkpoint ends.
 
-        The old file is fsynced before it is closed: in ``batch`` mode it
-        may hold acknowledged-but-unflushed frames, and until the caller
-        publishes the new manifest a crash recovers from the *old*
-        checkpoint + journal pair — whose tail must therefore be durable.
+        The new file is created and fsynced first, then *publish* runs
+        (the caller's manifest replace), and only then do appends move
+        to the new file.  Until *publish* returns, the old file is the
+        one recovery reads, so every append must still land there: when
+        anything up to and including *publish* raises, the new file is
+        closed and removed and the journal keeps appending to the old
+        one.  The old file is fsynced first: in ``batch`` mode it may
+        hold acknowledged-but-unflushed frames, and until the manifest
+        is replaced a crash recovers from the *old* checkpoint + journal
+        pair — whose tail must therefore be durable.
         """
         old = self._handle
         if not old.closed and self._commits_since_fsync:
             os.fsync(old.fileno())
             self.fsyncs += 1
-        self._handle = open(path, "wb", buffering=0)
-        self._handle.write(FILE_MAGIC)
-        os.fsync(self._handle.fileno())
-        fsync_directory(os.path.dirname(path) or ".")
+        handle = open(path, "wb", buffering=0)
+        try:
+            handle.write(FILE_MAGIC)
+            os.fsync(handle.fileno())
+            fsync_directory(os.path.dirname(path) or ".")
+            if publish is not None:
+                publish()
+        except Exception:
+            handle.close()
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+            raise
+        self._handle = handle
         old.close()
         self.path = path
         self.base_next_id = base_next_id

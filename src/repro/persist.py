@@ -18,12 +18,24 @@ Format (version 1)::
       "modules": {"uri": "source text"},
       "settings": {"default_semantics": "ordered", ...}
     }
+
+One writer produces every dump (:func:`save_engine`, a durable
+engine's checkpoint) and one reader of the rows (:func:`record_rows`)
+serves it and the replica fingerprint.  The writer reads rows straight
+from the record table and encodes them with the C JSON encoder in
+slices of rows, so no single string holds the whole dump; the bytes are
+exactly ``json.dumps`` of the payload above.  A :class:`RowImage` keeps
+each row's encoding between writes and forgets a row when the store
+offers its record's pre-image, so a checkpoint re-encodes only the rows
+that changed since the last one.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
 from repro.engine import Engine
@@ -42,6 +54,8 @@ from repro.xdm.values import (
 
 _FORMAT = "repro-xquerybang-db"
 _VERSION = 1
+# Rows per encoded slice: bounds the largest string a dump builds.
+_SLICE_ROWS = 4096
 
 _TYPE_TAGS = {
     XS_INTEGER: "integer",
@@ -123,30 +137,22 @@ def _load_item(entry: list, store: Store):
     return AtomicValue(type_, payload)
 
 
-def _engine_payload(engine: Engine) -> dict[str, Any]:
-    """Build the dump payload.  Reads the store without locking — the
-    caller must hold the store's write lock (or own the engine
-    exclusively, e.g. single-threaded use or checkpoint compaction,
-    which already runs under the write lock)."""
-    store = engine.store
-    records = []
-    for nid in store.node_ids():
-        records.append(
-            [
-                nid,
-                store.kind(nid).value,
-                store.name(nid),
-                store.parent(nid),
-                list(store.children(nid)),
-                list(store.attributes(nid)),
-                store.value(nid),
-            ]
-        )
+def _row(nid: int, rec) -> list:
+    return [nid, rec.kind.value, rec.name, rec.parent, rec.children,
+            rec.attributes, rec.value]
+
+
+def record_rows(store: Store) -> Iterator[list]:
+    """The dump's record rows, in table order, read straight from the
+    records.  The child and attribute lists are the store's own: encode
+    or copy a row before the store next changes."""
+    for nid, rec in store._records.items():
+        yield _row(nid, rec)
+
+
+def engine_state(engine: Engine) -> dict[str, Any]:
+    """Everything in the dump besides the record rows, in dump order."""
     return {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "next_id": store._next_id,
-        "records": records,
         "globals": {
             name: [_dump_item(item) for item in value]
             for name, value in engine.evaluator.globals.items()
@@ -163,16 +169,99 @@ def _engine_payload(engine: Engine) -> dict[str, Any]:
     }
 
 
-def _write_payload(payload: dict, path: str, fsync: bool = False) -> None:
-    """Write a dump payload to *path* atomically (tmp + ``os.replace``).
+def _slices(items: Iterator, encode: Callable[[list], str]) -> Iterator[str]:
+    """Encode *items* *_SLICE_ROWS* at a time into list-body slices,
+    each after the first led by the list separator."""
+    lead = ""
+    while chunk := list(itertools.islice(items, _SLICE_ROWS)):
+        yield lead + encode(chunk)
+        lead = ", "
 
-    With ``fsync=True`` the file's bytes and the directory entry are
-    forced to stable storage before returning — required when the dump
-    is a durability checkpoint rather than a best-effort export.
+
+class RowImage:
+    """Encoded dump rows kept from one checkpoint to the next.
+
+    One JSON string per record id.  The image is a pre-image consumer
+    on the store, like an undo log or a snapshot: every mutation offers
+    it the ids it is about to change (see ``Store._cow``), and the image
+    drops their rows.  What is left is exactly the rows still equal to
+    their encoding, so a checkpoint encodes only the missing ones.
+
+    A new image is detached.  A write through a detached image empties
+    it and registers it on the store.  ``Store.load_rows`` detaches it
+    again, because the rows it holds describe the table it replaced.
     """
+
+    __slots__ = ("rows", "encoded", "_detached")
+
+    def __init__(self) -> None:
+        self.rows: dict[int, str] = {}
+        # Rows the last write had to encode (the rest came from rows).
+        self.encoded = 0
+        self._detached = True
+
+    def _save_preimages(self, nids: Iterable[int], records: dict) -> None:
+        rows = self.rows
+        for nid in nids:
+            rows.pop(nid, None)
+
+    def _encode(self, store: Store) -> Iterator[str]:
+        if self._detached:
+            # First use, or the table was replaced: start over.
+            self.rows.clear()
+            self._detached = False
+            store._snapshots.append(self)
+        rows = self.rows
+        self.encoded = 0
+        for nid, rec in store._records.items():
+            row = rows.get(nid)
+            if row is None:
+                row = rows[nid] = json.dumps(_row(nid, rec))
+                self.encoded += 1
+            yield row
+
+
+def _dump_chunks(engine: Engine, image: RowImage | None) -> Iterator[str]:
+    """The dump as string slices; concatenated they are exactly
+    ``json.dumps`` of the whole payload."""
+    store = engine.store
+    head = json.dumps(
+        {"format": _FORMAT, "version": _VERSION, "next_id": store._next_id}
+    )
+    yield head[:-1] + ', "records": ['
+    if image is None:
+        yield from _slices(
+            record_rows(store), lambda rows: json.dumps(rows)[1:-1]
+        )
+    else:
+        yield from _slices(image._encode(store), ", ".join)
+    yield "], " + json.dumps(engine_state(engine))[1:]
+
+
+def write_engine(
+    engine: Engine,
+    path: str,
+    *,
+    image: RowImage | None = None,
+    fsync: bool = False,
+) -> None:
+    """Write *engine*'s dump to *path* atomically (tmp + ``os.replace``).
+
+    The one writer of the dump format.  It reads the store without
+    locking: the caller holds the store's write lock or owns the engine
+    (checkpoint compaction, first open).  With an *image* only the rows
+    it lacks are encoded and the image keeps them for the next write.
+    With ``fsync=True`` the file's bytes and the directory entry reach
+    stable storage before returning, as a durability checkpoint needs.
+    """
+    _write_chunks(_dump_chunks(engine, image), path, fsync)
+
+
+def _write_chunks(chunks: Iterable[str], path: str, fsync: bool) -> None:
     tmp_path = f"{path}.tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+        for chunk in chunks:
+            handle.write(chunk)
         if fsync:
             handle.flush()
             os.fsync(handle.fileno())
@@ -186,15 +275,15 @@ def _write_payload(payload: dict, path: str, fsync: bool = False) -> None:
 def save_engine(engine: Engine, path: str) -> None:
     """Serialize *engine*'s full state to *path* (a single JSON file).
 
-    Takes the store's write lock for the duration of the state capture,
-    so saving while a :class:`~repro.concurrent.ConcurrentExecutor` is
+    Takes the store's write lock for the duration of the encode, so
+    saving while a :class:`~repro.concurrent.ConcurrentExecutor` is
     live yields a consistent dump — never a half-applied snap.  Must not
     be called from a thread already holding either side of the store
     lock (it is not reentrant).
     """
     with engine.store.lock.write_locked():
-        payload = _engine_payload(engine)
-    _write_payload(payload, path)
+        chunks = list(_dump_chunks(engine, None))
+    _write_chunks(chunks, path, fsync=False)
 
 
 def load_engine(path: str) -> Engine:

@@ -9,11 +9,14 @@ the fsync, at most one extra for a crash after it).
 
 from __future__ import annotations
 
+import errno
 import os
+import shutil
 
 import pytest
 
 from repro import Engine
+from repro.cluster.replica import store_fingerprint
 from repro.concurrent.executor import ConcurrentExecutor
 from repro.durability import (
     ALL_CRASH_POINTS,
@@ -26,8 +29,11 @@ from repro.durability import (
     InjectedCrash,
     recover,
 )
+from repro.durability import manifest as manifest_mod
 from repro.durability.manifest import read_manifest
 from repro.errors import DurabilityError, UpdateApplicationError
+
+from tests.dump_reference import reference_dump
 
 SEMANTICS = ["ordered", "conflict-detection"]
 
@@ -48,6 +54,18 @@ def entries(engine) -> int:
     return engine.execute("count($doc/log/e)").first_value()
 
 
+def rows_encoded(engine) -> int:
+    return engine.tracer.snapshot_counters().get(
+        "journal.checkpoint_rows_encoded", 0
+    )
+
+
+def current_checkpoint(path: str) -> str:
+    name = read_manifest(path)["checkpoint"]
+    with open(os.path.join(path, name), encoding="utf-8") as handle:
+        return handle.read()
+
+
 class TestCrashMatrix:
     """Every crash point × every update-application semantics."""
 
@@ -64,13 +82,20 @@ class TestCrashMatrix:
             acked += 1
 
         if point == CRASH_MID_CHECKPOINT:
-            # The crash lands after the new checkpoint file is written
-            # but before the manifest points at it: the old pair must
-            # stay authoritative.
+            # A compaction that reuses the rows the last checkpoint
+            # encoded warms the image; then the crash lands after the
+            # next checkpoint file is written but before the manifest
+            # points at it: the old pair must stay authoritative.
+            before = rows_encoded(engine)
+            engine.checkpoint()
+            assert rows_encoded(engine) - before < len(engine.store)
+            engine.execute(snap_query(semantics, 3))
+            acked += 1
             faults.arm(point)
             with pytest.raises(InjectedCrash):
                 engine.checkpoint()
             expected = acked
+            crashed_fingerprint = store_fingerprint(engine)
         elif point == EIO_ON_WRITE:
             # Survivable I/O failure: typed error, store rolled back,
             # engine usable afterwards.
@@ -94,6 +119,24 @@ class TestCrashMatrix:
         assert entries(result.engine) == expected
         result.engine.store.check_invariants()
         assert faults.fired == [point]
+
+        if point == CRASH_MID_CHECKPOINT:
+            # Recover, write again, compact again.  The recovered image
+            # is cold, so the first checkpoint encodes every row — and
+            # must still be byte-equal to a full encode.
+            assert store_fingerprint(result.engine) == crashed_fingerprint
+            reopened = DurableEngine(path)
+            assert store_fingerprint(reopened) == crashed_fingerprint
+            reopened.execute(snap_query(semantics, 100))
+            before = rows_encoded(reopened)
+            reopened.checkpoint()
+            assert rows_encoded(reopened) - before == len(reopened.store)
+            assert current_checkpoint(path) == reference_dump(reopened)
+            fingerprint = store_fingerprint(reopened)
+            reopened.close()
+            again = recover(path).engine
+            assert entries(again) == expected + 1
+            assert store_fingerprint(again) == fingerprint
 
     def test_torn_frame_is_truncated_not_fatal(self, tmp_path):
         faults = FaultInjector()
@@ -203,6 +246,119 @@ class TestCompaction:
         result = recover(path)
         assert result.report.records_replayed == 0
         assert entries(result.engine) == 1
+
+
+class TestCompactionFailure:
+    @staticmethod
+    def fail_next_manifest_write(monkeypatch) -> list:
+        real = manifest_mod.write_manifest
+        failures = [OSError(errno.ENOSPC, "No space left on device")]
+
+        def write_manifest(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(manifest_mod, "write_manifest", write_manifest)
+        return failures
+
+    def test_failed_manifest_write_loses_no_acked_snap(
+        self, tmp_path, monkeypatch
+    ):
+        path, engine = fresh(tmp_path, compact_max_records=4)
+        generation = read_manifest(path)["generation"]
+        pair = {
+            "MANIFEST.json",
+            f"checkpoint-{generation:06d}.json",
+            f"journal-{generation:06d}.wal",
+        }
+        self.fail_next_manifest_write(monkeypatch)
+        # The 4th snap trips the bound; its compaction fails at the
+        # manifest write.  The snap is durable, so its request succeeds.
+        for n in range(4):
+            engine.execute(snap_query("ordered", n))
+        assert engine.compaction_failures == 1
+        counters = engine.tracer.snapshot_counters()
+        assert counters["journal.compaction_failures"] == 1
+        health = engine.health().sections["durability"]
+        assert health["compaction_failures"] == 1
+        # The old pair is still current, with no orphans beside it.
+        assert read_manifest(path)["generation"] == generation
+        assert set(os.listdir(path)) == pair
+        engine.execute(snap_query("ordered", 4))
+        assert set(os.listdir(path)) == {
+            "MANIFEST.json",
+            f"checkpoint-{generation + 1:06d}.json",
+            f"journal-{generation + 1:06d}.wal",
+        }
+        engine.execute(snap_query("ordered", 5))
+        # A copy of the directory is what a crash would leave behind.
+        copy = str(tmp_path / "copy")
+        shutil.copytree(path, copy)
+        assert entries(recover(copy).engine) == 6
+        engine.close()
+        assert entries(recover(path).engine) == 6
+
+    def test_manifest_replaced_before_a_failed_fsync_is_current(
+        self, tmp_path, monkeypatch
+    ):
+        # The manifest replace landed and only the directory fsync after
+        # it failed: the new pair is what recovery reads, so appends
+        # must move to the new journal.
+        path, engine = fresh(tmp_path)
+        engine.execute(snap_query("ordered", 1))
+        generation = read_manifest(path)["generation"]
+
+        def fsync_directory(directory):
+            raise OSError(errno.EIO, "injected I/O error")
+
+        monkeypatch.setattr(manifest_mod, "fsync_directory", fsync_directory)
+        engine.checkpoint()
+        monkeypatch.undo()
+        assert read_manifest(path)["generation"] == generation + 1
+        engine.execute(snap_query("ordered", 2))
+        assert entries(recover(path).engine) == 2
+
+    def test_explicit_checkpoint_failure_is_typed(
+        self, tmp_path, monkeypatch
+    ):
+        path, engine = fresh(tmp_path)
+        engine.execute(snap_query("ordered", 1))
+        self.fail_next_manifest_write(monkeypatch)
+        with pytest.raises(DurabilityError, match="compaction failed"):
+            engine.checkpoint()
+        assert engine.compaction_failures == 1
+        engine.execute(snap_query("ordered", 2))
+        engine.checkpoint()
+        engine.execute(snap_query("ordered", 3))
+        assert entries(recover(path).engine) == 3
+
+
+class TestCheckpointCost:
+    def test_checkpoint_encodes_only_changed_rows(self, tmp_path):
+        """After a warm checkpoint, k single-record updates cost O(k)
+        encoded rows, whatever the store's size."""
+        k = 5
+        encoded = []
+        for size in (50, 200):
+            path = str(tmp_path / f"d{size}")
+            engine = DurableEngine(path)
+            engine.load_document(
+                "doc",
+                "<log>" + '<e n="0"/>' * size + "</log>",
+            )
+            engine.checkpoint()  # warm: nothing changed since the last
+            before = rows_encoded(engine)
+            for n in range(1, k + 1):
+                engine.execute(
+                    f'snap {{ replace value of {{ $doc/log/e[{n}]/@n }} '
+                    f'with {{ "{n}" }} }}'
+                )
+            engine.checkpoint()
+            encoded.append(rows_encoded(engine) - before)
+            assert current_checkpoint(path) == reference_dump(engine)
+            engine.close()
+        assert encoded[0] == encoded[1] <= 2 * k
 
 
 class TestEngineSurface:
