@@ -22,6 +22,7 @@ import pytest
 from repro import Engine
 from repro.lang.normalize import normalize_module
 from repro.lang.parser import parse_module
+from repro.semantics.context import DynamicContext
 from repro.xdm.store import Store
 from repro.xmark import XMarkConfig, generate_auction_xml
 
@@ -78,7 +79,8 @@ def test_without_collapse(benchmark):
     module = normalize_module(parse_module(SCAN_QUERY))
 
     def run():
-        engine.evaluator.run_snapped(module.body, engine._context())
+        context = DynamicContext(dict(engine.evaluator.globals))
+        engine.evaluator.run_snapped(module.body, context)
 
     benchmark.pedantic(run, rounds=5, iterations=1)
 

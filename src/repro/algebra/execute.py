@@ -37,31 +37,31 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.algebra import plan as P
 from repro.errors import DynamicError
+from repro.obs.tracer import maybe_span
 from repro.semantics.context import DynamicContext
 from repro.semantics.update import ApplySemantics, UpdateList, apply_update_list
 from repro.xdm.compare import general_compare
 from repro.xdm.values import AtomicValue, Sequence, atomize, effective_boolean_value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import Engine
     from repro.obs.tracer import Tracer
+    from repro.semantics.evaluator import Evaluator
 
 Tuple_ = dict  # dict[str, Sequence]
 
 
 class _ExecState:
-    """Shared execution state: the engine, the pending update list, and
-    (when stats are being collected) the tracer fed by the
-    materialization barriers."""
+    """Shared execution state: the evaluator (and through it the store),
+    the pending update list, and (when stats are being collected) the
+    tracer fed by the materialization barriers."""
 
-    def __init__(self, engine: "Engine", tracer: "Tracer | None" = None):
-        self.engine = engine
-        self.evaluator = engine.evaluator
+    def __init__(self, evaluator: "Evaluator", tracer: "Tracer | None" = None):
+        self.evaluator = evaluator
         self.delta: UpdateList = []
         self.tracer = tracer
         # Execution control (deadline/cancellation), shared with the
         # evaluator running embedded expressions; None when unused.
-        self.control = engine.evaluator.control
+        self.control = evaluator.control
 
     def eval_scalar(self, expr, tup: Tuple_) -> Sequence:
         """Evaluate an embedded core expression against a tuple's bindings;
@@ -74,16 +74,17 @@ class _ExecState:
 
 
 def execute_plan(
-    plan: P.Plan, engine: "Engine", tracer: "Tracer | None" = None
+    plan: P.Plan, evaluator: "Evaluator", tracer: "Tracer | None" = None
 ) -> Sequence:
-    """Execute a compiled plan and return its value sequence.
+    """Execute a compiled plan on *evaluator*'s store and return its
+    value sequence.
 
     With a *tracer*, each materialization barrier (snap, order-by sort,
     hash-join build) records a counter when it is hit, snap application
     records Δ-length observations, and evaluation/application phases get
     wall-clock spans.
     """
-    state = _ExecState(engine, tracer)
+    state = _ExecState(evaluator, tracer)
     return _items(plan, state)
 
 
@@ -95,12 +96,10 @@ def _items(plan: P.Plan, state: _ExecState) -> Sequence:
     """
     if isinstance(plan, P.Snap):
         tracer = state.tracer
-        if tracer is None:
-            inner = list(_stream_items(plan.input, state))
-        else:
+        if tracer is not None:
             tracer.count("exec.barrier.snap")
-            with tracer.span("evaluate"):
-                inner = list(_stream_items(plan.input, state))
+        with maybe_span(tracer, "evaluate"):
+            inner = list(_stream_items(plan.input, state))
         mode = (
             ApplySemantics(plan.mode) if plan.mode else ApplySemantics.ORDERED
         )
@@ -108,28 +107,18 @@ def _items(plan: P.Plan, state: _ExecState) -> Sequence:
         # Δ rather than landing inside (or after) its application.
         if state.control is not None:
             state.control.check()
-        if tracer is None:
+        evaluator = state.evaluator
+        with maybe_span(tracer, "snap-apply"):
             apply_update_list(
-                state.engine.store,
+                evaluator.store,
                 state.delta,
                 mode,
-                atomic=state.evaluator.atomic_snaps,
-                journal=state.evaluator.journal,
+                atomic=evaluator.atomic_snaps,
+                tracer=tracer,
+                journal=evaluator.journal,
                 control=state.control,
-                txn_log=state.evaluator.txn_log,
+                txn_log=evaluator.txn_log,
             )
-        else:
-            with tracer.span("snap-apply"):
-                apply_update_list(
-                    state.engine.store,
-                    state.delta,
-                    mode,
-                    atomic=state.evaluator.atomic_snaps,
-                    tracer=tracer,
-                    journal=state.evaluator.journal,
-                    control=state.control,
-                    txn_log=state.evaluator.txn_log,
-                )
         state.delta = []
         return inner
     return list(_stream_items(plan, state))
@@ -252,7 +241,7 @@ def _index_scan_source(
     expressions, so either route yields identical items in document
     order.  Fallback fires when indexes are disabled for the call, when
     the root produces non-nodes, or when any root node lives outside the
-    engine's base store (snapshot-local construction space).
+    evaluator's store, or in a snapshot's local construction space.
     """
     from repro.xdm.nodes import Node
 

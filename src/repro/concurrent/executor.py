@@ -39,9 +39,9 @@ from typing import TYPE_CHECKING
 
 from repro.concurrent.control import CancelToken, ExecutionControl
 from repro.concurrent.snapshot import StoreSnapshot
-from repro.errors import DynamicError, ServiceOverloadedError
-from repro.lang import core_ast as core
+from repro.errors import ServiceOverloadedError
 from repro.obs.tracer import SharedTracer
+from repro.prepared import rehandled_fork, run_module
 from repro.xdm.nodes import Node
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.prepared import PreparedQuery
     from repro.resilience.health import HealthReport
     from repro.resilience.policy import ResiliencePolicy
+    from repro.semantics.evaluator import Evaluator
 
 
 class ConcurrencyMetrics:
@@ -112,27 +113,26 @@ class _SnapshotBundle:
 
     Global bindings and the fn:doc catalog hold :class:`Node` handles
     into the *live* store; a query evaluated against a snapshot needs
-    the same values with handles into the snapshot.  The bundle captures
-    both (plus the store version it was built from) in one consistent
-    unit, created while holding the write lock so no mutator is
-    mid-flight.
+    the same values with handles into the snapshot.  The bundle's
+    ``evaluator`` (a :func:`~repro.prepared.rehandled_fork`) carries
+    both, and every read forks it once more.  The bundle also records
+    the store version it was built from; it is created while holding
+    the write lock so no mutator is mid-flight.
     """
 
-    __slots__ = ("snapshot", "globals", "documents", "version", "next_id",
+    __slots__ = ("snapshot", "evaluator", "version", "next_id",
                  "created_at", "refs", "retired", "results", "inflight",
                  "results_mutex")
 
     def __init__(
         self,
         snapshot: StoreSnapshot,
-        globals_: dict,
-        documents: dict,
+        evaluator: "Evaluator",
         version: int,
         next_id: int,
     ):
         self.snapshot = snapshot
-        self.globals = globals_
-        self.documents = documents
+        self.evaluator = evaluator
         self.version = version
         self.next_id = next_id
         self.created_at = time.perf_counter()
@@ -152,17 +152,6 @@ class _SnapshotBundle:
         self.results: dict = {}
         self.inflight: dict = {}
         self.results_mutex = threading.Lock()
-
-
-def _rehandle_sequence(value, store) -> list:
-    """Copy a sequence, pointing every Node handle at *store*."""
-    out = []
-    for item in value:
-        if isinstance(item, Node):
-            out.append(Node(store, item.nid))
-        else:
-            out.append(item)
-    return out
 
 
 class ConcurrentExecutor:
@@ -501,23 +490,14 @@ class ConcurrentExecutor:
             self.tracer.count("concurrent.reads_serialized")
         else:
             self.tracer.count("concurrent.writes")
-        # The submit-time control (deadline includes queue wait) is
-        # installed around the call; strip timeout/cancel from the
-        # options so PreparedQuery.execute does not restart the clock.
-        if options.timeout_ms is not None or options.cancel is not None:
-            from dataclasses import replace
-
-            options = replace(options, timeout_ms=None, cancel=None)
 
         def attempt() -> "QueryResult":
+            # The submit-time control: its deadline includes queue wait.
             with engine.store.lock.write_locked():
-                engine.evaluator.control = request.control
-                try:
-                    return prepared.execute(
-                        request.bindings, options=options
-                    )
-                finally:
-                    engine.evaluator.control = None
+                return prepared.execute(
+                    request.bindings, options=options,
+                    _control=request.control,
+                )
 
         try:
             if self._retry is not None and not prepared.is_readonly():
@@ -580,10 +560,27 @@ class ConcurrentExecutor:
                     if request.control is not None:
                         request.control.check()
             try:
-                result = _evaluate_on_snapshot(
-                    prepared, bundle, request.bindings, request.options,
-                    request.control,
+                # A fork over the bundle: nothing here touches the
+                # engine's shared evaluator.  Result handles below the
+                # snapshot ceiling are re-pointed at the live store;
+                # constructed nodes keep their snapshot handles (the
+                # snapshot outlives its release and stays readable).
+                snapshot = bundle.snapshot
+                base = bundle.evaluator
+                result = run_module(
+                    base.fork(snapshot, dict(base.globals)),
+                    prepared,
+                    request.bindings,
+                    request.options,
+                    control=request.control,
                 )
+                result.items = [
+                    Node(self.engine.store, item.nid)
+                    if isinstance(item, Node)
+                    and not snapshot._is_local(item.nid)
+                    else item
+                    for item in result.items
+                ]
                 if key is not None:
                     with bundle.results_mutex:
                         if len(bundle.results) < self.result_cache_size:
@@ -657,7 +654,9 @@ class ConcurrentExecutor:
         # New global names (engine.bind of a fresh name, a module import
         # declaring library variables) without any node construction slip
         # past the version checks; the cheap length compare catches them.
-        if len(bundle.globals) != len(self.engine.evaluator.globals):
+        if len(bundle.evaluator.globals) != len(
+            self.engine.evaluator.globals
+        ):
             return False
         if self.max_snapshot_age_ms is not None:
             age_ms = (time.perf_counter() - bundle.created_at) * 1000.0
@@ -676,17 +675,11 @@ class ConcurrentExecutor:
         with store.lock.write_locked():
             self._drop_bundle_locked()
             snapshot = store.begin_snapshot()
-            globals_ = {
-                name: _rehandle_sequence(value, snapshot)
-                for name, value in engine.evaluator.globals.items()
-            }
-            documents = {
-                name: Node(snapshot, node.nid)
-                for name, node in engine.evaluator.documents.items()
-            }
             bundle = _SnapshotBundle(
-                snapshot, globals_, documents,
-                version=store._version, next_id=store._next_id,
+                snapshot,
+                rehandled_fork(engine.evaluator, snapshot),
+                version=store._version,
+                next_id=store._next_id,
             )
         self.tracer.count("concurrent.snapshots_built")
         self._bundle = bundle
@@ -710,93 +703,3 @@ class ConcurrentExecutor:
             if bundle.refs == 0:
                 self.engine.store.release_snapshot(bundle.snapshot)
             self._bundle = None
-
-
-def _evaluate_on_snapshot(
-    prepared: "PreparedQuery",
-    bundle: _SnapshotBundle,
-    bindings: Mapping | None,
-    options: "ExecutionOptions",
-    control: ExecutionControl | None,
-) -> "QueryResult":
-    """Run a provably-pure prepared query against a snapshot bundle.
-
-    Mirrors :meth:`PreparedQuery.execute`'s dynamic steps with a
-    *private* evaluator, so nothing here touches the engine's shared
-    evaluator state: globals come from the bundle, bindings overlay a
-    private dict, and the control is installed on the private evaluator
-    only.  Result node handles below the snapshot ceiling are re-pointed
-    at the live store; constructed nodes keep their snapshot handles
-    (the snapshot outlives its release and stays readable).
-    """
-    from repro.engine import QueryResult, to_sequence
-    from repro.semantics.evaluator import Evaluator
-    from repro.semantics.context import DynamicContext
-
-    engine = prepared._engine
-    module = prepared._module
-    snapshot = bundle.snapshot
-    shared = engine.evaluator
-    evaluator = Evaluator(
-        snapshot,
-        engine.functions,
-        trace_sink=shared.trace_sink,
-        atomic_snaps=shared.atomic_snaps,
-        use_name_index=shared.use_name_index,
-    )
-    evaluator.globals = dict(bundle.globals)
-    evaluator.documents = dict(bundle.documents)
-    evaluator.control = control
-    evaluator.use_indexes = options.use_indexes
-    tracer = None
-    if options.collect_stats:
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer()
-        # Private evaluator, private tracer: no install/uninstall dance
-        # (and no store._obs — the snapshot is shared across threads).
-        evaluator.tracer = tracer
-    semantics = prepared._semantics or engine.default_semantics
-    merged = {}
-    if options.bindings:
-        merged.update(options.bindings)
-    if bindings:
-        merged.update(bindings)
-    for name, value in merged.items():
-        evaluator.globals[name] = _rehandle_sequence(
-            to_sequence(value), snapshot
-        )
-    # Prolog: functions are already in the shared registry (prepare did
-    # that; per-execution re-registration is an identity write we can
-    # skip under concurrency), so only the dynamic steps remain.
-    for decl in module.declarations:
-        if not isinstance(decl, core.CVarDecl):
-            continue
-        if decl.expr is None:
-            if decl.name not in evaluator.globals:
-                raise DynamicError(
-                    f"external variable ${decl.name} is not bound; pass "
-                    "it via bindings"
-                )
-            continue
-        context = DynamicContext(dict(evaluator.globals))
-        evaluator.globals[decl.name] = evaluator.run_snapped(
-            decl.expr, context, semantics
-        )
-    if module.body is None:
-        return QueryResult([], engine)
-    context = DynamicContext(dict(evaluator.globals))
-    items = evaluator.run_snapped(module.body, context, semantics)
-    live = engine.store
-    out = []
-    for item in items:
-        if isinstance(item, Node) and not snapshot._is_local(item.nid):
-            out.append(Node(live, item.nid))
-        else:
-            out.append(item)
-    result = QueryResult(out, engine)
-    if tracer is not None:
-        from repro.obs.report import QueryStats
-
-        result.stats = QueryStats.from_tracer(tracer)
-    return result

@@ -142,8 +142,9 @@ class StoreSnapshot:
         # frozen in place, so no further pre-images are needed (or
         # wanted).
         self._detached = False
-        # Store API compatibility: evaluation hot paths guard on this.
-        self._obs = None
+        # Same cumulative counts as Store (snapshot-local constructions).
+        self.nodes_created = 0
+        self.nodes_detached = 0
 
     # -- pre-image intake (called by the serialized writer) --------------
 
@@ -235,6 +236,7 @@ class StoreSnapshot:
         with self._local_mutex:
             nid = self._local_next
             self._local_next += 1
+            self.nodes_created += 1
         self._local[nid] = _NodeRecord(kind, name, value)
         if kind is NodeKind.ELEMENT and name:
             self._local_name_index.setdefault(name, set()).add(nid)
@@ -656,6 +658,7 @@ class StoreSnapshot:
         parent = rec.parent
         if parent is None:
             return
+        self.nodes_detached += 1
         tree_root = self.root(nid)
         prec = self._local_rec(parent)
         if rec.kind is NodeKind.ATTRIBUTE:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.engine import Engine
@@ -455,28 +454,6 @@ class DurableEngine:
                 caller_hook()
 
         return self.engine.session(on_commit=after_commit, **kwargs)
-
-    @contextmanager
-    def transaction(self, **kwargs: Any):
-        """Scope one MVCC transaction: commit on clean exit, roll back
-        on exception.
-
-        Statements buffer on a snapshot view and nothing touches the
-        store or the journal until the atomic commit (one journal frame
-        group), so durable engines support multi-query atomicity
-        directly::
-
-            with durable.transaction() as txn:
-                txn.execute('snap insert nodes <bid/> into $bids')
-                txn.execute('snap delete nodes $watch/item[1]')
-            # both journaled as one group — or neither
-        """
-        session = self.session(**kwargs)
-        try:
-            with session.transaction() as txn:
-                yield txn
-        finally:
-            session.close()
 
     def __getattr__(self, name: str) -> Any:
         # Everything else — prepare, store, evaluator, variable,

@@ -19,7 +19,6 @@ with the implicit top-level ``snap`` wrapped around the query body
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -31,8 +30,8 @@ from repro.lang.simplify import simplify_module
 from repro.lang.parser import parse_module
 from repro.obs.report import ExplainReport, QueryStats, SlowQueryRecord
 from repro.obs.tracer import Tracer, maybe_span
-from repro.prepared import PreparedQuery, PreparedQueryCache
-from repro.semantics.context import DynamicContext, FunctionRegistry
+from repro.prepared import PreparedQuery, PreparedQueryCache, run_module
+from repro.semantics.context import FunctionRegistry
 from repro.semantics.evaluator import Evaluator
 from repro.semantics.functions import default_registry
 from repro.semantics.update import ApplySemantics
@@ -70,8 +69,8 @@ class ExecutionOptions:
         semantics: update-application semantics for this call's implicit
             top-level snap — 'ordered', 'nondeterministic' or
             'conflict-detection' (None = the engine default).
-        bindings: values for free ``$variables``, installed for the call
-            and restored afterwards (prepared-statement style).
+        bindings: values for free ``$variables``, visible to this call
+            only (prepared-statement style).
         collect_stats: record phase spans, counters and observations;
             the result's ``stats`` is a :class:`~repro.obs.report.QueryStats`.
         explain: attach an :class:`~repro.obs.report.ExplainReport` to the
@@ -132,30 +131,6 @@ class ExecutionOptions:
 
 
 _DEFAULT_OPTIONS = ExecutionOptions()
-
-# Sentinel distinguishing "optimize passed positionally" (deprecated) from
-# "not passed at all" in the Engine method shims below.
-_UNSET = object()
-
-
-def _shim_positional_optimize(value, optimize, method: str):
-    """Support the pre-ExecutionOptions positional ``optimize`` argument.
-
-    ``engine.execute(q, True)`` keeps working for now but warns; the
-    keyword form wins when both are given.
-    """
-    if value is _UNSET:
-        return optimize
-    warnings.warn(
-        f"passing 'optimize' positionally to Engine.{method}() is "
-        "deprecated; use optimize=... or "
-        "options=ExecutionOptions(optimize=...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if optimize is None:
-        return value
-    return optimize
 
 
 def _merge_options(
@@ -389,9 +364,13 @@ class Engine:
             self._module_library[uri] = text
             self.prepared_cache.clear()
 
-    def _resolve_imports(self, module: core.CModule) -> None:
+    def _register_prolog(self, module: core.CModule) -> None:
+        """Resolve *module*'s imports and register its prolog functions."""
         for prefix, uri in module.imports:
             self._import_module(prefix, uri)
+        for decl in module.declarations:
+            if isinstance(decl, core.CFunction):
+                self.functions.register_user(decl)
 
     def _import_module(self, prefix: str, uri: str) -> None:
         if uri in self._loading:
@@ -405,20 +384,12 @@ class Engine:
                 )
             self._loading.add(uri)
             try:
-                library = simplify_module(normalize_module(parse_module(text)))
-                self._resolve_imports(library)
-                functions = []
-                for decl in library.declarations:
-                    if isinstance(decl, core.CFunction):
-                        self.functions.register_user(decl)
-                        functions.append(decl)
-                self._maybe_check(library)
-                for decl in library.declarations:
-                    if isinstance(decl, core.CVarDecl) and decl.expr is not None:
-                        value = self.evaluator.run_snapped(
-                            decl.expr, self._context(), self.default_semantics
-                        )
-                        self.evaluator.globals[decl.name] = value
+                library, _ = self._load(text)
+                functions = [
+                    decl
+                    for decl in library.declarations
+                    if isinstance(decl, core.CFunction)
+                ]
                 self._loaded_modules[uri] = (functions, library.declared_prefix)
             finally:
                 self._loading.discard(uri)
@@ -445,32 +416,23 @@ class Engine:
         change name resolution and the optimizer's purity verdicts for
         queries prepared earlier."""
         with self._prepare_lock:
-            return self._load_module_locked(text)
+            self.prepared_cache.clear()
+            module, result = self._load(text)
+        return result if module.body is not None else None
 
-    def _load_module_locked(self, text: str) -> Optional[QueryResult]:
-        self.prepared_cache.clear()
+    def _load(self, text: str) -> tuple[core.CModule, QueryResult]:
+        """Parse *text*, register its prolog and run it with no bindings:
+        its variable declarations bind straight into the engine's
+        globals."""
         module = simplify_module(normalize_module(parse_module(text)))
-        self._resolve_imports(module)
-        result: Optional[QueryResult] = None
-        for decl in module.declarations:
-            if isinstance(decl, core.CFunction):
-                self.functions.register_user(decl)
+        self._register_prolog(module)
         self._maybe_check(module)
-        for decl in module.declarations:
-            if isinstance(decl, core.CVarDecl):
-                if decl.expr is None:
-                    if decl.name not in self.evaluator.globals:
-                        raise DynamicError(
-                            f"external variable ${decl.name} is not bound"
-                        )
-                    continue
-                value = self.evaluator.run_snapped(
-                    decl.expr, self._context(), self.default_semantics
-                )
-                self.evaluator.globals[decl.name] = value
-        if module.body is not None:
-            result = self._run(module.body)
-        return result
+        prepared = PreparedQuery(
+            self, text, module, None, False, self.functions.generation
+        )
+        shared = self.evaluator
+        run = run_module(shared.fork(self.store, shared.globals), prepared)
+        return module, run
 
     # ------------------------------------------------------------------
     # Query execution
@@ -479,7 +441,6 @@ class Engine:
     def execute(
         self,
         query: str,
-        _positional_optimize=_UNSET,
         *,
         optimize: bool | None = None,
         semantics: str | ApplySemantics | None = None,
@@ -507,9 +468,6 @@ class Engine:
         the same query text skips the whole frontend (see ``prepare``).
         Dynamic prolog steps — variable-declaration initializers under the
         implicit snap — still run on every call."""
-        optimize = _shim_positional_optimize(
-            _positional_optimize, optimize, "execute"
-        )
         opts = _merge_options(
             options,
             optimize=optimize,
@@ -530,7 +488,6 @@ class Engine:
     def prepare(
         self,
         query: str,
-        _positional_optimize=_UNSET,
         *,
         optimize: bool | None = None,
         semantics: str | ApplySemantics | None = None,
@@ -553,16 +510,12 @@ class Engine:
             pq = engine.prepare('get_item($itemid, $userid)')
             pq.execute(bindings={"itemid": "item3", "userid": "person7"})
         """
-        optimize = _shim_positional_optimize(
-            _positional_optimize, optimize, "prepare"
-        )
         opts = _merge_options(options, optimize=optimize, semantics=semantics)
         return self._prepare(query, opts.optimize, opts.resolved_semantics)
 
     def compile(
         self,
         query: str,
-        _positional_optimize=_UNSET,
         *,
         optimize: bool | None = None,
         semantics: str | ApplySemantics | None = None,
@@ -576,9 +529,6 @@ class Engine:
         For backward compatibility ``compile`` alone optimizes by default:
         when neither ``optimize=`` nor ``options=`` is given it behaves as
         ``optimize=True``."""
-        optimize = _shim_positional_optimize(
-            _positional_optimize, optimize, "compile"
-        )
         if optimize is None and options is None:
             optimize = True
         opts = _merge_options(options, optimize=optimize, semantics=semantics)
@@ -587,10 +537,7 @@ class Engine:
         snapshot = self.functions.snapshot()
         try:
             module = self._frontend(query, None)
-            self._resolve_imports(module)
-            for decl in module.declarations:
-                if isinstance(decl, core.CFunction):
-                    self.functions.register_user(decl)
+            self._register_prolog(module)
             if module.body is None:
                 raise DynamicError("query has no body to compile")
             return compile_query(
@@ -621,27 +568,26 @@ class Engine:
         before and after rewriting, every rewrite rule considered (fired or
         not, with the guard detail) and the per-clause purity verdicts the
         guards were based on.  Side-effect-free: prolog function
-        registrations are rolled back afterwards."""
+        registrations are rolled back afterwards, under the prepare lock
+        so a concurrent prepare's registrations survive the rollback."""
         from repro.algebra.compile import compile_query
         from repro.algebra.plan import plan_operators, pretty_plan
 
-        snapshot = self.functions.snapshot()
-        try:
-            module = self._frontend(query, None)
-            self._resolve_imports(module)
-            for decl in module.declarations:
-                if isinstance(decl, core.CFunction):
-                    self.functions.register_user(decl)
-            self._maybe_check(module)
-            if module.body is None:
-                raise DynamicError("query has no body to explain")
-            naive = compile_query(module.body, self, optimize=False)
-            tracer = Tracer()
-            optimized = compile_query(
-                module.body, self, optimize=True, tracer=tracer
-            )
-        finally:
-            self.functions.restore(snapshot)
+        with self._prepare_lock:
+            snapshot = self.functions.snapshot()
+            try:
+                module = self._frontend(query, None)
+                self._register_prolog(module)
+                self._maybe_check(module)
+                if module.body is None:
+                    raise DynamicError("query has no body to explain")
+                naive = compile_query(module.body, self, optimize=False)
+                tracer = Tracer()
+                optimized = compile_query(
+                    module.body, self, optimize=True, tracer=tracer
+                )
+            finally:
+                self.functions.restore(snapshot)
         return ExplainReport(
             query_text=query,
             plan_before=pretty_plan(naive),
@@ -702,10 +648,7 @@ class Engine:
         snapshot = self.functions.snapshot()
         try:
             module = self._frontend(query, tracer)
-            self._resolve_imports(module)
-            for decl in module.declarations:
-                if isinstance(decl, core.CFunction):
-                    self.functions.register_user(decl)
+            self._register_prolog(module)
             with maybe_span(tracer, "static-check"):
                 self._maybe_check(module)
             plan = None
@@ -746,22 +689,6 @@ class Engine:
         )
         self.prepared_cache.store(key, prepared)
         return prepared
-
-    def _run(self, body: core.CoreExpr, optimize: bool = False) -> QueryResult:
-        if optimize:
-            from repro.algebra.compile import compile_query
-            from repro.algebra.execute import execute_plan
-
-            plan = compile_query(body, self, optimize=True)
-            items = execute_plan(plan, self)
-            return QueryResult(items, self)
-        items = self.evaluator.run_snapped(
-            body, self._context(), self.default_semantics
-        )
-        return QueryResult(items, self)
-
-    def _context(self) -> DynamicContext:
-        return DynamicContext(dict(self.evaluator.globals))
 
     # ------------------------------------------------------------------
     # Sessions and transactions (multi-query atomicity)

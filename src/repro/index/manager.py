@@ -158,10 +158,6 @@ class IndexManager:
         self.rebuilds += 1
         elapsed = (time.perf_counter() - start) * 1000.0
         self.rebuild_ms += elapsed
-        obs = self._store._obs
-        if obs is not None:
-            obs.count("index.rebuilds")
-            obs.observe("index.rebuild_ms", elapsed)
 
     # ------------------------------------------------------------------
     # Maintenance hooks (called by the store's mutators, pre-mutation
@@ -227,10 +223,6 @@ class IndexManager:
         self.probes += 1
         out = tuple(postings)
         self.hits += len(out)
-        obs = self._store._obs
-        if obs is not None:
-            obs.count("index.probes")
-            obs.count("index.hits", len(out))
         return out
 
     def token_probe(self, needle: str) -> tuple[int, ...] | None:
@@ -248,10 +240,6 @@ class IndexManager:
             if matches(tok):
                 out.update(postings)
         self.hits += len(out)
-        obs = self._store._obs
-        if obs is not None:
-            obs.count("index.probes")
-            obs.count("index.hits", len(out))
         return tuple(out)
 
     # ------------------------------------------------------------------

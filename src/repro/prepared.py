@@ -22,9 +22,16 @@ and can never change the query's structure::
     pq = engine.prepare('get_item($itemid, $userid)')
     pq.execute(bindings={"itemid": "item3", "userid": "person7"})
 
-Bindings are scoped to the call: they are installed for the duration of
-the execution (visible to the body *and* to called functions, which read
-module globals) and restored afterwards.
+Bindings are scoped to the call: they live in the globals of the call's
+own :meth:`~repro.semantics.evaluator.Evaluator.fork` (visible to the
+body *and* to called functions, which read module globals) and never in
+the engine's, so concurrent calls cannot see each other's values.
+
+:func:`run_module` is the one implementation of the paper's judgment for
+a program (Section 2.3): each prolog variable initializer under the
+implicit top-level snap, then the body.  Every surface — ``execute``,
+the concurrent executor's snapshot reads, transaction statements and
+module loading — calls it on a fork of its own.
 
 Durability note: a prepared query needs no extra plumbing to be durable —
 the journal hook lives on the evaluator
@@ -44,14 +51,14 @@ from repro.concurrent.control import ExecutionControl
 from repro.errors import DynamicError
 from repro.lang import core_ast as core
 from repro.obs.tracer import Tracer, maybe_span
+from repro.semantics.context import DynamicContext
+from repro.xdm.nodes import Node
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algebra.plan import Plan
     from repro.engine import Engine, ExecutionOptions, PythonValue, QueryResult
+    from repro.semantics.evaluator import Evaluator
     from repro.semantics.update import ApplySemantics
-
-
-_MISSING = object()
 
 
 class PreparedQuery:
@@ -146,153 +153,40 @@ class PreparedQuery:
         *,
         options: Optional["ExecutionOptions"] = None,
         _tracer: Tracer | None = None,
+        _control: ExecutionControl | None = None,
     ) -> "QueryResult":
-        """Run the prepared query.
+        """Run the prepared query against the engine's live store.
 
         *bindings* maps variable names (without ``$``) to Python values;
-        they are coerced with :func:`repro.engine.to_sequence`, installed
-        for the duration of this call, and restored afterwards.  The query
-        text is never touched — bound values are data, not syntax.
+        they are coerced with :func:`repro.engine.to_sequence` and visible
+        to this call only.  The query text is never touched — bound values
+        are data, not syntax.  Values the prolog declares stay bound in
+        the engine afterwards, as they would after a fresh ``execute``.
 
         *options* carries the per-execution fields of
-        :class:`~repro.engine.ExecutionOptions`: ``bindings`` (the
-        positional argument wins on a name collision), ``collect_stats``
-        (attach :class:`~repro.obs.report.QueryStats` to the result) and
-        ``explain``.  ``optimize``/``semantics`` were fixed at prepare
-        time and are ignored here.  ``_tracer`` is the engine-internal
-        handoff of a tracer that already recorded the frontend phases.
+        :class:`~repro.engine.ExecutionOptions` (see :func:`run_module`);
+        ``optimize``/``semantics`` were fixed at prepare time and are
+        ignored here.  ``_tracer`` and ``_control`` are engine-internal
+        handoffs: a tracer that already recorded the frontend phases, and
+        a control whose deadline started before this call.
         """
-        from repro.engine import QueryResult, to_sequence
-
         engine = self._engine
-        tracer = _tracer
-        if options is not None:
-            if options.bindings:
-                merged = dict(options.bindings)
-                if bindings:
-                    merged.update(bindings)
-                bindings = merged
-            if tracer is None and options.collect_stats:
-                tracer = Tracer()
-        hook = engine.on_slow_query
-        start = (
-            time.perf_counter()
-            if (hook is not None and tracer is None)
-            else None
+        # Imports and function registration are idempotent after the
+        # first call (dict writes of the same objects) but keep the
+        # exact visible behavior of a fresh execute: a later module
+        # load that shadowed one of this query's prolog functions is
+        # overridden back for this query, as re-parsing would.
+        engine._register_prolog(self._module)
+        shared = engine.evaluator
+        return run_module(
+            shared.fork(engine.store, dict(shared.globals)),
+            self,
+            bindings,
+            options,
+            tracer=_tracer,
+            control=_control,
+            publish=shared.globals,
         )
-        semantics = self._semantics or engine.default_semantics
-        globals_ = engine.evaluator.globals
-        saved: dict[str, object] = {}
-        if bindings:
-            for name, value in bindings.items():
-                saved[name] = globals_.get(name, _MISSING)
-                globals_[name] = to_sequence(value)
-        declared: set[str] = set()
-        if tracer is not None:
-            # Install the tracer on the two hot components for the span of
-            # this call; both guard on None, so the disabled path stays a
-            # single pointer compare.
-            engine.evaluator.tracer = tracer
-            engine.store._obs = tracer
-        control = ExecutionControl.from_options(options)
-        if control is not None:
-            # Same install-for-the-call discipline as the tracer: the
-            # evaluator (and the algebra interpreter, which reads it from
-            # there) polls at iteration boundaries.  Covers the dynamic
-            # prolog too — a variable initializer can loop as well.
-            engine.evaluator.control = control
-        saved_use_indexes = engine.evaluator.use_indexes
-        if options is not None:
-            # Per-call index switch: the evaluator's fast paths and the
-            # IndexScan executor both read this flag, so one install
-            # point covers interpreted and compiled execution.
-            engine.evaluator.use_indexes = options.use_indexes
-        try:
-            # Imports and function registration are idempotent after the
-            # first call (dict writes of the same objects) but keep the
-            # exact visible behavior of a fresh execute: a later module
-            # load that shadowed one of this query's prolog functions is
-            # overridden back for this query, as re-parsing would.
-            engine._resolve_imports(self._module)
-            for decl in self._module.declarations:
-                if isinstance(decl, core.CFunction):
-                    engine.functions.register_user(decl)
-            with maybe_span(tracer, "prolog"):
-                for decl in self._module.declarations:
-                    if not isinstance(decl, core.CVarDecl):
-                        continue
-                    if decl.expr is None:
-                        if decl.name not in globals_:
-                            raise DynamicError(
-                                f"external variable ${decl.name} is not "
-                                "bound; pass it via execute(bindings={...}) "
-                                "or Engine.bind()"
-                            )
-                        continue
-                    value = engine.evaluator.run_snapped(
-                        decl.expr, engine._context(), semantics
-                    )
-                    globals_[decl.name] = value
-                    declared.add(decl.name)
-            if self._module.body is None:
-                result = QueryResult([], engine)
-            elif self._plan is not None:
-                from repro.algebra.execute import execute_plan
-
-                items = execute_plan(self._plan, engine, tracer=tracer)
-                result = QueryResult(items, engine)
-            else:
-                items = engine.evaluator.run_snapped(
-                    self._module.body,
-                    engine._context(),
-                    semantics,
-                )
-                result = QueryResult(items, engine)
-        finally:
-            if tracer is not None:
-                engine.evaluator.tracer = None
-                engine.store._obs = None
-            if control is not None:
-                engine.evaluator.control = None
-            engine.evaluator.use_indexes = saved_use_indexes
-            for name, old in saved.items():
-                if name in declared:
-                    # The prolog re-declared a bound name; the declaration
-                    # wins, as it would under plain execute.
-                    continue
-                if old is _MISSING:
-                    globals_.pop(name, None)
-                else:
-                    globals_[name] = old
-        if tracer is not None:
-            from repro.obs.report import QueryStats
-
-            result.stats = QueryStats.from_tracer(tracer)
-        if (
-            options is not None
-            and options.explain
-            and self._module.body is not None
-        ):
-            result.explain = engine.explain(self.query_text)
-        if hook is not None:
-            elapsed_ms = (
-                tracer.elapsed_ms()
-                if tracer is not None
-                else (time.perf_counter() - start) * 1000.0
-            )
-            if elapsed_ms >= engine.slow_query_ms:
-                from repro.obs.report import SlowQueryRecord
-
-                hook(
-                    SlowQueryRecord(
-                        query_text=self.query_text,
-                        duration_ms=elapsed_ms,
-                        threshold_ms=engine.slow_query_ms,
-                        stats=result.stats,
-                        timestamp=SlowQueryRecord.now(),
-                    )
-                )
-        return result
 
     def __repr__(self) -> str:
         head = self.query_text.strip().splitlines()[0][:60]
@@ -300,6 +194,158 @@ class PreparedQuery:
             f"PreparedQuery({head!r}, optimize={self.optimize}, "
             f"plan={'yes' if self._plan is not None else 'no'})"
         )
+
+
+def rehandle(value, store) -> list:
+    """Copy a sequence, pointing every Node handle at *store*."""
+    out = []
+    for item in value:
+        if isinstance(item, Node):
+            out.append(Node(store, item.nid))
+        else:
+            out.append(item)
+    return out
+
+
+def rehandled_fork(evaluator: "Evaluator", store) -> "Evaluator":
+    """A fork over *store* — a snapshot or transaction view of
+    *evaluator*'s store — whose globals and fn:doc catalog hold handles
+    into *store*.  Callers hold the store's write lock, so the copies
+    agree with the view."""
+    fork = evaluator.fork(
+        store,
+        {
+            name: rehandle(value, store)
+            for name, value in evaluator.globals.items()
+        },
+    )
+    fork.documents = {
+        name: Node(store, node.nid)
+        for name, node in evaluator.documents.items()
+    }
+    return fork
+
+
+def run_module(
+    evaluator: "Evaluator",
+    prepared: PreparedQuery,
+    bindings: Mapping[str, "PythonValue"] | None = None,
+    options: Optional["ExecutionOptions"] = None,
+    *,
+    tracer: Tracer | None = None,
+    control: ExecutionControl | None = None,
+    publish: dict | None = None,
+) -> "QueryResult":
+    """Run *prepared*'s prolog and body on *evaluator*.
+
+    *evaluator* is a fork private to this call (see
+    :meth:`~repro.semantics.evaluator.Evaluator.fork`); its store and
+    globals decide what the module reads and where its snaps apply.  In
+    order:
+
+    * *bindings* merge over ``options.bindings`` and are bound in the
+      fork's globals, node handles pointed at the fork's store;
+    * every ``declare variable $x external`` must be bound by now;
+    * each variable initializer runs under the implicit top-level snap
+      and binds its name in the fork's globals (and in *publish*, when
+      given);
+    * the body runs as the compiled plan when one exists, else under the
+      implicit snap;
+    * ``collect_stats`` attaches :class:`~repro.obs.report.QueryStats`
+      (*tracer*, when given, already holds the frontend phases) and
+      ``explain`` an :class:`~repro.obs.report.ExplainReport`;
+    * the engine's slow-query hook fires, on whichever thread ran the call.
+
+    *control* overrides the one ``options.timeout_ms``/``cancel`` would
+    build, for callers whose deadline started earlier.
+    """
+    from repro.engine import QueryResult, to_sequence
+
+    engine = prepared._engine
+    module = prepared._module
+    store = evaluator.store
+    globals_ = evaluator.globals
+    if options is not None:
+        if options.bindings:
+            merged = dict(options.bindings)
+            if bindings:
+                merged.update(bindings)
+            bindings = merged
+        if tracer is None and options.collect_stats:
+            tracer = Tracer()
+        evaluator.use_indexes = options.use_indexes
+        if control is None:
+            control = ExecutionControl.from_options(options)
+    hook = engine.on_slow_query
+    start = (
+        time.perf_counter() if (hook is not None and tracer is None) else None
+    )
+    if bindings:
+        for name, value in bindings.items():
+            globals_[name] = rehandle(to_sequence(value), store)
+    evaluator.tracer = tracer
+    evaluator.control = control
+    if tracer is not None:
+        created, detached = store.nodes_created, store.nodes_detached
+    semantics = prepared._semantics or engine.default_semantics
+    with maybe_span(tracer, "prolog"):
+        for decl in module.declarations:
+            if not isinstance(decl, core.CVarDecl):
+                continue
+            if decl.expr is None:
+                if decl.name not in globals_:
+                    raise DynamicError(
+                        f"external variable ${decl.name} is not bound; pass "
+                        "it via bindings={...} or Engine.bind()"
+                    )
+                continue
+            context = DynamicContext(dict(globals_))
+            value = evaluator.run_snapped(decl.expr, context, semantics)
+            globals_[decl.name] = value
+            if publish is not None:
+                publish[decl.name] = value
+    if module.body is None:
+        items: list = []
+    elif prepared._plan is not None:
+        from repro.algebra.execute import execute_plan
+
+        items = execute_plan(prepared._plan, evaluator, tracer=tracer)
+    else:
+        items = evaluator.run_snapped(
+            module.body, DynamicContext(dict(globals_)), semantics
+        )
+    result = QueryResult(items, engine)
+    if tracer is not None:
+        from repro.obs.report import QueryStats
+
+        for name, count in (
+            ("store.nodes_created", store.nodes_created - created),
+            ("store.nodes_detached", store.nodes_detached - detached),
+        ):
+            if count:
+                tracer.count(name, count)
+        result.stats = QueryStats.from_tracer(tracer)
+    if options is not None and options.explain and module.body is not None:
+        result.explain = engine.explain(prepared.query_text)
+    if hook is not None:
+        elapsed_ms = (
+            tracer.elapsed_ms()
+            if tracer is not None
+            else (time.perf_counter() - start) * 1000.0
+        )
+        if elapsed_ms >= engine.slow_query_ms:
+            from repro.obs.report import SlowQueryRecord
+
+            hook(
+                SlowQueryRecord(
+                    query_text=prepared.query_text,
+                    duration_ms=elapsed_ms,
+                    threshold_ms=engine.slow_query_ms,
+                    stats=result.stats,
+                    timestamp=SlowQueryRecord.now(),
+                )
+            )
+    return result
 
 
 class CacheStats:

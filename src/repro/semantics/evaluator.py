@@ -26,6 +26,7 @@ from repro.errors import (
     UpdateTargetError,
 )
 from repro.lang import core_ast as core
+from repro.obs.tracer import maybe_span
 from repro.semantics.arithmetic import arithmetic
 from repro.semantics.context import DynamicContext, FunctionRegistry
 from repro.semantics.deltarope import EMPTY as _EMPTY_DELTA
@@ -87,7 +88,8 @@ class Evaluator:
 
     One evaluator instance owns one store; the dynamic context is passed
     per call.  ``globals`` holds the module-level variable bindings visible
-    inside function bodies.
+    inside function bodies.  An engine keeps one long-lived evaluator and
+    runs every query on a :meth:`fork` of it.
     """
 
     def __init__(
@@ -115,16 +117,16 @@ class Evaluator:
         # steps (O(candidates x depth) instead of an O(subtree) walk).
         self.use_name_index = use_name_index
         # Use the value indexes (repro.index) for equality and contains
-        # probes on descendant steps.  Installed per call from
+        # probes on descendant steps.  Set on each fork from
         # ExecutionOptions(use_indexes=...); with False the evaluator
         # runs the generic scan paths — the reference semantics the
         # equivalence property compares against.
         self.use_indexes = use_name_index
-        # Observability: a repro.obs.Tracer while a traced execution is in
-        # flight, else None (the default — hot paths guard on None).
+        # Observability: a repro.obs.Tracer on the fork of a traced
+        # execution, else None (the default — hot paths guard on None).
         self.tracer = None
-        # Execution control: a repro.concurrent.ExecutionControl while a
-        # deadline/cancellable execution is in flight, else None.  Polled
+        # Execution control: a repro.concurrent.ExecutionControl on the
+        # fork of a deadline/cancellable execution, else None.  Polled
         # at iteration boundaries (guarded on None, same discipline as
         # the tracer) so a fired deadline stops the query cooperatively
         # without ever landing inside a snap application.
@@ -141,47 +143,23 @@ class Evaluator:
         # Session-private evaluators (which apply to a TransactionView,
         # not the live store) leave this None.
         self.txn_log = None
-        self._dispatch = {
-            core.CLiteral: self._eval_literal,
-            core.CVar: self._eval_var,
-            core.CContext: self._eval_context,
-            core.CEmpty: self._eval_empty,
-            core.CRoot: self._eval_root,
-            core.CSequence: self._eval_sequence,
-            core.CSequenced: self._eval_sequence,  # ';' == ',' dynamically
-            core.CRange: self._eval_range,
-            core.CArith: self._eval_arith,
-            core.CUnary: self._eval_unary,
-            core.CComparison: self._eval_comparison,
-            core.CBool: self._eval_bool,
-            core.CSet: self._eval_set,
-            core.CIf: self._eval_if,
-            core.CFor: self._eval_for,
-            core.CLet: self._eval_let,
-            core.COrderedFLWOR: self._eval_ordered_flwor,
-            core.CQuantified: self._eval_quantified,
-            core.CAxisStep: self._eval_axis_step,
-            core.CPath: self._eval_path,
-            core.CFilter: self._eval_filter,
-            core.CCall: self._eval_call,
-            core.CElem: self._eval_elem,
-            core.CAttr: self._eval_attr,
-            core.CText: self._eval_text,
-            core.CComment: self._eval_comment,
-            core.CDoc: self._eval_doc,
-            core.CPI: self._eval_pi,
-            core.CCopy: self._eval_copy,
-            core.CInsert: self._eval_insert,
-            core.CDelete: self._eval_delete,
-            core.CReplace: self._eval_replace,
-            core.CReplaceValue: self._eval_replace_value,
-            core.CRename: self._eval_rename,
-            core.CSnap: self._eval_snap,
-            core.CInstanceOf: self._eval_instance_of,
-            core.CCast: self._eval_cast,
-            core.CTypeswitch: self._eval_typeswitch,
-            core.CTreat: self._eval_treat,
-        }
+
+    def fork(self, store: Store, globals_: dict[str, Sequence]) -> "Evaluator":
+        """A per-execution evaluator over *store* with *globals_*.
+
+        The fork shares the function registry, the fn:doc catalog, the
+        journal and the transaction log; its ``tracer`` and ``control``
+        start empty and ``use_indexes`` starts at this evaluator's value.
+        Setting any of them on the fork leaves this evaluator untouched,
+        so concurrent executions never see each other's state.
+        """
+        child = object.__new__(Evaluator)
+        child.__dict__.update(self.__dict__)
+        child.store = store
+        child.globals = globals_
+        child.tracer = None
+        child.control = None
+        return child
 
     # ------------------------------------------------------------------
     # Entry points
@@ -189,10 +167,10 @@ class Evaluator:
 
     def evaluate(self, expr: core.CoreExpr, context: DynamicContext) -> EvalResult:
         """Evaluate *expr*, returning its value and pending update list."""
-        method = self._dispatch.get(type(expr))
+        method = _DISPATCH.get(type(expr))
         if method is None:
             raise DynamicError(f"no evaluation rule for {type(expr).__name__}")
-        return method(expr, context)
+        return method(self, expr, context)
 
     def run_snapped(
         self,
@@ -203,23 +181,13 @@ class Evaluator:
         """Evaluate under the implicit top-level snap (Section 2.3: "a snap
         is always implicitly present around the top-level query")."""
         tracer = self.tracer
-        if tracer is None:
+        with maybe_span(tracer, "evaluate"):
             value, delta = self.evaluate(expr, context)
-            # Last check before committing: a fired deadline discards the
-            # pending Δ here, so a timed-out query never half-applies.
-            if self.control is not None:
-                self.control.check()
-            apply_update_list(
-                self.store, delta, mode,
-                atomic=self.atomic_snaps, journal=self.journal,
-                control=self.control, txn_log=self.txn_log,
-            )
-            return value
-        with tracer.span("evaluate"):
-            value, delta = self.evaluate(expr, context)
+        # Last check before committing: a fired deadline discards the
+        # pending Δ here, so a timed-out query never half-applies.
         if self.control is not None:
             self.control.check()
-        with tracer.span("snap-apply"):
+        with maybe_span(tracer, "snap-apply"):
             apply_update_list(
                 self.store, delta, mode,
                 atomic=self.atomic_snaps, tracer=tracer,
@@ -800,6 +768,13 @@ class Evaluator:
             results.extend(fast)
         return EvalResult(list(nodes_in_document_order(results)), delta)
 
+    def _counted(self, ids: tuple[int, ...] | None) -> tuple[int, ...] | None:
+        """Record an answered index probe on the tracer; pass *ids* on."""
+        if ids is not None and self.tracer is not None:
+            self.tracer.count("index.probes")
+            self.tracer.count("index.hits", len(ids))
+        return ids
+
     def _probe_attr_eq(
         self, store, item, name, axis, predicate, context
     ) -> list | None:
@@ -814,7 +789,7 @@ class Evaluator:
         # On the child axis the scan reads one list: probe only when the
         # posting list is no longer (both lengths are O(1) to read).
         limit = store.child_count(item.nid) if child else None
-        aids = store.attr_eq_probe(attr_name, target, limit)
+        aids = self._counted(store.attr_eq_probe(attr_name, target, limit))
         if aids is None:
             return None
         or_self = axis == "descendant-or-self"
@@ -855,7 +830,7 @@ class Evaluator:
         target = self._string_target(other, context)
         if not target:  # empty string: no text to witness it — scan
             return None
-        tids = store.token_probe(target)
+        tids = self._counted(store.token_probe(target))
         if tids is None:
             return None
         candidates: set[int] = set()
@@ -919,7 +894,7 @@ class Evaluator:
         needle = needle_value[0].lexical()
         if not needle:  # contains(s, "") is uniformly true — scan
             return None
-        tids = store.token_probe(needle)
+        tids = self._counted(store.token_probe(needle))
         if tids is None:
             return None
         candidates: set[int] = set()
@@ -1499,6 +1474,50 @@ def _require_integer(av: AtomicValue, what: str) -> int:
     if float(av.value).is_integer():
         return int(av.value)
     raise TypeError_(f"{what} must be an integer, got {av.lexical()}")
+
+
+# Evaluation rule per core node type, shared by every evaluator and fork.
+_DISPATCH = {
+    core.CLiteral: Evaluator._eval_literal,
+    core.CVar: Evaluator._eval_var,
+    core.CContext: Evaluator._eval_context,
+    core.CEmpty: Evaluator._eval_empty,
+    core.CRoot: Evaluator._eval_root,
+    core.CSequence: Evaluator._eval_sequence,
+    core.CSequenced: Evaluator._eval_sequence,  # ';' == ',' dynamically
+    core.CRange: Evaluator._eval_range,
+    core.CArith: Evaluator._eval_arith,
+    core.CUnary: Evaluator._eval_unary,
+    core.CComparison: Evaluator._eval_comparison,
+    core.CBool: Evaluator._eval_bool,
+    core.CSet: Evaluator._eval_set,
+    core.CIf: Evaluator._eval_if,
+    core.CFor: Evaluator._eval_for,
+    core.CLet: Evaluator._eval_let,
+    core.COrderedFLWOR: Evaluator._eval_ordered_flwor,
+    core.CQuantified: Evaluator._eval_quantified,
+    core.CAxisStep: Evaluator._eval_axis_step,
+    core.CPath: Evaluator._eval_path,
+    core.CFilter: Evaluator._eval_filter,
+    core.CCall: Evaluator._eval_call,
+    core.CElem: Evaluator._eval_elem,
+    core.CAttr: Evaluator._eval_attr,
+    core.CText: Evaluator._eval_text,
+    core.CComment: Evaluator._eval_comment,
+    core.CDoc: Evaluator._eval_doc,
+    core.CPI: Evaluator._eval_pi,
+    core.CCopy: Evaluator._eval_copy,
+    core.CInsert: Evaluator._eval_insert,
+    core.CDelete: Evaluator._eval_delete,
+    core.CReplace: Evaluator._eval_replace,
+    core.CReplaceValue: Evaluator._eval_replace_value,
+    core.CRename: Evaluator._eval_rename,
+    core.CSnap: Evaluator._eval_snap,
+    core.CInstanceOf: Evaluator._eval_instance_of,
+    core.CCast: Evaluator._eval_cast,
+    core.CTypeswitch: Evaluator._eval_typeswitch,
+    core.CTreat: Evaluator._eval_treat,
+}
 
 
 class _OrderKey:

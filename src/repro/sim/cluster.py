@@ -776,7 +776,10 @@ class Workload:
         self.n += inserts
         try:
             if txn:
-                with primary.durable.transaction() as t:
+                with (
+                    primary.durable.session() as s,
+                    s.transaction() as t,
+                ):
                     t.execute(_WRITE_QUERY.format(n=first))
                     t.execute(_WRITE_QUERY.format(n=first + 1))
             else:
@@ -827,7 +830,7 @@ class Workload:
         self.n += inserts
         try:
             if txn:
-                with durable.transaction() as t:
+                with durable.session() as s, s.transaction() as t:
                     t.execute(_WRITE_QUERY.format(n=first))
                     t.execute(_WRITE_QUERY.format(n=first + 1))
             else:

@@ -37,18 +37,16 @@ import threading
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from repro.concurrent.control import ExecutionControl
 from repro.errors import (
     ConflictError,
     DurabilityError,
-    DynamicError,
     StaleEpochError,
     TransactionConflictError,
     UpdateApplicationError,
     XQueryError,
 )
-from repro.lang import core_ast as core
 from repro.obs.tracer import Tracer, maybe_span
+from repro.prepared import rehandled_fork, run_module
 from repro.semantics.conflicts import check_cross_conflict_free
 from repro.semantics.update import (
     ApplySemantics,
@@ -59,21 +57,9 @@ from repro.semantics.update import (
 )
 from repro.txn.recorder import TxnRecorder
 from repro.txn.view import TransactionView, begin_transaction_view
-from repro.xdm.nodes import Node
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine import QueryResult
-
-
-def _rehandle(value, store) -> list:
-    """Copy a sequence, pointing every Node handle at *store*."""
-    out = []
-    for item in value:
-        if isinstance(item, Node):
-            out.append(Node(store, item.nid))
-        else:
-            out.append(item)
-    return out
 
 
 def _map_request(request, mapper: Callable[[int], Any]):
@@ -207,37 +193,22 @@ class Transaction:
         self._active = True
         self._statements = 0
         self.commit_seq: int | None = None
-        shared = engine.evaluator
         with store.lock.write_locked():
             view = begin_transaction_view(store)
             self._begin_seq = self._manager.commit_seq
-            globals_ = {
-                name: _rehandle(value, view)
-                for name, value in shared.globals.items()
-            }
-            documents = {
-                name: Node(view, node.nid)
-                for name, node in shared.documents.items()
-            }
+            # The base every statement forks from.  Value-index probes
+            # stay on: the view adds its buffered writes to every
+            # probe's candidates (see TransactionView).
+            evaluator = rehandled_fork(engine.evaluator, view)
         self._view: TransactionView = view
         self._token = self._manager.register(self._begin_seq)
-        from repro.semantics.evaluator import Evaluator
-
-        evaluator = Evaluator(
-            view,
-            engine.functions,
-            trace_sink=shared.trace_sink,
-            # Statement-level failure containment: a failed statement
-            # rolls the *view* back and the transaction stays usable.
-            atomic_snaps=True,
-            use_name_index=shared.use_name_index,
-        )
-        evaluator.globals = globals_
-        evaluator.documents = documents
-        # Value-index probes stay on: the view adds its buffered writes
-        # to every probe's candidates (see TransactionView).
+        # Statement-level failure containment: a failed statement rolls
+        # the *view* back and the transaction stays usable.
+        evaluator.atomic_snaps = True
+        # Δs buffer in the recorder until commit publishes them.
         self._recorder = TxnRecorder(view)
         evaluator.journal = self._recorder
+        evaluator.txn_log = None
         self._evaluator = evaluator
         session._tracer.count("txn.begin")
 
@@ -282,12 +253,13 @@ class Transaction:
         buffered writes (read-your-writes); updates buffer their Δ for
         commit.  Result node handles point into the transaction's view
         and are session-scoped: after commit, re-read through the
-        engine.  Bindings passed here stay installed for the rest of
-        the transaction.
+        engine.  Bindings passed here, and the values a statement's
+        prolog declares, stay bound for the rest of the transaction.
+        Every per-execution field of *options* is honoured, as on
+        ``Engine.execute``.
         """
         self._require_active()
-        from repro.engine import QueryResult, _merge_options, to_sequence
-        from repro.semantics.context import DynamicContext
+        from repro.engine import _merge_options
 
         session = self._session
         engine = session._engine
@@ -303,51 +275,24 @@ class Transaction:
             timeout_ms=timeout_ms,
             cancel=cancel,
         )
-        mode = (
-            opts.resolved_semantics
-            or session._semantics
-            or engine.default_semantics
+        prepared = engine.prepare(
+            query,
+            optimize=opts.optimize,
+            semantics=(
+                opts.resolved_semantics
+                or session._semantics
+                or engine.default_semantics
+            ),
         )
-        prepared = engine.prepare(query)
-        module = prepared._module
-        evaluator = self._evaluator
-        control = ExecutionControl.from_options(opts)
-        evaluator.control = control
-        evaluator.use_indexes = opts.use_indexes
-        try:
-            merged: dict = {}
-            if opts.bindings:
-                merged.update(opts.bindings)
-            if bindings:
-                merged.update(bindings)
-            for name, value in merged.items():
-                evaluator.globals[name] = _rehandle(
-                    to_sequence(value), view
-                )
-            for decl in module.declarations:
-                if not isinstance(decl, core.CVarDecl):
-                    continue
-                if decl.expr is None:
-                    if decl.name not in evaluator.globals:
-                        raise DynamicError(
-                            f"external variable ${decl.name} is not "
-                            "bound; pass it via bindings"
-                        )
-                    continue
-                context = DynamicContext(dict(evaluator.globals))
-                evaluator.globals[decl.name] = evaluator.run_snapped(
-                    decl.expr, context, mode
-                )
-            if module.body is None:
-                items: list = []
-            else:
-                context = DynamicContext(dict(evaluator.globals))
-                items = evaluator.run_snapped(module.body, context, mode)
-        finally:
-            evaluator.control = None
+        # The fork shares this transaction's globals dict: bindings and
+        # prolog declarations stay visible to later statements.
+        base = self._evaluator
+        result = run_module(
+            base.fork(view, base.globals), prepared, bindings, opts
+        )
         self._statements += 1
         session._tracer.count("txn.statements")
-        return QueryResult(items, engine)
+        return result
 
     # -- outcome ----------------------------------------------------------
 

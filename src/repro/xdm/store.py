@@ -133,10 +133,10 @@ class Store:
         from repro.index.manager import IndexManager
 
         self._indexes = IndexManager(self)
-        # Observability: a repro.obs.Tracer while a traced execution is in
-        # flight, else None.  Hot paths guard on None so that disabled
-        # instrumentation costs one attribute load per event.
-        self._obs = None
+        # Observability: cumulative counts a traced execution reports
+        # the difference of (store.nodes_created / store.nodes_detached).
+        self.nodes_created = 0
+        self.nodes_detached = 0
         # Concurrency: the query-granularity reader-writer lock.  The
         # store itself does not take it — callers running queries
         # concurrently do (the ConcurrentExecutor holds the write side
@@ -242,8 +242,7 @@ class Store:
             # deep-copy clones, which do not go through create_element.
             self._name_index.setdefault(name, set()).add(nid)
         self._indexes.on_alloc(nid, kind, name, value)
-        if self._obs is not None:
-            self._obs.count("store.nodes_created")
+        self.nodes_created += 1
         return nid
 
     def create_document(self) -> int:
@@ -616,8 +615,7 @@ class Store:
         parent = rec.parent
         if parent is None:
             return
-        if self._obs is not None:
-            self._obs.count("store.nodes_detached")
+        self.nodes_detached += 1
         # Removal shifts following siblings and reroots the detached
         # subtree, so the whole (pre-mutation) containing tree goes stale.
         tree_root = self.root(nid)

@@ -132,7 +132,7 @@ class TestPlanExecution:
         engine = Engine()
         engine.bind("s", [1, 2, 3])
         plan = engine.compile("for $x in $s return $x + 1")
-        items = execute_plan(plan, engine)
+        items = execute_plan(plan, engine.evaluator)
         assert [av.value for av in items] == [2, 3, 4]
 
 

@@ -34,7 +34,7 @@ def test_deep_chain_exceeds_recursion_limit():
     plan = P.Snap(input=P.MapFromItem(input=node, ret=_literal(7)))
     engine = Engine()
     # One tuple flows through every level; one item out.
-    assert execute_plan(plan, engine) == [AtomicValue.integer(7)]
+    assert execute_plan(plan, engine.evaluator) == [AtomicValue.integer(7)]
 
 
 def test_deep_chain_with_fanout_and_select():
@@ -55,7 +55,7 @@ def test_deep_chain_with_fanout_and_select():
     )
     plan = P.Snap(input=P.MapFromItem(input=node, ret=core.CVar(name="v9")))
     engine = Engine()
-    items = execute_plan(plan, engine)
+    items = execute_plan(plan, engine.evaluator)
     assert len(items) == 2**9
     assert all(item.value == 2 for item in items)
 

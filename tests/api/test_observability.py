@@ -104,7 +104,7 @@ class TestStoreCounters:
     def test_disabled_run_leaves_store_unobserved(self):
         engine = make_engine()
         engine.execute(UPDATING)
-        assert engine.store._obs is None
+        assert engine.evaluator.tracer is None
 
 
 class TestConflictMetrics:
@@ -271,7 +271,6 @@ class TestPreparedExecuteOptions:
         engine = make_engine()
         engine.execute(UPDATING, collect_stats=True)
         assert engine.evaluator.tracer is None
-        assert engine.store._obs is None
 
     def test_tracer_uninstalled_after_error(self):
         engine = make_engine()
@@ -283,7 +282,6 @@ class TestPreparedExecuteOptions:
                 collect_stats=True,
             )
         assert engine.evaluator.tracer is None
-        assert engine.store._obs is None
 
     def test_semantics_option_changes_cache_key(self):
         engine = make_engine()

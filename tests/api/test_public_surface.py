@@ -134,21 +134,6 @@ class TestExecutionOptions:
         assert first.first_value() == second.first_value() == 2
         assert second.stats.cache_hits == 1
 
-
-class TestPositionalOptimizeDeprecation:
-    def test_positional_optimize_warns_but_works(self):
-        engine = make_engine()
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            result = engine.execute("count($doc//item)", True)
-        assert result.first_value() == 2
-
-    def test_prepare_and_compile_shims_warn(self):
-        engine = make_engine()
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            engine.prepare("count($doc//item)", True)
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            engine.compile("count($doc//item)", False)
-
     def test_keyword_form_does_not_warn(self):
         import warnings
 
@@ -158,14 +143,6 @@ class TestPositionalOptimizeDeprecation:
             engine.execute("count($doc//item)", optimize=True)
             engine.prepare("count($doc//item)", optimize=False)
             engine.compile("count($doc//item)", optimize=True)
-
-    def test_keyword_wins_when_both_given(self):
-        engine = make_engine()
-        with pytest.warns(DeprecationWarning):
-            prepared = engine.prepare(
-                "count($doc//item)", True, optimize=False
-            )
-        assert prepared.optimize is False
 
 
 class TestEngineBindings:

@@ -147,3 +147,23 @@ class TestModuleLoading:
             assert (
                 engine.execute(f"m{index}(10)").first_value() == 10 + index
             )
+
+
+class TestPreparedBindings:
+    def test_concurrent_bindings_stay_with_their_call(self):
+        # Bindings are data scoped to one call: each call's $x lives in
+        # its own evaluator fork, never in the engine's shared globals,
+        # so a thread can never read another thread's value.
+        engine = Engine()
+        prepared = engine.prepare("for $i in 1 to 200 return $x")
+        wrong = []
+
+        def worker(index):
+            for _ in range(200):
+                values = prepared.execute(bindings={"x": index}).values()
+                if values != [index] * 200:
+                    wrong.append(index)
+
+        hammer(worker, threads=4)
+        assert wrong == []
+        assert "x" not in engine.evaluator.globals

@@ -374,7 +374,7 @@ class TestEngineSurface:
         # The transaction buffers on a snapshot and journals the commit
         # as one atomic frame group.
         path, engine = fresh(tmp_path)
-        with engine.transaction() as txn:
+        with engine.session() as session, session.transaction() as txn:
             txn.execute(snap_query("ordered", 1))
             txn.execute(snap_query("ordered", 2))
         assert entries(engine) == 2

@@ -177,7 +177,10 @@ def test_checkpoint_bytes_equal_a_full_encode(seed, steps):
             elif step == "commit":
                 query = rng.choice(COMMITS).format(n=rng.randint(0, 99))
                 try:
-                    with engine.transaction() as txn:
+                    with (
+                        engine.session() as session,
+                        session.transaction() as txn,
+                    ):
                         txn.execute(query)
                 except XQueryError:
                     pass  # e.g. no target left: the transaction rolls back

@@ -62,16 +62,12 @@ class TestQueryTextGuards:
 
 def run_guarded(engine: Engine, query: str, limits: AdmissionLimits):
     """Execute *query* with a per-call ResourceGuard riding the
-    evaluator's ExecutionControl, the way the concurrent executor
-    installs it per request."""
+    call's ExecutionControl, the way the concurrent executor hands it
+    to each request."""
     control = ExecutionControl.from_options(
         ExecutionOptions(), guard=limits.guard(engine.store)
     )
-    engine.evaluator.control = control
-    try:
-        return engine.execute(query)
-    finally:
-        engine.evaluator.control = None
+    return engine.prepare(query).execute(_control=control)
 
 
 class TestResourceGuard:
