@@ -642,6 +642,17 @@ class Store:
             )
         if not name:
             raise UpdateApplicationError("new name must be non-empty")
+        if (
+            rec.kind is NodeKind.ATTRIBUTE
+            and rec.parent is not None
+            and rec.name != name
+            and self.attribute_named(rec.parent, name) is not None
+        ):
+            # Attribute names are unique per element (check_invariants).
+            raise UpdateApplicationError(
+                f"element {rec.parent} already has an attribute {name!r}",
+                code="XUDY0021",
+            )
         if self._snapshots:
             self._cow(nid)
         if rec.kind is NodeKind.ELEMENT and rec.name != name:

@@ -162,6 +162,17 @@ class TestMutators:
         with pytest.raises(UpdateApplicationError):
             store.rename(ids["t"], "nope")
 
+    def test_rename_attribute_onto_sibling_name_rejected(self, store):
+        ids = build_tree(store)
+        other = store.create_attribute("y", "2")
+        store.set_attribute(ids["a"], other)
+        with pytest.raises(UpdateApplicationError) as info:
+            store.rename(other, "x")
+        assert info.value.code == "XUDY0021"
+        assert store.name(other) == "y"
+        store.rename(other, "y")  # renaming to its own name is a no-op
+        store.check_invariants()
+
     def test_set_value(self, store):
         ids = build_tree(store)
         store.set_value(ids["t"], "new")
