@@ -591,7 +591,10 @@ class StoreSnapshot:
                 "attribute nodes must be attached with set_attribute"
             )
         self._check_no_cycle(parent, child)
-        prec.children.append(child)
+        if prec.children:
+            prec.children.append(child)
+        else:
+            prec.children = [child]
         crec.parent = parent
         self._touch(child)
 
@@ -611,7 +614,10 @@ class StoreSnapshot:
             self.root(parent),
             child,
         )
-        prec.children.insert(index, child)
+        if prec.children:
+            prec.children.insert(index, child)
+        else:
+            prec.children = [child]
         crec.parent = parent
         self._touch(*roots)
 
@@ -649,7 +655,10 @@ class StoreSnapshot:
         existing = self.attribute_named(element, arec.name or "")
         if existing is not None:
             self.detach(existing)
-        erec.attributes.append(attr)
+        if erec.attributes:
+            erec.attributes.append(attr)
+        else:
+            erec.attributes = [attr]
         arec.parent = element
         self._touch(attr)
 
@@ -662,9 +671,12 @@ class StoreSnapshot:
         tree_root = self.root(nid)
         prec = self._local_rec(parent)
         if rec.kind is NodeKind.ATTRIBUTE:
-            prec.attributes.remove(nid)
+            siblings = prec.attributes
         else:
-            prec.children.remove(nid)
+            siblings = prec.children
+        # It lists nid, so it is a list, not the shared empty tuple.
+        assert isinstance(siblings, list)
+        siblings.remove(nid)
         rec.parent = None
         self._touch(tree_root)
 
@@ -704,17 +716,24 @@ class StoreSnapshot:
             source, copied = stack.pop()
             source_rec = self._rec(source)
             copied_rec = self._local[copied]
+            attributes: list[int] = []
             for aid in source_rec.attributes:
                 arec = self._rec(aid)
                 acopy = self._alloc(arec.kind, arec.name, arec.value)
                 self._local[acopy].parent = copied
-                copied_rec.attributes.append(acopy)
+                attributes.append(acopy)
+            children: list[int] = []
             for cid in source_rec.children:
                 crec = self._rec(cid)
                 ccopy = self._alloc(crec.kind, crec.name, crec.value)
                 self._local[ccopy].parent = copied
-                copied_rec.children.append(ccopy)
+                children.append(ccopy)
                 stack.append((cid, ccopy))
+            # Leaves keep the shared empty tuple they were born with.
+            if attributes:
+                copied_rec.attributes = attributes
+            if children:
+                copied_rec.children = children
         return root_copy
 
     # -- unsupported Store operations -------------------------------------

@@ -481,7 +481,22 @@ class Evaluator:
                         predicate, probed, context, delta
                     )
                 return EvalResult(probed, delta)
-        candidates = self._axis_candidates(item, expr)
+        candidates, delta = self._filter(
+            self._axis_candidates(item, expr), predicates, context, delta
+        )
+        value = list(nodes_in_document_order(candidates))
+        return EvalResult(value, delta)
+
+    def _filter(
+        self,
+        candidates: list,
+        predicates: list[core.CoreExpr],
+        context: DynamicContext,
+        delta: Delta,
+    ) -> tuple[list, Delta]:
+        """Filter one step's candidates (in axis order) by its predicates;
+        the first goes through the attribute-compare fast path when it
+        has that shape."""
         rest = predicates
         if predicates and candidates:
             kept = self._attr_compare_filter(predicates[0], candidates, context)
@@ -491,8 +506,7 @@ class Evaluator:
             candidates, delta = self._apply_predicate(
                 predicate, candidates, context, delta
             )
-        value = list(nodes_in_document_order(candidates))
-        return EvalResult(value, delta)
+        return candidates, delta
 
     @staticmethod
     def _attr_compare_operand(side: core.CoreExpr) -> str | None:
@@ -716,58 +730,6 @@ class Evaluator:
     def _probe_result(store, nids) -> list:
         return [Node(store, nid) for nid in store.sort_document_order(nids)]
 
-    def _indexed_descendant_path(
-        self, expr: core.CPath, context: DynamicContext
-    ) -> EvalResult | None:
-        """The uncollapsed ``B//name[P]`` shape.
-
-        ``B//name[P]`` compiles to
-        ``CPath(CPath(B, descendant-or-self::node()), child::name[P])``
-        and the simplifier leaves it that way when it cannot prove ``P``
-        non-positional.  The probe shapes recognized by
-        :meth:`_indexed_predicate_step` are all boolean-valued, for
-        which the composition is exactly ``B/descendant::name[P]`` — so
-        the same index fast paths apply.  ``B`` is restricted to
-        variable/context/root references: they are pure and idempotent,
-        so falling back to the generic path after evaluating them here
-        cannot duplicate side effects.
-        """
-        inner = expr.base
-        if not isinstance(inner, core.CPath):
-            return None
-        if not isinstance(inner.base, (core.CVar, core.CContext, core.CRoot)):
-            return None
-        dos = inner.step
-        if not (
-            isinstance(dos, core.CAxisStep)
-            and dos.axis == "descendant-or-self"
-            and dos.test.kind == "node"
-            and not dos.predicates
-        ):
-            return None
-        step = expr.step
-        if not (
-            isinstance(step, core.CAxisStep)
-            and step.axis == "child"
-            and step.test.kind == "name"
-            and len(step.predicates) == 1
-        ):
-            return None
-        base_value, delta = self.evaluate(inner.base, context)
-        base_nodes = node_sequence(base_value, "path step input")
-        base_nodes = list(nodes_in_document_order(base_nodes))
-        results: Sequence = []
-        size = len(base_nodes)
-        for position, node in enumerate(base_nodes, start=1):
-            focus = DynamicContext(context.variables, node, position, size)
-            fast = self._indexed_predicate_step(
-                node, "descendant", step.test, step.predicates[0], focus
-            )
-            if fast is None:
-                return None
-            results.extend(fast)
-        return EvalResult(list(nodes_in_document_order(results)), delta)
-
     def _counted(self, ids: tuple[int, ...] | None) -> tuple[int, ...] | None:
         """Record an answered index probe on the tracer; pass *ids* on."""
         if ids is not None and self.tracer is not None:
@@ -963,11 +925,89 @@ class Evaluator:
                 kept.append(item)
         return kept, delta
 
+    def _grouped_child_path(
+        self, expr: core.CPath, context: DynamicContext
+    ) -> EvalResult | None:
+        """``B//name[P1]...[Pn]`` in one pass over the named descendants.
+
+        ``B//name[P...]`` is ``CPath(CPath(B, descendant-or-self::node()),
+        child::name[P...])``, which the simplifier leaves alone when some
+        predicate may be positional: one child step per node of B's
+        subtrees.  Only the parents of B's ``name`` descendants have
+        candidates, so those come from the element-name index (or, when
+        ``P1`` has a probe shape, from one descendant probe per base node:
+        ``P1`` is boolean, so it keeps the same children per parent), are
+        grouped by parent, and each group is filtered as that parent's
+        child step filters it.  Groups run in parent document order, the
+        order of the child steps, so every predicate sees the same (item,
+        position, size), Δ comes out in the same order and the first
+        error is the same one.  A predicate that may apply a nested snap
+        could restructure the tree between two groups, so it keeps the
+        per-node path (None).
+        """
+        inner, step = expr.base, expr.step
+        if not (
+            isinstance(step, core.CAxisStep)
+            and step.axis == "child"
+            and step.test.kind == "name"
+            and step.test.name not in (None, "*")
+            and isinstance(inner, core.CPath)
+            and isinstance(inner.step, core.CAxisStep)
+            and inner.step.axis == "descendant-or-self"
+            and inner.step.test.kind == "node"
+            and not inner.step.predicates
+        ):
+            return None
+        predicates = step.predicates
+        if predicates:
+            from repro.algebra.properties import EffectAnalyzer
+
+            analyzer = EffectAnalyzer(self.functions)
+            if any(analyzer.analyze(p).may_snap for p in predicates):
+                return None
+        base_value, delta = self.evaluate(inner.base, context)
+        base_nodes = node_sequence(base_value, "path step input")
+        store = self.store
+        found = None
+        if predicates and self.use_indexes:
+            found = self._probe_descendants(base_nodes, step, context)
+        if found is None:
+            found = set()
+            for node in base_nodes:
+                found.update(store.descendants_named(node.nid, step.test.name))
+        else:
+            predicates = predicates[1:]
+        groups: dict[int, list] = {}
+        for nid in store.sort_document_order(found):
+            groups.setdefault(store.parent(nid), []).append(Node(store, nid))
+        results: list = []
+        for parent in store.sort_document_order(groups):
+            kept, delta = self._filter(
+                groups[parent], predicates, context, delta
+            )
+            results.extend(kept)
+        return EvalResult(list(nodes_in_document_order(results)), delta)
+
+    def _probe_descendants(
+        self, base_nodes: list, step: core.CAxisStep, context: DynamicContext
+    ) -> set[int] | None:
+        """The ``descendant::name[P1]`` nodes of every base node, from the
+        value indexes; None when some probe declines."""
+        found: set[int] = set()
+        for node in base_nodes:
+            probed = self._indexed_predicate_step(
+                node, "descendant", step.test, step.predicates[0], context
+            )
+            if probed is None:
+                return None
+            found.update(hit.nid for hit in probed)
+        return found
+
     def _eval_path(self, expr: core.CPath, context: DynamicContext) -> EvalResult:
-        if self.use_indexes:
-            fast = self._indexed_descendant_path(expr, context)
-            if fast is not None:
-                return fast
+        if self.use_name_index:
+            grouped = self._grouped_child_path(expr, context)
+            if grouped is not None:
+                return grouped
         base_value, delta = self.evaluate(expr.base, context)
         base_nodes = node_sequence(base_value, "path step input")
         base_nodes = list(nodes_in_document_order(base_nodes))
@@ -1036,53 +1076,86 @@ class Evaluator:
     def _eval_elem(self, expr: core.CElem, context: DynamicContext) -> EvalResult:
         """Element construction: content nodes are deep-copied into the new
         element (the XQuery 1.0 copy semantics the paper leans on in its
-        normalization rule); adjacent atomics become one text node."""
+        normalization rule); content is processed per enclosed expression
+        (see _populate_element)."""
         name, delta = self._resolve_ctor_name(expr.name, context, "element")
-        items: Sequence = []
+        parts: list[tuple[Sequence, bool]] = []
         for content_expr in expr.content:
             content_value, content_delta = self.evaluate(content_expr, context)
-            items.extend(content_value)
+            parts.append((content_value, type(content_expr) in _FRESH_NODE))
             delta = delta + content_delta
         element = self.store.create_element(name)
-        self._populate_element(element, items)
+        self._populate_element(element, parts)
         return EvalResult([Node(self.store, element)], delta)
 
-    def _populate_element(self, element: int, items: Sequence) -> None:
+    def _populate_element(
+        self, element: int, parts: list[tuple[Sequence, bool]]
+    ) -> None:
+        """Attach content to a new element or document (XQuery 1.0
+        §3.7.1.3).  *parts* holds one (value, fresh) pair per enclosed
+        expression: adjacent atomics of one value become one
+        space-separated text, adjacent texts merge with no separator,
+        empty texts are dropped and a document contributes its children.
+        Nodes are copied unless *fresh* says a constructor made them for
+        this content alone (then the copy is the node itself, §3.3)."""
         store = self.store
-        pending_atomics: list[AtomicValue] = []
+        # The pending run of adjacent text: (text, node id) pieces, the id
+        # set only for a fresh text node, which a run of one reuses.
+        run: list[tuple[str, int | None]] = []
         seen_content = False
 
-        def flush_atomics() -> None:
-            nonlocal pending_atomics
-            if pending_atomics:
-                text = " ".join(av.lexical() for av in pending_atomics)
-                store.append_child(element, store.create_text(text))
-                pending_atomics = []
+        def flush() -> None:
+            text = "".join(piece for piece, _ in run)
+            if text:
+                nid = run[0][1] if len(run) == 1 else None
+                if nid is None:
+                    nid = store.create_text(text)
+                store.append_child(element, nid)
+            run.clear()
 
-        for item in items:
-            if isinstance(item, AtomicValue):
-                seen_content = True
-                pending_atomics.append(item)
-                continue
-            node: Node = item
-            kind = node.kind
-            if kind is NodeKind.ATTRIBUTE:
-                if seen_content:
-                    raise TypeError_(
-                        "attribute constructors must precede other element "
-                        "content (XQTY0024)"
+        for value, fresh in parts:
+            atomics: list[str] = []
+            for item in value:
+                if isinstance(item, AtomicValue):
+                    seen_content = True
+                    atomics.append(item.lexical())
+                    continue
+                if atomics:
+                    run.append((" ".join(atomics), None))
+                    atomics = []
+                kind, nid = item.kind, item.nid
+                if kind is NodeKind.ATTRIBUTE:
+                    if seen_content:
+                        raise TypeError_(
+                            "attribute constructors must precede other "
+                            "element content (XQTY0024)"
+                        )
+                    store.set_attribute(
+                        element, nid if fresh else store.deep_copy(nid)
                     )
-                copy = store.deep_copy(node.nid)
-                store.set_attribute(element, copy)
-                continue
-            flush_atomics()
-            seen_content = True
-            if kind is NodeKind.DOCUMENT:
-                for child in node.children:
-                    store.append_child(element, store.deep_copy(child.nid))
-            else:
-                store.append_child(element, store.deep_copy(node.nid))
-        flush_atomics()
+                    continue
+                seen_content = True
+                if kind is NodeKind.DOCUMENT:
+                    for child in store.children(nid):
+                        if store.kind(child) is NodeKind.TEXT:
+                            run.append((store.value(child) or "", None))
+                        else:
+                            flush()
+                            store.append_child(
+                                element, store.deep_copy(child)
+                            )
+                elif kind is NodeKind.TEXT:
+                    run.append(
+                        (store.value(nid) or "", nid if fresh else None)
+                    )
+                else:
+                    flush()
+                    store.append_child(
+                        element, nid if fresh else store.deep_copy(nid)
+                    )
+            if atomics:
+                run.append((" ".join(atomics), None))
+        flush()
 
     def _eval_attr(self, expr: core.CAttr, context: DynamicContext) -> EvalResult:
         name, delta = self._resolve_ctor_name(expr.name, context, "attribute")
@@ -1119,10 +1192,10 @@ class Evaluator:
         delta = _EMPTY
         if expr.content is not None:
             value, delta = self.evaluate(expr.content, context)
-            # Content is processed like element content (adjacent atomics
-            # merge into one space-separated text node); attributes are
-            # rejected by the store (documents cannot carry them).
-            self._populate_element(doc, value)
+            # Content is processed like element content (one enclosed
+            # expression); attributes are rejected by the store
+            # (documents cannot carry them).
+            self._populate_element(doc, [(value, False)])
         return EvalResult([Node(self.store, doc)], delta)
 
     def _eval_pi(self, expr: core.CPI, context: DynamicContext) -> EvalResult:
@@ -1141,8 +1214,12 @@ class Evaluator:
 
     def _eval_copy(self, expr: core.CCopy, context: DynamicContext) -> EvalResult:
         """copy{Expr}: deep copy via the data-model operation; atomic items
-        pass through unchanged."""
+        pass through unchanged.  A node a constructor just made is reachable
+        from nothing else, so its copy is the node itself: the §3.3
+        normalization copy of ``insert { <a/> }`` allocates nothing."""
         value, delta = self.evaluate(expr.source, context)
+        if type(expr.source) in _FRESH_NODE:
+            return EvalResult(value, delta)
         copied: Sequence = []
         for item in value:
             if isinstance(item, Node):
@@ -1475,6 +1552,12 @@ def _require_integer(av: AtomicValue, what: str) -> int:
         return int(av.value)
     raise TypeError_(f"{what} must be an integer, got {av.lexical()}")
 
+
+# Constructors whose value is a node made for the enclosing expression
+# alone (never a document: element content takes a document's children).
+_FRESH_NODE = frozenset(
+    (core.CElem, core.CAttr, core.CText, core.CComment, core.CPI)
+)
 
 # Evaluation rule per core node type, shared by every evaluator and fork.
 _DISPATCH = {

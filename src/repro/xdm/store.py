@@ -66,9 +66,12 @@ class _NodeRecord:
         self.name = name
         self.parent: int | None = None
         # children: child node ids in document order (documents/elements).
-        self.children: list[int] = []
         # attributes: attribute node ids, in stable insertion order.
-        self.attributes: list[int] = []
+        # Both start as the shared empty tuple (most records are leaves,
+        # which never get either); the mutators that add an id put a
+        # list in place on the first one.
+        self.children: list[int] | tuple[()] = ()
+        self.attributes: list[int] | tuple[()] = ()
         self.value = value
 
 
@@ -517,7 +520,10 @@ class Store:
         self._check_no_cycle(parent, child)
         if self._snapshots:
             self._cow(parent, child)
-        prec.children.append(child)
+        if prec.children:
+            prec.children.append(child)
+        else:
+            prec.children = [child]
         crec.parent = parent
         # Appending as last child shifts no existing sibling position, so
         # only the attached subtree's keys (cached under root == child,
@@ -546,7 +552,10 @@ class Store:
             roots = (self.root(parent), child)
         if self._snapshots:
             self._cow(parent, child)
-        prec.children.insert(index, child)
+        if prec.children:
+            prec.children.insert(index, child)
+        else:
+            prec.children = [child]
         crec.parent = parent
         self._touch(*roots)
 
@@ -597,7 +606,10 @@ class Store:
             self.detach(existing)
         if self._snapshots:
             self._cow(element, attr)
-        erec.attributes.append(attr)
+        if erec.attributes:
+            erec.attributes.append(attr)
+        else:
+            erec.attributes = [attr]
         arec.parent = element
         # Appending to the attribute list shifts nothing; only the
         # (parentless) attribute's own cached key goes stale.
@@ -623,9 +635,12 @@ class Store:
             self._cow(nid, parent)
         prec = self._rec(parent)
         if rec.kind is NodeKind.ATTRIBUTE:
-            prec.attributes.remove(nid)
+            siblings = prec.attributes
         else:
-            prec.children.remove(nid)
+            siblings = prec.children
+        # It lists nid, so it is a list, not the shared empty tuple.
+        assert isinstance(siblings, list)
+        siblings.remove(nid)
         rec.parent = None
         self._touch(tree_root)
 
@@ -709,17 +724,24 @@ class Store:
             source, copied = stack.pop()
             source_rec = self._rec(source)
             copied_rec = self._rec(copied)
+            attributes: list[int] = []
             for aid in source_rec.attributes:
                 arec = self._rec(aid)
                 acopy = self._alloc(arec.kind, arec.name, arec.value)
                 self._rec(acopy).parent = copied
-                copied_rec.attributes.append(acopy)
+                attributes.append(acopy)
+            children: list[int] = []
             for cid in source_rec.children:
                 crec = self._rec(cid)
                 ccopy = self._alloc(crec.kind, crec.name, crec.value)
                 self._rec(ccopy).parent = copied
-                copied_rec.children.append(ccopy)
+                children.append(ccopy)
                 stack.append((cid, ccopy))
+            # Leaves keep the shared empty tuple they were born with.
+            if attributes:
+                copied_rec.attributes = attributes
+            if children:
+                copied_rec.children = children
         return root_copy
 
     # ------------------------------------------------------------------
@@ -764,8 +786,10 @@ class Store:
     def _put(self, nid, kind, name, parent, children, attributes, value):
         rec = _NodeRecord(NodeKind(kind), name, value)
         rec.parent = parent
-        rec.children = list(children)
-        rec.attributes = list(attributes)
+        if children:
+            rec.children = list(children)
+        if attributes:
+            rec.attributes = list(attributes)
         self._records[nid] = rec
         if rec.kind is NodeKind.ELEMENT and name:
             self._name_index.setdefault(name, set()).add(nid)

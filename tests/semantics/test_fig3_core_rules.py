@@ -147,6 +147,31 @@ class TestElementConstructionRule:
         assert out.serialize() == "<a>1 2 x</a>"
         assert e.execute("count(<a>{1,2}</a>/text())").first_value() == 1
 
+    # XQuery 1.0 §3.7.1.3: only atomics of *one* enclosed expression are
+    # space-joined; adjacent text nodes then merge with no separator and
+    # empty ones are dropped.
+    def test_atomics_of_different_enclosed_expressions_not_joined(self, e):
+        assert e.execute('<a>{"p"}{"q"}</a>').serialize() == "<a>pq</a>"
+        assert e.execute('<a>{1, 2}{3}</a>').serialize() == "<a>1 23</a>"
+
+    def test_adjacent_text_nodes_merge(self, e):
+        assert e.execute('count(<a>x{"y"}</a>/text())').first_value() == 1
+        assert e.execute('<a>x{"y"}</a>').serialize() == "<a>xy</a>"
+        assert (
+            e.execute('count(<a>{text{"x"}, text{"y"}}</a>/text())')
+            .first_value()
+            == 1
+        )
+        e.bind("t", e.parse_fragment("<t>held</t>"))
+        held = e.execute("string(<a>{$t/text()}!</a>)").first_value()
+        assert held == "held!"
+        assert e.execute("$t").serialize() == "<t>held</t>"
+
+    def test_empty_text_nodes_dropped(self, e):
+        assert e.execute('count(<a>{text{""}}</a>/text())').first_value() == 0
+        assert e.execute('count(<a>{""}</a>/node())').first_value() == 0
+        assert e.execute('<a>{text{""}}<b/></a>').serialize() == "<a><b/></a>"
+
 
 class TestLetRule:
     def test_binds_whole_sequence(self, e):
