@@ -1,11 +1,9 @@
-"""Shared helpers for the benchmark harness.
+"""Shared fixtures for the paper-shape experiments.
 
-Each ``bench_*.py`` regenerates one experiment from DESIGN.md's
-per-experiment index (the paper has no numeric tables; its measurable
-claims are complexity/architecture statements, and every one of them is
-exercised here).  Run with::
-
-    pytest benchmarks/ --benchmark-only
+The paper has no numeric tables; its measurable claims are complexity
+statements.  The tests in this package restate each one as counts that
+repeat exactly from run to run (tracer counters, table sizes, evaluation
+steps), so they need no clock and no tolerance for host noise.
 """
 
 from __future__ import annotations
@@ -16,11 +14,9 @@ from repro import Engine
 from repro.xmark import XMarkConfig, generate_auction_xml
 
 
-def auction_engine(
+def _auction_engine(
     persons: int, closed: int, items: int | None = None, seed: int = 20060329
 ) -> Engine:
-    """A fresh engine loaded with a generated auction document plus the
-    $purchasers / $log / $archive targets the paper's queries use."""
     config = XMarkConfig(
         persons=persons,
         items=items if items is not None else max(2, persons // 2),
@@ -38,10 +34,8 @@ def auction_engine(
 
 
 @pytest.fixture
-def small_engine() -> Engine:
-    return auction_engine(persons=30, closed=40)
-
-
-@pytest.fixture
-def medium_engine() -> Engine:
-    return auction_engine(persons=60, closed=80)
+def auction_engine():
+    """Factory: ``auction_engine(persons, closed)`` returns a fresh engine
+    loaded with a generated auction document plus the $purchasers / $log
+    / $archive targets the paper's queries use."""
+    return _auction_engine
