@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.algebra import plan as P
 from repro.errors import DynamicError
+from repro.lang.core_ast import CPure
 from repro.obs.tracer import maybe_span
 from repro.semantics.context import DynamicContext
 from repro.semantics.update import ApplySemantics, UpdateList, apply_update_list
@@ -45,6 +46,7 @@ from repro.xdm.values import AtomicValue, Sequence, atomize, effective_boolean_v
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
+    from repro.semantics.compiled import CompiledModule
     from repro.semantics.evaluator import Evaluator
 
 Tuple_ = dict  # dict[str, Sequence]
@@ -52,11 +54,18 @@ Tuple_ = dict  # dict[str, Sequence]
 
 class _ExecState:
     """Shared execution state: the evaluator (and through it the store),
-    the pending update list, and (when stats are being collected) the
-    tracer fed by the materialization barriers."""
+    the lowered embedded expressions, the pending update list, and (when
+    stats are being collected) the tracer fed by the materialization
+    barriers."""
 
-    def __init__(self, evaluator: "Evaluator", tracer: "Tracer | None" = None):
+    def __init__(
+        self,
+        evaluator: "Evaluator",
+        tracer: "Tracer | None",
+        compiled: "CompiledModule",
+    ):
         self.evaluator = evaluator
+        self.compiled = compiled
         self.delta: UpdateList = []
         self.tracer = tracer
         # Execution control (deadline/cancellation), shared with the
@@ -64,27 +73,41 @@ class _ExecState:
         self.control = evaluator.control
 
     def eval_scalar(self, expr, tup: Tuple_) -> Sequence:
-        """Evaluate an embedded core expression against a tuple's bindings;
-        its pending updates are appended to the plan's Δ."""
-        variables = dict(self.evaluator.globals)
-        variables.update(tup)
-        value, delta = self.evaluator.evaluate(expr, DynamicContext(variables))
+        """Evaluate an embedded core expression against a tuple's bindings
+        (then the globals); its pending updates are appended to the
+        plan's Δ.  A pure expression runs as its compiled closure."""
+        lowered = self.compiled.lowered(expr)
+        evaluator = self.evaluator
+        if type(lowered) is CPure:
+            return lowered.call(evaluator, tup)
+        value, delta = evaluator.evaluate(
+            lowered, DynamicContext(tup, globals_=evaluator.globals)
+        )
         self.delta.extend(delta)
         return value
 
 
 def execute_plan(
-    plan: P.Plan, evaluator: "Evaluator", tracer: "Tracer | None" = None
+    plan: P.Plan,
+    evaluator: "Evaluator",
+    tracer: "Tracer | None" = None,
+    compiled: "CompiledModule | None" = None,
 ) -> Sequence:
     """Execute a compiled plan on *evaluator*'s store and return its
     value sequence.
 
+    *compiled* holds the lowered forms of the plan's expressions (a
+    prepared query passes its own); without one they are lowered here.
     With a *tracer*, each materialization barrier (snap, order-by sort,
     hash-join build) records a counter when it is hit, snap application
     records Δ-length observations, and evaluation/application phases get
     wall-clock spans.
     """
-    state = _ExecState(evaluator, tracer)
+    if compiled is None:
+        from repro.semantics.compiled import CompiledModule
+
+        compiled = CompiledModule(evaluator.functions)
+    state = _ExecState(evaluator, tracer, compiled)
     return _items(plan, state)
 
 
@@ -273,7 +296,7 @@ def _order_by_sort(plan: P.OrderBySort, state: _ExecState) -> Iterator[Tuple_]:
     """Materialize, key and stable-sort the tuple stream (a required
     barrier); key-expression deltas accumulate in generation order,
     matching the interpreter."""
-    from repro.semantics.evaluator import _OrderKey
+    from repro.semantics.evaluator import sort_keyed
     from repro.xdm.values import atomize_optional
 
     if state.tracer is not None:
@@ -285,13 +308,7 @@ def _order_by_sort(plan: P.OrderBySort, state: _ExecState) -> Iterator[Tuple_]:
             key_value = state.eval_scalar(spec.expr, tup)
             keys.append(atomize_optional(key_value, "order by key"))
         keyed.append((keys, tup))
-    for index in range(len(plan.specs) - 1, -1, -1):
-        spec = plan.specs[index]
-        keyed.sort(
-            key=lambda pair: _OrderKey(pair[0][index], spec),
-            reverse=spec.descending,
-        )
-    for _, tup in keyed:
+    for _, tup in sort_keyed(keyed, plan.specs):
         yield tup
 
 

@@ -53,6 +53,10 @@ _PURE = EffectProps(False, False)
 _UPDATING = EffectProps(True, False)
 _SNAPPING = EffectProps(False, True)
 _BOTH = EffectProps(True, True)
+_FLAGS = {
+    (False, False): _PURE, (True, False): _UPDATING,
+    (False, True): _SNAPPING, (True, True): _BOTH,
+}
 
 
 class EffectAnalyzer:
@@ -69,23 +73,31 @@ class EffectAnalyzer:
 
     def analyze(self, expr: core.CoreExpr) -> EffectProps:
         """Compute the effect flags of *expr*."""
-        props = _PURE
+        return self.combine(
+            expr, [self.analyze(child) for child in core.child_exprs(expr)]
+        )
+
+    def combine(
+        self, expr: core.CoreExpr, children: list[EffectProps]
+    ) -> EffectProps:
+        """The flags of *expr* given those of its ``child_exprs``."""
+        if isinstance(expr, core.CSnap):
+            # The snap applies its body's updates: the body's may_update is
+            # discharged here, surfacing as a store mutation (may_snap).
+            return _SNAPPING
         if isinstance(
             expr,
             (core.CInsert, core.CDelete, core.CReplace,
              core.CReplaceValue, core.CRename),
         ):
-            props = _UPDATING
-        elif isinstance(expr, core.CSnap):
-            # The snap applies its body's updates: the body's may_update is
-            # discharged here, surfacing as a store mutation (may_snap).
-            body = self.analyze(expr.body)
-            return EffectProps(False, True) | EffectProps(False, body.may_snap)
+            own = _UPDATING
         elif isinstance(expr, core.CCall):
-            props = self._call_props(expr)
-        for child in core.child_exprs(expr):
-            props = props | self.analyze(child)
-        return props
+            own = self._call_props(expr)
+        else:
+            own = _PURE
+        update = own.may_update or any(c.may_update for c in children)
+        snap = own.may_snap or any(c.may_snap for c in children)
+        return _FLAGS[update, snap]
 
     def _call_props(self, expr: core.CCall) -> EffectProps:
         if self._registry is None:

@@ -281,6 +281,14 @@ class StoreSnapshot:
     def child_count(self, nid: int) -> int:
         return len(self._rec(nid).children)
 
+    def children_named(self, nid: int, name: str) -> list[int]:
+        rec = self._rec
+        return [
+            child for child in rec(nid).children
+            if (record := rec(child)).kind is NodeKind.ELEMENT
+            and record.name == name
+        ]
+
     def attributes(self, nid: int) -> tuple[int, ...]:
         return tuple(self._rec(nid).attributes)
 

@@ -382,6 +382,63 @@ class CModule:
     declared_uri: Optional[str] = None
 
 
+# -- lowered core (repro.semantics.compiled) --------------------------------
+
+class CPure(CoreExpr):
+    """A pure subtree compiled to a closure.
+
+    Its Δ is empty by the purity judgment (Section 4.3), so ``run(ev,
+    frame)`` returns the value alone.  The frame is a list of ``size``
+    slots: the focus (item, position, size), then ``params`` argument
+    slots, then the local binders' and the free variables' slots; each
+    ``(name, slot)`` of ``free`` is read from the caller's bindings, then
+    the fork's globals (None when unbound).  ``expr`` is the source
+    subtree, for shape tests and diagnostics.
+    """
+
+    def __init__(self, expr, run, free: tuple[tuple[str, int], ...],
+                 params: int, size: int):
+        self.line = expr.line
+        self.expr = expr
+        self.run = run
+        self.free = free
+        self.blank = [None] * (size - 3 - params)
+
+    def call(self, ev, variables: dict | None = None) -> list:
+        """Run with no focus; free names from *variables*, then globals."""
+        globals_ = ev.globals
+        frame = [None, 0, 0, *self.blank]
+        for name, slot in self.free:
+            value = variables.get(name) if variables else None
+            frame[slot] = globals_.get(name) if value is None else value
+        return self.run(ev, frame)
+
+    def call_in(self, ev, context) -> list:
+        """Run under a tree-walker context: its focus and bindings."""
+        frame = [
+            context.context_item, context.position, context.size,
+            *self.blank,
+        ]
+        for name, slot in self.free:
+            frame[slot] = context.lookup(name)
+        return self.run(ev, frame)
+
+    def invoke(self, ev, args: list) -> list:
+        """Run a function body: *args* fill the parameter slots."""
+        globals_ = ev.globals
+        frame = [None, 0, 0, *args, *self.blank]
+        for name, slot in self.free:
+            frame[slot] = globals_.get(name)
+        return self.run(ev, frame)
+
+
+class CGroupedPath(CPath):
+    """``B//name[P...]`` whose predicates never snap: ``base`` is the
+    ``B/descendant-or-self::node()`` path and ``step`` the child step,
+    both lowered, so the evaluator can take the grouped one-pass route
+    (the shape is decided once, when the expression is lowered)."""
+
+
 def child_exprs(expr: CoreExpr) -> list[CoreExpr]:
     """All direct core sub-expressions of *expr* (generic traversal used by
     the purity analysis and plan compilers)."""

@@ -51,6 +51,7 @@ from repro.concurrent.control import ExecutionControl
 from repro.errors import DynamicError
 from repro.lang import core_ast as core
 from repro.obs.tracer import Tracer, maybe_span
+from repro.semantics.compiled import CompiledModule
 from repro.semantics.context import DynamicContext
 from repro.xdm.nodes import Node
 
@@ -82,6 +83,7 @@ class PreparedQuery:
         "_generation",
         "_semantics",
         "_readonly",
+        "_compiled",
     )
 
     def __init__(
@@ -108,6 +110,8 @@ class PreparedQuery:
         self._semantics = semantics
         # Lazily computed purity verdict (see is_readonly).
         self._readonly: bool | None = None
+        # The lowered module (see compiled), built on first execution.
+        self._compiled: CompiledModule | None = None
 
     @property
     def external_variables(self) -> tuple[str, ...]:
@@ -146,6 +150,17 @@ class PreparedQuery:
             verdict = analyzer.analyze(self._module.body).pure
         self._readonly = verdict
         return verdict
+
+    def compiled(self) -> CompiledModule:
+        """The module's expressions with their pure subtrees compiled to
+        closures (:mod:`repro.semantics.compiled`), built on first use.
+        A change to the user functions rebuilds it: purity verdicts and
+        name resolution depend on them."""
+        registry = self._engine.functions
+        current = self._compiled
+        if current is None or current.key is not registry.compiled:
+            current = self._compiled = CompiledModule(registry)
+        return current
 
     def execute(
         self,
@@ -251,6 +266,8 @@ def run_module(
       given);
     * the body runs as the compiled plan when one exists, else under the
       implicit snap;
+    * every expression runs lowered (:meth:`PreparedQuery.compiled`):
+      its pure subtrees as compiled closures;
     * ``collect_stats`` attaches :class:`~repro.obs.report.QueryStats`
       (*tracer*, when given, already holds the frontend phases) and
       ``explain`` an :class:`~repro.obs.report.ExplainReport`;
@@ -288,6 +305,7 @@ def run_module(
     if tracer is not None:
         created, detached = store.nodes_created, store.nodes_detached
     semantics = prepared._semantics or engine.default_semantics
+    compiled = prepared.compiled()
     with maybe_span(tracer, "prolog"):
         for decl in module.declarations:
             if not isinstance(decl, core.CVarDecl):
@@ -299,8 +317,11 @@ def run_module(
                         "it via bindings={...} or Engine.bind()"
                     )
                 continue
-            context = DynamicContext(dict(globals_))
-            value = evaluator.run_snapped(decl.expr, context, semantics)
+            value = evaluator.run_snapped(
+                compiled.lowered(decl.expr),
+                DynamicContext(globals_=globals_),
+                semantics,
+            )
             globals_[decl.name] = value
             if publish is not None:
                 publish[decl.name] = value
@@ -309,10 +330,14 @@ def run_module(
     elif prepared._plan is not None:
         from repro.algebra.execute import execute_plan
 
-        items = execute_plan(prepared._plan, evaluator, tracer=tracer)
+        items = execute_plan(
+            prepared._plan, evaluator, tracer=tracer, compiled=compiled
+        )
     else:
         items = evaluator.run_snapped(
-            module.body, DynamicContext(dict(globals_)), semantics
+            compiled.lowered(module.body),
+            DynamicContext(globals_=globals_),
+            semantics,
         )
     result = QueryResult(items, engine)
     if tracer is not None:

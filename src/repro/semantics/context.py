@@ -24,9 +24,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class DynamicContext:
-    """Immutable-by-convention evaluation context."""
+    """Immutable-by-convention evaluation context.
 
-    __slots__ = ("variables", "context_item", "position", "size")
+    ``variables`` holds the bindings made inside the expression being
+    evaluated; ``globals`` is the executing fork's module-level table,
+    read through (never copied) when a name is not bound locally.
+    """
+
+    __slots__ = ("variables", "context_item", "position", "size", "globals")
 
     def __init__(
         self,
@@ -34,18 +39,21 @@ class DynamicContext:
         context_item: Optional[Item] = None,
         position: int = 0,
         size: int = 0,
+        globals_: dict[str, Sequence] | None = None,
     ):
         self.variables = variables if variables is not None else {}
         self.context_item = context_item
         self.position = position
         self.size = size
+        self.globals = globals_
 
     def bind(self, name: str, value: Sequence) -> "DynamicContext":
         """Return a context extended with ``$name := value``."""
         variables = dict(self.variables)
         variables[name] = value
         return DynamicContext(
-            variables, self.context_item, self.position, self.size
+            variables, self.context_item, self.position, self.size,
+            self.globals,
         )
 
     def bind_many(self, bindings: dict[str, Sequence]) -> "DynamicContext":
@@ -53,25 +61,38 @@ class DynamicContext:
         variables = dict(self.variables)
         variables.update(bindings)
         return DynamicContext(
-            variables, self.context_item, self.position, self.size
+            variables, self.context_item, self.position, self.size,
+            self.globals,
         )
 
     def with_focus(self, item: Item, position: int, size: int) -> "DynamicContext":
         """Return a context whose focus (., position(), last()) is set."""
-        return DynamicContext(self.variables, item, position, size)
+        return DynamicContext(
+            self.variables, item, position, size, self.globals
+        )
+
+    def lookup(self, name: str) -> Sequence | None:
+        """The value bound to ``$name``, or None when it is unbound."""
+        value = self.variables.get(name)
+        if value is None and self.globals is not None:
+            value = self.globals.get(name)
+        return value
 
     def variable(self, name: str) -> Sequence:
-        try:
-            return self.variables[name]
-        except KeyError:
-            raise UndefinedVariableError(f"undefined variable ${name}") from None
+        value = self.lookup(name)
+        if value is None:
+            raise UndefinedVariableError(f"undefined variable ${name}")
+        return value
 
     def require_context_item(self) -> Item:
         if self.context_item is None:
-            raise DynamicError(
-                "the context item is undefined here", code="XPDY0002"
-            )
+            raise no_context_item()
         return self.context_item
+
+
+def no_context_item() -> DynamicError:
+    """The error of reading an undefined focus (XPDY0002)."""
+    return DynamicError("the context item is undefined here", code="XPDY0002")
 
 
 # A built-in function takes (evaluator, context, argument values) and
@@ -99,6 +120,11 @@ class FunctionRegistry:
         # Re-registering the identical declaration — which every prepared
         # execution does for its own prolog — is generation-neutral.
         self.generation = 0
+        # Compiled user-function bodies (repro.semantics.compiled), keyed
+        # by declaration.  A new dict replaces it whenever the table
+        # changes (a generation bump or a restore), so a compiled form
+        # holding the old dict knows it is stale by identity alone.
+        self.compiled: dict = {}
         # Guards registration, snapshot and restore: the check-then-bump
         # in register_user is a read-modify-write, and restore swaps the
         # table and counter as a pair.  Plain dict lookups stay lock-free.
@@ -113,11 +139,7 @@ class FunctionRegistry:
         self._variadic_builtins[name] = fn
 
     def register_user(self, function: CFunction) -> None:
-        key = (function.name, len(function.params))
-        with self._mutex:
-            if self._user.get(key) is not function:
-                self.generation += 1
-            self._user[key] = function
+        self.register_user_as(function.name, function)
 
     def register_user_as(self, name: str, function: CFunction) -> None:
         """Register *function* under an alternate name (used by module
@@ -127,6 +149,7 @@ class FunctionRegistry:
         with self._mutex:
             if self._user.get(key) is not function:
                 self.generation += 1
+                self.compiled = {}
             self._user[key] = function
 
     def user_functions(self) -> list[CFunction]:
@@ -156,6 +179,7 @@ class FunctionRegistry:
         with self._mutex:
             self._user = dict(users)
             self.generation = generation
+            self.compiled = {}
 
     # -- lookup ------------------------------------------------------------
 

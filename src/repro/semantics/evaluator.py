@@ -28,7 +28,11 @@ from repro.errors import (
 from repro.lang import core_ast as core
 from repro.obs.tracer import maybe_span
 from repro.semantics.arithmetic import arithmetic
-from repro.semantics.context import DynamicContext, FunctionRegistry
+from repro.semantics.context import (
+    DynamicContext,
+    FunctionRegistry,
+    no_context_item,
+)
 from repro.semantics.deltarope import EMPTY as _EMPTY_DELTA
 from repro.semantics.deltarope import Delta
 from repro.semantics.update import (
@@ -41,6 +45,7 @@ from repro.semantics.update import (
     apply_update_list,
     next_group,
 )
+from repro.semantics.types import cast_atomic, matches_sequence_type
 from repro.xdm.compare import (
     compare_atomic,
     general_compare,
@@ -213,10 +218,15 @@ class Evaluator:
         return EvalResult([], _EMPTY)
 
     def _eval_root(self, expr: core.CRoot, context: DynamicContext) -> EvalResult:
-        item = context.require_context_item()
-        if not isinstance(item, Node):
-            raise TypeError_("'/' requires the context item to be a node")
-        return EvalResult([item.root], _EMPTY)
+        return EvalResult(root_value(context.require_context_item()), _EMPTY)
+
+    def _eval_pure(
+        self, expr: core.CPure, context: DynamicContext
+    ) -> EvalResult:
+        """A compiled pure subtree: its Δ is empty by the purity
+        judgment, so only the value comes back (copied: the closure may
+        hand out a bound variable's own list)."""
+        return EvalResult(list(expr.call_in(self, context)), _EMPTY)
 
     # ------------------------------------------------------------------
     # Composition
@@ -236,15 +246,7 @@ class Evaluator:
     def _eval_range(self, expr: core.CRange, context: DynamicContext) -> EvalResult:
         lo_value, delta1 = self.evaluate(expr.lo, context)
         hi_value, delta2 = self.evaluate(expr.hi, context)
-        delta = delta1 + delta2
-        lo = atomize_optional(lo_value, "range start")
-        hi = atomize_optional(hi_value, "range end")
-        if lo is None or hi is None:
-            return EvalResult([], delta)
-        lo_n = _require_integer(lo, "range start")
-        hi_n = _require_integer(hi, "range end")
-        value = [AtomicValue.integer(i) for i in range(lo_n, hi_n + 1)]
-        return EvalResult(value, delta)
+        return EvalResult(range_value(lo_value, hi_value), delta1 + delta2)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -253,26 +255,12 @@ class Evaluator:
     def _eval_arith(self, expr: core.CArith, context: DynamicContext) -> EvalResult:
         left_value, delta1 = self.evaluate(expr.left, context)
         right_value, delta2 = self.evaluate(expr.right, context)
-        delta = delta1 + delta2
-        left = atomize_optional(left_value, "left operand")
-        right = atomize_optional(right_value, "right operand")
-        if left is None or right is None:
-            return EvalResult([], delta)
-        return EvalResult([arithmetic(expr.op, left, right)], delta)
+        value = arith_value(expr.op, left_value, right_value)
+        return EvalResult(value, delta1 + delta2)
 
     def _eval_unary(self, expr: core.CUnary, context: DynamicContext) -> EvalResult:
         value, delta = self.evaluate(expr.operand, context)
-        av = atomize_optional(value, "unary operand")
-        if av is None:
-            return EvalResult([], delta)
-        av = cast_to_number(av)
-        if expr.op == "-":
-            # Negation preserves the numeric type (int/Decimal/float all
-            # support unary minus directly).
-            result = AtomicValue(av.type, -av.value)
-        else:
-            result = av
-        return EvalResult([result], delta)
+        return EvalResult(unary_value(expr.op, value), delta)
 
     # ------------------------------------------------------------------
     # Comparisons and logic
@@ -281,23 +269,8 @@ class Evaluator:
     def _eval_comparison(self, expr: core.CComparison, context: DynamicContext) -> EvalResult:
         left_value, delta1 = self.evaluate(expr.left, context)
         right_value, delta2 = self.evaluate(expr.right, context)
-        delta = delta1 + delta2
-        if expr.style == "general":
-            result = general_compare(expr.op, left_value, right_value)
-            return EvalResult([AtomicValue.boolean(result)], delta)
-        if expr.style == "value":
-            return EvalResult(value_compare(expr.op, left_value, right_value), delta)
-        # Node comparison: is, <<, >>.
-        if not left_value or not right_value:
-            return EvalResult([], delta)
-        left_node = single_node(left_value, "node comparison operand")
-        right_node = single_node(right_value, "node comparison operand")
-        if expr.op == "is":
-            result = left_node == right_node
-        else:
-            order = self.store.compare_order(left_node.nid, right_node.nid)
-            result = order < 0 if expr.op == "precedes" else order > 0
-        return EvalResult([AtomicValue.boolean(result)], delta)
+        value = compare_value(self.store, expr, left_value, right_value)
+        return EvalResult(value, delta1 + delta2)
 
     def _eval_bool(self, expr: core.CBool, context: DynamicContext) -> EvalResult:
         left_value, delta = self.evaluate(expr.left, context)
@@ -313,18 +286,8 @@ class Evaluator:
     def _eval_set(self, expr: core.CSet, context: DynamicContext) -> EvalResult:
         left_value, delta1 = self.evaluate(expr.left, context)
         right_value, delta2 = self.evaluate(expr.right, context)
-        delta = delta1 + delta2
-        left_nodes = node_sequence(left_value, f"{expr.op} operand")
-        right_nodes = node_sequence(right_value, f"{expr.op} operand")
-        if expr.op == "union":
-            combined = left_nodes + right_nodes
-        elif expr.op == "intersect":
-            right_ids = {n.nid for n in right_nodes}
-            combined = [n for n in left_nodes if n.nid in right_ids]
-        else:  # except
-            right_ids = {n.nid for n in right_nodes}
-            combined = [n for n in left_nodes if n.nid not in right_ids]
-        return EvalResult(list(nodes_in_document_order(combined)), delta)
+        value = set_value(expr.op, left_value, right_value)
+        return EvalResult(value, delta1 + delta2)
 
     # ------------------------------------------------------------------
     # Control (Fig. 3)
@@ -412,15 +375,8 @@ class Evaluator:
                 delta = delta + key_delta
                 keys.append(atomize_optional(key_value, "order by key"))
             keyed.append((keys, tup))
-        # Stable multi-key sort: sort by the last key first.
-        for index in range(len(expr.specs) - 1, -1, -1):
-            spec = expr.specs[index]
-            keyed.sort(
-                key=lambda pair: _OrderKey(pair[0][index], spec),
-                reverse=spec.descending,
-            )
         value: Sequence = []
-        for _, tup in keyed:
+        for _, tup in sort_keyed(keyed, expr.specs):
             if control is not None:
                 control.check()
             ret_value, ret_delta = self.evaluate(expr.ret, tup)
@@ -459,107 +415,94 @@ class Evaluator:
     # ------------------------------------------------------------------
 
     def _eval_axis_step(self, expr: core.CAxisStep, context: DynamicContext) -> EvalResult:
-        item = context.require_context_item()
-        if not isinstance(item, Node):
-            raise TypeError_(
-                f"axis step {expr.axis}::... requires a node context item"
-            )
+        item = step_context(context.context_item, expr.axis)
         predicates = expr.predicates
         delta = _EMPTY
         if predicates and self.use_indexes:
-            probed = self._indexed_predicate_step(
-                item, expr.axis, expr.test, predicates[0], context
-            )
+            shape = probe_shape(expr.axis, expr.test, _unwrap(predicates[0]))
+            probed = None
+            if shape is not None:
+                probed = self._indexed_predicate_step(
+                    item, shape, self._comparand(shape.operand, context)
+                )
             if probed is not None:
                 # The probed predicate is boolean-valued, so the probe
                 # result is exactly what the scan keeps after it, in axis
                 # (= document) order: the remaining predicates count
                 # positions over the same list, and filtering keeps it
                 # in document order.
-                for predicate in predicates[1:]:
-                    probed, delta = self._apply_predicate(
-                        predicate, probed, context, delta
-                    )
-                return EvalResult(probed, delta)
+                probed, delta = self._filter(
+                    probed, predicates[1:], context, delta, fast=False
+                )
+                return EvalResult(self._nodes(probed), delta)
         candidates, delta = self._filter(
-            self._axis_candidates(item, expr), predicates, context, delta
+            self._axis_candidates(
+                item, expr.axis, expr.test, node_test(expr.test, expr.axis)
+            ),
+            predicates, context, delta,
         )
-        value = list(nodes_in_document_order(candidates))
-        return EvalResult(value, delta)
+        store = item.store
+        candidates = store.sort_document_order(candidates)
+        return EvalResult([Node(store, nid) for nid in candidates], delta)
+
+    def _nodes(self, nids: list[int]) -> list[Node]:
+        store = self.store
+        return [Node(store, nid) for nid in nids]
+
+    def _comparand(
+        self, operand: core.CoreExpr, context: DynamicContext
+    ) -> Callable[[], Sequence]:
+        return lambda: self.evaluate(operand, context).value
 
     def _filter(
         self,
-        candidates: list,
+        nids: list[int],
         predicates: list[core.CoreExpr],
         context: DynamicContext,
         delta: Delta,
-    ) -> tuple[list, Delta]:
+        fast: bool = True,
+    ) -> tuple[list[int], Delta]:
         """Filter one step's candidates (in axis order) by its predicates;
         the first goes through the attribute-compare fast path when it
-        has that shape."""
+        has that shape (and *fast*)."""
         rest = predicates
-        if predicates and candidates:
-            kept = self._attr_compare_filter(predicates[0], candidates, context)
-            if kept is not None:
-                candidates, rest = kept, predicates[1:]
+        if fast and predicates and nids:
+            shape = attr_filter_shape(_unwrap(predicates[0]))
+            if shape is not None:
+                kept = self._attr_compare_filter(
+                    shape, nids, self._comparand(shape.operand, context)
+                )
+                if kept is not None:
+                    nids, rest = kept, predicates[1:]
         for predicate in rest:
-            candidates, delta = self._apply_predicate(
-                predicate, candidates, context, delta
+            nids, delta = self._apply_predicate(
+                predicate, nids, context, delta
             )
-        return candidates, delta
-
-    @staticmethod
-    def _attr_compare_operand(side: core.CoreExpr) -> str | None:
-        """The attribute name when *side* is a bare ``@name`` step."""
-        if (
-            isinstance(side, core.CAxisStep)
-            and side.axis == "attribute"
-            and side.test.kind == "name"
-            and side.test.name not in (None, "*")
-            and not side.predicates
-        ):
-            return side.test.name
-        return None
+        return nids, delta
 
     def _attr_compare_filter(
         self,
-        predicate: core.CoreExpr,
-        items: list,
-        context: DynamicContext,
-    ) -> list | None:
+        shape: "AttrShape",
+        nids: list[int],
+        comparand: Callable[[], Sequence],
+    ) -> list[int] | None:
         """Direct-store filtering for the key-lookup predicate shape
         ``step[@name <op> $var]`` (either operand order; literals too).
 
-        The generic path pays a dynamic-context + dispatch round trip per
-        candidate; here the attribute value is read straight off the store
-        record and compared with the exact ``general_compare`` semantics,
-        so the result (value, Δ = empty, errors) is identical — the
-        comparison is boolean-valued (never positional), both operands are
+        The generic path pays a focus round trip per candidate; here the
+        attribute value is read straight off the store record and
+        compared with the exact ``general_compare`` semantics, so the
+        result (value, Δ = empty, errors) is identical — the comparison
+        is boolean-valued (never positional), both operands are
         effect-free, and a missing attribute compares as the empty
-        sequence, i.e. false.  Returns None when the shape doesn't apply.
+        sequence, i.e. false.  *comparand* yields the other operand's
+        value.  Returns None when a candidate is not an element.
         """
-        if not (
-            isinstance(predicate, core.CComparison)
-            and predicate.style == "general"
-        ):
-            return None
-        left_name = self._attr_compare_operand(predicate.left)
-        right_name = self._attr_compare_operand(predicate.right)
-        if left_name is not None and isinstance(
-            predicate.right, (core.CVar, core.CLiteral)
-        ):
-            name, other, flipped = left_name, predicate.right, False
-        elif right_name is not None and isinstance(
-            predicate.left, (core.CVar, core.CLiteral)
-        ):
-            name, other, flipped = right_name, predicate.left, True
-        else:
-            return None
-        if any(node.kind is not NodeKind.ELEMENT for node in items):
-            return None
-        other_value, _ = self.evaluate(other, context)
         store = self.store
-        op = predicate.op
+        if any(store.kind(nid) is not NodeKind.ELEMENT for nid in nids):
+            return None
+        other_value = comparand()
+        name, op = shape.name, shape.op
         kept = []
         if (
             op == "eq"  # symmetric: operand order is irrelevant
@@ -571,34 +514,34 @@ class Evaluator:
             # string/untyped value compares as raw strings (_coerce_pair),
             # so the whole comparison collapses to one str equality.
             target = str(other_value[0].value)
-            for node in items:
-                aid = store.attribute_named(node.nid, name)
+            for nid in nids:
+                aid = store.attribute_named(nid, name)
                 if aid is None:
                     continue
                 raw = store.value(aid)
                 if ("" if raw is None else raw) == target:
-                    kept.append(node)
+                    kept.append(nid)
             return kept
-        for node in items:
-            aid = store.attribute_named(node.nid, name)
+        for nid in nids:
+            aid = store.attribute_named(nid, name)
             attr_value: Sequence = (
                 [] if aid is None else [UntypedAtomic(store.value(aid) or "")]
             )
-            if flipped:
+            if shape.flipped:
                 matched = general_compare(op, other_value, attr_value)
             else:
                 matched = general_compare(op, attr_value, other_value)
             if matched:
-                kept.append(node)
+                kept.append(nid)
         return kept
 
     # ------------------------------------------------------------------
     # Value-index probe fast paths (repro.index)
     #
     # XPathLog's reading of E[@a = $v] as a keyed relation lookup: a
-    # step's *first* predicate, when it has one of three boolean shapes,
-    # goes through the store's value indexes instead of materializing
-    # every candidate node and filtering:
+    # step's *first* predicate, when it has one of three boolean shapes
+    # (see probe_shape), goes through the store's value indexes instead
+    # of materializing every candidate node and filtering:
     #
     #   (A)  name[@attr = $v]            — attribute-value hash probe, on
     #                                      child and descendant(-or-self)
@@ -619,81 +562,40 @@ class Evaluator:
     # the generic path — only the work is proportional to matches, not
     # to the subtree.  The live store, a snapshot and a transaction view
     # answer through the same probe calls (a view adds its buffered
-    # writes to the candidates).  Every shape falls back (returns None)
-    # whenever any precondition is not met: non-string comparand,
+    # writes to the candidates).  A probe declines (returns None)
+    # whenever a dynamic precondition is not met: non-string comparand,
     # unanchorable needle, a context inside a read-only snapshot's
-    # construction space (no index covers it), or the guard above.
+    # construction space (no index covers it), or the guard above.  The
+    # shape itself is a property of the expression, decided by the caller
+    # (once per compiled step).
     # ------------------------------------------------------------------
 
     def _indexed_predicate_step(
         self,
-        item,
-        axis: str,
-        test: core.CNodeTest,
-        predicate: core.CoreExpr,
-        context: DynamicContext,
-    ) -> list | None:
-        # The predicate's shape first: it rejects most steps (positional
-        # and other predicates) before anything else is looked at.
-        if isinstance(predicate, core.CComparison):
-            if predicate.style != "general" or predicate.op != "eq":
-                return None
-            contains = False
-        elif (
-            isinstance(predicate, core.CCall)
-            and predicate.name == "contains"
-            and len(predicate.args) == 2
-            and axis != "child"
-        ):
-            contains = True
-        else:
-            return None
-        if axis not in ("child", "descendant", "descendant-or-self"):
-            return None
-        if test.kind != "name" or test.name in (None, "*"):
-            return None
+        item: Node,
+        shape: "ProbeShape",
+        comparand: Callable[[], Sequence],
+    ) -> list[int] | None:
+        """The ids a step with probe *shape* keeps from *item*, sorted
+        into document order, or None when the probe declines.
+        *comparand* yields the compared variable's or literal's value."""
         store = self.store
+        if item.store is not store:
+            return None
         blind = getattr(store, "_probes_blind_below", None)
         if blind is not None and blind(item.nid):
             return None
-        name = test.name
-        or_self = axis == "descendant-or-self"
-        if contains:
-            return self._probe_contains(
-                store, item, name, or_self, predicate, context
-            )
-        out = self._probe_attr_eq(store, item, name, axis, predicate, context)
-        if out is None and axis != "child":
-            out = self._probe_child_eq(
-                store, item, name, or_self, predicate, context
-            )
-        return out
+        value = comparand()
+        if shape.kind == "contains":
+            return self._probe_contains(store, item.nid, shape, value)
+        if shape.kind == "attr":
+            return self._probe_attr_eq(store, item.nid, shape, value)
+        return self._probe_child_eq(store, item.nid, shape, value)
 
     @staticmethod
-    def _eq_comparand(
-        predicate: core.CComparison, operand_of: Callable
-    ) -> tuple[str, core.CoreExpr] | None:
-        """Match one side of a general '=' with *operand_of* (a bare
-        ``@attr`` or ``child`` step recognizer) when the other side is a
-        variable or literal; '=' is symmetric in the collapse case."""
-        left = operand_of(predicate.left)
-        if left is not None and isinstance(
-            predicate.right, (core.CVar, core.CLiteral)
-        ):
-            return left, predicate.right
-        right = operand_of(predicate.right)
-        if right is not None and isinstance(
-            predicate.left, (core.CVar, core.CLiteral)
-        ):
-            return right, predicate.left
-        return None
-
-    def _string_target(
-        self, other: core.CoreExpr, context: DynamicContext
-    ) -> str | None:
+    def _string_target(other_value: Sequence) -> str | None:
         """The raw-string comparand of the key-lookup collapse case (see
         _attr_compare_filter): a singleton string/untyped atomic."""
-        other_value, _ = self.evaluate(other, context)
         if (
             len(other_value) == 1
             and isinstance(other_value[0], AtomicValue)
@@ -726,10 +628,6 @@ class Evaluator:
             cur = store.parent(cur)
         return None
 
-    @staticmethod
-    def _probe_result(store, nids) -> list:
-        return [Node(store, nid) for nid in store.sort_document_order(nids)]
-
     def _counted(self, ids: tuple[int, ...] | None) -> tuple[int, ...] | None:
         """Record an answered index probe on the tracer; pass *ids* on."""
         if ids is not None and self.tracer is not None:
@@ -737,67 +635,44 @@ class Evaluator:
             self.tracer.count("index.hits", len(ids))
         return ids
 
-    def _probe_attr_eq(
-        self, store, item, name, axis, predicate, context
-    ) -> list | None:
-        matched = self._eq_comparand(predicate, self._attr_compare_operand)
-        if matched is None:
-            return None
-        attr_name, other = matched
-        target = self._string_target(other, context)
+    def _probe_attr_eq(self, store, root, shape, value) -> list[int] | None:
+        target = self._string_target(value)
         if target is None:
             return None
-        child = axis == "child"
+        child = shape.axis == "child"
         # On the child axis the scan reads one list: probe only when the
         # posting list is no longer (both lengths are O(1) to read).
-        limit = store.child_count(item.nid) if child else None
-        aids = self._counted(store.attr_eq_probe(attr_name, target, limit))
+        limit = store.child_count(root) if child else None
+        aids = self._counted(store.attr_eq_probe(shape.key, target, limit))
         if aids is None:
             return None
-        or_self = axis == "descendant-or-self"
+        or_self = shape.axis == "descendant-or-self"
         out = []
         for aid in aids:
             owner = store.parent(aid)
-            if owner is None or store.name(owner) != name:
+            if owner is None or store.name(owner) != shape.name:
                 continue
             if store.kind(owner) is not NodeKind.ELEMENT:
                 continue
             if child:
-                if store.parent(owner) == item.nid:
+                if store.parent(owner) == root:
                     out.append(owner)
-            elif self._contained(store, owner, item.nid, or_self):
+            elif self._contained(store, owner, root, or_self):
                 out.append(owner)
-        return self._probe_result(store, out)
+        return store.sort_document_order(out)
 
-    @staticmethod
-    def _child_step_operand(side: core.CoreExpr) -> str | None:
-        """The element name when *side* is a bare ``child`` name step."""
-        if (
-            isinstance(side, core.CAxisStep)
-            and side.axis == "child"
-            and side.test.kind == "name"
-            and side.test.name not in (None, "*")
-            and not side.predicates
-        ):
-            return side.test.name
-        return None
-
-    def _probe_child_eq(
-        self, store, item, name, or_self, predicate, context
-    ) -> list | None:
-        matched = self._eq_comparand(predicate, self._child_step_operand)
-        if matched is None:
-            return None
-        child_name, other = matched
-        target = self._string_target(other, context)
+    def _probe_child_eq(self, store, root, shape, value) -> list[int] | None:
+        target = self._string_target(value)
         if not target:  # empty string: no text to witness it — scan
             return None
         tids = self._counted(store.token_probe(target))
         if tids is None:
             return None
+        name, child_name = shape.name, shape.key
+        or_self = shape.axis == "descendant-or-self"
         candidates: set[int] = set()
         for tid in tids:
-            chain = self._ancestor_chain(store, tid, item.nid)
+            chain = self._ancestor_chain(store, tid, root)
             if chain is None:
                 continue
             for i in range(len(chain) - 1):
@@ -807,7 +682,7 @@ class Evaluator:
                     and store.kind(child) is NodeKind.ELEMENT
                     and store.name(parent) == name
                     and store.kind(parent) is NodeKind.ELEMENT
-                    and (parent != item.nid or or_self)
+                    and (parent != root or or_self)
                 ):
                     candidates.add(parent)
         out = []
@@ -820,114 +695,103 @@ class Evaluator:
                 ):
                     out.append(nid)
                     break
-        return self._probe_result(store, out)
+        return store.sort_document_order(out)
 
-    @staticmethod
-    def _is_context_string(expr: core.CoreExpr) -> bool:
-        """``.`` or ``string(.)``/``string()`` — shapes whose value under
-        a node focus is exactly the node's string value."""
-        if isinstance(expr, core.CContext):
-            return True
-        return (
-            isinstance(expr, core.CCall)
-            and expr.name == "string"
-            and (
-                not expr.args
-                or (
-                    len(expr.args) == 1
-                    and isinstance(expr.args[0], core.CContext)
-                )
-            )
-        )
-
-    def _probe_contains(
-        self, store, item, name, or_self, predicate, context
-    ) -> list | None:
-        haystack, needle_expr = predicate.args
-        if not self._is_context_string(haystack):
+    def _probe_contains(self, store, root, shape, value) -> list[int] | None:
+        if len(value) != 1 or not isinstance(value[0], AtomicValue):
             return None
-        if not isinstance(needle_expr, (core.CVar, core.CLiteral)):
-            return None
-        needle_value, _ = self.evaluate(needle_expr, context)
-        if len(needle_value) != 1 or not isinstance(
-            needle_value[0], AtomicValue
-        ):
-            return None
-        needle = needle_value[0].lexical()
+        needle = value[0].lexical()
         if not needle:  # contains(s, "") is uniformly true — scan
             return None
         tids = self._counted(store.token_probe(needle))
         if tids is None:
             return None
+        or_self = shape.axis == "descendant-or-self"
         candidates: set[int] = set()
         for tid in tids:
-            chain = self._ancestor_chain(store, tid, item.nid)
+            chain = self._ancestor_chain(store, tid, root)
             if chain is None:
                 continue
             for nid in chain:
-                if nid == item.nid and not or_self:
+                if nid == root and not or_self:
                     continue
                 if (
                     store.kind(nid) is NodeKind.ELEMENT
-                    and store.name(nid) == name
+                    and store.name(nid) == shape.name
                 ):
                     candidates.add(nid)
         out = [
             nid for nid in candidates if needle in store.string_value(nid)
         ]
-        return self._probe_result(store, out)
+        return store.sort_document_order(out)
 
-    def _axis_candidates(self, item: Node, expr: core.CAxisStep) -> list:
-        """Nodes of the step's axis passing its node test, in axis order.
+    def _axis_candidates(
+        self,
+        item: Node,
+        axis: str,
+        test: core.CNodeTest,
+        matches: Callable[[Store, int], bool],
+    ) -> list[int]:
+        """Ids of the step's axis passing its node test, in axis order.
 
         For ``descendant(-or-self)::name`` steps the store's element-name
         index answers the question without walking the subtree; the result
         is doc-order sorted, which *is* axis order for forward axes.
         """
+        store = item.store
+        named = test.kind == "name" and test.name != "*"
+        if axis == "child" and named:
+            return store.children_named(item.nid, test.name)
+        if axis == "attribute" and named:
+            aid = store.attribute_named(item.nid, test.name)
+            return [] if aid is None else [aid]
         if (
             self.use_name_index
-            and expr.axis in ("descendant", "descendant-or-self")
-            and expr.test.kind == "name"
-            and expr.test.name not in (None, "*")
+            and axis in ("descendant", "descendant-or-self")
+            and named
+            and test.name is not None
+            and store is self.store
         ):
-            ids = self.store.descendants_named(item.nid, expr.test.name)
+            ids = store.descendants_named(item.nid, test.name)
             if (
-                expr.axis == "descendant-or-self"
-                and item.kind is NodeKind.ELEMENT
-                and item.name == expr.test.name
+                axis == "descendant-or-self"
+                and store.kind(item.nid) is NodeKind.ELEMENT
+                and store.name(item.nid) == test.name
             ):
                 ids.append(item.nid)
-            ids = self.store.sort_document_order(ids)
-            return [Node(self.store, nid) for nid in ids]
-        return [
-            node
-            for node in _axis_nodes(item, expr.axis)
-            if _node_test(node, expr.axis, expr.test)
-        ]
+            return store.sort_document_order(ids)
+        return [nid for nid in _axis_ids(store, item.nid, axis)
+                if matches(store, nid)]
 
     def _apply_predicate(
         self,
         predicate: core.CoreExpr,
-        items: list,
+        nids: list[int],
         context: DynamicContext,
         delta: Delta,
-    ) -> tuple[list, Delta]:
-        """Filter *items* by one predicate with positional semantics; the
+    ) -> tuple[list[int], Delta]:
+        """Filter *nids* by one predicate with positional semantics; the
         enclosing variables remain visible inside the predicate.  Returns
-        the kept items and the delta extended with predicate effects."""
+        the kept ids and the delta extended with predicate effects."""
         kept = []
-        size = len(items)
-        for position, item in enumerate(items, start=1):
-            focus = DynamicContext(context.variables, item, position, size)
+        size = len(nids)
+        store = self.store
+        for position, nid in enumerate(nids, start=1):
+            focus = context.with_focus(Node(store, nid), position, size)
             pred_value, pred_delta = self.evaluate(predicate, focus)
             delta = delta + pred_delta
             if _predicate_truth(pred_value, position):
-                kept.append(item)
+                kept.append(nid)
         return kept, delta
 
     def _grouped_child_path(
-        self, expr: core.CPath, context: DynamicContext
-    ) -> EvalResult | None:
+        self,
+        base_nodes: list[Node],
+        name: str,
+        probe: "ProbeShape | None",
+        comparand: Callable[[], Sequence],
+        filter_group: Callable[[list[int], int], list[int]],
+    ) -> list[int]:
         """``B//name[P1]...[Pn]`` in one pass over the named descendants.
 
         ``B//name[P...]`` is ``CPath(CPath(B, descendant-or-self::node()),
@@ -935,104 +799,108 @@ class Evaluator:
         predicate may be positional: one child step per node of B's
         subtrees.  Only the parents of B's ``name`` descendants have
         candidates, so those come from the element-name index (or, when
-        ``P1`` has a probe shape, from one descendant probe per base node:
-        ``P1`` is boolean, so it keeps the same children per parent), are
-        grouped by parent, and each group is filtered as that parent's
-        child step filters it.  Groups run in parent document order, the
-        order of the child steps, so every predicate sees the same (item,
-        position, size), Δ comes out in the same order and the first
-        error is the same one.  A predicate that may apply a nested snap
-        could restructure the tree between two groups, so it keeps the
-        per-node path (None).
+        ``P1`` has the *probe* shape, from one descendant probe per base
+        node: ``P1`` is boolean, so it keeps the same children per
+        parent), are grouped by parent, and each group is filtered by
+        ``filter_group(ids, first)`` — predicates ``first...`` as that
+        parent's child step filters them.  Groups run in parent document
+        order, the order of the child steps, so every predicate sees the
+        same (item, position, size), Δ comes out in the same order and the
+        first error is the same one.  A predicate that may apply a nested
+        snap could restructure the tree between two groups, so such a
+        path is never lowered to this route (see CGroupedPath).
         """
-        inner, step = expr.base, expr.step
-        if not (
-            isinstance(step, core.CAxisStep)
-            and step.axis == "child"
-            and step.test.kind == "name"
-            and step.test.name not in (None, "*")
-            and isinstance(inner, core.CPath)
-            and isinstance(inner.step, core.CAxisStep)
-            and inner.step.axis == "descendant-or-self"
-            and inner.step.test.kind == "node"
-            and not inner.step.predicates
-        ):
-            return None
-        predicates = step.predicates
-        if predicates:
-            from repro.algebra.properties import EffectAnalyzer
-
-            analyzer = EffectAnalyzer(self.functions)
-            if any(analyzer.analyze(p).may_snap for p in predicates):
-                return None
-        base_value, delta = self.evaluate(inner.base, context)
-        base_nodes = node_sequence(base_value, "path step input")
         store = self.store
         found = None
-        if predicates and self.use_indexes:
-            found = self._probe_descendants(base_nodes, step, context)
+        if probe is not None and self.use_indexes:
+            found = self._probe_descendants(base_nodes, probe, comparand)
+        first = 0
         if found is None:
             found = set()
             for node in base_nodes:
-                found.update(store.descendants_named(node.nid, step.test.name))
+                found.update(store.descendants_named(node.nid, name))
         else:
-            predicates = predicates[1:]
+            first = 1
         groups: dict[int, list] = {}
         for nid in store.sort_document_order(found):
-            groups.setdefault(store.parent(nid), []).append(Node(store, nid))
+            groups.setdefault(store.parent(nid), []).append(nid)
         results: list = []
         for parent in store.sort_document_order(groups):
-            kept, delta = self._filter(
-                groups[parent], predicates, context, delta
-            )
-            results.extend(kept)
-        return EvalResult(list(nodes_in_document_order(results)), delta)
+            results.extend(filter_group(groups[parent], first))
+        return store.sort_document_order(results)
 
     def _probe_descendants(
-        self, base_nodes: list, step: core.CAxisStep, context: DynamicContext
+        self,
+        base_nodes: list[Node],
+        probe: "ProbeShape",
+        comparand: Callable[[], Sequence],
     ) -> set[int] | None:
-        """The ``descendant::name[P1]`` nodes of every base node, from the
+        """The ``descendant::name[P1]`` ids of every base node, from the
         value indexes; None when some probe declines."""
         found: set[int] = set()
         for node in base_nodes:
-            probed = self._indexed_predicate_step(
-                node, "descendant", step.test, step.predicates[0], context
-            )
+            probed = self._indexed_predicate_step(node, probe, comparand)
             if probed is None:
                 return None
-            found.update(hit.nid for hit in probed)
+            found.update(probed)
         return found
 
+    def _eval_grouped_path(
+        self, expr: core.CGroupedPath, context: DynamicContext
+    ) -> EvalResult:
+        if not self.use_name_index:
+            return self._eval_path(expr, context)
+        step = expr.step
+        base_value, delta = self.evaluate(expr.base.base, context)
+        base_nodes = node_sequence(base_value, "path step input")
+        predicates = step.predicates
+        probe = None
+        if predicates:
+            probe = probe_shape(
+                "descendant", step.test, _unwrap(predicates[0])
+            )
+
+        def filter_group(nids: list[int], first: int) -> list[int]:
+            nonlocal delta
+            kept, delta = self._filter(
+                nids, predicates[first:], context, delta
+            )
+            return kept
+
+        comparand = (
+            None if probe is None else self._comparand(probe.operand, context)
+        )
+        nids = self._grouped_child_path(
+            base_nodes, step.test.name, probe, comparand, filter_group
+        )
+        return EvalResult(self._nodes(nids), delta)
+
     def _eval_path(self, expr: core.CPath, context: DynamicContext) -> EvalResult:
-        if self.use_name_index:
-            grouped = self._grouped_child_path(expr, context)
-            if grouped is not None:
-                return grouped
         base_value, delta = self.evaluate(expr.base, context)
         base_nodes = node_sequence(base_value, "path step input")
         base_nodes = list(nodes_in_document_order(base_nodes))
         results: Sequence = []
         size = len(base_nodes)
         for position, node in enumerate(base_nodes, start=1):
-            focus = DynamicContext(context.variables, node, position, size)
+            focus = context.with_focus(node, position, size)
             step_value, step_delta = self.evaluate(expr.step, focus)
             results.extend(step_value)
             delta = delta + step_delta
-        has_nodes = any(isinstance(item, Node) for item in results)
-        has_atomics = any(not isinstance(item, Node) for item in results)
-        if has_nodes and has_atomics:
-            raise TypeError_(
-                "path step produced both nodes and atomic values"
-            )
-        if has_nodes:
-            results = list(nodes_in_document_order(results))
-        return EvalResult(results, delta)
+        return EvalResult(path_result(results), delta)
 
     def _eval_filter(self, expr: core.CFilter, context: DynamicContext) -> EvalResult:
         value, delta = self.evaluate(expr.base, context)
         items = list(value)
         for predicate in expr.predicates:
-            items, delta = self._apply_predicate(predicate, items, context, delta)
+            kept = []
+            size = len(items)
+            for position, item in enumerate(items, start=1):
+                focus = context.with_focus(item, position, size)
+                pred_value, pred_delta = self.evaluate(predicate, focus)
+                delta = delta + pred_delta
+                if _predicate_truth(pred_value, position):
+                    kept.append(item)
+            items = kept
         return EvalResult(items, delta)
 
     # ------------------------------------------------------------------
@@ -1050,9 +918,15 @@ class Evaluator:
             arg_values.append(arg_value)
             delta = delta + arg_delta
         if isinstance(resolved, core.CFunction):
-            bindings = dict(zip(resolved.params, arg_values))
-            body_context = DynamicContext(dict(self.globals)).bind_many(bindings)
-            body_value, body_delta = self.evaluate(resolved.body, body_context)
+            from repro.semantics.compiled import compiled_function
+
+            body = compiled_function(self.functions, resolved)
+            if type(body) is core.CPure:
+                return EvalResult(list(body.invoke(self, arg_values)), delta)
+            body_context = DynamicContext(
+                dict(zip(resolved.params, arg_values)), globals_=self.globals
+            )
+            body_value, body_delta = self.evaluate(body, body_context)
             return EvalResult(body_value, delta + body_delta)
         # Built-in: pure by construction (no update requests).
         return EvalResult(resolved(self, context, arg_values), delta)
@@ -1067,11 +941,7 @@ class Evaluator:
         if isinstance(name, str):
             return name, _EMPTY
         value, delta = self.evaluate(name, context)
-        av = atomize_single(value, f"{what} name")
-        text = av.lexical().strip()
-        if not text:
-            raise TypeError_(f"empty {what} name")
-        return text, delta
+        return ctor_name(value, what), delta
 
     def _eval_elem(self, expr: core.CElem, context: DynamicContext) -> EvalResult:
         """Element construction: content nodes are deep-copied into the new
@@ -1082,11 +952,16 @@ class Evaluator:
         parts: list[tuple[Sequence, bool]] = []
         for content_expr in expr.content:
             content_value, content_delta = self.evaluate(content_expr, context)
-            parts.append((content_value, type(content_expr) in _FRESH_NODE))
+            parts.append((content_value, is_fresh(content_expr)))
             delta = delta + content_delta
+        return EvalResult(self.make_element(name, parts), delta)
+
+    def make_element(
+        self, name: str, parts: list[tuple[Sequence, bool]]
+    ) -> Sequence:
         element = self.store.create_element(name)
         self._populate_element(element, parts)
-        return EvalResult([Node(self.store, element)], delta)
+        return [Node(self.store, element)]
 
     def _populate_element(
         self, element: int, parts: list[tuple[Sequence, bool]]
@@ -1174,11 +1049,13 @@ class Evaluator:
         if expr.content is None:
             return EvalResult([], _EMPTY)
         value, delta = self.evaluate(expr.content, context)
+        return EvalResult(self.make_text(value), delta)
+
+    def make_text(self, value: Sequence) -> Sequence:
         if not value:
-            return EvalResult([], delta)
-        text = sequence_string(value)
-        node = self.store.create_text(text)
-        return EvalResult([Node(self.store, node)], delta)
+            return []
+        node = self.store.create_text(sequence_string(value))
+        return [Node(self.store, node)]
 
     def _eval_comment(self, expr: core.CComment, context: DynamicContext) -> EvalResult:
         if expr.content is None:
@@ -1213,20 +1090,24 @@ class Evaluator:
     # ------------------------------------------------------------------
 
     def _eval_copy(self, expr: core.CCopy, context: DynamicContext) -> EvalResult:
-        """copy{Expr}: deep copy via the data-model operation; atomic items
-        pass through unchanged.  A node a constructor just made is reachable
-        from nothing else, so its copy is the node itself: the §3.3
-        normalization copy of ``insert { <a/> }`` allocates nothing."""
         value, delta = self.evaluate(expr.source, context)
-        if type(expr.source) in _FRESH_NODE:
-            return EvalResult(value, delta)
+        return EvalResult(self.copy(value, is_fresh(expr.source)), delta)
+
+    def copy(self, value: Sequence, fresh: bool) -> Sequence:
+        """copy{Expr}: deep copy via the data-model operation; atomic items
+        pass through unchanged.  A node a constructor just made (*fresh*)
+        is reachable from nothing else, so its copy is the node itself:
+        the §3.3 normalization copy of ``insert { <a/> }`` allocates
+        nothing."""
+        if fresh:
+            return value
         copied: Sequence = []
         for item in value:
             if isinstance(item, Node):
                 copied.append(Node(self.store, self.store.deep_copy(item.nid)))
             else:
                 copied.append(item)
-        return EvalResult(copied, delta)
+        return copied
 
     def _eval_insert(self, expr: core.CInsert, context: DynamicContext) -> EvalResult:
         """Fig. 2 insert rule: evaluate the (already copy-wrapped) source,
@@ -1368,12 +1249,9 @@ class Evaluator:
         )
         return EvalResult(value, _EMPTY)
 
-
     def _eval_typeswitch(self, expr: core.CTypeswitch, context: DynamicContext) -> EvalResult:
         """typeswitch: operand evaluated once; first matching case wins;
         untaken branches are not evaluated (their effects never fire)."""
-        from repro.semantics.types import matches_sequence_type
-
         operand_value, delta = self.evaluate(expr.operand, context)
         for case in expr.cases:
             if matches_sequence_type(operand_value, case.type_):
@@ -1393,147 +1271,316 @@ class Evaluator:
     # ------------------------------------------------------------------
 
     def _eval_instance_of(self, expr: core.CInstanceOf, context: DynamicContext) -> EvalResult:
-        from repro.semantics.types import matches_sequence_type
-
         value, delta = self.evaluate(expr.operand, context)
         result = matches_sequence_type(value, expr.type_)
         return EvalResult([AtomicValue.boolean(result)], delta)
 
     def _eval_treat(self, expr: core.CTreat, context: DynamicContext) -> EvalResult:
-        """treat as: identity when the value matches, XPDY0050 otherwise."""
-        from repro.semantics.types import matches_sequence_type
-
         value, delta = self.evaluate(expr.operand, context)
-        if not matches_sequence_type(value, expr.type_):
-            raise TypeError_(
-                f"treat as {expr.type_}: value does not match", code="XPDY0050"
-            )
-        return EvalResult(value, delta)
+        return EvalResult(treat_value(expr.type_, value), delta)
 
     def _eval_cast(self, expr: core.CCast, context: DynamicContext) -> EvalResult:
-        from repro.semantics.types import cast_atomic
-
         value, delta = self.evaluate(expr.operand, context)
-        av = atomize_optional(value, "cast operand")
-        if av is None:
-            if expr.castable:
-                return EvalResult([AtomicValue.boolean(expr.optional)], delta)
-            if expr.optional:
-                return EvalResult([], delta)
-            raise TypeError_("cast of an empty sequence requires '?'")
-        if expr.castable:
-            try:
-                cast_atomic(av, expr.type_name)
-                return EvalResult([AtomicValue.boolean(True)], delta)
-            except TypeError_:
-                return EvalResult([AtomicValue.boolean(False)], delta)
-        return EvalResult([cast_atomic(av, expr.type_name)], delta)
+        return EvalResult(cast_value(expr, value), delta)
 
 
 # ----------------------------------------------------------------------
-# Axis iteration and node tests
+# Axis iteration and node tests (on node ids)
 # ----------------------------------------------------------------------
 
-def _axis_nodes(node: Node, axis: str):
-    """Yield the nodes of *axis* from *node*, in axis order (reverse axes
-    nearest-first; results are doc-order sorted by the step afterwards)."""
+def _axis_ids(store, nid: int, axis: str):
+    """The node ids of *axis* from *nid*, in axis order (reverse axes
+    nearest-first; steps sort them into document order afterwards)."""
     if axis == "child":
-        yield from node.children
-    elif axis == "descendant":
-        yield from node.descendants()
-    elif axis == "descendant-or-self":
-        yield from node.descendants(include_self=True)
-    elif axis == "attribute":
-        yield from node.attributes
-    elif axis == "self":
-        yield node
-    elif axis == "parent":
-        parent = node.parent
-        if parent is not None:
-            yield parent
-    elif axis == "ancestor":
-        yield from node.ancestors()
-    elif axis == "ancestor-or-self":
-        yield from node.ancestors(include_self=True)
-    elif axis == "following-sibling":
-        yield from _siblings(node, after=True)
-    elif axis == "preceding-sibling":
-        yield from reversed(list(_siblings(node, after=False)))
-    elif axis == "following":
-        yield from _following(node)
-    elif axis == "preceding":
-        yield from reversed(list(_preceding(node)))
-    else:
-        raise DynamicError(f"unsupported axis {axis!r}")
+        return store.children(nid)
+    if axis == "descendant":
+        return store.descendants(nid)
+    if axis == "descendant-or-self":
+        return store.descendants(nid, include_self=True)
+    if axis == "attribute":
+        return store.attributes(nid)
+    if axis == "self":
+        return (nid,)
+    if axis == "parent":
+        parent = store.parent(nid)
+        return () if parent is None else (parent,)
+    if axis == "ancestor":
+        return store.ancestors(nid)
+    if axis == "ancestor-or-self":
+        return store.ancestors(nid, include_self=True)
+    if axis == "following-sibling":
+        return _sibling_ids(store, nid, after=True)
+    if axis == "preceding-sibling":
+        return _sibling_ids(store, nid, after=False)[::-1]
+    if axis == "following":
+        return _following_ids(store, nid)
+    if axis == "preceding":
+        return _preceding_ids(store, nid)[::-1]
+    raise DynamicError(f"unsupported axis {axis!r}")
 
 
-def _siblings(node: Node, after: bool):
-    parent = node.parent
-    if parent is None or node.kind is NodeKind.ATTRIBUTE:
-        return
-    found = False
-    for sibling in parent.children:
-        if sibling == node:
-            found = True
-            continue
-        if found == after:
-            yield sibling
+# Axes whose axis order is document order without duplicates: a step on
+# one of them from a single context node needs no sort.
+FORWARD_AXES = frozenset((
+    "child", "descendant", "descendant-or-self", "attribute", "self",
+    "following-sibling", "following",
+))
 
 
-def _following(node: Node):
-    for ancestor in node.ancestors(include_self=True):
-        for sibling in _siblings(ancestor, after=True):
-            yield sibling
-            yield from sibling.descendants()
+def _sibling_ids(store, nid: int, after: bool) -> list[int]:
+    parent = store.parent(nid)
+    if parent is None or store.kind(nid) is NodeKind.ATTRIBUTE:
+        return []
+    siblings = store.children(parent)
+    index = siblings.index(nid)
+    return list(siblings[index + 1:] if after else siblings[:index])
 
 
-def _preceding(node: Node):
-    ancestor_ids = {a.nid for a in node.ancestors()}
-    for ancestor in node.ancestors(include_self=True):
-        for sibling in _siblings(ancestor, after=False):
-            if sibling.nid in ancestor_ids:
+def _following_ids(store, nid: int) -> list[int]:
+    out: list[int] = []
+    for ancestor in store.ancestors(nid, include_self=True):
+        for sibling in _sibling_ids(store, ancestor, after=True):
+            out.extend(store.descendants(sibling, include_self=True))
+    return out
+
+
+def _preceding_ids(store, nid: int) -> list[int]:
+    ancestor_ids = set(store.ancestors(nid))
+    out: list[int] = []
+    for ancestor in store.ancestors(nid, include_self=True):
+        for sibling in _sibling_ids(store, ancestor, after=False):
+            if sibling in ancestor_ids:
                 continue
-            yield sibling
-            yield from sibling.descendants()
+            out.extend(store.descendants(sibling, include_self=True))
+    return out
 
 
-_PRINCIPAL_ATTRIBUTE_AXES = ("attribute",)
+_KIND_TESTS = {
+    "text": NodeKind.TEXT,
+    "comment": NodeKind.COMMENT,
+    "document-node": NodeKind.DOCUMENT,
+}
 
 
-def _node_test(node: Node, axis: str, test: core.CNodeTest) -> bool:
-    kind = node.kind
-    if test.kind == "name":
-        if axis in _PRINCIPAL_ATTRIBUTE_AXES:
-            if kind is not NodeKind.ATTRIBUTE:
-                return False
-        elif kind is not NodeKind.ELEMENT:
-            return False
-        return test.name == "*" or node.name == test.name
-    if test.kind == "node":
-        return True
-    if test.kind == "text":
-        return kind is NodeKind.TEXT
-    if test.kind == "comment":
-        return kind is NodeKind.COMMENT
-    if test.kind == "processing-instruction":
-        if kind is not NodeKind.PROCESSING_INSTRUCTION:
-            return False
-        return test.name is None or node.name == test.name
-    if test.kind == "element":
-        if kind is not NodeKind.ELEMENT:
-            return False
-        return test.name in (None, "*") or node.name == test.name
-    if test.kind == "attribute":
-        if kind is not NodeKind.ATTRIBUTE:
-            return False
-        return test.name in (None, "*") or node.name == test.name
-    if test.kind == "document-node":
-        return kind is NodeKind.DOCUMENT
-    raise DynamicError(f"unsupported node test {test.kind!r}")
+def node_test(
+    test: core.CNodeTest, axis: str
+) -> Callable[[Store, int], bool]:
+    """The step's node test as a predicate on (store, node id)."""
+    kind, name = test.kind, test.name
+    if kind == "node":
+        return lambda store, nid: True
+    if kind in _KIND_TESTS:
+        want = _KIND_TESTS[kind]
+        return lambda store, nid: store.kind(nid) is want
+    if kind in ("name", "element", "attribute"):
+        if kind == "name":
+            want = (
+                NodeKind.ATTRIBUTE if axis == "attribute" else NodeKind.ELEMENT
+            )
+            wild = name == "*"
+        else:
+            want = (
+                NodeKind.ELEMENT if kind == "element" else NodeKind.ATTRIBUTE
+            )
+            wild = name in (None, "*")
+        if wild:
+            return lambda store, nid: store.kind(nid) is want
+        return lambda store, nid: (
+            store.kind(nid) is want and store.name(nid) == name
+        )
+    if kind == "processing-instruction":
+        pi = NodeKind.PROCESSING_INSTRUCTION
+        return lambda store, nid: store.kind(nid) is pi and (
+            name is None or store.name(nid) == name
+        )
+
+    def unsupported(store, nid):
+        raise DynamicError(f"unsupported node test {kind!r}")
+
+    return unsupported
+
+
+def step_context(item, axis: str) -> Node:
+    """The node an axis step starts from: the focus, which must be a
+    node."""
+    if item is None:
+        raise no_context_item()
+    if not isinstance(item, Node):
+        raise TypeError_(f"axis step {axis}::... requires a node context item")
+    return item
+
+
+def root_value(item) -> Sequence:
+    if item is None:
+        raise no_context_item()
+    if not isinstance(item, Node):
+        raise TypeError_("'/' requires the context item to be a node")
+    return [item.root]
+
+
+def path_result(results: Sequence) -> Sequence:
+    """A path's step results: nodes in document order, or atomics."""
+    has_nodes = any(isinstance(item, Node) for item in results)
+    has_atomics = any(not isinstance(item, Node) for item in results)
+    if has_nodes and has_atomics:
+        raise TypeError_(
+            "path step produced both nodes and atomic values"
+        )
+    if has_nodes:
+        return list(nodes_in_document_order(results))
+    return results
 
 
 # ----------------------------------------------------------------------
-# Predicates and ordering keys
+# Step shapes: properties of the expression, decided once per compiled
+# step (and per evaluation by the tree-walker)
+# ----------------------------------------------------------------------
+
+class ProbeShape(NamedTuple):
+    """A step whose first predicate the value indexes can answer."""
+
+    kind: str  # "attr" (A), "contains" (B) or "child" (C)
+    name: str  # the step's element name
+    axis: str
+    key: str | None  # the compared attribute or child element name
+    operand: core.CoreExpr  # the variable or literal compared with
+
+
+class AttrShape(NamedTuple):
+    """A ``step[@name <op> $var]`` predicate (``flipped``: ``$var`` is
+    the left operand)."""
+
+    name: str
+    op: str
+    flipped: bool
+    operand: core.CoreExpr
+
+
+def _attr_compare_operand(side: core.CoreExpr) -> str | None:
+    """The attribute name when *side* is a bare ``@name`` step."""
+    if (
+        isinstance(side, core.CAxisStep)
+        and side.axis == "attribute"
+        and side.test.kind == "name"
+        and side.test.name not in (None, "*")
+        and not side.predicates
+    ):
+        return side.test.name
+    return None
+
+
+def _child_step_operand(side: core.CoreExpr) -> str | None:
+    """The element name when *side* is a bare ``child`` name step."""
+    if (
+        isinstance(side, core.CAxisStep)
+        and side.axis == "child"
+        and side.test.kind == "name"
+        and side.test.name not in (None, "*")
+        and not side.predicates
+    ):
+        return side.test.name
+    return None
+
+
+def _eq_comparand(
+    predicate: core.CComparison, operand_of: Callable
+) -> tuple[str, core.CoreExpr, bool] | None:
+    """Match one side of a general comparison with *operand_of* (a bare
+    ``@attr`` or ``child`` step recognizer) when the other side is a
+    variable or literal; the flag says the step is the right side."""
+    left = operand_of(predicate.left)
+    if left is not None and isinstance(
+        predicate.right, (core.CVar, core.CLiteral)
+    ):
+        return left, predicate.right, False
+    right = operand_of(predicate.right)
+    if right is not None and isinstance(
+        predicate.left, (core.CVar, core.CLiteral)
+    ):
+        return right, predicate.left, True
+    return None
+
+
+def _is_context_string(expr: core.CoreExpr) -> bool:
+    """``.`` or ``string(.)``/``string()`` — shapes whose value under a
+    node focus is exactly the node's string value."""
+    if isinstance(expr, core.CContext):
+        return True
+    return (
+        isinstance(expr, core.CCall)
+        and expr.name == "string"
+        and (
+            not expr.args
+            or (
+                len(expr.args) == 1
+                and isinstance(expr.args[0], core.CContext)
+            )
+        )
+    )
+
+
+def probe_shape(
+    axis: str, test: core.CNodeTest, predicate: core.CoreExpr
+) -> ProbeShape | None:
+    """The probe shape of ``axis::test[predicate...]``, or None."""
+    if isinstance(predicate, core.CComparison):
+        if predicate.style != "general" or predicate.op != "eq":
+            return None
+        contains = False
+    elif (
+        isinstance(predicate, core.CCall)
+        and predicate.name == "contains"
+        and len(predicate.args) == 2
+        and axis != "child"
+    ):
+        contains = True
+    else:
+        return None
+    if axis not in ("child", "descendant", "descendant-or-self"):
+        return None
+    if test.kind != "name" or test.name in (None, "*"):
+        return None
+    if contains:
+        haystack, needle = predicate.args
+        if not _is_context_string(haystack) or not isinstance(
+            needle, (core.CVar, core.CLiteral)
+        ):
+            return None
+        return ProbeShape("contains", test.name, axis, None, needle)
+    # '=' is symmetric in the collapse case: operand order is irrelevant.
+    matched = _eq_comparand(predicate, _attr_compare_operand)
+    if matched is not None:
+        return ProbeShape("attr", test.name, axis, matched[0], matched[1])
+    if axis != "child":
+        matched = _eq_comparand(predicate, _child_step_operand)
+        if matched is not None:
+            return ProbeShape(
+                "child", test.name, axis, matched[0], matched[1]
+            )
+    return None
+
+
+def attr_filter_shape(predicate: core.CoreExpr) -> AttrShape | None:
+    """The attribute-compare fast-path shape of a predicate, or None."""
+    if not (
+        isinstance(predicate, core.CComparison)
+        and predicate.style == "general"
+    ):
+        return None
+    matched = _eq_comparand(predicate, _attr_compare_operand)
+    if matched is None:
+        return None
+    name, operand, flipped = matched
+    return AttrShape(name, predicate.op, flipped, operand)
+
+
+def _unwrap(expr: core.CoreExpr) -> core.CoreExpr:
+    """The source expression of a compiled subtree, for shape tests."""
+    return expr.expr if type(expr) is core.CPure else expr
+
+
+# ----------------------------------------------------------------------
+# Value rules, shared by the tree-walker and the compiled closures
 # ----------------------------------------------------------------------
 
 def _predicate_truth(value: Sequence, position: int) -> bool:
@@ -1553,11 +1600,132 @@ def _require_integer(av: AtomicValue, what: str) -> int:
     raise TypeError_(f"{what} must be an integer, got {av.lexical()}")
 
 
+def range_value(lo_value: Sequence, hi_value: Sequence) -> Sequence:
+    lo = atomize_optional(lo_value, "range start")
+    hi = atomize_optional(hi_value, "range end")
+    if lo is None or hi is None:
+        return []
+    lo_n = _require_integer(lo, "range start")
+    hi_n = _require_integer(hi, "range end")
+    return [AtomicValue.integer(i) for i in range(lo_n, hi_n + 1)]
+
+
+def arith_value(
+    op: str, left_value: Sequence, right_value: Sequence
+) -> Sequence:
+    left = atomize_optional(left_value, "left operand")
+    right = atomize_optional(right_value, "right operand")
+    if left is None or right is None:
+        return []
+    return [arithmetic(op, left, right)]
+
+
+def unary_value(op: str, value: Sequence) -> Sequence:
+    av = atomize_optional(value, "unary operand")
+    if av is None:
+        return []
+    av = cast_to_number(av)
+    if op == "-":
+        # Negation preserves the numeric type (int/Decimal/float all
+        # support unary minus directly).
+        return [AtomicValue(av.type, -av.value)]
+    return [av]
+
+
+def compare_value(
+    store: Store, expr: core.CComparison, left_value: Sequence,
+    right_value: Sequence,
+) -> Sequence:
+    if expr.style == "general":
+        result = general_compare(expr.op, left_value, right_value)
+        return [AtomicValue.boolean(result)]
+    if expr.style == "value":
+        return value_compare(expr.op, left_value, right_value)
+    # Node comparison: is, <<, >>.
+    if not left_value or not right_value:
+        return []
+    left_node = single_node(left_value, "node comparison operand")
+    right_node = single_node(right_value, "node comparison operand")
+    if expr.op == "is":
+        result = left_node == right_node
+    else:
+        order = store.compare_order(left_node.nid, right_node.nid)
+        result = order < 0 if expr.op == "precedes" else order > 0
+    return [AtomicValue.boolean(result)]
+
+
+def set_value(
+    op: str, left_value: Sequence, right_value: Sequence
+) -> Sequence:
+    left_nodes = node_sequence(left_value, f"{op} operand")
+    right_nodes = node_sequence(right_value, f"{op} operand")
+    if op == "union":
+        combined = left_nodes + right_nodes
+    elif op == "intersect":
+        right_ids = {n.nid for n in right_nodes}
+        combined = [n for n in left_nodes if n.nid in right_ids]
+    else:  # except
+        right_ids = {n.nid for n in right_nodes}
+        combined = [n for n in left_nodes if n.nid not in right_ids]
+    return list(nodes_in_document_order(combined))
+
+
+def ctor_name(value: Sequence, what: str) -> str:
+    av = atomize_single(value, f"{what} name")
+    text = av.lexical().strip()
+    if not text:
+        raise TypeError_(f"empty {what} name")
+    return text
+
+
+def treat_value(type_, value: Sequence) -> Sequence:
+    """treat as: identity when the value matches, XPDY0050 otherwise."""
+    if not matches_sequence_type(value, type_):
+        raise TypeError_(
+            f"treat as {type_}: value does not match", code="XPDY0050"
+        )
+    return value
+
+
+def cast_value(expr: core.CCast, value: Sequence) -> Sequence:
+    av = atomize_optional(value, "cast operand")
+    if av is None:
+        if expr.castable:
+            return [AtomicValue.boolean(expr.optional)]
+        if expr.optional:
+            return []
+        raise TypeError_("cast of an empty sequence requires '?'")
+    if expr.castable:
+        try:
+            cast_atomic(av, expr.type_name)
+            return [AtomicValue.boolean(True)]
+        except TypeError_:
+            return [AtomicValue.boolean(False)]
+    return [cast_atomic(av, expr.type_name)]
+
+
+def sort_keyed(keyed: list, specs: list[core.COrderSpec]) -> list:
+    """Stable multi-key order-by sort of ``(keys, payload)`` pairs, in
+    place: by the last key first."""
+    for index in range(len(specs) - 1, -1, -1):
+        spec = specs[index]
+        keyed.sort(
+            key=lambda pair: _OrderKey(pair[0][index], spec),
+            reverse=spec.descending,
+        )
+    return keyed
+
+
 # Constructors whose value is a node made for the enclosing expression
 # alone (never a document: element content takes a document's children).
 _FRESH_NODE = frozenset(
     (core.CElem, core.CAttr, core.CText, core.CComment, core.CPI)
 )
+
+
+def is_fresh(expr: core.CoreExpr) -> bool:
+    return type(_unwrap(expr)) in _FRESH_NODE
+
 
 # Evaluation rule per core node type, shared by every evaluator and fork.
 _DISPATCH = {
@@ -1566,6 +1734,7 @@ _DISPATCH = {
     core.CContext: Evaluator._eval_context,
     core.CEmpty: Evaluator._eval_empty,
     core.CRoot: Evaluator._eval_root,
+    core.CPure: Evaluator._eval_pure,
     core.CSequence: Evaluator._eval_sequence,
     core.CSequenced: Evaluator._eval_sequence,  # ';' == ',' dynamically
     core.CRange: Evaluator._eval_range,
@@ -1581,6 +1750,7 @@ _DISPATCH = {
     core.CQuantified: Evaluator._eval_quantified,
     core.CAxisStep: Evaluator._eval_axis_step,
     core.CPath: Evaluator._eval_path,
+    core.CGroupedPath: Evaluator._eval_grouped_path,
     core.CFilter: Evaluator._eval_filter,
     core.CCall: Evaluator._eval_call,
     core.CElem: Evaluator._eval_elem,

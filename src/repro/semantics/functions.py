@@ -447,13 +447,30 @@ def fn_min(ev, ctx, args):
 # ----------------------------------------------------------------------
 
 def fn_distinct_values(ev, ctx, args):
-    seen: list[AtomicValue] = []
+    """First occurrences, in order, of the distinct atomized values: one
+    pass over a hashed key (see _distinct_key)."""
+    seen: set = set()
     out: Sequence = []
     for av in atomize(args[0]):
-        if not any(atomic_equal(av, prev) for prev in seen):
-            seen.append(av)
+        key = _distinct_key(av)
+        if key not in seen:
+            seen.add(key)
             out.append(av)
     return out
+
+
+def _distinct_key(av: AtomicValue) -> tuple:
+    """The equality class of *av* for fn:distinct-values (F&O 15.1.6):
+    numerics by value across integer, decimal and double (a decimal is
+    promoted to double, as ``eq`` does), NaN equal to itself,
+    untypedAtomic as a string, every other type within its own family —
+    values that cannot be compared are distinct."""
+    if is_numeric(av):
+        value = av.value if av.type == XS_INTEGER else float(av.value)
+        return ("nan",) if value != value else ("number", value)
+    if av.type == XS_UNTYPED:
+        return (XS_STRING, av.value)
+    return (av.type, av.value)
 
 
 def fn_reverse(ev, ctx, args):

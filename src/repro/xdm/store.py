@@ -313,6 +313,15 @@ class Store:
         """Number of children of *nid*, without copying the child list."""
         return len(self._rec(nid).children)
 
+    def children_named(self, nid: int, name: str) -> list[int]:
+        """Ids of the element children of *nid* named *name*, in order."""
+        rec = self._rec
+        return [
+            child for child in rec(nid).children
+            if (record := rec(child)).kind is NodeKind.ELEMENT
+            and record.name == name
+        ]
+
     def attributes(self, nid: int) -> tuple[int, ...]:
         """Return the attribute node ids of an element, in stable order."""
         return tuple(self._rec(nid).attributes)

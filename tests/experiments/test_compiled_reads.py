@@ -1,0 +1,64 @@
+"""Pure reads run as compiled closures, not on the tree-walker.
+
+A pure expression's Δ is empty by the purity judgment (Section 4.3), so
+it runs as a closure compiled once per prepared query
+(:mod:`repro.semantics.compiled`).  Counted here on the scan shape of
+the analytic workload, ``count($auction//person[number(income) > X])``
+through the optimizer: the run makes no ``Evaluator.evaluate`` dispatch
+at all, and the same read with a key-lookup first predicate answers
+from the value indexes with exactly the probes of a run that interprets
+every node.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.engine import ExecutionOptions
+from repro.semantics import compiled, evaluator
+
+SCAN = "count($auction//person[number(income) > 40000])"
+KEYED = 'count($auction//person[@id = "person3"][number(income) > 0])'
+OPTIONS = ExecutionOptions(optimize=True, collect_stats=True)
+
+
+@pytest.fixture
+def dispatches(monkeypatch):
+    counts = {"evaluate": 0}
+    evaluate = evaluator.Evaluator.evaluate
+
+    def counted(self, expr, context):
+        counts["evaluate"] += 1
+        return evaluate(self, expr, context)
+
+    monkeypatch.setattr(evaluator.Evaluator, "evaluate", counted)
+    return counts
+
+
+def read(engine_factory, query: str, interpreted: bool, monkeypatch):
+    with monkeypatch.context() as patch:
+        if interpreted:
+            patch.setattr(
+                compiled, "compile_pure", lambda expr, params=(): None
+            )
+        result = engine_factory(120, 40).execute(query, options=OPTIONS)
+    return result.first_value(), result.stats.counters.get("index.probes", 0)
+
+
+def test_optimized_scan_makes_no_tree_walker_dispatch(
+    auction_engine, dispatches, monkeypatch
+):
+    value, probes = read(auction_engine, SCAN, False, monkeypatch)
+    assert dispatches["evaluate"] == 0
+    walked_value, walked_probes = read(auction_engine, SCAN, True, monkeypatch)
+    assert dispatches["evaluate"] > 0
+    assert (value, probes) == (walked_value, walked_probes)
+
+
+def test_keyed_scan_probes_as_often_as_the_interpreted_run(
+    auction_engine, dispatches, monkeypatch
+):
+    value, probes = read(auction_engine, KEYED, False, monkeypatch)
+    assert dispatches["evaluate"] == 0
+    assert (value, probes) == (1, 1)
+    assert read(auction_engine, KEYED, True, monkeypatch) == (value, probes)

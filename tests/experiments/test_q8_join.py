@@ -10,6 +10,12 @@ and its evaluation steps grow ~4x per doubling; the optimized plan
 evaluates no comparison at all and its steps grow ~2x.  E11: the same
 join whose body snaps its insert observes its own effects, so the
 rewrite must not fire and the plan keeps the P·C nested loop.
+
+Pure subexpressions run as compiled closures
+(:mod:`repro.semantics.compiled`) and the rest on the tree-walker, so a
+comparison is a general comparison made by a compiled closure or a
+``CComparison`` the tree-walker dispatches, and a step is a compiled
+closure's run or an ``Evaluator.evaluate`` dispatch.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from itertools import pairwise
 import pytest
 
 from repro.lang import core_ast
-from repro.semantics import evaluator
+from repro.semantics import compiled, evaluator
 
 SCALES = ((30, 40), (60, 80), (120, 160))
 
@@ -50,19 +56,41 @@ def counting(monkeypatch):
     counts = {"comparisons": 0, "steps": 0}
     compare = evaluator._DISPATCH[core_ast.CComparison]
     evaluate = evaluator.Evaluator.evaluate
+    general_compare = compiled.general_compare
 
     def counted_compare(self, expr, context):
         counts["comparisons"] += 1
         return compare(self, expr, context)
 
+    def counted_general_compare(op, left, right):
+        counts["comparisons"] += 1
+        return general_compare(op, left, right)
+
     def counted_evaluate(self, expr, context):
         counts["steps"] += 1
         return evaluate(self, expr, context)
+
+    def counted_compiler(compile_node):
+        def compile_counted(expr, env, unit):
+            run = compile_node(expr, env, unit)
+
+            def step(ev, frame):
+                counts["steps"] += 1
+                return run(ev, frame)
+
+            return step
+
+        return compile_counted
 
     monkeypatch.setitem(
         evaluator._DISPATCH, core_ast.CComparison, counted_compare
     )
     monkeypatch.setattr(evaluator.Evaluator, "evaluate", counted_evaluate)
+    monkeypatch.setattr(compiled, "general_compare", counted_general_compare)
+    for node_type, compile_node in list(compiled._COMPILERS.items()):
+        monkeypatch.setitem(
+            compiled._COMPILERS, node_type, counted_compiler(compile_node)
+        )
     return counts
 
 

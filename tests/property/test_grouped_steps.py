@@ -1,6 +1,8 @@
 """Property: a ``B//name[P1]...[Pn]`` step evaluated in one pass over the
 named descendants, grouped by parent, is observationally the per-node
-child step it replaces (``Evaluator.use_name_index = False``).
+child step it replaces (``Evaluator.use_name_index = False``), whether
+the step runs as a compiled closure (pure predicates) or on the
+tree-walker (predicates that collect updates or snap).
 
 Two engines are built from the same random tree, one per path, and run
 the same scenario; node ids are allocated identically, so values are
@@ -139,7 +141,8 @@ def live(engine: Engine, writes, queries) -> list:
 
 def snapshot(engine: Engine, writes, queries) -> list:
     """Queries on a snapshot taken before *writes* hit the live store:
-    the snapshot reads through its overlay.  Bodies are evaluated, not
+    the snapshot reads through its overlay.  Bodies are evaluated as
+    ``run_module`` would run them (lowered: pure subtrees compiled), not
     applied (a snapshot is read-only), so Δ is compared directly."""
     prepared = [engine.prepare(query) for query in queries]
     snap = engine.store.begin_snapshot()
@@ -149,7 +152,8 @@ def snapshot(engine: Engine, writes, queries) -> list:
         for pq in prepared:
             def run(pq=pq):
                 value, delta = fork.evaluate(
-                    pq._module.body, DynamicContext(dict(fork.globals))
+                    pq.compiled().lowered(pq._module.body),
+                    DynamicContext(globals_=fork.globals),
                 )
                 return ids(value), [repr(r) for r in delta]
 

@@ -4,13 +4,18 @@
 generic per-candidate predicate evaluation — same kept nodes, same
 coercion behaviour (untyped attribute content vs strings and numbers),
 same treatment of missing attributes.  Each case runs both ways: the
-normal engine, and one with the fast path disabled so the generic
-``_apply_predicate`` route answers.
+normal engine, and one with the fast path disabled so the generic route
+answers.  These reads are pure, so both routes are the compiled step's:
+the fast path through ``_attr_compare_filter`` and the generic one
+through ``repro.semantics.compiled._predicate_filter``.  The value
+indexes are off (``use_indexes=False``), or an index probe would answer
+the ``=`` cases before either route is reached.
 """
 
 import pytest
 
 from repro import Engine
+from repro.semantics import compiled
 
 DOC = """<root>
   <item id="a1" n="01"/><item id="a2" n="1"/><item n="2"/>
@@ -42,9 +47,9 @@ def _run(query: str, disable_fast: bool) -> str:
     engine.bind("x", "a1")
     if disable_fast:
         engine.evaluator._attr_compare_filter = (
-            lambda predicate, items, context: None
+            lambda shape, nids, comparand: None
         )
-    return engine.execute(query).serialize()
+    return engine.execute(query, use_indexes=False).serialize()
 
 
 @pytest.mark.parametrize("query", CASES)
@@ -52,21 +57,26 @@ def test_fast_path_matches_generic_path(query):
     assert _run(query, False) == _run(query, True)
 
 
-def test_fast_path_actually_fires():
+def test_fast_path_actually_fires(monkeypatch):
     """Guard against the fast path silently never applying: the filtered
     step must not evaluate the predicate through the generic route."""
     engine = Engine()
     engine.load_document("d", DOC)
     calls = []
-    original = engine.evaluator._apply_predicate
+    original = compiled._predicate_filter
 
-    def spy(predicate, items, context, delta):
-        calls.append(predicate)
-        return original(predicate, items, context, delta)
+    def spy(ev, frame, keep, store, items):
+        calls.append(keep)
+        return original(ev, frame, keep, store, items)
 
-    engine.evaluator._apply_predicate = spy
-    assert engine.execute('count($d//item[@id = "a1"])').first_value() == 2
+    monkeypatch.setattr(compiled, "_predicate_filter", spy)
+    query = 'count($d//item[@id = "a1"])'
+    assert engine.execute(query, use_indexes=False).first_value() == 2
     assert calls == []
+    # A second predicate still takes the generic route: the spy sees it.
+    query = 'count($d//item[@n = "1"][@id])'
+    assert engine.execute(query, use_indexes=False).first_value() == 1
+    assert calls
 
 
 def test_fast_path_respects_updates():
