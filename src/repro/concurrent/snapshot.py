@@ -48,13 +48,15 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from threading import Lock
-from typing import TYPE_CHECKING
 
 from repro.errors import StoreError, UpdateApplicationError
-from repro.xdm.store import _HAS_CHILDREN, _HAS_VALUE, NodeKind, _NodeRecord
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.xdm.store import Store
+from repro.xdm.store import (
+    _HAS_CHILDREN,
+    _HAS_VALUE,
+    NodeKind,
+    Store,
+    _NodeRecord,
+)
 
 
 class _SnapRecord:
@@ -281,13 +283,7 @@ class StoreSnapshot:
     def child_count(self, nid: int) -> int:
         return len(self._rec(nid).children)
 
-    def children_named(self, nid: int, name: str) -> list[int]:
-        rec = self._rec
-        return [
-            child for child in rec(nid).children
-            if (record := rec(child)).kind is NodeKind.ELEMENT
-            and record.name == name
-        ]
+    children_named = Store.children_named  # reads only _rec
 
     def attributes(self, nid: int) -> tuple[int, ...]:
         return tuple(self._rec(nid).attributes)

@@ -583,9 +583,13 @@ def _probe(step: core.CAxisStep, axis: str, env, unit):
 def _step_ids(expr: core.CAxisStep, env, unit):
     """``ids(ev, frame, item)``: the step from node *item*, as ids of
     ``item.store`` in document order."""
-    axis, test = expr.axis, expr.test
-    probe, operand = _probe(expr, axis, env, unit)
+    probe, operand = _probe(expr, expr.axis, env, unit)
     predicates = _predicates(expr.predicates, env, unit)
+    return _ids(expr.axis, expr.test, probe, operand, predicates)
+
+
+def _ids(axis, test, probe, operand, predicates):
+    """:func:`_step_ids` from the step's compiled parts."""
     matches = node_test(test, axis)
     forward = axis in FORWARD_AXES
 
@@ -642,25 +646,7 @@ def _path(expr, env, unit):
 def _path_step(step, env, unit):
     """``apply(ev, frame, base_value)``: one ``E1/E2`` step."""
     if isinstance(step, core.CAxisStep):
-        ids = _step_ids(step, env, unit)
-
-        def apply(ev, frame, base_value):
-            nodes = node_sequence(base_value, "path step input")
-            if len(nodes) == 1:
-                # One context node: the step's ids are document order.
-                store = nodes[0].store
-                return [Node(store, nid) for nid in ids(ev, frame, nodes[0])]
-            nodes = nodes_in_document_order(nodes)
-            if not nodes:
-                return []
-            store = nodes[0].store
-            found: list[int] = []
-            for node in nodes:
-                found += ids(ev, frame, node)
-            found = store.sort_document_order(found)
-            return [Node(store, nid) for nid in found]
-
-        return apply
+        return _apply_ids(_step_ids(step, env, unit))
     run = _compile(step, env, unit)
 
     def apply_generic(ev, frame, base_value):
@@ -678,21 +664,48 @@ def _path_step(step, env, unit):
     return apply_generic
 
 
+def _apply_ids(ids):
+    """An axis step's ``apply``, from its :func:`_step_ids`."""
+
+    def apply(ev, frame, base_value):
+        nodes = node_sequence(base_value, "path step input")
+        if len(nodes) == 1:
+            # One context node: the step's ids are document order.
+            store = nodes[0].store
+            return [Node(store, nid) for nid in ids(ev, frame, nodes[0])]
+        nodes = nodes_in_document_order(nodes)
+        if not nodes:
+            return []
+        store = nodes[0].store
+        found: list[int] = []
+        for node in nodes:
+            found += ids(ev, frame, node)
+        found = store.sort_document_order(found)
+        return [Node(store, nid) for nid in found]
+
+    return apply
+
+
 def _grouped_path(expr, env, unit):
     """``B//name[P...]``: the evaluator's grouped one-pass step while
-    ``use_name_index`` holds, else one child step per node."""
+    ``use_name_index`` holds, else one child step per node of
+    ``B/descendant-or-self::node()``.  Both routes share the compiled
+    B and predicates, so nested grouped steps compile in linear time."""
     step = expr.step
-    inner = _compile(expr.base, env, unit)
-    per_step = _path_step(step, env, unit)
     root = _compile(expr.base.base, env, unit)
+    descend = _path_step(expr.base.step, env, unit)  # no predicates
     probe, operand = _probe(step, "descendant", env, unit)
     predicates = _predicates(step.predicates, env, unit)
+    per_node = _apply_ids(_ids(
+        "child", step.test, *_probe(step, "child", env, unit), predicates
+    ))
     name = step.test.name
 
     def run(ev, frame):
+        base_value = root(ev, frame)
         if not ev.use_name_index:
-            return per_step(ev, frame, inner(ev, frame))
-        base_nodes = node_sequence(root(ev, frame), "path step input")
+            return per_node(ev, frame, descend(ev, frame, base_value))
+        base_nodes = node_sequence(base_value, "path step input")
         store = ev.store
         nids = ev._grouped_child_path(
             base_nodes,

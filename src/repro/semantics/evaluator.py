@@ -476,7 +476,7 @@ class Evaluator:
                     nids, rest = kept, predicates[1:]
         for predicate in rest:
             nids, delta = self._apply_predicate(
-                predicate, nids, context, delta
+                predicate, nids, context, delta, self.store
             )
         return nids, delta
 
@@ -766,22 +766,25 @@ class Evaluator:
     def _apply_predicate(
         self,
         predicate: core.CoreExpr,
-        nids: list[int],
+        items: list,
         context: DynamicContext,
         delta: Delta,
-    ) -> tuple[list[int], Delta]:
-        """Filter *nids* by one predicate with positional semantics; the
-        enclosing variables remain visible inside the predicate.  Returns
-        the kept ids and the delta extended with predicate effects."""
+        store: Store | None = None,
+    ) -> tuple[list, Delta]:
+        """Filter *items* (node ids of *store* when it is given) by one
+        predicate with positional semantics; the enclosing variables
+        remain visible inside the predicate.  Returns the kept items and
+        the delta extended with predicate effects."""
         kept = []
-        size = len(nids)
-        store = self.store
-        for position, nid in enumerate(nids, start=1):
-            focus = context.with_focus(Node(store, nid), position, size)
+        size = len(items)
+        for position, item in enumerate(items, start=1):
+            focus = context.with_focus(
+                item if store is None else Node(store, item), position, size
+            )
             pred_value, pred_delta = self.evaluate(predicate, focus)
             delta = delta + pred_delta
             if _predicate_truth(pred_value, position):
-                kept.append(nid)
+                kept.append(item)
         return kept, delta
 
     def _grouped_child_path(
@@ -889,19 +892,12 @@ class Evaluator:
         return EvalResult(path_result(results), delta)
 
     def _eval_filter(self, expr: core.CFilter, context: DynamicContext) -> EvalResult:
-        value, delta = self.evaluate(expr.base, context)
-        items = list(value)
+        items, delta = self.evaluate(expr.base, context)
         for predicate in expr.predicates:
-            kept = []
-            size = len(items)
-            for position, item in enumerate(items, start=1):
-                focus = context.with_focus(item, position, size)
-                pred_value, pred_delta = self.evaluate(predicate, focus)
-                delta = delta + pred_delta
-                if _predicate_truth(pred_value, position):
-                    kept.append(item)
-            items = kept
-        return EvalResult(items, delta)
+            items, delta = self._apply_predicate(
+                predicate, items, context, delta
+            )
+        return EvalResult(list(items), delta)
 
     # ------------------------------------------------------------------
     # Function calls (Fig. 3)

@@ -447,30 +447,46 @@ def fn_min(ev, ctx, args):
 # ----------------------------------------------------------------------
 
 def fn_distinct_values(ev, ctx, args):
-    """First occurrences, in order, of the distinct atomized values: one
-    pass over a hashed key (see _distinct_key)."""
-    seen: set = set()
+    """The atomized values not equal to an earlier kept one, in order
+    (F&O 15.1.6), in one hashed pass.  Numerics compare as ``eq`` does:
+    integers and decimals exactly, a double against any numeric promoted
+    to double, and NaN equal to itself.  untypedAtomic compares as a
+    string, every other type within its own type: values that cannot be
+    compared are distinct."""
+    exact: set = set()  # kept integers and decimals
+    doubles: set = set()  # kept doubles
+    promoted: set = set()  # every kept numeric, as a double
+    others: set = set()  # kept non-numerics, by (type, value)
     out: Sequence = []
     for av in atomize(args[0]):
-        key = _distinct_key(av)
-        if key not in seen:
-            seen.add(key)
-            out.append(av)
+        if is_numeric(av):
+            double = _as_double(av.value)
+            if av.type == XS_DOUBLE:
+                if double in promoted:
+                    continue
+                doubles.add(double)
+            elif av.value in exact or double in doubles:
+                continue
+            else:
+                exact.add(av.value)
+            promoted.add(double)
+        else:
+            key = (XS_STRING if av.type == XS_UNTYPED else av.type, av.value)
+            if key in others:
+                continue
+            others.add(key)
+        out.append(av)
     return out
 
 
-def _distinct_key(av: AtomicValue) -> tuple:
-    """The equality class of *av* for fn:distinct-values (F&O 15.1.6):
-    numerics by value across integer, decimal and double (a decimal is
-    promoted to double, as ``eq`` does), NaN equal to itself,
-    untypedAtomic as a string, every other type within its own family —
-    values that cannot be compared are distinct."""
-    if is_numeric(av):
-        value = av.value if av.type == XS_INTEGER else float(av.value)
-        return ("nan",) if value != value else ("number", value)
-    if av.type == XS_UNTYPED:
-        return (XS_STRING, av.value)
-    return (av.type, av.value)
+def _as_double(value):
+    """*value* promoted to double as a set key: one key for NaN, and an
+    integer beyond the double range stays itself (no double equals it)."""
+    try:
+        double = float(value)
+    except OverflowError:
+        return value
+    return "NaN" if double != double else double
 
 
 def fn_reverse(ev, ctx, args):

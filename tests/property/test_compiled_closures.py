@@ -11,10 +11,13 @@ a write moved the live store on, or as a statement of a transaction
 after a buffered insert.  The two runs (each on its own engine, so no
 prepared query or compiled body is shared) must agree on the value (its
 items by type, kind and content) or the error code, and on the
-``index.probes``, ``index.hits`` and ``store.nodes_created`` counts."""
+``index.probes``, ``index.hits`` and ``store.nodes_created`` counts.
+Three fixed examples run on every run, whatever Hypothesis draws: a
+step from nested context nodes (its result must be sorted), a predicate
+that reads ``last()``, and an ``and`` whose right operand would raise."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Engine, ExecutionOptions
@@ -107,7 +110,14 @@ def decline(expr, params=()):
     return None
 
 
+# Nested a elements: a step from both of them must sort its result.
+NESTED = '<r><a><a><b k="1"/></a><b k="2"/></a><c/></r>'
+
+
 @settings(max_examples=300, deadline=None)
+@example(NESTED, "$d//a/b", "live", True, False)  # multi-context sort
+@example(NESTED, "$d/r/*[last()]", "live", True, False)  # predicate size
+@example(NESTED, "$z = 1 and 1 idiv $z = 1", "live", True, False)  # and
 @given(
     xml=documents(),
     program=programs(),
