@@ -9,6 +9,7 @@ AST is produced by :mod:`repro.lang.parser` and consumed only by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Optional, Union
 
 
@@ -30,7 +31,7 @@ class IntegerLit(Expr):
 
 @dataclass
 class DecimalLit(Expr):
-    value: float = 0.0
+    value: Decimal = Decimal(0)
 
 
 @dataclass

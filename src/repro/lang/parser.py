@@ -13,6 +13,8 @@ as element names in paths.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 from repro.errors import ParseError
 from repro.lang import ast
 from repro.lang.lexer import Lexer, decode_string_entities
@@ -954,7 +956,7 @@ class Parser:
             return ast.IntegerLit(value=int(token.value), line=token.line)
         if token.kind is TokenKind.DECIMAL:
             self.next()
-            return ast.DecimalLit(value=float(token.value), line=token.line)
+            return ast.DecimalLit(value=Decimal(token.value), line=token.line)
         if token.kind is TokenKind.DOUBLE:
             self.next()
             return ast.DoubleLit(value=float(token.value), line=token.line)

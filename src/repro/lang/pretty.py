@@ -64,7 +64,7 @@ def _integer(e: ast.IntegerLit) -> str:
 
 
 def _decimal(e: ast.DecimalLit) -> str:
-    text = repr(e.value)
+    text = format(e.value, "f")
     return text if "." in text else text + ".0"
 
 

@@ -1,44 +1,11 @@
-"""Open-loop load harness with an SLO scoreboard (ROADMAP item 3).
+"""Seeded workload streams and the hostile-input fuzz campaign.
 
-``python -m repro.loadgen --rate 500 --duration 20 --mix xmark-rw --json``
-replays a seeded XMark read/write mix against the serving stack at a
-target arrival rate and reports latency percentiles, throughput and
-shed/refusal rates against declared SLOs.  ``--virtual`` switches to a
-deterministic virtual-time simulation whose report is bit-for-bit
-reproducible for a given seed.  ``python -m repro.loadgen.hostile``
-runs the seeded hostile-input fuzz campaign over the same boundary.
+Two modules, imported directly by their users (nothing is re-exported):
 
-See ``docs/loadgen.md`` for the design (open-loop scheduling,
-coordinated-omission defense, SLO configuration, fuzz corpus).
+* :mod:`repro.loadgen.workload` — deterministic XMark operation
+  streams over the auction service's endpoints; the benchmark suite's
+  ``serve-*`` workloads draw from them.
+* :mod:`repro.loadgen.hostile` — ``python -m repro.loadgen.hostile``,
+  the seeded fuzz campaign over the binding, parser and document
+  channels (see ``docs/fuzz.md``).
 """
-
-from repro.loadgen.clock import VirtualClock, WallClock
-from repro.loadgen.driver import LoadDriver, LoadProfile, RunRecorder
-from repro.loadgen.histogram import LatencyHistogram
-from repro.loadgen.report import LoadReport, build_report, validate_report
-from repro.loadgen.slo import (
-    SLO,
-    SLOVerdict,
-    default_slos,
-    parse_slo_overrides,
-)
-from repro.loadgen.workload import MIXES, Operation, Workload
-
-__all__ = [
-    "LatencyHistogram",
-    "LoadDriver",
-    "LoadProfile",
-    "LoadReport",
-    "MIXES",
-    "Operation",
-    "RunRecorder",
-    "SLO",
-    "SLOVerdict",
-    "VirtualClock",
-    "WallClock",
-    "Workload",
-    "build_report",
-    "default_slos",
-    "parse_slo_overrides",
-    "validate_report",
-]

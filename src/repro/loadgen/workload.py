@@ -1,4 +1,4 @@
-"""Seeded XMark workload mixes for the open-loop driver.
+"""Seeded XMark workload mixes over the auction service.
 
 A :class:`Workload` is a deterministic stream of :class:`Operation`
 values drawn from a named mix over the auction service's endpoints
@@ -18,8 +18,8 @@ operation                 class  runs as
 
 Determinism: operation *i* is a pure function of ``(seed, i)`` — the
 stream does not depend on how fast operations complete or in which
-order their futures resolve, which is what makes a virtual-time run
-reproducible bit-for-bit.
+order their futures resolve, so two runs with one seed issue the same
+operations.
 """
 
 from __future__ import annotations

@@ -119,11 +119,18 @@ def _double_op(op: str, x: float, y: float) -> float:
             return math.inf if x > 0 else -math.inf
         return x / y
     if op == "idiv":
-        if y == 0 or math.isnan(x) or math.isinf(x):
-            raise ArithmeticError_("invalid operands to idiv")
-        return float(math.trunc(x / y))
-    if op == "mod":
         if y == 0:
+            raise ArithmeticError_("integer division by zero")
+        quotient = x / y
+        if not math.isfinite(quotient):
+            # NaN or INF operand, or a quotient past the double range.
+            raise ArithmeticError_(
+                f"idiv has no integer result for {x!r} and {y!r}",
+                code="FOAR0002",
+            )
+        return float(math.trunc(quotient))
+    if op == "mod":
+        if y == 0 or not math.isfinite(x):
             return float("nan")
         return math.fmod(x, y)
     raise TypeError_(f"unknown arithmetic operator {op!r}")

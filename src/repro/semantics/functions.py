@@ -17,10 +17,10 @@ from typing import TYPE_CHECKING
 
 from repro.errors import CardinalityError, DynamicError, FunctionError, TypeError_
 from repro.semantics.context import DynamicContext, FunctionRegistry
+from repro.semantics.types import cast_atomic
 from repro.xdm.compare import atomic_equal, compare_atomic, deep_equal
 from repro.xdm.nodes import Node
 from repro.xdm.values import (
-    XS_BOOLEAN,
     XS_DOUBLE,
     XS_INTEGER,
     XS_STRING,
@@ -66,6 +66,49 @@ def _optional_number(seq: Sequence) -> float | None:
     if av is None:
         return None
     return float(cast_to_number(av).value)
+
+
+def _round_half_up(value):
+    """F&O rounding of a double or decimal: to the nearest integer, a
+    half toward +INF; NaN and ±INF are returned as they are."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return value
+    return math.floor(value + type(value)(0.5))
+
+
+def _window(args: list[Sequence], size: int) -> slice | None:
+    """The slice of a *size*-long sequence holding the 1-based positions
+    p with round(start) <= p < round(start) + round(length), as
+    fn:substring and fn:subsequence select them; None when the start or
+    length argument is empty.  A NaN bound selects nothing."""
+    start = _optional_number(args[1])
+    if start is None:
+        return None
+    first = _round_half_up(start)
+    end = math.inf
+    if len(args) > 2:
+        length = _optional_number(args[2])
+        if length is None:
+            return None
+        end = first + _round_half_up(length)
+    if first != first or end != end:
+        return slice(0, 0)
+    lo = int(min(max(first, 1), size + 1)) - 1
+    hi = int(min(max(end, 1), size + 1)) - 1
+    return slice(lo, max(lo, hi))
+
+
+def _position(seq: Sequence, what: str) -> int | None:
+    """An integer position argument; a NaN or infinite one is refused."""
+    number = _optional_number(seq)
+    if number is None:
+        return None
+    if not math.isfinite(number):
+        raise TypeError_(
+            f"{what} position must be finite, got {number}",
+            code="FOCA0002",
+        )
+    return int(number)
 
 
 def _context_node(context: DynamicContext, name: str) -> Node:
@@ -234,19 +277,8 @@ def fn_string_join(ev, ctx, args):
 
 def fn_substring(ev, ctx, args):
     text = _one_string(args)
-    start = _optional_number(args[1])
-    if start is None:
-        return [AtomicValue.string("")]
-    begin = int(round(start)) - 1
-    if len(args) > 2:
-        length = _optional_number(args[2])
-        if length is None:
-            return [AtomicValue.string("")]
-        end = begin + int(round(length))
-    else:
-        end = len(text)
-    begin = max(begin, 0)
-    return [AtomicValue.string(text[begin:max(end, begin)])]
+    window = _window(args, len(text))
+    return [AtomicValue.string("" if window is None else text[window])]
 
 
 def fn_contains(ev, ctx, args):
@@ -348,35 +380,30 @@ def fn_abs(ev, ctx, args):
     return [AtomicValue(av.type, abs(av.value))]
 
 
-def fn_floor(ev, ctx, args):
-    av = atomize_optional(args[0], "fn:floor argument")
+def _to_integral(args: list[Sequence], what: str, rounding) -> Sequence:
+    """fn:floor / fn:ceiling / fn:round: an integer, NaN or ±INF argument
+    is returned as it is; a double or decimal is rounded exactly."""
+    av = atomize_optional(args[0], f"{what} argument")
     if av is None:
         return []
     av = cast_to_number(av)
-    if av.type == XS_INTEGER:
+    if av.type == XS_INTEGER or (
+        av.type == XS_DOUBLE and not math.isfinite(av.value)
+    ):
         return [av]
-    return [_rewrap_numeric(av, math.floor(float(av.value)))]
+    return [_rewrap_numeric(av, rounding(av.value))]
+
+
+def fn_floor(ev, ctx, args):
+    return _to_integral(args, "fn:floor", math.floor)
 
 
 def fn_ceiling(ev, ctx, args):
-    av = atomize_optional(args[0], "fn:ceiling argument")
-    if av is None:
-        return []
-    av = cast_to_number(av)
-    if av.type == XS_INTEGER:
-        return [av]
-    return [_rewrap_numeric(av, math.ceil(float(av.value)))]
+    return _to_integral(args, "fn:ceiling", math.ceil)
 
 
 def fn_round(ev, ctx, args):
-    av = atomize_optional(args[0], "fn:round argument")
-    if av is None:
-        return []
-    av = cast_to_number(av)
-    if av.type == XS_INTEGER:
-        return [av]
-    # XQuery rounds .5 toward positive infinity.
-    return [_rewrap_numeric(av, math.floor(float(av.value) + 0.5))]
+    return _to_integral(args, "fn:round", _round_half_up)
 
 
 def _numeric_values(seq: Sequence, what: str) -> list[AtomicValue]:
@@ -494,37 +521,22 @@ def fn_reverse(ev, ctx, args):
 
 
 def fn_subsequence(ev, ctx, args):
-    seq = args[0]
-    start = _optional_number(args[1])
-    if start is None:
-        return []
-    begin = int(round(start))
-    if len(args) > 2:
-        length = _optional_number(args[2])
-        if length is None:
-            return []
-        end = begin + int(round(length))
-    else:
-        end = len(seq) + 1
-    out = []
-    for position, item in enumerate(seq, start=1):
-        if position >= begin and position < end:
-            out.append(item)
-    return out
+    window = _window(args, len(args[0]))
+    return [] if window is None else list(args[0][window])
 
 
 def fn_insert_before(ev, ctx, args):
     seq, inserts = args[0], args[2]
-    position = _optional_number(args[1])
-    index = max(int(position or 1) - 1, 0)
+    position = _position(args[1], "fn:insert-before")
+    index = max((position or 1) - 1, 0)
     return list(seq[:index]) + list(inserts) + list(seq[index:])
 
 
 def fn_remove(ev, ctx, args):
-    position = _optional_number(args[1])
+    position = _position(args[1], "fn:remove")
     if position is None:
         return list(args[0])
-    index = int(position) - 1
+    index = position - 1
     return [item for i, item in enumerate(args[0]) if i != index]
 
 
@@ -621,53 +633,15 @@ def fn_doc_available(ev, ctx, args):
 
 
 # ----------------------------------------------------------------------
-# Casting-style constructors (xs:integer etc. used as functions)
+# Constructor functions: xs:T($x) is ``$x cast as xs:T?``
 # ----------------------------------------------------------------------
 
-def xs_integer(ev, ctx, args):
-    av = atomize_optional(args[0], "xs:integer argument")
-    if av is None:
-        return []
-    return [AtomicValue.integer(int(float(cast_to_number(av).value)))]
+def _constructor(type_name: str):
+    def construct(ev, ctx, args):
+        av = atomize_optional(args[0], f"{type_name} argument")
+        return [] if av is None else [cast_atomic(av, type_name)]
 
-
-def xs_decimal(ev, ctx, args):
-    av = atomize_optional(args[0], "xs:decimal argument")
-    if av is None:
-        return []
-    from repro.semantics.types import cast_atomic
-
-    return [cast_atomic(av, "xs:decimal")]
-
-
-def xs_double(ev, ctx, args):
-    av = atomize_optional(args[0], "xs:double argument")
-    if av is None:
-        return []
-    return [AtomicValue.double(float(cast_to_number(av).value))]
-
-
-def xs_string(ev, ctx, args):
-    av = atomize_optional(args[0], "xs:string argument")
-    if av is None:
-        return []
-    return [AtomicValue.string(av.lexical())]
-
-
-def xs_boolean(ev, ctx, args):
-    av = atomize_optional(args[0], "xs:boolean argument")
-    if av is None:
-        return []
-    if av.type == XS_BOOLEAN:
-        return [av]
-    if av.type in (XS_STRING, XS_UNTYPED):
-        text = av.value.strip()
-        if text in ("true", "1"):
-            return [AtomicValue.boolean(True)]
-        if text in ("false", "0"):
-            return [AtomicValue.boolean(False)]
-        raise TypeError_(f"cannot cast {text!r} to xs:boolean")
-    return [AtomicValue.boolean(bool(av.value))]
+    return construct
 
 
 _BUILTINS = {
@@ -743,11 +717,11 @@ _BUILTINS = {
     ("string-to-codepoints", 1): fn_string_to_codepoints,
     ("doc", 1): fn_doc,
     ("doc-available", 1): fn_doc_available,
-    ("xs:integer", 1): xs_integer,
-    ("xs:decimal", 1): xs_decimal,
-    ("xs:double", 1): xs_double,
-    ("xs:string", 1): xs_string,
-    ("xs:boolean", 1): xs_boolean,
+    ("xs:integer", 1): _constructor("xs:integer"),
+    ("xs:decimal", 1): _constructor("xs:decimal"),
+    ("xs:double", 1): _constructor("xs:double"),
+    ("xs:string", 1): _constructor("xs:string"),
+    ("xs:boolean", 1): _constructor("xs:boolean"),
 }
 
 _VARIADIC = {

@@ -7,6 +7,8 @@ dynamic type universe.  The paper leaves *static* typing for future work
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import TypeError_
 from repro.lang.ast import SequenceType
 from repro.xdm.nodes import Node
@@ -80,8 +82,17 @@ def matches_sequence_type(seq: Sequence, type_: SequenceType) -> bool:
 
 
 def cast_atomic(av: AtomicValue, type_name: str) -> AtomicValue:
-    """'cast as' for a single atomic value; raises TypeError_ on failure."""
+    """'cast as' for a single atomic value; raises TypeError_ on failure.
+
+    NaN and ±INF have no xs:integer or xs:decimal value (FOCA0002).
+    """
     text = av.lexical()
+    if (
+        av.type == XS_DOUBLE
+        and not math.isfinite(av.value)
+        and type_name in ("xs:integer", "integer", "xs:decimal", "decimal")
+    ):
+        raise TypeError_(f"cannot cast {text} to {type_name}", code="FOCA0002")
     try:
         if type_name in ("xs:string", "string"):
             return AtomicValue.string(text)
@@ -96,7 +107,10 @@ def cast_atomic(av: AtomicValue, type_name: str) -> AtomicValue:
         if type_name in ("xs:decimal", "decimal"):
             if av.type == XS_BOOLEAN:
                 return AtomicValue.decimal(1 if av.value else 0)
-            return AtomicValue.decimal(text.strip())
+            value = AtomicValue.decimal(text.strip())
+            if not value.value.is_finite():
+                raise ValueError(text)
+            return value
         if type_name in ("xs:double", "double"):
             if av.type == XS_BOOLEAN:
                 return AtomicValue.double(1.0 if av.value else 0.0)

@@ -8,7 +8,7 @@ cluster's interleaving.
 
 Determinism comes from three properties:
 
-* time is :class:`~repro.loadgen.clock.VirtualClock` — it only moves
+* time is a :class:`VirtualClock` — it only moves
   when the scheduler pops an event, so wall-clock jitter cannot leak
   into ordering;
 * ties (events scheduled for the same virtual instant) are broken by a
@@ -29,7 +29,29 @@ import heapq
 import random
 from typing import Any, Callable
 
-from repro.loadgen.clock import VirtualClock
+
+class VirtualClock:
+    """Deterministic simulated time starting at 0.0.
+
+    ``sleep_until`` jumps the clock forward instead of waiting; time
+    never moves backwards (sleeping until a past deadline is a no-op).
+    """
+
+    def __init__(self, start: float = 0.0):
+        self._now = float(start)
+
+    def now(self) -> float:
+        return self._now
+
+    def sleep_until(self, deadline: float) -> None:
+        if deadline > self._now:
+            self._now = deadline
+
+    def advance(self, seconds: float) -> None:
+        """Move time forward by *seconds* (negative values are refused)."""
+        if seconds < 0:
+            raise ValueError("virtual time cannot move backwards")
+        self._now += seconds
 
 
 class Event:

@@ -14,7 +14,8 @@ binds: ``$d`` (the document), ``$v`` (a string), ``$n`` (an integer),
   operands; arithmetic with empty operands;
 * ``and``/``or``, ``if``, ``for``/``let``, ``some``/``every``, and FLWOR
   with ``where`` and ``order by`` (keys may be empty);
-* built-ins (focus functions too), constructors and casts.
+* built-ins (focus functions too), constructors and casts, given
+  half-way, NaN and infinite numbers among their operands.
 
 Operands are drawn without regard to type, so a good share of programs
 raise a dynamic error; which error comes first is part of the meaning.
@@ -75,7 +76,10 @@ BASES = (
     "$d/r", "$d//a", "($d//b, $d//a)", "$d//c", "($d//*)[2]", "$d//b/..",
     "$d",
 )
-LITERALS = ('1', '2', '2.5', '1e0', '"x"', '""', '"10"', "()", "-1")
+LITERALS = (
+    '1', '2', '2.5', '1e0', '"x"', '""', '"10"', "()", "-1", "0.5",
+    'number("x")', "1 div 0E0",
+)
 SCALARS = (
     "$n", "$v", "$z", "$e", "$d//a/@n", "$d//b/@k", "$d//text()", ".",
     "last()",
@@ -89,11 +93,12 @@ FUNCTIONS_1 = (
     "empty", "not", "string-length", "distinct-values", "data",
     "boolean", "max", "min", "avg", "reverse", "zero-or-one",
     "normalize-space", "local:twice", "local:depth", "xs:integer",
-    "xs:string", "xs:double", "xs:boolean", "root",
+    "xs:string", "xs:double", "xs:boolean", "root", "floor", "ceiling",
+    "round",
 )
 FUNCTIONS_2 = (
     "contains", "concat", "starts-with", "string-join", "index-of",
-    "local:pick", "subsequence", "compare",
+    "local:pick", "subsequence", "compare", "substring",
 )
 FOCUS = (
     "position()", "last()", "string()", "number()", "name()", ".",

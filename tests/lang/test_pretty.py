@@ -37,6 +37,14 @@ class TestUnparse:
         expr = parse(query)
         assert parse(unparse(expr)) == expr
 
+    @pytest.mark.parametrize(
+        "literal", ["0.10000000000000000001", "12345678901234567890.5"]
+    )
+    def test_decimal_literal_keeps_every_digit(self, literal):
+        expr = parse(literal)
+        assert unparse(expr) == literal
+        assert parse(unparse(expr)) == expr
+
     def test_string_escapes(self):
         expr = parse("'say \"hi\"'")
         assert parse(unparse(expr)) == expr

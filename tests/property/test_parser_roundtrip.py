@@ -21,9 +21,9 @@ _SAFE_TEXT = st.text(
 
 _leaf = st.one_of(
     st.integers(min_value=0, max_value=10**6).map(lambda v: ast.IntegerLit(value=v)),
-    st.floats(
-        min_value=0.001, max_value=1e6, allow_nan=False, allow_infinity=False
-    ).map(lambda v: ast.DecimalLit(value=v)),
+    st.decimals(min_value="0.001", max_value=10**6, places=25).map(
+        lambda v: ast.DecimalLit(value=v)
+    ),
     _SAFE_TEXT.map(lambda v: ast.StringLit(value=v)),
     _VARS.map(lambda v: ast.VarRef(name=v)),
     st.just(ast.ContextItem()),

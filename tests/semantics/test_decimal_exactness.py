@@ -19,6 +19,12 @@ class TestExactness:
         assert e.execute("65.95 * 0.9").serialize() == "59.355"
         assert e.execute("1.1 - 1.0").serialize() == "0.1"
 
+    def test_decimal_literal_keeps_every_digit(self, e):
+        assert e.execute("0.1 eq 0.10000000000000000001").first_value() \
+            is False
+        assert e.execute("string(12345678901234567890.5)").first_value() \
+            == "12345678901234567890.5"
+
     def test_decimal_literal_type(self, e):
         item = e.execute("3.14").items[0]
         assert item.type == XS_DECIMAL

@@ -8,7 +8,16 @@ from repro.errors import (
     DynamicError,
     FunctionError,
     UndefinedFunctionError,
+    XQueryError,
 )
+
+
+def outcome(engine: Engine, query: str) -> str:
+    """The serialized result of *query*, or the code of its error."""
+    try:
+        return engine.execute(query).serialize()
+    except XQueryError as error:
+        return error.code
 
 
 @pytest.fixture
@@ -135,6 +144,29 @@ class TestNumerics:
     def test_avg_empty(self, e):
         assert e.execute("avg(())").values() == []
 
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ("floor(0 div 0E0)", "NaN"),
+            ("ceiling(1 div 0E0)", "INF"),
+            ("round(-1 div 0E0)", "-INF"),
+            ('substring("12345", 2.5)', "345"),
+            ("subsequence((1, 2, 3, 4, 5), 0.5, 1.5)", "1 2"),
+            ('substring("12345", 0 div 0E0, 3)', ""),
+            ('substring("12345", -42, 1 div 0E0)', "12345"),
+            ('substring("12345", -1 div 0E0, 1 div 0E0)', ""),
+            ("subsequence((1, 2), 1 div 0E0)", ""),
+            ("subsequence((1, 2), 0 div 0E0, 1)", ""),
+            ("insert-before((1, 2), 0 div 0E0, 3)", "FOCA0002"),
+            ("remove((1, 2), 0 div 0E0)", "FOCA0002"),
+            ('xs:double("INF") mod 2', "NaN"),
+            ('1 idiv number("x")', "FOAR0002"),
+            ("1e300 idiv 1e-300", "FOAR0002"),
+        ],
+    )
+    def test_non_finite_and_half_way_numbers(self, e, query, expected):
+        assert outcome(e, query) == expected
+
 
 class TestSequences:
     def test_distinct_values(self, e):
@@ -202,6 +234,24 @@ class TestMisc:
         assert e.execute("xs:double('2.5')").first_value() == 2.5
         assert e.execute("xs:string(12)").first_value() == "12"
         assert e.execute("xs:boolean('true')").first_value() is True
+
+    @pytest.mark.parametrize(
+        "query, cast, expected",
+        [
+            ("xs:boolean(0 div 0E0)", "(0 div 0E0) cast as xs:boolean?",
+             "false"),
+            ('xs:integer("2.5")', '"2.5" cast as xs:integer?', "FORG0001"),
+            ('xs:integer(xs:double("INF"))',
+             'xs:double("INF") cast as xs:integer?', "FOCA0002"),
+            ('xs:decimal(xs:double("INF"))',
+             'xs:double("INF") cast as xs:decimal?', "FOCA0002"),
+            ('xs:decimal(number("x"))', 'number("x") cast as xs:decimal?',
+             "FOCA0002"),
+        ],
+    )
+    def test_constructor_is_a_cast(self, e, query, cast, expected):
+        assert outcome(e, query) == expected
+        assert outcome(e, cast) == expected
 
     def test_fn_prefix_accepted(self, e):
         assert e.execute("fn:count((1, 2))").first_value() == 2

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from repro.sim.scheduler import EventScheduler
+from repro.sim.scheduler import EventScheduler, VirtualClock
 
 
 class TestOrdering:
@@ -91,3 +93,35 @@ class TestCancel:
         scheduler.call_after(0.01, reschedule)
         ran = scheduler.run(max_events=25)
         assert ran == 25
+
+
+class TestVirtualClock:
+    def test_starts_at_zero_and_jumps(self):
+        clock = VirtualClock()
+        assert clock.now() == 0.0
+        clock.sleep_until(12.5)
+        assert clock.now() == 12.5
+
+    def test_never_moves_backwards(self):
+        clock = VirtualClock()
+        clock.sleep_until(5.0)
+        clock.sleep_until(1.0)  # a past deadline is a no-op
+        assert clock.now() == 5.0
+
+    def test_advance(self):
+        clock = VirtualClock(start=2.0)
+        clock.advance(3.0)
+        assert clock.now() == 5.0
+
+    def test_advance_refuses_negative(self):
+        with pytest.raises(ValueError):
+            VirtualClock().advance(-1.0)
+
+    def test_no_wall_time_involved(self):
+        # A "20 second" virtual schedule completes instantly.
+        clock = VirtualClock()
+        start = time.monotonic()
+        for i in range(2000):
+            clock.sleep_until(i * 0.01)
+        assert clock.now() == pytest.approx(19.99)
+        assert time.monotonic() - start < 1.0
