@@ -91,7 +91,7 @@ def _window(args: list[Sequence], size: int) -> slice | None:
         if length is None:
             return None
         end = first + _round_half_up(length)
-    if first != first or end != end:
+    if math.isnan(first) or math.isnan(end):
         return slice(0, 0)
     lo = int(min(max(first, 1), size + 1)) - 1
     hi = int(min(max(end, 1), size + 1)) - 1
