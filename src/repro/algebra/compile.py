@@ -1,16 +1,15 @@
 """Compilation of core expressions into algebra plans (Section 4.2).
 
 The compiler recognizes the FLWOR *pipeline* shape that normalization
-produces — a chain of nested ``for``/``let``/``if`` — and builds the
-corresponding tuple-stream plan.  The optimizer
-(:mod:`repro.algebra.rewrite`) then restructures the pipeline into join /
-outer-join/group-by plans when the side-effect guards allow.  Everything
-else compiles to the :class:`~repro.algebra.plan.EvalExpr` fallback, which
-simply interprets (the paper's architecture likewise only rewrites plans
+produces — a chain of nested ``for``/``let``/``if`` — and hands it to
+the optimizer (:mod:`repro.algebra.rewrite`), which restructures it into
+join / outer-join/group-by plans when the side-effect guards allow.  A
+query gets a plan only when a rewrite fired; every other body runs on the
+evaluator (the paper's architecture likewise only rewrites plans
 matching its rules' preconditions).
 
-The whole query is always wrapped in a top-level :class:`Snap` — "recall
-that the query is always wrapped into a top-level snap" (Section 4.3).
+A plan is always wrapped in a top-level :class:`Snap` — "recall that the
+query is always wrapped into a top-level snap" (Section 4.3).
 """
 
 from __future__ import annotations
@@ -117,10 +116,10 @@ def finish_pipeline(plan: P.Plan, pipeline: Pipeline) -> P.Plan:
     return P.MapFromItem(input=plan, ret=pipeline.ret)
 
 
-def naive_plan(pipeline: Pipeline) -> P.Plan:
-    """The unoptimized pipeline plan (nested-loop semantics)."""
-    plan: P.Plan = P.UnitTuple()
-    for step in pipeline.steps:
+def build_steps(plan: P.Plan, steps: list[Step]) -> P.Plan:
+    """Stack one operator per step on *plan*: MapConcat for ``for``,
+    LetBind for ``let``, Select for a ``where`` conjunct."""
+    for step in steps:
         if isinstance(step, ForStep):
             plan = P.MapConcat(
                 input=plan,
@@ -132,43 +131,39 @@ def naive_plan(pipeline: Pipeline) -> P.Plan:
             plan = P.LetBind(input=plan, var=step.var, source=step.source)
         else:
             plan = P.Select(input=plan, predicate=step.predicate)
+    return plan
+
+
+def naive_plan(pipeline: Pipeline) -> P.Plan:
+    """The unoptimized pipeline plan (nested-loop semantics)."""
+    plan = build_steps(P.UnitTuple(), pipeline.steps)
     return finish_pipeline(plan, pipeline)
 
 
 def compile_query(
     body: core.CoreExpr,
     engine: "Engine",
-    optimize: bool = True,
     semantics: "ApplySemantics | None" = None,
     tracer: "Tracer | None" = None,
-) -> P.Plan:
-    """Compile a query body to a plan, optionally optimized.
+) -> P.Snap | None:
+    """The rewritten plan of a query body, or None when the body is not a
+    FLWOR pipeline or no rewrite rule fires: the body then runs on the
+    evaluator.
 
-    The result is always ``Snap { ... }`` with the given update-application
+    A plan is always ``Snap { ... }`` with the given update-application
     *semantics* (the engine's default when omitted).  A *tracer* records
     rewrite-rule firings and per-rule spans (see
     :mod:`repro.algebra.rewrite`).
     """
-    inner = _compile_body(body, engine, optimize, tracer)
-    mode = (semantics or engine.default_semantics).value
-    return P.Snap(input=inner, mode=mode)
-
-
-def _compile_body(
-    body: core.CoreExpr,
-    engine: "Engine",
-    optimize: bool,
-    tracer: "Tracer | None" = None,
-) -> P.Plan:
     pipeline = decompose_pipeline(body)
     if pipeline is None:
-        return P.EvalExpr(expr=body)
-    if optimize:
-        from repro.algebra.rewrite import try_optimize
-        from repro.index import Statistics
+        return None
+    from repro.algebra.rewrite import try_optimize
+    from repro.index import Statistics
 
-        stats = Statistics.from_store(engine.store)
-        optimized = try_optimize(pipeline, engine.functions, tracer, stats)
-        if optimized is not None:
-            return optimized
-    return naive_plan(pipeline)
+    stats = Statistics.from_store(engine.store)
+    plan = try_optimize(pipeline, engine.functions, tracer, stats)
+    if plan is None:
+        return None
+    mode = (semantics or engine.default_semantics).value
+    return P.Snap(input=plan, mode=mode)

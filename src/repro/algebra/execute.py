@@ -153,9 +153,6 @@ def _stream_items(plan: P.Plan, state: _ExecState) -> Iterator:
         # A nested plan-level snap is itself a barrier; materialize it.
         yield from _items(plan, state)
         return
-    if isinstance(plan, P.EvalExpr):
-        yield from state.eval_scalar(plan.expr, {})
-        return
     if isinstance(plan, P.MapFromItem):
         for tup in _tuples(plan.input, state):
             yield from state.eval_scalar(plan.ret, tup)
@@ -169,7 +166,7 @@ def _stream_items(plan: P.Plan, state: _ExecState) -> Iterator:
 
 # The linear (single-input, tuple-in/tuples-out) operators that form FLWOR
 # chains.  These are driven iteratively — see _chain_tuples.
-_CHAIN_OPS = (P.MapConcat, P.IndexScan, P.LetBind, P.Select)
+_CHAIN_OPS = (P.MapConcat, P.LetBind, P.Select)
 
 
 def _tuples(plan: P.Plan, state: _ExecState) -> Iterator[Tuple_]:
@@ -231,8 +228,6 @@ def _apply_chain_op(
     if isinstance(op, P.MapConcat):
         source = state.eval_scalar(op.source, tup)
         return _extend_per_item(op, tup, source)
-    if isinstance(op, P.IndexScan):
-        return _extend_per_item(op, tup, _index_scan_source(op, tup, state))
     if isinstance(op, P.LetBind):
         extended = dict(tup)
         extended[op.var] = state.eval_scalar(op.source, tup)
@@ -252,44 +247,6 @@ def _extend_per_item(
         if op.position_var:
             extended[op.position_var] = [AtomicValue.integer(index)]
         yield extended
-
-
-def _index_scan_source(
-    op: P.IndexScan, tup: Tuple_, state: _ExecState
-) -> Sequence:
-    """The items of an IndexScan for one input tuple.
-
-    The cost model substituted this operator for a pure ``B//name``
-    MapConcat source; both the index path and the fallback evaluate pure
-    expressions, so either route yields identical items in document
-    order.  Fallback fires when indexes are disabled for the call, when
-    the root produces non-nodes, or when any root node lives outside the
-    evaluator's store, or in a snapshot's local construction space.
-    """
-    from repro.xdm.nodes import Node
-
-    evaluator = state.evaluator
-    store = evaluator.store
-    if not getattr(evaluator, "use_indexes", False):
-        return state.eval_scalar(op.source, tup)
-    base = state.eval_scalar(op.root, tup)
-    is_local = getattr(store, "_is_local", None)
-    for item in base:
-        if (
-            not isinstance(item, Node)
-            or item.store is not store
-            or (is_local is not None and is_local(item.nid))
-        ):
-            return state.eval_scalar(op.source, tup)
-    nids: set[int] = set()
-    for item in base:
-        nids.update(store.descendants_named(item.nid, op.name))
-        if op.or_self and store.name(item.nid) == op.name:
-            nids.add(item.nid)
-    if state.tracer is not None:
-        state.tracer.count("exec.index_scan")
-        state.tracer.observe("exec.index_scan.rows", len(nids))
-    return [Node(store, nid) for nid in store.sort_document_order(nids)]
 
 
 def _order_by_sort(plan: P.OrderBySort, state: _ExecState) -> Iterator[Tuple_]:

@@ -66,35 +66,6 @@ class MapConcat(Plan):
 
 
 @dataclass
-class IndexScan(Plan):
-    """A :class:`MapConcat` whose source is a descendant name step,
-    answered from the store's element-name index instead of a subtree
-    walk.  Substituted by the cost-based optimizer when the estimated
-    posting count beats a sequential scan; *source* keeps the original
-    expression so execution can fall back to it verbatim (indexes
-    disabled, non-node roots), guaranteeing identical results.
-    """
-
-    input: Plan = None  # type: ignore[assignment]
-    var: str = ""
-    #: The original path expression (exact fallback).
-    source: core.CoreExpr = None  # type: ignore[assignment]
-    #: The base ``B`` of ``B//name`` — pure, evaluated per input tuple.
-    root: core.CoreExpr = None  # type: ignore[assignment]
-    name: str = ""
-    or_self: bool = False
-    position_var: Optional[str] = None
-    #: Optimizer's estimated row count (surfaced next to actuals in stats).
-    est_rows: int = 0
-
-    def label(self) -> str:
-        return f"IndexScan[{self.var}:{self.name}]"
-
-    def children(self) -> list[Plan]:
-        return [self.input]
-
-
-@dataclass
 class LetBind(Plan):
     """A ``let`` clause: extend each tuple with the whole sequence."""
 
@@ -212,14 +183,6 @@ class MapFromItem(Plan):
 
 
 @dataclass
-class EvalExpr(Plan):
-    """Fallback: interpret a core expression directly (no restructuring).
-    Used for query shapes the algebra does not cover."""
-
-    expr: core.CoreExpr = None  # type: ignore[assignment]
-
-
-@dataclass
 class Snap(Plan):
     """Apply the collected Δ of the inner plan (the implicit top-level
     snap, or an explicit one the compiler chose to keep at plan level)."""
@@ -237,20 +200,26 @@ class Snap(Plan):
 PlanNode = Union[
     UnitTuple,
     MapConcat,
-    IndexScan,
     LetBind,
     Select,
     HashJoin,
     LeftOuterJoin,
     GroupBy,
     MapFromItem,
-    EvalExpr,
     Snap,
 ]
 
 
-def pretty_plan(plan: Plan, indent: int = 0) -> str:
-    """Render a plan tree as an indented outline (tests assert on this)."""
+#: How ``pretty_plan`` renders the absent plan of a query that no
+#: rewrite applies to: its body runs on the evaluator.
+NO_PLAN = "(no plan: no rewrite applies; the evaluator runs the body)"
+
+
+def pretty_plan(plan: Plan | None, indent: int = 0) -> str:
+    """Render a plan tree as an indented outline (tests assert on this);
+    None renders as :data:`NO_PLAN`."""
+    if plan is None:
+        return NO_PLAN
     pad = "  " * indent
     lines = [f"{pad}{plan.label()}"]
     for child in plan.children():
@@ -258,15 +227,18 @@ def pretty_plan(plan: Plan, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def plan_operators(plan: Plan) -> list[str]:
-    """Flat list of operator labels, root-first (for plan-shape tests)."""
+def plan_operators(plan: Plan | None) -> list[str]:
+    """Flat list of operator labels, root-first (for plan-shape tests);
+    empty for no plan."""
+    if plan is None:
+        return []
     out = [type(plan).__name__]
     for child in plan.children():
         out.extend(plan_operators(child))
     return out
 
 
-def paper_plan(plan: Plan, indent: int = 0) -> str:
+def paper_plan(plan: Plan | None, indent: int = 0) -> str:
     """Render a plan in the style of the paper's Section 4.3 printout,
     with the embedded core expressions unparsed inline::
 
@@ -280,6 +252,8 @@ def paper_plan(plan: Plan, indent: int = 0) -> str:
     """
     from repro.lang.core_pretty import core_to_source as src
 
+    if plan is None:
+        return NO_PLAN
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(plan, Snap):
@@ -311,13 +285,6 @@ def paper_plan(plan: Plan, indent: int = 0) -> str:
             + ("" if isinstance(plan.input, UnitTuple)
                else "\n" + paper_plan(plan.input, indent + 1))
         )
-    if isinstance(plan, IndexScan):
-        return (
-            f"{pad}IndexScan{{[{plan.var}:{plan.name}]}}"
-            f"({src(plan.root)}, est={plan.est_rows})"
-            + ("" if isinstance(plan.input, UnitTuple)
-               else "\n" + paper_plan(plan.input, indent + 1))
-        )
     if isinstance(plan, LetBind):
         return (
             f"{pad}LetBind{{[{plan.var}:Input]}}({src(plan.source)})\n"
@@ -334,8 +301,6 @@ def paper_plan(plan: Plan, indent: int = 0) -> str:
             f"{pad}OrderBy{{ {keys} }}\n"
             f"{paper_plan(plan.input, indent + 1)}"
         )
-    if isinstance(plan, EvalExpr):
-        return f"{pad}Eval{{ {src(plan.expr)} }}"
     if isinstance(plan, UnitTuple):
         return f"{pad}Unit"
     return f"{pad}{plan.label()}"

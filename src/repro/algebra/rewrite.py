@@ -36,8 +36,10 @@ from repro.algebra.compile import (
     Pipeline,
     Step,
     WhereStep,
+    build_steps,
     decompose_pipeline,
     finish_pipeline,
+    naive_plan,
 )
 from repro.algebra.properties import EffectAnalyzer, free_variables
 from repro.lang import core_ast as core
@@ -54,23 +56,21 @@ def try_optimize(
     tracer: Tracer | None = None,
     stats=None,
 ) -> P.Plan | None:
-    """Attempt the rewrites; None means "no rewrite applies, use the naive
-    plan".
+    """Attempt the rewrites; None means "no rewrite applies": the body
+    then runs on the evaluator, with no plan.
 
     With a *tracer*, every rule records a :class:`RuleFiring` (fired or
     not, with the guard detail that decided it), each attempt runs under a
     ``rewrite:<rule>`` span, and the per-clause purity verdicts feeding the
     guards are captured for ``explain``.
 
-    With *stats* (a :class:`repro.index.Statistics`), a cost-based pass
-    follows the rules: MapConcat sources shaped ``B//name`` become
-    :class:`~repro.algebra.plan.IndexScan` when the estimated posting
-    count beats a sequential walk, hash joins build on their estimated
-    smaller side, and the hash-join rule picks the candidate inner
-    branch with the fewest estimated build rows.  Every choice (and
-    every rejected alternative) is recorded on the tracer's ``costs``
-    channel.  Cost decisions never relax a guard — they pick among
-    plans the guards already admitted.
+    With *stats* (a :class:`repro.index.Statistics`), the rewritten plan
+    gets cost-based choices: hash joins build on their estimated smaller
+    side, and the hash-join rule picks the candidate inner branch with
+    the fewest estimated build rows.  Every choice (and every rejected
+    alternative) is recorded on the tracer's ``costs`` channel.  Cost
+    decisions never relax a guard — they pick among plans the guards
+    already admitted — and never make a plan where no rule fired.
     """
     analyzer = EffectAnalyzer(registry)
     if tracer is not None:
@@ -122,15 +122,12 @@ def try_optimize(
             fired=False,
             detail={"reason": "not attempted (outer-join-group-by fired)"},
         )
-    rules_changed = plan is not None or hoisted is not pipeline
-    if plan is None:
-        from repro.algebra.compile import naive_plan
-
-        plan = naive_plan(hoisted)
-    cost_changed = _cost_pass(plan, analyzer, stats, tracer)
-    if rules_changed or cost_changed:
+    if plan is not None:
+        _cost_pass(plan, stats, tracer)
         return plan
-    return None
+    if hoisted is pipeline:
+        return None
+    return naive_plan(hoisted)
 
 
 def purity_verdicts(
@@ -269,22 +266,6 @@ def _split_equality(
     return None
 
 
-def _build_steps(plan: P.Plan, steps: list[Step]) -> P.Plan:
-    for step in steps:
-        if isinstance(step, ForStep):
-            plan = P.MapConcat(
-                input=plan,
-                var=step.var,
-                source=step.source,
-                position_var=step.position_var,
-            )
-        elif isinstance(step, LetStep):
-            plan = P.LetBind(input=plan, var=step.var, source=step.source)
-        else:
-            plan = P.Select(input=plan, predicate=step.predicate)
-    return plan
-
-
 # ----------------------------------------------------------------------
 # Rewrite 1: outer-join / group-by (the paper's Section 4.3 plan)
 # ----------------------------------------------------------------------
@@ -357,7 +338,7 @@ def _match_inner_join(
     per_match = inner.ret
     for guard in reversed(extra_guards):
         per_match = core.CIf(cond=guard, then=per_match, orelse=core.CEmpty())
-    left = _build_steps(P.UnitTuple(), outer_steps)
+    left = build_steps(P.UnitTuple(), outer_steps)
     right: P.Plan = P.MapConcat(
         input=P.UnitTuple(), var=inner_for.var, source=inner_for.source
     )
@@ -369,7 +350,7 @@ def _match_inner_join(
     grouped: P.Plan = P.GroupBy(
         input=join, group_var=let_step.var, per_match=per_match
     )
-    grouped = _build_steps(grouped, pipeline.steps[let_index + 1 :])
+    grouped = build_steps(grouped, pipeline.steps[let_index + 1 :])
     return finish_pipeline(grouped, pipeline)
 
 
@@ -455,7 +436,7 @@ def _build_hashjoin(
     step = candidate["step"]
     join_keys = candidate["join_keys"]
     outer_steps = steps[:j]
-    left = _build_steps(P.UnitTuple(), outer_steps)
+    left = build_steps(P.UnitTuple(), outer_steps)
     for k in candidate["left_pushdown"]:
         left = P.Select(input=left, predicate=steps[k].predicate)
     right: P.Plan = P.MapConcat(
@@ -477,7 +458,7 @@ def _build_hashjoin(
     remaining = [
         s for i, s in enumerate(steps) if i > j and i not in consumed
     ]
-    joined = _build_steps(joined, remaining)
+    joined = build_steps(joined, remaining)
     return finish_pipeline(joined, pipeline)
 
 
@@ -525,7 +506,7 @@ def _try_hashjoin(
 
 
 # ----------------------------------------------------------------------
-# Cost-based pass: access paths and hash-join build sides
+# Cost-based pass: hash-join build sides
 # ----------------------------------------------------------------------
 
 def _descendant_name_source(expr: core.CoreExpr):
@@ -575,9 +556,6 @@ def _estimate_stream_rows(plan: P.Plan, stats) -> int:
     """Estimated tuple count of a tuple-stream chain."""
     if isinstance(plan, P.UnitTuple):
         return 1
-    if isinstance(plan, P.IndexScan):
-        rows = max(1, plan.est_rows)
-        return _estimate_stream_rows(plan.input, stats) * rows
     if isinstance(plan, P.MapConcat):
         rows = _estimate_source_rows(plan.source, stats)
         return _estimate_stream_rows(plan.input, stats) * rows
@@ -590,157 +568,61 @@ def _estimate_stream_rows(plan: P.Plan, stats) -> int:
     return max(1, stats.total_nodes() // 10)
 
 
-def _cost_pass(plan: P.Plan, analyzer, stats, tracer) -> bool:
-    """Cost-based physical choices over an already-guarded plan.
-
-    Substitutes IndexScan for pure ``B//name`` MapConcat sources when
-    the index estimate wins, and flips hash-join build sides onto the
-    estimated smaller input.  Mutates *plan* in place; True when
-    anything changed.  No-op without statistics or on stores below
+def _cost_pass(plan: P.Plan, stats, tracer) -> None:
+    """Cost-based physical choices over an already-guarded plan: every
+    hash join builds on its estimated smaller input.  Mutates *plan* in
+    place.  No-op without statistics or on stores below
     :data:`repro.index.MIN_TABLE_NODES` (plan-shape churn on miniature
     documents buys nothing and would destabilize small-plan tests and
     renderings).
     """
     if stats is None:
-        return False
-    from repro.index import (
-        MIN_TABLE_NODES,
-        CostDecision,
-        hash_join_cost,
-        index_scan_cost,
-        seq_scan_cost,
-    )
+        return
+    from repro.index import MIN_TABLE_NODES, CostDecision, hash_join_cost
 
-    total = stats.total_nodes()
-    if total < MIN_TABLE_NODES:
-        return False
-    changed = False
-
-    def record(decision: CostDecision) -> None:
+    if stats.total_nodes() < MIN_TABLE_NODES:
+        return
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children())
+        if not isinstance(node, P.HashJoin):
+            continue
+        left_rows = _estimate_stream_rows(node.left, stats)
+        right_rows = _estimate_stream_rows(node.right, stats)
+        build_right = hash_join_cost(right_rows, left_rows)
+        build_left = hash_join_cost(left_rows, right_rows)
+        if build_left < build_right:
+            node.build = "left"
+            chosen = "build-left"
+            reason = (
+                f"left estimate {left_rows} rows < "
+                f"right estimate {right_rows} rows"
+            )
+        else:
+            chosen = "build-right"
+            reason = (
+                f"right estimate {right_rows} rows <= "
+                f"left estimate {left_rows} rows"
+            )
         if tracer is not None:
-            tracer.cost(decision)
-
-    def transform(node: P.Plan | None) -> P.Plan | None:
-        nonlocal changed
-        if node is None:
-            return None
-        if isinstance(node, P.MapConcat):
-            node.input = transform(node.input)
-            matched = _descendant_name_source(node.source)
-            if matched is None or not analyzer.analyze(node.source).pure:
-                return node
-            root, name, or_self = matched
-            rows = stats.element_count(name)
-            idx = index_scan_cost(rows)
-            seq = seq_scan_cost(total)
-            alternatives = [
-                {"plan": "index-scan", "cost": idx, "est_rows": rows},
-                {"plan": "seq-scan", "cost": seq, "est_rows": rows},
-            ]
-            target = f"for ${node.var} in …//{name}"
-            if idx < seq:
-                changed = True
-                record(
-                    CostDecision(
-                        decision="access-path",
-                        target=target,
-                        chosen="index-scan",
-                        alternatives=alternatives,
-                        reason=(
-                            f"index cost {idx:.1f} < "
-                            f"sequential cost {seq:.1f}"
-                        ),
-                    )
-                )
-                return P.IndexScan(
-                    input=node.input,
-                    var=node.var,
-                    source=node.source,
-                    root=root,
-                    name=name,
-                    or_self=or_self,
-                    position_var=node.position_var,
-                    est_rows=rows,
-                )
-            record(
+            tracer.cost(
                 CostDecision(
-                    decision="access-path",
-                    target=target,
-                    chosen="seq-scan",
-                    alternatives=alternatives,
-                    reason=(
-                        f"sequential cost {seq:.1f} <= "
-                        f"index cost {idx:.1f}"
-                    ),
+                    decision="hash-build-side",
+                    target="hash-join",
+                    chosen=chosen,
+                    alternatives=[
+                        {
+                            "plan": "build-right",
+                            "cost": build_right,
+                            "est_rows": right_rows,
+                        },
+                        {
+                            "plan": "build-left",
+                            "cost": build_left,
+                            "est_rows": left_rows,
+                        },
+                    ],
+                    reason=reason,
                 )
             )
-            return node
-        if isinstance(node, P.HashJoin):
-            node.left = transform(node.left)
-            node.right = transform(node.right)
-            left_rows = _estimate_stream_rows(node.left, stats)
-            right_rows = _estimate_stream_rows(node.right, stats)
-            build_right = hash_join_cost(right_rows, left_rows)
-            build_left = hash_join_cost(left_rows, right_rows)
-            alternatives = [
-                {
-                    "plan": "build-right",
-                    "cost": build_right,
-                    "est_rows": right_rows,
-                },
-                {
-                    "plan": "build-left",
-                    "cost": build_left,
-                    "est_rows": left_rows,
-                },
-            ]
-            if build_left < build_right:
-                node.build = "left"
-                changed = True
-                record(
-                    CostDecision(
-                        decision="hash-build-side",
-                        target="hash-join",
-                        chosen="build-left",
-                        alternatives=alternatives,
-                        reason=(
-                            f"left estimate {left_rows} rows < "
-                            f"right estimate {right_rows} rows"
-                        ),
-                    )
-                )
-            else:
-                record(
-                    CostDecision(
-                        decision="hash-build-side",
-                        target="hash-join",
-                        chosen="build-right",
-                        alternatives=alternatives,
-                        reason=(
-                            f"right estimate {right_rows} rows <= "
-                            f"left estimate {left_rows} rows"
-                        ),
-                    )
-                )
-            return node
-        if isinstance(node, P.LeftOuterJoin):
-            node.left = transform(node.left)
-            node.right = transform(node.right)
-            return node
-        if isinstance(
-            node,
-            (
-                P.LetBind,
-                P.Select,
-                P.OrderBySort,
-                P.MapFromItem,
-                P.GroupBy,
-                P.Snap,
-            ),
-        ):
-            node.input = transform(node.input)
-            return node
-        return node
-
-    transform(plan)
-    return changed

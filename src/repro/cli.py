@@ -5,7 +5,7 @@ Examples::
     # run a query file against a document bound to $doc
     python -m repro query.xq --doc doc=data.xml
 
-    # inline query, optimized, printing the plan
+    # inline query, printing its rewritten plan (or a no-plan note)
     python -m repro -q 'count($doc//item)' --doc doc=data.xml --plan
 
     # interactive session
@@ -87,14 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind $NAME to an inline XML fragment (repeatable)",
     )
     parser.add_argument(
-        "--optimize",
-        action="store_true",
-        help="compile through the algebra optimizer (Section 4)",
-    )
-    parser.add_argument(
         "--plan",
         action="store_true",
-        help="print the (optimized) plan instead of running the query",
+        help="print the rewritten plan (or a one-line no-plan note) "
+        "instead of running the query",
     )
     parser.add_argument(
         "--explain",
@@ -259,7 +255,7 @@ def run_query(engine: Engine, query: str, args: argparse.Namespace) -> int:
     if args.plan:
         print(pretty_plan(engine.compile(query)))
         return 0
-    prepared = engine.prepare(query, optimize=args.optimize)
+    prepared = engine.prepare(query)
     result = prepared.execute(
         bindings=_params(args),
         options=ExecutionOptions(
@@ -314,8 +310,7 @@ def repl(engine: Engine, args: argparse.Namespace) -> int:
         try:
             if show_plan:
                 print(pretty_plan(engine.compile(query)))
-            prepared = engine.prepare(query, optimize=args.optimize)
-            result = prepared.execute(bindings=_params(args))
+            result = engine.prepare(query).execute(bindings=_params(args))
             print(result.serialize(indent=args.indent))
         except XQueryError as error:
             print(f"error: {error}", file=sys.stderr)

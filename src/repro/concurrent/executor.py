@@ -477,11 +477,7 @@ class ConcurrentExecutor:
     def _run(self, request: _Request) -> "QueryResult":
         engine = self.engine
         options = request.options
-        prepared = engine.prepare(
-            request.query,
-            optimize=options.optimize or None,
-            semantics=options.semantics,
-        )
+        prepared = engine.prepare(request.query, semantics=options.semantics)
         if self.reads == "snapshot" and prepared.is_readonly():
             self.tracer.count("concurrent.reads_snapshot")
             return self._run_readonly(prepared, request)
@@ -619,7 +615,6 @@ class ConcurrentExecutor:
         return (
             request.query,
             options.semantics,
-            bool(options.optimize),
             tuple(sorted(merged.items())),
         )
 

@@ -11,9 +11,10 @@ Typical use::
     print(result.first_value())
 
 ``execute`` runs the full pipeline of the paper's Section 4.2: parse →
-normalize → (optionally compile to the algebra and optimize) → evaluate,
-with the implicit top-level ``snap`` wrapped around the query body
-(Section 2.3).
+normalize → compile to the algebra and rewrite → evaluate, with the
+implicit top-level ``snap`` wrapped around the query body (Section 2.3).
+A body runs as a plan only where a guarded rewrite fired; every other
+body runs on the evaluator.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class ExecutionOptions:
     All fields are keyword-only and the object is immutable, so an options
     value can be built once and shared across calls::
 
-        opts = ExecutionOptions(optimize=True, collect_stats=True)
+        opts = ExecutionOptions(use_indexes=False, collect_stats=True)
         result = engine.execute(query, options=opts)
         result.stats.phase_times_ms  # parse/compile/evaluate/snap-apply ...
 
@@ -62,10 +63,6 @@ class ExecutionOptions:
     corresponding field for that one call.
 
     Attributes:
-        optimize: compile the query body to the nested-relational algebra
-            and apply the side-effect-guarded rewrites (Section 4).
-            ``Engine.compile`` alone defaults this to True when neither an
-            options object nor the keyword is given.
         semantics: update-application semantics for this call's implicit
             top-level snap — 'ordered', 'nondeterministic' or
             'conflict-detection' (None = the engine default).
@@ -102,7 +99,6 @@ class ExecutionOptions:
             zero by definition).
     """
 
-    optimize: bool = False
     semantics: str | ApplySemantics | None = None
     bindings: Mapping[str, "PythonValue"] | None = None
     collect_stats: bool = False
@@ -428,7 +424,7 @@ class Engine:
         self._register_prolog(module)
         self._maybe_check(module)
         prepared = PreparedQuery(
-            self, text, module, None, False, self.functions.generation
+            self, text, module, None, self.functions.generation
         )
         shared = self.evaluator
         run = run_module(shared.fork(self.store, shared.globals), prepared)
@@ -442,7 +438,6 @@ class Engine:
         self,
         query: str,
         *,
-        optimize: bool | None = None,
         semantics: str | ApplySemantics | None = None,
         bindings: Mapping[str, PythonValue] | None = None,
         collect_stats: bool | None = None,
@@ -453,9 +448,9 @@ class Engine:
         options: ExecutionOptions | None = None,
     ) -> QueryResult:
         """Parse, normalize and evaluate *query* (which may include a
-        prolog).  With ``optimize=True`` the query body is compiled to the
-        nested-relational algebra and rewritten before execution
-        (Section 4).
+        prolog).  The query body runs as its rewritten algebra plan when a
+        guarded rewrite fired at prepare time (Section 4), else on the
+        evaluator.
 
         All options are keyword-only; an :class:`ExecutionOptions` can be
         passed via ``options=`` and individual keywords override its
@@ -470,7 +465,6 @@ class Engine:
         implicit snap — still run on every call."""
         opts = _merge_options(
             options,
-            optimize=optimize,
             semantics=semantics,
             bindings=bindings,
             collect_stats=collect_stats,
@@ -480,25 +474,23 @@ class Engine:
             use_indexes=use_indexes,
         )
         tracer = Tracer() if opts.collect_stats else None
-        prepared = self._prepare(
-            query, opts.optimize, opts.resolved_semantics, tracer
-        )
+        prepared = self._prepare(query, opts.resolved_semantics, tracer)
         return prepared.execute(options=opts, _tracer=tracer)
 
     def prepare(
         self,
         query: str,
         *,
-        optimize: bool | None = None,
         semantics: str | ApplySemantics | None = None,
         options: ExecutionOptions | None = None,
     ) -> PreparedQuery:
         """Run the frontend once — parse → normalize → simplify → static
-        check → (with ``optimize=True``) compile and rewrite to the
-        algebra — and return a reusable :class:`PreparedQuery`.
+        check → compile and rewrite to the algebra — and return a reusable
+        :class:`PreparedQuery`, which runs its body as the rewritten plan
+        when a rewrite fired and on the evaluator otherwise.
 
-        Results are cached in a bounded LRU keyed by ``(query text,
-        optimize, snap semantics)``; ``register_module`` and
+        Results are cached in a bounded LRU keyed by ``(query text, snap
+        semantics)``; ``register_module`` and
         ``load_module`` invalidate the cache, as does any change to the
         set of registered user functions.  ``bindings``/``collect_stats``/
         ``explain`` options take effect per *execution*, so they are
@@ -510,56 +502,21 @@ class Engine:
             pq = engine.prepare('get_item($itemid, $userid)')
             pq.execute(bindings={"itemid": "item3", "userid": "person7"})
         """
-        opts = _merge_options(options, optimize=optimize, semantics=semantics)
-        return self._prepare(query, opts.optimize, opts.resolved_semantics)
+        opts = _merge_options(options, semantics=semantics)
+        return self._prepare(query, opts.resolved_semantics)
 
     def compile(
         self,
         query: str,
         *,
-        optimize: bool | None = None,
         semantics: str | ApplySemantics | None = None,
         options: ExecutionOptions | None = None,
     ):
-        """Compile *query* to an algebra plan without running it.  Returns
-        the plan; useful for inspecting rewrites.  Prolog functions are
-        registered (the purity analysis needs their bodies) but variable
-        initializers are *not* evaluated.
-
-        For backward compatibility ``compile`` alone optimizes by default:
-        when neither ``optimize=`` nor ``options=`` is given it behaves as
-        ``optimize=True``."""
-        if optimize is None and options is None:
-            optimize = True
-        opts = _merge_options(options, optimize=optimize, semantics=semantics)
-        from repro.algebra.compile import compile_query
-
-        snapshot = self.functions.snapshot()
-        try:
-            module = self._frontend(query, None)
-            self._register_prolog(module)
-            if module.body is None:
-                raise DynamicError("query has no body to compile")
-            return compile_query(
-                module.body,
-                self,
-                optimize=opts.optimize,
-                semantics=opts.resolved_semantics,
-            )
-        except RecursionError:
-            # Hostile depth: normalize/simplify/compile recurse over the
-            # AST, so a query nested past the interpreter's headroom must
-            # become a typed refusal, not a stack crash.
-            self.functions.restore(snapshot)
-            raise StaticError(
-                "query nests too deeply to compile; refused"
-            ) from None
-        except Exception:
-            # Compilation failed: undo this query's prolog registrations so
-            # a broken query cannot shift name resolution (or bump the
-            # registry generation, evicting every cached prepared query).
-            self.functions.restore(snapshot)
-            raise
+        """The algebra plan :meth:`prepare` runs for *query* — None when
+        no rewrite applies and the body runs on the evaluator.  Useful for
+        inspecting rewrites; the query is prepared (and cached) but not
+        run."""
+        return self.prepare(query, semantics=semantics, options=options)._plan
 
     def explain(self, query: str) -> ExplainReport:
         """The optimizer's decisions for *query*, without running it.
@@ -570,8 +527,8 @@ class Engine:
         guards were based on.  Side-effect-free: prolog function
         registrations are rolled back afterwards, under the prepare lock
         so a concurrent prepare's registrations survive the rollback."""
-        from repro.algebra.compile import compile_query
-        from repro.algebra.plan import plan_operators, pretty_plan
+        from repro.algebra import compile as algebra
+        from repro.algebra.plan import Snap, plan_operators, pretty_plan
 
         with self._prepare_lock:
             snapshot = self.functions.snapshot()
@@ -581,19 +538,23 @@ class Engine:
                 self._maybe_check(module)
                 if module.body is None:
                     raise DynamicError("query has no body to explain")
-                naive = compile_query(module.body, self, optimize=False)
                 tracer = Tracer()
-                optimized = compile_query(
-                    module.body, self, optimize=True, tracer=tracer
-                )
+                plan = algebra.compile_query(module.body, self, tracer=tracer)
             finally:
                 self.functions.restore(snapshot)
+        pipeline = algebra.decompose_pipeline(module.body)
+        naive = None
+        if pipeline is not None:
+            naive = Snap(
+                input=algebra.naive_plan(pipeline),
+                mode=self.default_semantics.value,
+            )
         return ExplainReport(
             query_text=query,
             plan_before=pretty_plan(naive),
-            plan_after=pretty_plan(optimized),
+            plan_after=pretty_plan(plan),
             operators_before=plan_operators(naive),
-            operators_after=plan_operators(optimized),
+            operators_after=plan_operators(plan),
             rules=list(tracer.rules),
             purity=list(tracer.purity),
             costs=list(tracer.costs),
@@ -614,12 +575,11 @@ class Engine:
     def _prepare(
         self,
         query: str,
-        optimize: bool,
         semantics: ApplySemantics | None = None,
         tracer: Tracer | None = None,
     ) -> PreparedQuery:
         resolved = semantics or self.default_semantics
-        key = (query, optimize, resolved.value)
+        key = (query, resolved.value)
         # The whole lookup-or-build runs under the prepare lock: when two
         # threads race on the same uncached query, the second must find
         # the first's entry instead of re-registering the prolog (which
@@ -633,14 +593,11 @@ class Engine:
                 return cached
             if tracer is not None:
                 tracer.count("prepared_cache.misses")
-            return self._prepare_locked(
-                query, optimize, resolved, tracer, key
-            )
+            return self._prepare_locked(query, resolved, tracer, key)
 
     def _prepare_locked(
         self,
         query: str,
-        optimize: bool,
         resolved: ApplySemantics,
         tracer: Tracer | None,
         key: tuple,
@@ -652,16 +609,12 @@ class Engine:
             with maybe_span(tracer, "static-check"):
                 self._maybe_check(module)
             plan = None
-            if optimize and module.body is not None:
+            if module.body is not None:
                 from repro.algebra.compile import compile_query
 
                 with maybe_span(tracer, "compile"):
                     plan = compile_query(
-                        module.body,
-                        self,
-                        optimize=True,
-                        semantics=resolved,
-                        tracer=tracer,
+                        module.body, self, semantics=resolved, tracer=tracer
                     )
         except RecursionError:
             # Hostile depth past the parser's guard: the normalize /
@@ -683,7 +636,6 @@ class Engine:
             query_text=query,
             module=module,
             plan=plan,
-            optimize=optimize,
             generation=self.functions.generation,
             semantics=resolved,
         )

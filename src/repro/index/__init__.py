@@ -1,4 +1,5 @@
-"""Structural and value indexes with a cost-based access-path chooser.
+"""Structural and value indexes, and the statistics and cost model the
+optimizer's join choices read.
 
 Three pieces:
 
@@ -12,19 +13,13 @@ Three pieces:
 * :mod:`repro.index.stats` — :class:`Statistics`: per-element-name
   cardinalities fed by the live name index, with an XMark-seeded variant
   for cost estimation before a document is loaded.
-* :mod:`repro.index.cost` — the cost model: per-row constants for
-  sequential scans, index probes and hash builds, the size threshold
-  below which indexing is not attempted, and the :class:`CostDecision`
-  records that ``Engine.explain`` surfaces.
+* :mod:`repro.index.cost` — the cost model: per-row constants for hash
+  builds and probes, the store size below which no build side is
+  chosen, and the :class:`CostDecision` records that ``Engine.explain``
+  surfaces.
 """
 
-from repro.index.cost import (
-    CostDecision,
-    MIN_TABLE_NODES,
-    hash_join_cost,
-    index_scan_cost,
-    seq_scan_cost,
-)
+from repro.index.cost import MIN_TABLE_NODES, CostDecision, hash_join_cost
 from repro.index.manager import IndexManager, token_matcher, tokenize
 from repro.index.stats import Statistics
 
@@ -34,8 +29,6 @@ __all__ = [
     "MIN_TABLE_NODES",
     "Statistics",
     "hash_join_cost",
-    "index_scan_cost",
-    "seq_scan_cost",
     "token_matcher",
     "tokenize",
 ]

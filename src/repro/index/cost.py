@@ -1,42 +1,26 @@
-"""The cost model behind the optimizer's access-path and join choices.
+"""The cost model behind the optimizer's join choices.
 
 Deliberately simple — per-row constants calibrated against the Python
 evaluator's relative costs, not absolute times.  What matters is the
-*ordering* of alternatives: an index scan returning r rows beats a
-sequential walk over N nodes when r ≪ N; a hash join should build on the
-smaller input; joins should start from the smaller candidate table.
+*ordering* of alternatives: a hash join should build on the smaller
+input, and joins should start from the smaller candidate table.
 
-Below :data:`MIN_TABLE_NODES` total nodes none of this is attempted: on
+Below :data:`MIN_TABLE_NODES` total nodes no build side is chosen: on
 miniature documents the plan-shape churn buys nothing measurable, and
 keeping small plans in their familiar shape keeps them debuggable (and
-the paper-facing Q8 plan rendering stable).
+the paper-facing plan renderings stable).
 """
 
 from __future__ import annotations
 
 
-#: Evaluator cost of visiting one node during a sequential tree walk.
-SEQ_TUPLE_COST = 1.0
-#: Fixed overhead of one index probe (hash lookups, verification setup).
-INDEX_PROBE_COST = 8.0
-#: Cost of fetching and verifying one index posting.
-INDEX_ROW_COST = 1.2
 #: Cost of hashing one row into a join build table.
 HASH_BUILD_COST = 2.0
 #: Cost of probing the build table with one row.
 HASH_PROBE_COST = 1.0
-#: Store sizes below this keep sequential plans (see module docstring).
+#: Store sizes below this keep the classic right build side (see the
+#: module docstring).
 MIN_TABLE_NODES = 2048
-
-
-def seq_scan_cost(total_nodes: int) -> float:
-    """Walking every node of the store once."""
-    return total_nodes * SEQ_TUPLE_COST
-
-
-def index_scan_cost(rows: int) -> float:
-    """One name-index probe returning *rows* postings."""
-    return INDEX_PROBE_COST + rows * INDEX_ROW_COST
 
 
 def hash_join_cost(build_rows: int, probe_rows: int) -> float:

@@ -131,20 +131,23 @@ class ExplainReport:
 
     Attributes:
         query_text: the source text.
-        plan_before: pretty-printed plan with rewriting disabled.
-        plan_after: pretty-printed plan the optimizer actually produced.
+        plan_before: pretty-printed naive plan of the FLWOR pipeline.
+        plan_after: pretty-printed plan the query runs — the rewritten
+            one, or :data:`repro.algebra.plan.NO_PLAN` when no rewrite
+            fired and the body runs on the evaluator.  A body that is not
+            a FLWOR pipeline has ``NO_PLAN`` on both sides.
         operators_before / operators_after: operator-name lists of the two
-            plans (machine-checkable shape).
+            plans (machine-checkable shape; empty for no plan).
         rules: every rewrite rule considered, with ``fired`` and a detail
             dict (guard outcomes, or the reason the rule did not apply).
         purity: per-clause effect verdicts (``pure`` / ``may_update`` /
             ``may_snap``) of the decomposed pipeline — the judgments the
             rule guards consulted.
         costs: the cost model's decisions
-            (:class:`repro.index.CostDecision`) — chosen access paths,
-            hash-join build sides and join orders, each with its rejected
-            alternatives and estimates.  Empty when the cost pass did not
-            run (small store, rewriting disabled, non-FLWOR body).
+            (:class:`repro.index.CostDecision`) — chosen hash-join build
+            sides and join orders, each with its rejected alternatives and
+            estimates.  Empty when no hash join was planned or the store
+            is small.
     """
 
     __slots__ = (
@@ -185,8 +188,8 @@ class ExplainReport:
 
     @property
     def rewritten(self) -> bool:
-        """True when the optimizer changed the plan shape."""
-        return self.operators_before != self.operators_after
+        """True when a rewrite fired, so the query runs as a plan."""
+        return bool(self.operators_after)
 
     def to_dict(self) -> dict:
         return {

@@ -8,10 +8,10 @@ normalize → simplify → static check → compile) on every call makes the
 per-request cost frontend-bound instead of store/Δ-bound.
 
 :class:`PreparedQuery` holds the frontend's output — the normalized core
-module and, when requested, the optimized algebra plan — so repeated
-execution pays only the dynamic cost.  :class:`PreparedQueryCache` is the
-bounded LRU the engine routes ``execute()`` through, keyed by
-``(query_text, optimize, snap semantics)``.
+module and, when a guarded rewrite fired, the rewritten algebra plan — so
+repeated execution pays only the dynamic cost.  :class:`PreparedQueryCache`
+is the bounded LRU the engine routes ``execute()`` through, keyed by
+``(query_text, snap semantics)``.
 
 Parameter binding follows the prepared-statement idiom (the
 ``XQPreparedExpression.bindString`` pattern of XQJ): a query references
@@ -79,7 +79,6 @@ class PreparedQuery:
         "_module",
         "_plan",
         "query_text",
-        "optimize",
         "_generation",
         "_semantics",
         "_readonly",
@@ -92,7 +91,6 @@ class PreparedQuery:
         query_text: str,
         module: core.CModule,
         plan: Optional["Plan"],
-        optimize: bool,
         generation: int,
         semantics: Optional["ApplySemantics"] = None,
     ):
@@ -100,7 +98,6 @@ class PreparedQuery:
         self._module = module
         self._plan = plan
         self.query_text = query_text
-        self.optimize = optimize
         # Function-registry generation at prepare time; the engine cache
         # re-prepares when new user functions change name resolution.
         self._generation = generation
@@ -180,10 +177,10 @@ class PreparedQuery:
 
         *options* carries the per-execution fields of
         :class:`~repro.engine.ExecutionOptions` (see :func:`run_module`);
-        ``optimize``/``semantics`` were fixed at prepare time and are
-        ignored here.  ``_tracer`` and ``_control`` are engine-internal
-        handoffs: a tracer that already recorded the frontend phases, and
-        a control whose deadline started before this call.
+        ``semantics`` was fixed at prepare time and is ignored here.
+        ``_tracer`` and ``_control`` are engine-internal handoffs: a
+        tracer that already recorded the frontend phases, and a control
+        whose deadline started before this call.
         """
         engine = self._engine
         # Imports and function registration are idempotent after the
@@ -206,7 +203,7 @@ class PreparedQuery:
     def __repr__(self) -> str:
         head = self.query_text.strip().splitlines()[0][:60]
         return (
-            f"PreparedQuery({head!r}, optimize={self.optimize}, "
+            f"PreparedQuery({head!r}, "
             f"plan={'yes' if self._plan is not None else 'no'})"
         )
 
@@ -264,8 +261,8 @@ def run_module(
     * each variable initializer runs under the implicit top-level snap
       and binds its name in the fork's globals (and in *publish*, when
       given);
-    * the body runs as the compiled plan when one exists, else under the
-      implicit snap;
+    * the body runs as the rewritten plan when a rewrite fired at prepare
+      time, else on the evaluator under the implicit snap;
     * every expression runs lowered (:meth:`PreparedQuery.compiled`):
       its pure subtrees as compiled closures;
     * ``collect_stats`` attaches :class:`~repro.obs.report.QueryStats`
@@ -394,7 +391,7 @@ class CacheStats:
 class PreparedQueryCache:
     """A bounded LRU of :class:`PreparedQuery` objects.
 
-    Keys are ``(query_text, optimize, semantics)`` — the inputs that
+    Keys are ``(query_text, semantics)`` — the inputs that
     change what the frontend produces.  Entries also remember the
     function-registry generation they were built against; a lookup whose
     entry predates a registry change is treated as a miss (new user

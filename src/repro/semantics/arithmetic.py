@@ -20,39 +20,32 @@ from repro.xdm.values import (
     XS_INTEGER,
     AtomicValue,
     cast_to_number,
+    is_numeric,
+    promote,
 )
-
-_ORDER = {XS_INTEGER: 0, XS_DECIMAL: 1, XS_DOUBLE: 2}
 
 
 def arithmetic(op: str, left: AtomicValue, right: AtomicValue) -> AtomicValue:
     """Apply binary arithmetic *op* to two atomized operands."""
     a = cast_to_number(left)
     b = cast_to_number(right)
-    if a.type not in _ORDER or b.type not in _ORDER:
+    if not (is_numeric(a) and is_numeric(b)):
         raise TypeError_(f"arithmetic on non-numeric types {a.type}, {b.type}")
-    target = a.type if _ORDER[a.type] >= _ORDER[b.type] else b.type
+    target, (x, y) = promote((a, b))
     if op == "div" and target == XS_INTEGER:
-        target = XS_DECIMAL  # integer div integer is xs:decimal
+        # integer div integer is xs:decimal
+        target, x, y = XS_DECIMAL, Decimal(x), Decimal(y)
     if target == XS_INTEGER:
-        return AtomicValue.integer(_int_op(op, int(a.value), int(b.value)))
+        return AtomicValue.integer(_int_op(op, x, y))
     if target == XS_DOUBLE:
-        result = _double_op(op, float(a.value), float(b.value))
+        result = _double_op(op, x, y)
         if op == "idiv":
             return AtomicValue.integer(int(result))
         return AtomicValue.double(result)
-    result = _decimal_op(op, _as_decimal(a.value), _as_decimal(b.value))
+    result = _decimal_op(op, x, y)
     if op == "idiv":
         return AtomicValue.integer(int(result))
     return AtomicValue(XS_DECIMAL, result)
-
-
-def _as_decimal(value) -> Decimal:
-    if isinstance(value, Decimal):
-        return value
-    if isinstance(value, int):
-        return Decimal(value)
-    return Decimal(repr(value))
 
 
 def _int_op(op: str, x: int, y: int) -> int:

@@ -82,6 +82,7 @@ from repro.xdm.values import (
     is_numeric,
     node_sequence,
     sequence_string,
+    to_double,
 )
 
 Run = Callable[[object, list], list]
@@ -508,7 +509,7 @@ def _keep(expr, env, unit):
     """A predicate: a number for a numeric literal (a position), else
     ``keep(ev, frame, position) -> bool`` under the focus in *frame*."""
     if isinstance(expr, core.CLiteral) and is_numeric(expr.value):
-        return float(expr.value.value)
+        return to_double(expr.value.value)
     if isinstance(expr, (core.CComparison, core.CBool, core.CQuantified)):
         # Boolean-valued: never positional.
         test = _test(expr, env, unit)
@@ -552,9 +553,8 @@ def _predicate_filter(ev, frame, keep, store, items):
     """Positional filtering of *items* (node ids when *store* is given)
     by one predicate, each item in turn the focus."""
     if isinstance(keep, float):
-        index = int(keep)
-        if index == keep and 1 <= index <= len(items):
-            return [items[index - 1]]
+        if keep.is_integer() and 1 <= keep <= len(items):
+            return [items[int(keep) - 1]]
         return []
     saved = frame[0], frame[1], frame[2]
     frame[2] = len(items)

@@ -69,6 +69,7 @@ from repro.xdm.values import (
     node_sequence,
     sequence_string,
     single_node,
+    to_double,
 )
 
 
@@ -1583,7 +1584,7 @@ def _predicate_truth(value: Sequence, position: int) -> bool:
     """Positional semantics: a numeric singleton predicate selects by
     position; anything else goes through the effective boolean value."""
     if len(value) == 1 and isinstance(value[0], AtomicValue) and is_numeric(value[0]):
-        return float(value[0].value) == float(position)
+        return to_double(value[0].value) == position
     return effective_boolean_value(value)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from typing import TYPE_CHECKING
 
 from repro.errors import CardinalityError, DynamicError, FunctionError, TypeError_
@@ -21,6 +22,7 @@ from repro.semantics.types import cast_atomic
 from repro.xdm.compare import atomic_equal, compare_atomic, deep_equal
 from repro.xdm.nodes import Node
 from repro.xdm.values import (
+    XS_DECIMAL,
     XS_DOUBLE,
     XS_INTEGER,
     XS_STRING,
@@ -33,6 +35,8 @@ from repro.xdm.values import (
     effective_boolean_value,
     is_numeric,
     item_string,
+    promote,
+    to_double,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,7 +69,7 @@ def _optional_number(seq: Sequence) -> float | None:
     av = atomize_optional(seq, "numeric argument")
     if av is None:
         return None
-    return float(cast_to_number(av).value)
+    return to_double(cast_to_number(av).value)
 
 
 def _round_half_up(value):
@@ -185,7 +189,7 @@ def fn_number(ev, ctx, args):
     if av is None:
         return [AtomicValue.double(float("nan"))]
     try:
-        return [AtomicValue.double(float(cast_to_number(av).value))]
+        return [AtomicValue.double(to_double(cast_to_number(av).value))]
     except (TypeError_, ValueError):
         return [AtomicValue.double(float("nan"))]
 
@@ -419,28 +423,18 @@ def fn_sum(ev, ctx, args):
         if len(args) > 1:
             return list(args[1])
         return [AtomicValue.integer(0)]
-    if all(v.type == XS_INTEGER for v in values):
-        return [AtomicValue.integer(sum(v.value for v in values))]
-    if any(v.type == XS_DOUBLE for v in values):
-        return [AtomicValue.double(sum(float(v.value) for v in values))]
-    # integers + decimals: exact decimal sum (XQuery type-promotion rule).
-    from decimal import Decimal
-
-    total = sum((Decimal(str(v.value)) for v in values), Decimal(0))
-    return [AtomicValue.decimal(total)]
+    target, numbers = promote(values)
+    return [AtomicValue(target, sum(numbers))]
 
 
 def fn_avg(ev, ctx, args):
     values = _numeric_values(args[0], "fn:avg")
     if not values:
         return []
-    if any(v.type == XS_DOUBLE for v in values):
-        total = sum(float(v.value) for v in values)
-        return [AtomicValue.double(total / len(values))]
-    from decimal import Decimal
-
-    total = sum((Decimal(str(v.value)) for v in values), Decimal(0))
-    return [AtomicValue.decimal(total / len(values))]
+    target, numbers = promote(values)
+    if target == XS_INTEGER:  # the mean of integers is an xs:decimal
+        target, numbers = XS_DECIMAL, [Decimal(n) for n in numbers]
+    return [AtomicValue(target, sum(numbers) / len(values))]
 
 
 def _extreme(seq: Sequence, pick_max: bool) -> Sequence:
@@ -448,11 +442,9 @@ def _extreme(seq: Sequence, pick_max: bool) -> Sequence:
     if not values:
         return []
     if all(is_numeric(v) or v.type == XS_UNTYPED for v in values):
-        numbers = [float(cast_to_number(v).value) for v in values]
+        target, numbers = promote([cast_to_number(v) for v in values])
         best = max(numbers) if pick_max else min(numbers)
-        if all(cast_to_number(v).type == XS_INTEGER for v in values):
-            return [AtomicValue.integer(int(best))]
-        return [AtomicValue.double(best)]
+        return [AtomicValue(target, best)]
     best_av = values[0]
     for av in values[1:]:
         c = compare_atomic(av, best_av)

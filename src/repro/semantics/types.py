@@ -23,6 +23,8 @@ from repro.xdm.values import (
     AtomicValue,
     Item,
     Sequence,
+    parse_number,
+    to_double,
 )
 
 # Derivation chains: a value of the key type is also an instance of every
@@ -81,12 +83,24 @@ def matches_sequence_type(seq: Sequence, type_: SequenceType) -> bool:
     return all(item_matches(item, type_.kind, type_.name) for item in seq)
 
 
+def _lexical(text: str, type_name: str):
+    """*text* parsed as the numeric *type_name*; ValueError when it is not
+    that type's XML Schema lexical form."""
+    value = parse_number(text, type_name)
+    if value is None:
+        raise ValueError(text)
+    return value
+
+
 def cast_atomic(av: AtomicValue, type_name: str) -> AtomicValue:
     """'cast as' for a single atomic value; raises TypeError_ on failure.
 
-    NaN and ±INF have no xs:integer or xs:decimal value (FOCA0002).
+    NaN and ±INF have no xs:integer or xs:decimal value (FOCA0002).  A
+    string or untyped value casts to a number only from the XML Schema
+    lexical form of the target type (FORG0001 otherwise).
     """
     text = av.lexical()
+    numeric = av.type in (XS_INTEGER, XS_DECIMAL, XS_DOUBLE)
     if (
         av.type == XS_DOUBLE
         and not math.isfinite(av.value)
@@ -99,27 +113,23 @@ def cast_atomic(av: AtomicValue, type_name: str) -> AtomicValue:
         if type_name in ("xs:untypedAtomic", "untypedAtomic"):
             return AtomicValue.untyped(text)
         if type_name in ("xs:integer", "integer"):
-            if av.type in (XS_DOUBLE, XS_DECIMAL):
+            if numeric:
                 return AtomicValue.integer(int(av.value))
             if av.type == XS_BOOLEAN:
                 return AtomicValue.integer(1 if av.value else 0)
-            return AtomicValue.integer(int(text.strip()))
+            return AtomicValue.integer(_lexical(text, XS_INTEGER))
         if type_name in ("xs:decimal", "decimal"):
+            if numeric:
+                return AtomicValue.decimal(av.value)
             if av.type == XS_BOOLEAN:
                 return AtomicValue.decimal(1 if av.value else 0)
-            value = AtomicValue.decimal(text.strip())
-            if not value.value.is_finite():
-                raise ValueError(text)
-            return value
+            return AtomicValue.decimal(_lexical(text, XS_DECIMAL))
         if type_name in ("xs:double", "double"):
+            if numeric:
+                return AtomicValue.double(to_double(av.value))
             if av.type == XS_BOOLEAN:
                 return AtomicValue.double(1.0 if av.value else 0.0)
-            stripped = text.strip()
-            if stripped == "INF":
-                return AtomicValue.double(float("inf"))
-            if stripped == "-INF":
-                return AtomicValue.double(float("-inf"))
-            return AtomicValue.double(float(stripped))
+            return AtomicValue.double(_lexical(text, XS_DOUBLE))
         if type_name in ("xs:boolean", "boolean"):
             if av.type == XS_BOOLEAN:
                 return av

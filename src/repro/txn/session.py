@@ -277,7 +277,6 @@ class Transaction:
         )
         prepared = engine.prepare(
             query,
-            optimize=opts.optimize,
             semantics=(
                 opts.resolved_semantics
                 or session._semantics

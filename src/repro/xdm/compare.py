@@ -17,6 +17,7 @@ from repro.xdm.nodes import Node
 from repro.xdm.store import NodeKind
 from repro.xdm.values import (
     XS_BOOLEAN,
+    XS_DOUBLE,
     XS_STRING,
     XS_UNTYPED,
     AtomicValue,
@@ -24,6 +25,8 @@ from repro.xdm.values import (
     Sequence,
     atomize,
     is_numeric,
+    parse_number,
+    to_double,
 )
 
 _OPS = {
@@ -44,25 +47,26 @@ def _coerce_pair(a: AtomicValue, b: AtomicValue) -> tuple:
         return a.value, b.value
     if ta == XS_UNTYPED:
         if is_numeric(b):
-            try:
-                return float(a.value), float(b.value)
-            except ValueError:
+            x = parse_number(a.value, XS_DOUBLE)
+            if x is None:
                 raise TypeError_(
-                    f"cannot cast {a.value!r} to xs:double for comparison"
-                ) from None
+                    f"cannot cast {a.value!r} to xs:double for comparison",
+                    code="FORG0001",
+                )
+            return x, to_double(b.value)
         if tb == XS_BOOLEAN:
             return _parse_boolean(a.value), b.value
         return a.value, str(b.value)
     if tb == XS_UNTYPED:
         y, x = _coerce_pair(b, a)
         return x, y
-    if is_numeric(a) and is_numeric(b):
-        va, vb = a.value, b.value
-        if isinstance(va, float) or isinstance(vb, float):
-            return float(va), float(vb)
-        # int / Decimal mixes compare exactly in Python.
-        return va, vb
     if ta == tb:
+        return a.value, b.value
+    if is_numeric(a) and is_numeric(b):
+        # promote() for a pair, inlined on this hot path: int and Decimal
+        # compare exactly as they are.
+        if ta == XS_DOUBLE or tb == XS_DOUBLE:
+            return to_double(a.value), to_double(b.value)
         return a.value, b.value
     if {ta, tb} == {XS_STRING, XS_UNTYPED}:
         return str(a.value), str(b.value)

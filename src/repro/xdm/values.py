@@ -14,6 +14,7 @@ by arithmetic and comparisons.
 from __future__ import annotations
 
 import math
+import re
 from decimal import Decimal
 from typing import Any, Union
 
@@ -278,20 +279,57 @@ def sequence_string(seq: Sequence) -> str:
 # Numeric casting / promotion
 # ----------------------------------------------------------------------
 
+#: XML Schema 1.0 lexical forms of the numeric types: ASCII digits, no
+#: exponent in an integer or decimal, and a double's special values
+#: spelled exactly INF, -INF and NaN.  Python's ``int``, ``Decimal`` and
+#: ``float`` also take ``1_000``, non-ASCII digits, ``inf`` or
+#: ``Infinity``, so every parse goes through these first.
+_LEXICAL = {
+    XS_INTEGER: re.compile(r"[+-]?[0-9]+"),
+    XS_DECIMAL: re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"),
+    XS_DOUBLE: re.compile(
+        r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+        r"|-?INF|NaN"
+    ),
+}
+_PARSE = {XS_INTEGER: int, XS_DECIMAL: Decimal, XS_DOUBLE: float}
+
+
+def parse_number(text: str, type_name: str):
+    """*text* read as xs:integer, xs:decimal or xs:double — an ``int``,
+    ``Decimal`` or ``float`` — after collapsing its XML whitespace; None
+    when it is not in the type's lexical space."""
+    text = text.strip(" \t\r\n")
+    if _LEXICAL[type_name].fullmatch(text) is None:
+        return None
+    return _PARSE[type_name](text)
+
+
+def to_double(value) -> float:
+    """A numeric value promoted to xs:double; an integer beyond the
+    double range becomes ±INF (where ``float`` raises)."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def cast_to_number(av: AtomicValue) -> AtomicValue:
-    """Cast an atomic value to a numeric type (untyped -> double)."""
+    """Cast an atomic value to a numeric type: an untyped or string
+    integer form to xs:integer, any other double form to xs:double.  A
+    bad form is NaN for untyped data and an error for a string."""
     if av.type in _NUMERIC_TYPES:
         return av
     if av.type in (XS_UNTYPED, XS_STRING):
-        text = av.value.strip()
-        try:
-            if text and all(c in "+-0123456789" for c in text):
-                return AtomicValue.integer(int(text))
-            return AtomicValue.double(float(text))
-        except ValueError:
-            if av.type == XS_UNTYPED:
-                return AtomicValue.double(float("nan"))
-            raise TypeError_(f"cannot cast {text!r} to a number") from None
+        value = parse_number(av.value, XS_INTEGER)
+        if value is not None:
+            return AtomicValue.integer(value)
+        value = parse_number(av.value, XS_DOUBLE)
+        if value is not None:
+            return AtomicValue.double(value)
+        if av.type == XS_UNTYPED:
+            return AtomicValue.double(math.nan)
+        raise TypeError_(f"cannot cast {av.value.strip()!r} to a number")
     if av.type == XS_BOOLEAN:
         return AtomicValue.integer(1 if av.value else 0)
     raise TypeError_(f"cannot cast {av.type} to a number")
@@ -302,11 +340,15 @@ def is_numeric(av: AtomicValue) -> bool:
     return av.type in _NUMERIC_TYPES
 
 
-def promote_pair(a: AtomicValue, b: AtomicValue) -> tuple[AtomicValue, AtomicValue, str]:
-    """Promote two numerics to their least common type.
-
-    Returns ``(a', b', type)`` where *type* is the promoted type name.
-    """
-    order = {XS_INTEGER: 0, XS_DECIMAL: 1, XS_DOUBLE: 2}
-    target = max(a.type, b.type, key=lambda t: order[t])
-    return a, b, target
+def promote(values: "list[AtomicValue] | tuple[AtomicValue, ...]"):
+    """Numeric atomics promoted to their least common type (XQuery type
+    promotion: xs:integer, then xs:decimal, then xs:double).  Returns
+    ``(type, python_values)``: integers and decimals stay exact, and
+    values become ``float`` only when a double is present — an integer
+    beyond the double range then becoming ±INF."""
+    types = {av.type for av in values}
+    if XS_DOUBLE in types:
+        return XS_DOUBLE, [to_double(av.value) for av in values]
+    if XS_DECIMAL in types:
+        return XS_DECIMAL, [Decimal(av.value) for av in values]
+    return XS_INTEGER, [av.value for av in values]

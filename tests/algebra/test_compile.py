@@ -11,15 +11,10 @@ from repro.algebra.compile import (
     naive_plan,
 )
 from repro.algebra.execute import execute_plan
-from repro.algebra.plan import (
-    EvalExpr,
-    MapFromItem,
-    Snap,
-    plan_operators,
-    pretty_plan,
-)
+from repro.algebra.plan import Snap, plan_operators, pretty_plan
 from repro.lang.normalize import normalize
 from repro.lang.parser import parse
+from tests.interpreted import interpreted
 
 
 def decompose(text: str):
@@ -72,66 +67,72 @@ class TestNaivePlan:
         ]
 
 
+#: A pipeline the let-hoisting rewrite changes, so it gets a plan.
+HOISTED = "for $x in $s let $k := 1 return $x + $k"
+
+
 class TestCompileQuery:
     def test_non_pipeline_falls_back_to_eval(self):
         engine = Engine()
         engine.bind("x", 1)
-        plan = engine.compile("$x + 1")
-        assert isinstance(plan, Snap)
-        assert isinstance(plan.input, EvalExpr)
+        assert engine.compile("$x + 1") is None
+        assert engine.execute("$x + 1").first_value() == 2
+
+    def test_unrewritten_pipeline_gets_no_plan(self):
+        engine = Engine()
+        engine.bind("s", [1, 2])
+        assert engine.compile("for $x in $s return $x") is None
 
     def test_snap_always_at_top(self):
         engine = Engine()
         engine.bind("s", [1, 2])
-        plan = engine.compile("for $x in $s return $x")
+        plan = engine.compile(HOISTED)
         assert isinstance(plan, Snap)
         assert plan.mode == "ordered"
 
     def test_pretty_plan_renders(self):
         engine = Engine()
         engine.bind("s", [1])
-        text = pretty_plan(engine.compile("for $x in $s return $x"))
+        text = pretty_plan(engine.compile(HOISTED))
         assert "Snap[ordered]" in text
         assert "MapConcat[x]" in text
 
 
 class TestPlanExecution:
-    """Direct execution of compiled plans on simple data."""
+    """Direct execution of naive plans on simple data."""
 
-    def exec_query(self, query: str, optimize: bool = True, **bindings):
-        engine = Engine()
-        for name, value in bindings.items():
-            engine.bind(name, value)
-        return engine.execute(query, optimize=optimize)
+    def exec_query(self, query: str) -> list:
+        plan = Snap(input=naive_plan(decompose(query)), mode="ordered")
+        return [av.value for av in execute_plan(plan, Engine().evaluator)]
 
     def test_map_concat_positions(self):
         out = self.exec_query(
             "for $x at $i in ('a','b') return concat($i, $x)"
         )
-        assert out.values() == ["1a", "2b"]
+        assert out == ["1a", "2b"]
 
     def test_select_filters(self):
         out = self.exec_query(
             "for $x in (1,2,3,4) where $x mod 2 = 0 return $x"
         )
-        assert out.values() == [2, 4]
+        assert out == [2, 4]
 
     def test_let_bind(self):
         out = self.exec_query(
             "for $x in (1,2) let $y := $x * 10 return $y"
         )
-        assert out.values() == [10, 20]
+        assert out == [10, 20]
 
     def test_eval_fallback_runs_updates(self):
         engine = Engine()
         engine.bind("x", engine.parse_fragment("<x/>"))
-        engine.execute("insert { <a/> } into { $x }", optimize=True)
+        engine.execute("insert { <a/> } into { $x }")
         assert engine.execute("count($x/a)").first_value() == 1
 
     def test_execute_plan_api(self):
         engine = Engine()
         engine.bind("s", [1, 2, 3])
-        plan = engine.compile("for $x in $s return $x + 1")
+        plan = engine.compile(HOISTED)
         items = execute_plan(plan, engine.evaluator)
         assert [av.value for av in items] == [2, 3, 4]
 
@@ -159,6 +160,6 @@ class TestJoinKeySemantics:
         # untyped '1' = untyped '01' compares as *strings* (no match), but
         # '1' = '1' and '01' = '01' match; 'x' matches nothing.
         engine = self.setup_engine()
-        naive = engine.execute(self.JOIN, optimize=False).values()
-        optimized = self.setup_engine().execute(self.JOIN, optimize=True).values()
+        naive = interpreted(engine, self.JOIN).values()
+        optimized = self.setup_engine().execute(self.JOIN).values()
         assert naive == optimized == ["1~1", "01~01"]

@@ -10,6 +10,7 @@ from repro.algebra.rewrite import hoist_invariant_lets
 from repro.lang.normalize import normalize
 from repro.lang.parser import parse
 from repro.semantics.functions import default_registry
+from tests.interpreted import interpreted
 
 
 def hoist(text: str):
@@ -73,8 +74,8 @@ class TestEndToEnd:
     QUERY = "for $x in $db//n let $total := count($db//m) return $total"
 
     def test_values_unchanged(self):
-        naive = self.make_engine().execute(self.QUERY, optimize=False)
-        optimized = self.make_engine().execute(self.QUERY, optimize=True)
+        naive = interpreted(self.make_engine(), self.QUERY)
+        optimized = self.make_engine().execute(self.QUERY)
         assert naive.values() == optimized.values()
 
     def test_plan_shows_hoist(self):
@@ -91,6 +92,6 @@ class TestEndToEnd:
             "let $probe := (insert { <p/> } into { $sink }, 1) "
             "return $probe"
         )
-        engine.execute(query, optimize=True)
+        engine.execute(query)
         # One insert per n — cardinality preserved.
         assert engine.execute("count($sink/p)").first_value() == 50

@@ -1,10 +1,16 @@
-"""Tests for order-by pipelines in the algebra (OrderBySort operator)."""
+"""Tests for order-by pipelines in the algebra (OrderBySort operator).
+
+An order-by FLWOR runs as a plan only when a rewrite fires; the queries
+without a join carry a loop-invariant ``let`` that the hoisting rewrite
+moves, so they run as plans too.
+"""
 
 import pytest
 
 from repro import Engine
 from repro.algebra.plan import plan_operators
 from repro.xmark import XMarkConfig, generate_auction_xml
+from tests.interpreted import interpreted
 
 
 @pytest.fixture(scope="module")
@@ -21,11 +27,14 @@ def e() -> Engine:
 class TestPlanShapes:
     def test_orderby_compiles_to_sort_operator(self, e):
         plan = e.compile(
-            "for $p in $auction//person order by $p/name return string($p/name)"
+            "for $p in $auction//person let $one := 1 "
+            "order by $p/name return string($p/name)"
         )
         ops = plan_operators(plan)
         assert "OrderBySort" in ops
-        assert "EvalExpr" not in ops  # no longer an interpreter fallback
+        assert e.compile(
+            "for $p in $auction//person order by $p/name return $p"
+        ) is None  # no rewrite fires: the evaluator sorts
 
     def test_orderby_with_join_rewrites(self, e):
         plan = e.compile(
@@ -59,9 +68,10 @@ class TestPlanShapes:
 
 class TestEquivalence:
     QUERIES = [
-        "for $p in $auction//person order by string($p/name) return string($p/name)",
-        "for $p in $auction//person order by number($p/income) descending "
-        "return string($p/income)",
+        "for $p in $auction//person let $one := 1 "
+        "order by string($p/name) return string($p/name)",
+        "for $p in $auction//person let $one := 1 "
+        "order by number($p/income) descending return string($p/income)",
         """for $p in $auction//person
            for $t in $auction//closed_auction
            where $t/buyer/@person = $p/@id
@@ -77,35 +87,38 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("query", QUERIES, ids=["sort", "desc", "join", "group"])
     def test_naive_vs_optimized(self, e, query):
-        naive = e.execute(query, optimize=False).values()
-        optimized = e.execute(query, optimize=True).values()
+        assert e.compile(query) is not None
+        naive = interpreted(e, query).values()
+        optimized = e.execute(query).values()
         assert naive == optimized
 
     def test_effects_in_return_after_sort(self, e):
         query = """
             for $p in $auction//person
+            let $one := 1
             order by string($p/name)
             return insert { <v n="{$p/name}"/> } into { $sink }
         """
         e1 = Engine()
         e1.load_document("auction", e.execute("$auction").serialize())
         e1.bind("sink", e1.parse_fragment("<sink/>"))
-        e1.execute(query, optimize=False)
+        interpreted(e1, query)
         expected = e1.execute("$sink/v/@n").strings()
 
         e2 = Engine()
         e2.load_document("auction", e.execute("$auction").serialize())
         e2.bind("sink", e2.parse_fragment("<sink/>"))
-        e2.execute(query, optimize=True)
+        e2.execute(query)
         assert e2.execute("$sink/v/@n").strings() == expected
         # And they arrive in sorted order (effects follow sorted tuples).
         assert expected == sorted(expected)
 
     def test_empty_handling_in_plans(self, e):
         query = (
-            "for $x in (<a k='2'/>, <a/>, <a k='1'/>) "
+            "for $x in (<a k='2'/>, <a/>, <a k='1'/>) let $one := 1 "
             "order by $x/@k empty greatest return string($x/@k)"
         )
-        naive = e.execute(query, optimize=False).values()
-        optimized = e.execute(query, optimize=True).values()
+        assert e.compile(query) is not None
+        naive = interpreted(e, query).values()
+        optimized = e.execute(query).values()
         assert naive == optimized == ["1", "2", ""]

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Engine
 from repro.algebra.plan import HashJoin, Select, plan_operators
+from tests.interpreted import interpreted
 
 
 @pytest.fixture
@@ -51,8 +52,8 @@ class TestPushdown:
         )
 
     def test_results_unchanged(self, e):
-        naive = e.execute(QUERY, optimize=False).values()
-        optimized = e.execute(QUERY, optimize=True).values()
+        naive = interpreted(e, QUERY).values()
+        optimized = e.execute(QUERY).values()
         assert naive == optimized == ["1-9"]
 
     def test_cross_side_conjunct_stays_above(self, e):
@@ -67,8 +68,8 @@ class TestPushdown:
         assert join is not None
         assert not isinstance(join.left, Select)
         assert not isinstance(join.right, Select)
-        naive = e.execute(query, optimize=False).values()
-        optimized = e.execute(query, optimize=True).values()
+        naive = interpreted(e, query).values()
+        optimized = e.execute(query).values()
         assert naive == optimized
 
     def test_effectful_conjunct_not_pushed(self, e):
@@ -83,8 +84,8 @@ class TestPushdown:
         e1 = Engine()
         e1.load_document("db", e.execute("$db").serialize())
         e1.bind("sink", e1.parse_fragment("<sink/>"))
-        e1.execute(query, optimize=False)
+        interpreted(e1, query)
         expected_probes = e1.execute("count($sink/probe)").first_value()
 
-        e.execute(query, optimize=True)
+        e.execute(query)
         assert e.execute("count($sink/probe)").first_value() == expected_probes

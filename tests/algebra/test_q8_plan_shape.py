@@ -19,6 +19,7 @@ import pytest
 from repro import Engine
 from repro.algebra.plan import GroupBy, LeftOuterJoin, MapFromItem, Snap, plan_operators
 from repro.xmark import XMarkConfig, generate_auction_xml
+from tests.interpreted import interpreted
 
 Q8_VARIANT = """
 for $p in $auction//person
@@ -87,14 +88,14 @@ class TestEquivalence:
     """The optimized plan must preserve values AND side effects."""
 
     def test_values_identical(self, xml):
-        naive = fresh(xml).execute(Q8_VARIANT, optimize=False)
-        optimized = fresh(xml).execute(Q8_VARIANT, optimize=True)
+        naive = interpreted(fresh(xml), Q8_VARIANT)
+        optimized = fresh(xml).execute(Q8_VARIANT)
         assert naive.serialize() == optimized.serialize()
 
     def test_side_effects_identical(self, xml):
         e1, e2 = fresh(xml), fresh(xml)
-        e1.execute(Q8_VARIANT, optimize=False)
-        e2.execute(Q8_VARIANT, optimize=True)
+        interpreted(e1, Q8_VARIANT)
+        e2.execute(Q8_VARIANT)
         buyers1 = e1.execute("$purchasers").serialize()
         buyers2 = e2.execute("$purchasers").serialize()
         assert buyers1 == buyers2
@@ -102,7 +103,7 @@ class TestEquivalence:
 
     def test_matches_count(self, xml):
         engine = fresh(xml)
-        engine.execute(Q8_VARIANT, optimize=True)
+        engine.execute(Q8_VARIANT)
         buyers = engine.execute("count($purchasers/buyer)").first_value()
         closed = engine.execute(
             "count($auction//closed_auction)"
@@ -128,8 +129,8 @@ class TestHashJoinRewrite:
 
     def test_join_equivalence(self, xml):
         e1, e2 = fresh(xml), fresh(xml)
-        e1.execute(self.JOIN_QUERY, optimize=False)
-        e2.execute(self.JOIN_QUERY, optimize=True)
+        interpreted(e1, self.JOIN_QUERY)
+        e2.execute(self.JOIN_QUERY)
         assert (
             e1.execute("$purchasers").serialize()
             == e2.execute("$purchasers").serialize()
@@ -142,8 +143,8 @@ class TestHashJoinRewrite:
             where $t/buyer/@person = $p/@id
             return string($p/name)
         """
-        naive = fresh(xml).execute(query, optimize=False).values()
-        optimized = fresh(xml).execute(query, optimize=True).values()
+        naive = interpreted(fresh(xml), query).values()
+        optimized = fresh(xml).execute(query).values()
         assert naive == optimized
 
     def test_swapped_predicate_sides(self, xml):
@@ -155,6 +156,6 @@ class TestHashJoinRewrite:
         """
         ops = plan_operators(fresh(xml).compile(query))
         assert "HashJoin" in ops
-        naive = fresh(xml).execute(query, optimize=False).values()
-        optimized = fresh(xml).execute(query, optimize=True).values()
+        naive = interpreted(fresh(xml), query).values()
+        optimized = fresh(xml).execute(query).values()
         assert naive == optimized

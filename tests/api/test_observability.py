@@ -9,6 +9,7 @@ slow-query hook.
 import pytest
 
 from repro import Engine, ExecutionOptions
+from repro.algebra.plan import NO_PLAN
 from repro.errors import ConflictError
 
 
@@ -57,7 +58,7 @@ class TestPhaseSpans:
 
     def test_optimized_execute_records_compile_and_rule_spans(self):
         engine = make_engine()
-        stats = engine.execute(JOIN, optimize=True, collect_stats=True).stats
+        stats = engine.execute(JOIN, collect_stats=True).stats
         phases = stats.phase_times_ms
         assert "compile" in phases
         assert any(name.startswith("rewrite:") for name in phases)
@@ -135,16 +136,17 @@ class TestConflictMetrics:
 class TestExecutorBarriers:
     def test_hash_join_barriers_counted(self):
         engine = make_engine()
-        stats = engine.execute(JOIN, optimize=True, collect_stats=True).stats
+        stats = engine.execute(JOIN, collect_stats=True).stats
         assert stats.counters["exec.barrier.snap"] == 1
         assert stats.counters["exec.barrier.hash_build"] == 1
         assert stats.observations["exec.hash_build.rows"].count == 1
 
     def test_order_by_barrier_counted(self):
         engine = make_engine()
+        # The hoisted let makes the rewrite fire, so a plan sorts.
         stats = engine.execute(
-            "for $i in $doc//item order by $i/@price descending return $i",
-            optimize=True,
+            "for $i in $doc//item let $k := 1 "
+            "order by $i/@price descending return $i",
             collect_stats=True,
         ).stats
         assert stats.counters["exec.barrier.order_by"] == 1
@@ -196,9 +198,28 @@ class TestExplain:
 
     def test_execute_with_explain_option_attaches_report(self):
         engine = make_engine()
-        result = engine.execute(JOIN, optimize=True, explain=True)
+        result = engine.execute(JOIN, explain=True)
         assert result.explain is not None
         assert result.explain.rewritten
+
+    def test_non_flwor_body_renders_no_plan(self):
+        report = make_engine().explain("count($doc//item)")
+        assert not report.rewritten
+        assert report.operators_before == report.operators_after == []
+        assert report.render().splitlines() == [
+            "plan (before rewriting):",
+            f"  {NO_PLAN}",
+            "plan (after rewriting):",
+            f"  {NO_PLAN}",
+            "rewrite rules:",
+            "  (query body is not a FLWOR pipeline; no rules apply)",
+        ]
+
+    def test_unrewritten_flwor_runs_no_plan(self):
+        report = make_engine().explain("for $i in $doc//item return $i")
+        assert not report.rewritten and report.fired_rules == []
+        assert report.operators_before[:2] == ["Snap", "MapFromItem"]
+        assert report.plan_after == NO_PLAN
 
     def test_render_is_printable(self):
         engine = make_engine()
@@ -288,5 +309,5 @@ class TestPreparedExecuteOptions:
         engine.execute("count($doc//item)")
         engine.execute("count($doc//item)", semantics="conflict-detection")
         keys = engine.prepared_cache.keys()
-        assert ("count($doc//item)", False, "ordered") in keys
-        assert ("count($doc//item)", False, "conflict-detection") in keys
+        assert ("count($doc//item)", "ordered") in keys
+        assert ("count($doc//item)", "conflict-detection") in keys

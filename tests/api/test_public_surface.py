@@ -2,7 +2,7 @@
 
 These tests pin down what ``import repro`` exports, the
 :class:`ExecutionOptions` contract (keyword-only, immutable, defaults),
-the deprecation shim for the old positional ``optimize`` argument, the
+the keyword-only engine methods, the
 scoped-prolog-registration guarantee and the JSON round-trip of the
 stats/explain reports.  A change that breaks any of them is an API break
 and should be deliberate.
@@ -63,8 +63,8 @@ EXPECTED_ALL = {
 }
 
 
-def make_engine() -> Engine:
-    engine = Engine()
+def make_engine(**kwargs) -> Engine:
+    engine = Engine(**kwargs)
     engine.load_document(
         "doc",
         "<inventory><item id='a' price='10'/><item id='b' price='20'/>"
@@ -85,7 +85,6 @@ class TestModuleSurface:
 class TestExecutionOptions:
     def test_defaults(self):
         opts = ExecutionOptions()
-        assert opts.optimize is False
         assert opts.semantics is None
         assert opts.bindings is None
         assert opts.collect_stats is False
@@ -98,7 +97,7 @@ class TestExecutionOptions:
     def test_frozen(self):
         opts = ExecutionOptions()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            opts.optimize = True
+            opts.collect_stats = True
 
     def test_invalid_semantics_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -128,7 +127,7 @@ class TestExecutionOptions:
 
     def test_options_object_is_reusable_across_calls(self):
         engine = make_engine()
-        opts = ExecutionOptions(optimize=True, collect_stats=True)
+        opts = ExecutionOptions(use_indexes=False, collect_stats=True)
         first = engine.execute("count($doc//item)", options=opts)
         second = engine.execute("count($doc//item)", options=opts)
         assert first.first_value() == second.first_value() == 2
@@ -140,9 +139,17 @@ class TestExecutionOptions:
         engine = make_engine()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            engine.execute("count($doc//item)", optimize=True)
-            engine.prepare("count($doc//item)", optimize=False)
-            engine.compile("count($doc//item)", optimize=True)
+            engine.execute("count($doc//item)", semantics="ordered")
+            engine.prepare("count($doc//item)", semantics="ordered")
+            engine.compile("count($doc//item)", semantics="ordered")
+
+    def test_optimize_keyword_is_gone(self):
+        engine = make_engine()
+        with pytest.raises(TypeError):
+            ExecutionOptions(optimize=True)
+        for method in (engine.execute, engine.prepare, engine.compile):
+            with pytest.raises(TypeError):
+                method("count($doc//item)", optimize=True)
 
 
 class TestEngineBindings:
@@ -165,15 +172,15 @@ class TestEngineBindings:
 
 class TestScopedPrologRegistration:
     def test_failed_compile_rolls_back_functions_and_generation(self):
-        engine = make_engine()
+        engine = make_engine(static_checks=True)
         engine.execute("count($doc//item)")  # warm the prepared cache
         generation = engine.functions.generation
-        with pytest.raises(DynamicError):
-            engine.compile("declare function local:f() { 1 };")  # no body
+        with pytest.raises(XQueryError):
+            engine.compile("declare function local:f() { 1 }; $no_such_var")
         assert engine.functions.generation == generation
         assert ("local:f", 0) not in engine.functions._user
         # The cached prepared query is still valid (same generation).
-        key = ("count($doc//item)", False, "ordered")
+        key = ("count($doc//item)", "ordered")
         assert engine.prepared_cache.lookup(key, generation) is not None
 
     def test_failed_prepare_rolls_back(self):

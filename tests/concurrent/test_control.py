@@ -117,10 +117,12 @@ class TestEngineTimeout:
 
     def test_timeout_applies_on_optimized_path(self):
         engine = Engine()
+        hoisted = SLOW_QUERY.replace("return", "let $k := 2 return")
+        assert engine.compile(hoisted) is not None  # runs as a plan
         with pytest.raises(QueryTimeoutError):
-            engine.execute(SLOW_QUERY, optimize=True, timeout_ms=10)
+            engine.execute(hoisted, timeout_ms=10)
         assert (
-            engine.execute("2 * 3", optimize=True).first_value() == 6
+            engine.execute("2 * 3").first_value() == 6
         )
 
 

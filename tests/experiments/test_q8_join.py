@@ -5,11 +5,12 @@ Using an outer join/group by with a typed hash join, we can recover the
 join complexity of O(|person| + |closed_auction| + |matches|)."
 
 Counted here, as (persons, closed) doubles from (30, 40) to (120, 160):
-the naive nested loop evaluates the ``where`` comparison exactly P·C times
-and its evaluation steps grow ~4x per doubling; the optimized plan
-evaluates no comparison at all and its steps grow ~2x.  E11: the same
-join whose body snaps its insert observes its own effects, so the
-rewrite must not fire and the plan keeps the P·C nested loop.
+the same query with its plan withheld runs as a nested loop on the
+evaluator, evaluates the ``where`` comparison exactly P·C times and its
+evaluation steps grow ~4x per doubling; the rewritten plan evaluates no
+comparison at all and its steps grow ~2x.  E11: the same join whose body
+snaps its insert observes its own effects, so the rewrite must not fire
+and the query keeps the P·C nested loop.
 
 Pure subexpressions run as compiled closures
 (:mod:`repro.semantics.compiled`) and the rest on the tree-walker, so a
@@ -26,6 +27,7 @@ import pytest
 
 from repro.lang import core_ast
 from repro.semantics import compiled, evaluator
+from tests.interpreted import interpreted
 
 SCALES = ((30, 40), (60, 80), (120, 160))
 
@@ -96,10 +98,13 @@ def counting(monkeypatch):
 
 @pytest.fixture
 def run(auction_engine, counting):
-    def run(query: str, scale: tuple[int, int], optimize: bool) -> dict:
+    def run(query: str, scale: tuple[int, int], plan: bool = True) -> dict:
         engine = auction_engine(*scale)
         counting.update(comparisons=0, steps=0)
-        engine.execute(query, optimize=optimize)
+        if plan:
+            engine.execute(query)
+        else:
+            interpreted(engine, query)
         return dict(counting)
 
     return run
@@ -110,14 +115,14 @@ def growth(steps: list[int]) -> list[float]:
 
 
 def test_naive_plan_compares_every_pair(run):
-    rows = [run(Q8_VARIANT, scale, optimize=False) for scale in SCALES]
+    rows = [run(Q8_VARIANT, scale, plan=False) for scale in SCALES]
     assert [row["comparisons"] for row in rows] == [p * c for p, c in SCALES]
     for ratio in growth([row["steps"] for row in rows]):
         assert 3.5 < ratio <= 4.0, ratio
 
 
 def test_optimized_plan_compares_nothing_and_grows_linearly(run):
-    rows = [run(Q8_VARIANT, scale, optimize=True) for scale in SCALES]
+    rows = [run(Q8_VARIANT, scale) for scale in SCALES]
     assert [row["comparisons"] for row in rows] == [0, 0, 0]
     for ratio in growth([row["steps"] for row in rows]):
         assert 1.9 < ratio < 2.1, ratio
@@ -125,11 +130,11 @@ def test_optimized_plan_compares_nothing_and_grows_linearly(run):
 
 @pytest.mark.parametrize("scale", SCALES[:2])
 def test_collected_updates_get_the_join(run, scale):
-    assert run(COLLECTING, scale, optimize=True)["comparisons"] == 0
+    assert run(COLLECTING, scale)["comparisons"] == 0
 
 
 @pytest.mark.parametrize("scale", SCALES[:2])
 def test_snapped_updates_keep_the_nested_loop(run, scale):
     persons, closed = scale
-    row = run(SNAPPING, scale, optimize=True)
+    row = run(SNAPPING, scale)
     assert row["comparisons"] == persons * closed

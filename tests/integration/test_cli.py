@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algebra.plan import NO_PLAN
 from repro.cli import main
 
 
@@ -96,7 +97,7 @@ class TestPlanAndOptimize:
             capsys,
             [
                 "-q",
-                "for $i in $doc//item return $i",
+                "for $i in $doc//item let $k := 1 return $i",
                 "--doc",
                 f"doc={data_file}",
                 "--plan",
@@ -106,7 +107,7 @@ class TestPlanAndOptimize:
         assert "Snap[ordered]" in out
         assert "MapConcat[i]" in out
 
-    def test_optimize_flag_runs(self, capsys, data_file):
+    def test_plan_flag_notes_a_query_without_plan(self, capsys, data_file):
         code, out, _ = run_cli(
             capsys,
             [
@@ -114,10 +115,10 @@ class TestPlanAndOptimize:
                 "for $i in $doc//item return string($i/@id)",
                 "--doc",
                 f"doc={data_file}",
-                "--optimize",
+                "--plan",
             ],
         )
-        assert code == 0 and out.strip() == "1 2"
+        assert code == 0 and out.strip() == NO_PLAN
 
 
 class TestRepl:
@@ -160,7 +161,7 @@ class TestRepl:
     def test_plan_toggle(self, capsys, monkeypatch):
         code, out, _ = self.run_repl(
             capsys, monkeypatch,
-            [":plan on", "for $i in $x/a return $i", "", ":q"],
+            [":plan on", "for $i in $x/a let $k := 1 return $i", "", ":q"],
         )
         assert code == 0
         assert "Snap[ordered]" in out

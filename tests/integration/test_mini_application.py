@@ -7,6 +7,7 @@ import pytest
 
 from repro import Engine
 from repro.errors import ConflictError, DynamicError
+from tests.interpreted import interpreted
 
 SHOP_MODULE = """
 declare variable $seq := element seq { 0 };
@@ -154,8 +155,8 @@ class TestOrderFlow:
                          return $o
             return <line sku="{$i/@sku}" orders="{count($sold)}"/>
         """
-        naive = shop.execute(report_query, optimize=False).serialize()
-        optimized = shop.execute(report_query, optimize=True).serialize()
+        naive = interpreted(shop, report_query).serialize()
+        optimized = shop.execute(report_query).serialize()
         assert naive == optimized
         assert 'orders="2"' in naive
         from repro.algebra.plan import plan_operators

@@ -188,12 +188,12 @@ class TestSection43OptimizedQuery:
     """
 
     def test_row_per_person(self, e):
-        out = e.execute(self.QUERY, optimize=True)
+        out = e.execute(self.QUERY)
         persons = e.execute("count($auction//person)").first_value()
         assert len(out) == persons
 
     def test_counts_sum_to_closed_auctions(self, e):
-        out = e.execute(self.QUERY, optimize=True)
+        out = e.execute(self.QUERY)
         total = sum(int(item.string_value) for item in out.items)
         closed = e.execute("count($auction//closed_auction)").first_value()
         assert total == closed

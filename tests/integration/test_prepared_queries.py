@@ -39,15 +39,6 @@ class TestCacheRouting:
         assert first is second
         assert isinstance(first, PreparedQuery)
 
-    def test_optimize_flag_is_part_of_the_key(self):
-        engine = make_engine()
-        plain = engine.prepare("count($doc//item)")
-        optimized = engine.prepare("count($doc//item)", optimize=True)
-        assert plain is not optimized
-        assert len(engine.prepared_cache) == 2
-        assert plain.execute().first_value() == 3
-        assert optimized.execute().first_value() == 3
-
     def test_lru_eviction_drops_least_recent(self):
         engine = make_engine(prepared_cache_size=2)
         engine.prepare("1")

@@ -3,10 +3,11 @@
 ``Engine.execute``, a ``ConcurrentExecutor`` snapshot read, a session
 transaction statement and a ``DurableEngine`` all run a module through
 :func:`repro.prepared.run_module`.  The matrix below crosses the
-per-execution options over those four surfaces and checks that each one
-honours every field: same items, same error types, stats and explain
-whenever requested, one compiled-plan run whenever ``optimize=True``,
-and the slow-query hook.  The per-surface rules for globals are pinned
+per-execution options, and queries whose rewrite fires or not, over
+those four surfaces and checks that each one honours every field: same
+items, same error types, stats and explain whenever requested, one plan
+run for a query whose rewrite fires and none for one whose rewrite does
+not, and the slow-query hook.  The per-surface rules for globals are pinned
 at the end.
 """
 
@@ -19,6 +20,7 @@ from repro import Engine, ExecutionOptions
 from repro.concurrent import CancelToken, ConcurrentExecutor
 from repro.durability import DurableEngine
 from repro.errors import DynamicError, QueryCancelledError, QueryTimeoutError
+from tests.interpreted import interpreted
 
 DOC = (
     "<site><people>"
@@ -30,16 +32,19 @@ DOC = (
     "</watches></site>"
 )
 
-#: (query, bindings): pure, so the executor routes them to a snapshot.
+#: (query, bindings, rewrites): pure, so the executor routes them to a
+#: snapshot; *rewrites* says whether a rewrite fires, so a plan runs.
 QUERIES = [
     (
         "for $p in $doc//person[@id = $who] return string($p/name)",
         {"who": "p2"},
+        False,
     ),
     (
         "declare variable $who external; "
         "count($doc//person[@id = $who])",
         {"who": "p1"},
+        False,
     ),
     (
         "declare variable $k := count($doc//person); "
@@ -47,15 +52,35 @@ QUERIES = [
         "order by string($p/name) descending "
         'return <hit n="{$k}">{string($p/@id)}</hit>',
         None,
+        False,
     ),
     (
         "for $p in $doc//person, $w in $doc//watch "
         "where $w/@person = $p/@id return string($p/name)",
         None,
+        True,
+    ),
+    (
+        "declare variable $who external; "
+        "for $p in $doc//person, $w in $doc//watch "
+        "where $w/@person = $p/@id and $p/@id != $who "
+        "return string($p/name)",
+        {"who": "p1"},
+        True,
     ),
 ]
 
-SLOW_LOOP = "for $i in 1 to 100000 return $i * 2"
+#: Per *rewrites*: a long-running query, and one that reads an unbound
+#: external variable.
+SLOW = {
+    False: "for $i in 1 to 100000 return $i * 2",
+    True: "for $i in 1 to 100000, $j in (1, 2) where $i = $j return $i",
+}
+UNBOUND = {
+    False: "declare variable $absent external; $absent",
+    True: "declare variable $absent external; "
+    "for $a in $absent, $b in (1, 2) where $a = $b return $a",
+}
 
 PATHS = ["engine", "snapshot", "transaction", "durable"]
 
@@ -115,13 +140,15 @@ def runner(request, tmp_path):
 
 @pytest.fixture(scope="module")
 def reference():
-    """Items of every query on the plain interpreter, indexes off."""
+    """Items of every query on the evaluator alone, indexes off."""
     engine = Engine()
     engine.load_document("doc", DOC)
     options = ExecutionOptions(use_indexes=False)
     return [
-        engine.execute(query, bindings=bindings, options=options).serialize()
-        for query, bindings in QUERIES
+        interpreted(
+            engine, query, bindings=bindings, options=options
+        ).serialize()
+        for query, bindings, _ in QUERIES
     ]
 
 
@@ -147,32 +174,30 @@ def snap_counters(stats):
     }
 
 
-@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("rewrites", [False, True])
 @pytest.mark.parametrize("use_indexes", [True, False])
 class TestOptionsMatrix:
     def test_items_match_the_reference(
-        self, runner, reference, plan_runs, optimize, use_indexes
+        self, runner, reference, plan_runs, rewrites, use_indexes
     ):
-        options = ExecutionOptions(
-            optimize=optimize, use_indexes=use_indexes
-        )
-        for (query, bindings), expected in zip(QUERIES, reference):
+        options = ExecutionOptions(use_indexes=use_indexes)
+        for (query, bindings, fires), expected in zip(QUERIES, reference):
+            if fires is not rewrites:
+                continue
             del plan_runs[:]
             result = runner.run(query, bindings, options)
             assert result.serialize() == expected, (runner.path, query)
             assert result.stats is None and result.explain is None
-            assert len(plan_runs) == (1 if optimize else 0), query
+            assert len(plan_runs) == (1 if rewrites else 0), query
 
     def test_stats_and_explain_when_requested(
-        self, runner, plan_runs, optimize, use_indexes
+        self, runner, plan_runs, rewrites, use_indexes
     ):
         options = ExecutionOptions(
-            optimize=optimize,
-            use_indexes=use_indexes,
-            collect_stats=True,
-            explain=True,
+            use_indexes=use_indexes, collect_stats=True, explain=True
         )
-        for query, bindings in QUERIES:
+        chosen = [entry for entry in QUERIES if entry[2] is rewrites]
+        for query, bindings, _ in chosen:
             result = runner.run(query, bindings, options)
             stats = result.stats
             assert stats is not None, (runner.path, query)
@@ -181,25 +206,27 @@ class TestOptionsMatrix:
             )
             assert result.explain is not None
             assert result.explain.query_text == query
-        assert len(plan_runs) == (len(QUERIES) if optimize else 0)
+            assert result.explain.rewritten is rewrites
+        assert len(plan_runs) == (len(chosen) if rewrites else 0)
 
     def test_interrupts_and_unbound_external(
-        self, runner, optimize, use_indexes
+        self, runner, rewrites, use_indexes
     ):
-        options = ExecutionOptions(
-            optimize=optimize, use_indexes=use_indexes
-        )
+        for query in (SLOW[rewrites], UNBOUND[rewrites]):
+            assert (runner.engine.compile(query) is not None) is rewrites
+        options = ExecutionOptions(use_indexes=use_indexes)
         token = CancelToken()
         token.cancel()
         with pytest.raises(QueryCancelledError):
-            runner.run(SLOW_LOOP, options=replace(options, cancel=token))
-        with pytest.raises(QueryTimeoutError):
-            runner.run(SLOW_LOOP, options=replace(options, timeout_ms=1e-6))
-        with pytest.raises(DynamicError, match=r"\$absent is not bound"):
             runner.run(
-                "declare variable $absent external; $absent",
-                options=options,
+                SLOW[rewrites], options=replace(options, cancel=token)
             )
+        with pytest.raises(QueryTimeoutError):
+            runner.run(
+                SLOW[rewrites], options=replace(options, timeout_ms=1e-6)
+            )
+        with pytest.raises(DynamicError, match=r"\$absent is not bound"):
+            runner.run(UNBOUND[rewrites], options=options)
 
 
 def test_stats_counters_agree_across_surfaces(tmp_path):
@@ -210,7 +237,7 @@ def test_stats_counters_agree_across_surfaces(tmp_path):
         try:
             per_path[path] = [
                 snap_counters(runner.run(query, bindings, options).stats)
-                for query, bindings in QUERIES
+                for query, bindings, _ in QUERIES
             ]
         finally:
             runner.close()
@@ -221,7 +248,7 @@ def test_stats_counters_agree_across_surfaces(tmp_path):
 
 
 def test_slow_query_hook_fires_on_every_surface(runner):
-    query, bindings = QUERIES[0]
+    query, bindings, _ = QUERIES[0]
     runner.run(query, bindings)
     assert [record.query_text for record in runner.records] == [query]
 
@@ -233,7 +260,7 @@ class TestGlobalsPerSurface:
         for path in ("engine", "durable"):
             runner = Runner(path, tmp_path / path)
             try:
-                runner.run(*QUERIES[0])
+                runner.run(*QUERIES[0][:2])
                 runner.run(self.DECLARES)
                 globals_ = runner.engine.evaluator.globals
                 assert "who" not in globals_
@@ -244,7 +271,7 @@ class TestGlobalsPerSurface:
     def test_snapshot_read_keeps_neither(self, tmp_path):
         runner = Runner("snapshot", tmp_path)
         try:
-            runner.run(*QUERIES[0])
+            runner.run(*QUERIES[0][:2])
             runner.run(self.DECLARES)
             globals_ = runner.engine.evaluator.globals
             assert "who" not in globals_ and "n" not in globals_
@@ -256,7 +283,7 @@ class TestGlobalsPerSurface:
         engine.load_document("doc", DOC)
         with engine.session() as session:
             with session.transaction() as txn:
-                txn.execute(*QUERIES[0])
+                txn.execute(*QUERIES[0][:2])
                 txn.execute(self.DECLARES)
                 assert txn.execute("$who").values() == ["p2"]
                 assert txn.execute("$n").values() == [3]

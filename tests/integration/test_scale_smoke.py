@@ -38,8 +38,7 @@ class TestScaleSmoke:
                       where $t/buyer/@person = $p/@id
                       return $t
             return count($a)
-            """,
-            optimize=True,
+            """
         )
         assert len(out) == 1200
         assert sum(out.values()) == 900
@@ -58,8 +57,7 @@ class TestScaleSmoke:
     def test_order_by_at_scale(self, big):
         out = big.execute(
             "for $p in subsequence($auction//person, 1, 300) "
-            "order by string($p/name) return string($p/name)",
-            optimize=True,
+            "order by string($p/name) return string($p/name)"
         )
         values = out.values()
         assert values == sorted(values) and len(values) == 300

@@ -5,12 +5,12 @@ tree-walker of Figs. 2-3 makes of it.
 subtree for the reference run, so the tree-walker evaluates the whole
 program; the other run compiles as usual.  Each example draws a
 document and a pure program (``tests.gen``), and a configuration:
-``use_indexes`` on or off, ``optimize`` on or off, and where the
-program runs — on the live store, as a read of a snapshot taken before
-a write moved the live store on, or as a statement of a transaction
-after a buffered insert.  The two runs (each on its own engine, so no
-prepared query or compiled body is shared) must agree on the value (its
-items by type, kind and content) or the error code, and on the
+``use_indexes`` on or off, and where the program runs — on the live
+store, as a read of a snapshot taken before a write moved the live
+store on, or as a statement of a transaction after a buffered insert.
+The two runs (each on its own engine, so no prepared query or compiled
+body is shared) must agree on the value (its items by type, kind and
+content) or the error code, and on the
 ``index.probes``, ``index.hits`` and ``store.nodes_created`` counts.
 An exception that is not an ``XQueryError`` fails the property, even
 when both runs raise it: every program ends in a value or a typed error.
@@ -81,7 +81,7 @@ def snapshot(engine, program, options):
         fork = rehandled_fork(engine.evaluator, snap)
         return observe(lambda: run_module(
             fork,
-            engine.prepare(program, optimize=options.optimize),
+            engine.prepare(program),
             options=options,
         ))
     finally:
@@ -116,24 +116,21 @@ NESTED = '<r><a><a><b k="1"/></a><b k="2"/></a><c/></r>'
 
 
 @settings(max_examples=300, deadline=None)
-@example(NESTED, "$d//a/b", "live", True, False)  # multi-context sort
-@example(NESTED, "$d/r/*[last()]", "live", True, False)  # predicate size
-@example(NESTED, "$z = 1 and 1 idiv $z = 1", "live", True, False)  # and
-@example(NESTED, "subsequence((1,2), 1 div 0E0)", "live", True, False)
-@example(NESTED, "xs:integer(1 div 0E0)", "live", True, False)
+@example(NESTED, "$d//a/b", "live", True)  # multi-context sort
+@example(NESTED, "$d/r/*[last()]", "live", True)  # predicate size
+@example(NESTED, "$z = 1 and 1 idiv $z = 1", "live", True)  # and
+@example(NESTED, "subsequence((1,2), 1 div 0E0)", "live", True)
+@example(NESTED, "xs:integer(1 div 0E0)", "live", True)
 @given(
     xml=documents(),
     program=programs(),
     scenario=st.sampled_from(sorted(SCENARIOS)),
     use_indexes=st.booleans(),
-    optimize=st.booleans(),
 )
 def test_compiled_closures_equal_the_tree_walker(
-    xml, program, scenario, use_indexes, optimize
+    xml, program, scenario, use_indexes
 ):
-    options = ExecutionOptions(
-        use_indexes=use_indexes, optimize=optimize, collect_stats=True
-    )
+    options = ExecutionOptions(use_indexes=use_indexes, collect_stats=True)
     walked = outcome(xml, program, scenario, options, True)
     closures = outcome(xml, program, scenario, options, False)
     assert closures == walked, program

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ConcurrentExecutor, Engine
 from repro.xmlio import serialize
+from tests.interpreted import interpreted
 
 
 def make_doc(seed: int) -> str:
@@ -37,11 +38,14 @@ QUERIES = [
 ]
 
 
-def run_once(seed: int, query: str, optimize: bool) -> tuple[str, str, str]:
+def run_once(seed: int, query: str, plan: bool) -> tuple[str, str, str]:
     engine = Engine()
     engine.load_document("doc", make_doc(seed))
     engine.bind("sink", engine.parse_fragment("<sink/>"))
-    result = engine.execute(query, optimize=optimize)
+    if plan:
+        result = engine.execute(query)
+    else:
+        result = interpreted(engine, query)
     return (
         result.serialize(),
         engine.execute("$doc").serialize(),
@@ -53,16 +57,15 @@ class TestDeterminism:
     @given(st.integers(0, 10_000), st.integers(0, len(QUERIES) - 1))
     @settings(max_examples=60, deadline=None)
     def test_interpreter_is_deterministic(self, seed, qidx):
-        first = run_once(seed, QUERIES[qidx], optimize=False)
-        second = run_once(seed, QUERIES[qidx], optimize=False)
+        first = run_once(seed, QUERIES[qidx], plan=False)
+        second = run_once(seed, QUERIES[qidx], plan=False)
         assert first == second
 
     @given(st.integers(0, 10_000), st.integers(0, len(QUERIES) - 1))
     @settings(max_examples=60, deadline=None)
     def test_optimizer_matches_interpreter(self, seed, qidx):
-        interpreted = run_once(seed, QUERIES[qidx], optimize=False)
-        optimized = run_once(seed, QUERIES[qidx], optimize=True)
-        assert interpreted == optimized
+        walked = run_once(seed, QUERIES[qidx], plan=False)
+        assert run_once(seed, QUERIES[qidx], plan=True) == walked
 
 
 class TestConcurrentIsolation:

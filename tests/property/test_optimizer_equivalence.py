@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Engine
 from repro.algebra.plan import plan_operators
+from tests.interpreted import interpreted
 
 
 def make_db(seed: int, left: int, right: int, keyspace: int) -> str:
@@ -66,8 +67,8 @@ class TestOptimizerEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_pure_join_values(self, params):
         xml = make_db(*params)
-        naive = fresh(xml).execute(PURE_JOIN, optimize=False).values()
-        optimized = fresh(xml).execute(PURE_JOIN, optimize=True).values()
+        naive = interpreted(fresh(xml), PURE_JOIN).values()
+        optimized = fresh(xml).execute(PURE_JOIN).values()
         assert naive == optimized
 
     @given(_PARAMS)
@@ -75,8 +76,8 @@ class TestOptimizerEquivalence:
     def test_effectful_join_side_effects(self, params):
         xml = make_db(*params)
         e1, e2 = fresh(xml), fresh(xml)
-        e1.execute(EFFECT_JOIN, optimize=False)
-        e2.execute(EFFECT_JOIN, optimize=True)
+        interpreted(e1, EFFECT_JOIN)
+        e2.execute(EFFECT_JOIN)
         assert (
             e1.execute("$sink").serialize() == e2.execute("$sink").serialize()
         )
@@ -86,8 +87,8 @@ class TestOptimizerEquivalence:
     def test_groupby_values_and_effects(self, params):
         xml = make_db(*params)
         e1, e2 = fresh(xml), fresh(xml)
-        v1 = e1.execute(GROUP_QUERY, optimize=False).serialize()
-        v2 = e2.execute(GROUP_QUERY, optimize=True).serialize()
+        v1 = interpreted(e1, GROUP_QUERY).serialize()
+        v2 = e2.execute(GROUP_QUERY).serialize()
         assert v1 == v2
         assert (
             e1.execute("$sink").serialize() == e2.execute("$sink").serialize()

@@ -145,7 +145,10 @@ class TestEngineAtomicSnaps:
         engine = Engine(atomic_snaps=True)
         engine.bind("x", engine.parse_fragment("<x><a/></x>"))
         engine.bind("s", [1, 2, 3])
-        engine.execute(
-            "for $i in $s return insert { <n/> } into { $x }", optimize=True
+        join = (
+            "for $i in $s, $j in $s where $i = $j "
+            "return insert { <n/> } into { $x }"
         )
+        assert engine.compile(join) is not None  # runs as a hash join
+        engine.execute(join)
         assert engine.execute("count($x/n)").first_value() == 3
