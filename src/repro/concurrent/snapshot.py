@@ -446,18 +446,48 @@ class StoreSnapshot:
         """Snapshot-consistent ``contains`` candidate probe (superset;
         callers verify).  Same three-way sourcing as
         :meth:`attr_eq_probe`; None when the needle cannot be anchored."""
-        from repro.index.manager import token_matcher, tokenize
+        from repro.index.manager import token_matcher
 
         matches = token_matcher(needle)
         if matches is None:
             return None
+        return self._text_probe(
+            [
+                postings
+                for tok, postings in list(self._token_index.items())
+                if matches(tok)
+            ],
+            matches,
+        )
+
+    def text_eq_probe(self, target: str) -> tuple[int, ...] | None:
+        """Snapshot-consistent equality candidate probe: the text nodes
+        that may start a string value equal to *target* (superset;
+        callers verify; see :meth:`Store.text_eq_probe`)."""
+        from repro.index.manager import eq_prefixes
+
+        prefixes = eq_prefixes(target)
+        if prefixes is None:
+            return None
+        index = self._token_index
+        return self._text_probe(
+            [p for p in map(index.get, prefixes) if p is not None],
+            prefixes.__contains__,
+        )
+
+    def _text_probe(self, postings, matches) -> tuple[int, ...]:
+        """Text-node candidates from the live *postings* lists (ids
+        below the ceiling) plus overlay and local text nodes holding a
+        token that *matches*, kept when their snapshot-visible value
+        holds one."""
+        from repro.index.manager import tokenize
+
         ceiling = self._ceiling
         candidates: set[int] = set()
-        for tok, postings in list(self._token_index.items()):
-            if matches(tok):
-                for c in tuple(postings):
-                    if c < ceiling:
-                        candidates.add(c)
+        for ids in postings:
+            for c in tuple(ids):
+                if c < ceiling:
+                    candidates.add(c)
         for c, pre in list(self._overlay.items()):
             if pre.kind is NodeKind.TEXT and any(
                 matches(tok) for tok in tokenize(pre.value)
@@ -478,6 +508,17 @@ class StoreSnapshot:
             ):
                 out.append(candidate)
         return tuple(out)
+
+    def numeric_range_probe(
+        self,
+        name: str,
+        bounds: list[tuple[str, float]],
+        limit: int | None = None,
+    ) -> None:
+        """Always declines: numeric columns describe the live store only
+        (see :meth:`Store.numeric_range_probe`), so a snapshot or a
+        transaction view scans."""
+        return None
 
     def descendants(
         self, nid: int, include_self: bool = False

@@ -7,7 +7,9 @@ Three pieces:
   :class:`~repro.xdm.store.Store`: hash indexes over attribute values and
   text-atom tokens, maintained incrementally by the store's mutation
   primitives (and therefore in O(|Δ|) inside ``apply_update_list``)
-  from the store's birth, so a document is indexed as it is parsed.
+  from the store's birth, so a document is indexed as it is parsed;
+  plus per-name numeric columns, built on first probe and dropped by
+  those same primitives.
   The store's element-name index (``_name_index``) is the structural
   half; the manager exposes its cardinalities to the optimizer.
 * :mod:`repro.index.stats` — :class:`Statistics`: per-element-name

@@ -22,16 +22,30 @@ needle can span token and even text-node boundaries, so a probe scans
 the token vocabulary with a predicate that is *complete*: if the needle
 occurs anywhere in the concatenated text of an element, the first text
 node overlapping the occurrence is guaranteed to hold a matching token
-(see :func:`token_matcher` for the case analysis).
+(see :func:`token_matcher` for the case analysis).  An equality probe
+needs no scan: the string value's first text node starts with a prefix
+of the target's first token (see :func:`eq_prefixes`).
+
+Beside the two hash indexes sits one **numeric column** per element
+name that a ``B[number(c) op X]`` probe asked for: the elements named
+``c`` whose content is one text node that ``fn:number`` reads as a
+non-NaN double, sorted by that double.  A column is built on its first
+probe (O(count of ``c``) plus a sort) and dropped by the store's
+mutators whenever its content could change, so it is either exact or
+absent.  Its certificate (see :class:`NumericColumn`) says whether a
+scan of ``B[number(c) op X]`` could raise or match an element the
+column lacks; the probe declines unless it proves neither.
 """
 
 from __future__ import annotations
 
+import bisect
 import time
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from repro.errors import StoreError
 from repro.xdm.store import NodeKind
+from repro.xdm.values import string_to_double
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.xdm.store import Store, _NodeRecord
@@ -88,6 +102,95 @@ def token_matcher(needle: str) -> Callable[[str], bool] | None:
     return matches
 
 
+def eq_prefixes(target: str) -> frozenset[str] | None:
+    """The tokens one of which a text node must hold to start a string
+    value equal to *target*: the non-empty prefixes of its first token.
+
+    None when the target cannot be anchored (empty, or starting with
+    whitespace).  If an element's string value equals *target*, its
+    first non-empty text node starts the value, so that node's first
+    token starts at the target's first character and ends at whitespace
+    (it is then the whole first token ``x1``) or at the node's end (a
+    prefix of ``x1``).
+    """
+    if not target or target[0].isspace():
+        return None
+    x1 = target.split()[0]
+    return frozenset(x1[:k] for k in range(1, len(x1) + 1))
+
+
+class NumericColumn(NamedTuple):
+    """The numeric column of one element name ``c``, with its
+    certificate.
+
+    *keys* are sorted doubles and *ids* the parallel ``c`` element ids:
+    every element named ``c`` whose children are exactly one text node
+    that :func:`~repro.xdm.values.string_to_double` reads as non-NaN.
+    An empty ``<c/>`` or non-numeric text is NaN under ``fn:number``,
+    which satisfies no ``=``, ``<``, ``<=``, ``>`` or ``>=``, so leaving
+    it out loses no match.  The certificate counts what would:
+
+    * *irregular* — elements named ``c`` whose children are neither
+      empty nor one text node (fragmented text, a nested element, a
+      comment or a PI): their ``number()`` is not read from the column;
+    * *dup* — nodes with two or more element children named ``c``:
+      ``number(c)`` raises XPTY0004 there.
+    """
+
+    keys: list[float]
+    ids: list[int]
+    irregular: int
+    dup: int
+
+
+def _build_column(store: "Store", name: str) -> NumericColumn:
+    """The column of *name* over the store's current records."""
+    records = store._records
+    entries: list[tuple[float, int]] = []
+    irregular = 0
+    parents: set[int] = set()
+    dup_parents: set[int] = set()
+    # tuple(): a GIL-atomic copy, as in Store.descendants_named.
+    for nid in tuple(store._name_index.get(name, ())):
+        rec = records[nid]
+        children = rec.children
+        if children:
+            text = records[children[0]]
+            if len(children) == 1 and text.kind is NodeKind.TEXT:
+                key = string_to_double(text.value or "")
+                if key == key:  # not NaN
+                    entries.append((key, nid))
+            else:
+                irregular += 1
+        parent = rec.parent
+        if parent is not None:
+            if parent in parents:
+                dup_parents.add(parent)
+            parents.add(parent)
+    entries.sort()
+    return NumericColumn(
+        [key for key, _ in entries],
+        [nid for _, nid in entries],
+        irregular,
+        len(dup_parents),
+    )
+
+
+def _bisect_bounds(
+    keys: list[float], bounds: list[tuple[str, float]]
+) -> tuple[int, int]:
+    """The slice ``keys[lo:hi]`` satisfying every ``key op bound``."""
+    lo, hi = 0, len(keys)
+    for op, bound in bounds:
+        if op in ("gt", "ge", "eq"):
+            find = bisect.bisect_right if op == "gt" else bisect.bisect_left
+            lo = max(lo, find(keys, bound))
+        if op in ("lt", "le", "eq"):
+            find = bisect.bisect_left if op == "lt" else bisect.bisect_right
+            hi = min(hi, find(keys, bound))
+    return lo, hi
+
+
 def _build(
     records: dict[int, "_NodeRecord"],
 ) -> tuple[dict[tuple[str, str], set[int]], dict[str, set[int]]]:
@@ -127,6 +230,7 @@ class IndexManager:
         "maintained",
         "rebuilds",
         "rebuild_ms",
+        "columns",
     )
 
     def __init__(self, store: "Store") -> None:
@@ -140,6 +244,10 @@ class IndexManager:
         self.maintained = 0
         self.rebuilds = 0
         self.rebuild_ms = 0.0
+        # element name -> its numeric column, built on first probe.  The
+        # store drops entries in place (it holds this dict), so an empty
+        # dict costs its mutators one truthiness test.
+        self.columns: dict[str, NumericColumn] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -155,6 +263,7 @@ class IndexManager:
         """
         start = time.perf_counter()
         self.attr_index, self.token_index = _build(self._store._records)
+        self.columns.clear()
         self.rebuilds += 1
         elapsed = (time.perf_counter() - start) * 1000.0
         self.rebuild_ms += elapsed
@@ -234,13 +343,68 @@ class IndexManager:
         matches = token_matcher(needle)
         if matches is None:
             return None
+        return self._text_hits(
+            postings
+            for tok, postings in list(self.token_index.items())
+            if matches(tok)
+        )
+
+    def text_eq_probe(self, target: str) -> tuple[int, ...] | None:
+        """Ids of text nodes that may start a string value equal to
+        *target*: O(len of its first token) lookups, no vocabulary scan.
+        Complete (see :func:`eq_prefixes`) but not exact — callers must
+        verify candidates.  None when the target cannot be anchored."""
+        prefixes = eq_prefixes(target)
+        if prefixes is None:
+            return None
+        index = self.token_index
+        return self._text_hits(
+            postings
+            for postings in map(index.get, prefixes)
+            if postings is not None
+        )
+
+    def _text_hits(self, postings) -> tuple[int, ...]:
         self.probes += 1
         out: set[int] = set()
-        for tok, postings in list(self.token_index.items()):
-            if matches(tok):
-                out.update(postings)
+        for ids in postings:
+            out.update(ids)
         self.hits += len(out)
         return tuple(out)
+
+    def numeric_range_probe(
+        self,
+        name: str,
+        bounds: list[tuple[str, float]],
+        limit: int | None = None,
+    ) -> tuple[int, ...] | None:
+        """Ids of the elements named *name* whose ``number()`` satisfies
+        every ``(op, bound)`` in *bounds* (op one of eq, lt, le, gt, ge;
+        bound a double), in no particular order.
+
+        None, without counting a probe, when the column's certificate
+        does not hold (see :class:`NumericColumn`), or when more than
+        *limit* elements match.  Exact on content; callers re-check
+        where each hit is attached.
+        """
+        column = self.columns.get(name)
+        if column is None:
+            column = _build_column(self._store, name)
+            # One assignment publishes it: readers under the shared lock
+            # may build the same column concurrently.
+            self.columns[name] = column
+        if column.irregular or column.dup:
+            return None
+        if any(bound != bound for _, bound in bounds):
+            lo = hi = 0  # NaN satisfies no bound
+        else:
+            lo, hi = _bisect_bounds(column.keys, bounds)
+        if limit is not None and hi - lo > limit:
+            return None
+        self.probes += 1
+        out = tuple(column.ids[lo:hi])
+        self.hits += len(out)
+        return out
 
     # ------------------------------------------------------------------
     # Introspection
@@ -264,6 +428,13 @@ class IndexManager:
         produces.
         """
         attr, token = _build(self._store._records)
+        stale = [
+            name
+            for name, column in self.columns.items()
+            if column != _build_column(self._store, name)
+        ]
+        if stale:
+            raise StoreError(f"numeric column out of sync: {sorted(stale)}")
         for label, fresh, kept in (
             ("attribute index", attr, self.attr_index),
             ("token index", token, self.token_index),

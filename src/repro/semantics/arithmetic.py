@@ -11,7 +11,14 @@ for exact types and yields ±INF/NaN for xs:double.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, DivisionByZero, InvalidOperation
+from decimal import (
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    getcontext,
+    localcontext,
+)
 
 from repro.errors import ArithmeticError_, TypeError_
 from repro.xdm.values import (
@@ -73,26 +80,43 @@ def _trunc_div(x: int, y: int) -> int:
     return q if (x >= 0) == (y >= 0) else -q
 
 
+def _exact_context(x: Decimal, y: Decimal) -> Context:
+    """A context whose precision holds every digit ``+ - * idiv mod``
+    can produce from *x* and *y*, where the default keeps 28: the span
+    of digit positions the two cover, plus a carry, and the digits of a
+    product."""
+    (_, x_digits, x_exp), (_, y_digits, y_exp) = x.as_tuple(), y.as_tuple()
+    high = max(x_exp + len(x_digits), y_exp + len(y_digits))
+    low = min(x_exp, y_exp)
+    return Context(prec=max(
+        getcontext().prec, high - low + 1, len(x_digits) + len(y_digits)
+    ))
+
+
 def _decimal_op(op: str, x: Decimal, y: Decimal) -> Decimal:
+    # div keeps the ambient precision; nothing else may round.
+    context = getcontext() if op == "div" else _exact_context(x, y)
     try:
-        if op == "+":
-            return x + y
-        if op == "-":
-            return x - y
-        if op == "*":
-            return x * y
-        if op == "div":
-            if y == 0:
-                raise ArithmeticError_("decimal division by zero")
-            return x / y
-        if op == "idiv":
-            if y == 0:
-                raise ArithmeticError_("integer division by zero")
-            return (x / y).to_integral_value(rounding="ROUND_DOWN")
-        if op == "mod":
-            if y == 0:
-                raise ArithmeticError_("modulus by zero")
-            return x % y  # Decimal % keeps the dividend's sign (XQuery rule)
+        with localcontext(context):
+            if op == "+":
+                return x + y
+            if op == "-":
+                return x - y
+            if op == "*":
+                return x * y
+            if op == "div":
+                if y == 0:
+                    raise ArithmeticError_("decimal division by zero")
+                return x / y
+            if op == "idiv":
+                if y == 0:
+                    raise ArithmeticError_("integer division by zero")
+                return x // y  # Decimal // truncates toward zero
+            if op == "mod":
+                if y == 0:
+                    raise ArithmeticError_("modulus by zero")
+                # Decimal % keeps the dividend's sign (XQuery rule).
+                return x % y
     except (DivisionByZero, InvalidOperation) as exc:
         raise ArithmeticError_(f"decimal arithmetic failed: {exc}") from None
     raise TypeError_(f"unknown arithmetic operator {op!r}")

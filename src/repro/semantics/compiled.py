@@ -577,6 +577,9 @@ def _probe(step: core.CAxisStep, axis: str, env, unit):
     probe = probe_shape(axis, step.test, step.predicates[0])
     if probe is None:
         return None, None
+    if probe.kind == "range":
+        bounds = [_compile(operand, env, unit) for operand in probe.operand]
+        return probe, lambda ev, frame: [run(ev, frame) for run in bounds]
     return probe, _compile(probe.operand, env, unit)
 
 

@@ -424,7 +424,7 @@ class Evaluator:
             probed = None
             if shape is not None:
                 probed = self._indexed_predicate_step(
-                    item, shape, self._comparand(shape.operand, context)
+                    item, shape, self._probe_comparand(shape, context)
                 )
             if probed is not None:
                 # The probed predicate is boolean-valued, so the probe
@@ -454,6 +454,18 @@ class Evaluator:
         self, operand: core.CoreExpr, context: DynamicContext
     ) -> Callable[[], Sequence]:
         return lambda: self.evaluate(operand, context).value
+
+    def _probe_comparand(
+        self, shape: "ProbeShape", context: DynamicContext
+    ) -> Callable[[], Sequence]:
+        """The comparand thunk of a probe: one value, or for a range
+        shape the list of its bounds' values."""
+        if shape.kind == "range":
+            return lambda: [
+                self.evaluate(operand, context).value
+                for operand in shape.operand
+            ]
+        return self._comparand(shape.operand, context)
 
     def _filter(
         self,
@@ -540,33 +552,39 @@ class Evaluator:
     # Value-index probe fast paths (repro.index)
     #
     # XPathLog's reading of E[@a = $v] as a keyed relation lookup: a
-    # step's *first* predicate, when it has one of three boolean shapes
+    # step's *first* predicate, when it has one of four boolean shapes
     # (see probe_shape), goes through the store's value indexes instead
     # of materializing every candidate node and filtering:
     #
     #   (A)  name[@attr = $v]            — attribute-value hash probe, on
     #                                      child and descendant(-or-self)
     #   (B)  name[contains(string(.), $v)] — token-index probe
-    #   (C)  name[child = $v]            — token-index probe on the
+    #   (C)  name[child = $v]            — token-prefix probe on the
     #                                      child's full string value
+    #   (D)  name[number(c) op $v]       — numeric-column bisection, one
+    #        (op in = < <= > >=) or two     bound or an ``and`` of two on
+    #                                      the same c; live store only
     #
-    # (B) and (C) are descendant(-or-self) only: a token probe reads the
-    # whole vocabulary, which a child list rarely outweighs.  A child-axis
-    # (A) probe declines when the posting list is longer than the
-    # context's child list, so it never costs more than the scan.  The
-    # remaining predicates filter the probe result (see _eval_axis_step),
-    # so positional tails like [@a = $v][1] count exactly as the scan.
+    # (B) and (C) are descendant(-or-self) only.  A child-axis (A) or (D)
+    # probe declines when it has more hits than the context has
+    # children, so it never costs more than the scan.  The remaining
+    # predicates filter the probe result (see _eval_axis_step), so
+    # positional tails like [@a = $v][1] count exactly as the scan.
     #
     # Each probe yields a candidate *superset* (the indexes are content-
     # keyed and store-wide); candidates are verified against the exact
     # predicate semantics before acceptance, so results are identical to
     # the generic path — only the work is proportional to matches, not
     # to the subtree.  The live store, a snapshot and a transaction view
-    # answer through the same probe calls (a view adds its buffered
-    # writes to the candidates).  A probe declines (returns None)
-    # whenever a dynamic precondition is not met: non-string comparand,
-    # unanchorable needle, a context inside a read-only snapshot's
-    # construction space (no index covers it), or the guard above.  The
+    # answer (A)-(C) through the same probe calls (a view adds its
+    # buffered writes to the candidates); (D) declines on both, as its
+    # columns describe only the live store.  (D) answers only while the
+    # column's certificate proves that the scan could neither raise nor
+    # match an element the column lacks (see repro.index.manager).  A
+    # probe declines (returns None) whenever a dynamic precondition is
+    # not met: non-string comparand, non-numeric bound, unanchorable
+    # needle, a context inside a read-only snapshot's construction space
+    # (no index covers it), or the guards above.  The
     # shape itself is a property of the expression, decided by the caller
     # (once per compiled step).
     # ------------------------------------------------------------------
@@ -591,6 +609,8 @@ class Evaluator:
             return self._probe_contains(store, item.nid, shape, value)
         if shape.kind == "attr":
             return self._probe_attr_eq(store, item.nid, shape, value)
+        if shape.kind == "range":
+            return self._probe_range(store, item.nid, shape, value)
         return self._probe_child_eq(store, item.nid, shape, value)
 
     @staticmethod
@@ -666,7 +686,7 @@ class Evaluator:
         target = self._string_target(value)
         if not target:  # empty string: no text to witness it — scan
             return None
-        tids = self._counted(store.token_probe(target))
+        tids = self._counted(store.text_eq_probe(target))
         if tids is None:
             return None
         name, child_name = shape.name, shape.key
@@ -696,6 +716,40 @@ class Evaluator:
                 ):
                     out.append(nid)
                     break
+        return store.sort_document_order(out)
+
+    def _probe_range(self, store, root, shape, values) -> list[int] | None:
+        bounds = []
+        for op, value in zip(shape.ops, values):
+            if (
+                len(value) != 1
+                or not isinstance(value[0], AtomicValue)
+                or not is_numeric(value[0])
+            ):
+                return None
+            bounds.append((op, to_double(value[0].value)))
+        child = shape.axis == "child"
+        limit = store.child_count(root) if child else None
+        cids = self._counted(
+            store.numeric_range_probe(shape.key, bounds, limit)
+        )
+        if cids is None:
+            return None
+        or_self = shape.axis == "descendant-or-self"
+        out = []
+        for cid in cids:
+            owner = store.parent(cid)
+            if (
+                owner is None
+                or store.name(owner) != shape.name
+                or store.kind(owner) is not NodeKind.ELEMENT
+            ):
+                continue
+            if child:
+                if store.parent(owner) == root:
+                    out.append(owner)
+            elif self._contained(store, owner, root, or_self):
+                out.append(owner)
         return store.sort_document_order(out)
 
     def _probe_contains(self, store, root, shape, value) -> list[int] | None:
@@ -872,7 +926,7 @@ class Evaluator:
             return kept
 
         comparand = (
-            None if probe is None else self._comparand(probe.operand, context)
+            None if probe is None else self._probe_comparand(probe, context)
         )
         nids = self._grouped_child_path(
             base_nodes, step.test.name, probe, comparand, filter_group
@@ -1436,11 +1490,15 @@ def path_result(results: Sequence) -> Sequence:
 class ProbeShape(NamedTuple):
     """A step whose first predicate the value indexes can answer."""
 
-    kind: str  # "attr" (A), "contains" (B) or "child" (C)
+    kind: str  # "attr" (A), "contains" (B), "child" (C) or "range" (D)
     name: str  # the step's element name
     axis: str
     key: str | None  # the compared attribute or child element name
-    operand: core.CoreExpr  # the variable or literal compared with
+    # The variable or literal compared with; for "range", a tuple of
+    # them, one per bound, each compared by the op at the same place in
+    # *ops* as ``number(key) op operand``.
+    operand: core.CoreExpr | tuple[core.CoreExpr, ...]
+    ops: tuple[str, ...] = ()
 
 
 class AttrShape(NamedTuple):
@@ -1516,10 +1574,73 @@ def _is_context_string(expr: core.CoreExpr) -> bool:
     )
 
 
+#: The op of ``X op number(c)`` restated as ``number(c) op' X``.
+_FLIPPED = {"eq": "eq", "lt": "gt", "le": "ge", "gt": "lt", "ge": "le"}
+
+
+def _number_bound(
+    predicate: core.CoreExpr,
+) -> tuple[str, str, core.CoreExpr] | None:
+    """``(c, op, X)`` when *predicate* is the general comparison
+    ``number(c) op X`` or ``X op number(c)`` with op one of = < <= > >=
+    (never ``!=``: NaN != X is true) and X a variable or literal; the
+    op is restated with ``number(c)`` on the left."""
+    if not (
+        isinstance(predicate, core.CComparison)
+        and predicate.style == "general"
+        and predicate.op in _FLIPPED
+    ):
+        return None
+    for side, other, op in (
+        (predicate.left, predicate.right, predicate.op),
+        (predicate.right, predicate.left, _FLIPPED[predicate.op]),
+    ):
+        if (
+            isinstance(side, core.CCall)
+            and side.name == "number"
+            and len(side.args) == 1
+            and isinstance(other, (core.CVar, core.CLiteral))
+        ):
+            name = _child_step_operand(side.args[0])
+            if name is not None:
+                return name, op, other
+    return None
+
+
+def _range_shape(
+    axis: str, name: str, predicate: core.CoreExpr
+) -> ProbeShape | None:
+    """Shape (D): one ``number(c)`` bound, or an ``and`` of two on the
+    same ``c``."""
+    if isinstance(predicate, core.CBool) and predicate.op == "and":
+        bounds = [
+            _number_bound(predicate.left), _number_bound(predicate.right)
+        ]
+    else:
+        bounds = [_number_bound(predicate)]
+    if None in bounds or len({bound[0] for bound in bounds}) != 1:
+        return None
+    return ProbeShape(
+        "range",
+        name,
+        axis,
+        bounds[0][0],
+        tuple(bound[2] for bound in bounds),
+        tuple(bound[1] for bound in bounds),
+    )
+
+
 def probe_shape(
     axis: str, test: core.CNodeTest, predicate: core.CoreExpr
 ) -> ProbeShape | None:
     """The probe shape of ``axis::test[predicate...]``, or None."""
+    if axis not in ("child", "descendant", "descendant-or-self"):
+        return None
+    if test.kind != "name" or test.name in (None, "*"):
+        return None
+    shape = _range_shape(axis, test.name, predicate)
+    if shape is not None:
+        return shape
     if isinstance(predicate, core.CComparison):
         if predicate.style != "general" or predicate.op != "eq":
             return None
@@ -1532,10 +1653,6 @@ def probe_shape(
     ):
         contains = True
     else:
-        return None
-    if axis not in ("child", "descendant", "descendant-or-self"):
-        return None
-    if test.kind != "name" or test.name in (None, "*"):
         return None
     if contains:
         haystack, needle = predicate.args

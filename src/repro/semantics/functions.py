@@ -36,6 +36,7 @@ from repro.xdm.values import (
     is_numeric,
     item_string,
     promote,
+    string_to_double,
     to_double,
 )
 
@@ -188,6 +189,8 @@ def fn_number(ev, ctx, args):
     av = atomize_optional(seq, "fn:number argument")
     if av is None:
         return [AtomicValue.double(float("nan"))]
+    if av.type in (XS_UNTYPED, XS_STRING):
+        return [AtomicValue.double(string_to_double(av.value))]
     try:
         return [AtomicValue.double(to_double(cast_to_number(av).value))]
     except (TypeError_, ValueError):
@@ -443,6 +446,8 @@ def _extreme(seq: Sequence, pick_max: bool) -> Sequence:
         return []
     if all(is_numeric(v) or v.type == XS_UNTYPED for v in values):
         target, numbers = promote([cast_to_number(v) for v in values])
+        if target == XS_DOUBLE and any(n != n for n in numbers):
+            return [AtomicValue.double(math.nan)]  # NaN wins (F&O 15.4)
         best = max(numbers) if pick_max else min(numbers)
         return [AtomicValue(target, best)]
     best_av = values[0]
@@ -499,12 +504,9 @@ def fn_distinct_values(ev, ctx, args):
 
 
 def _as_double(value):
-    """*value* promoted to double as a set key: one key for NaN, and an
-    integer beyond the double range stays itself (no double equals it)."""
-    try:
-        double = float(value)
-    except OverflowError:
-        return value
+    """*value* promoted to double as a set key, as ``eq`` promotes it:
+    one key for NaN, and an integer beyond the double range is ±INF."""
+    double = to_double(value)
     return "NaN" if double != double else double
 
 

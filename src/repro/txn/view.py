@@ -167,6 +167,7 @@ class TransactionView(StoreSnapshot):
     # class (a profiler's, say) never runs inside the other's probes.
     attr_eq_probe = StoreSnapshot.attr_eq_probe
     token_probe = StoreSnapshot.token_probe
+    text_eq_probe = StoreSnapshot.text_eq_probe
 
     # -- statement-level failure containment -------------------------------
     # The store's undo protocol; a view's log is a copy of its local

@@ -99,6 +99,24 @@ def compare_atomic(a: AtomicValue, b: AtomicValue) -> int:
         ) from None
 
 
+def _ordered(test, a: AtomicValue, b: AtomicValue) -> bool:
+    """``test`` (an ``_OPS`` entry for lt, le, gt or ge) of the three-way
+    comparison of *a* and *b*: false when either side is NaN, as F&O's
+    ``op:numeric-less-than`` and friends say — where
+    :func:`compare_atomic`, serving total orders, raises."""
+    x, y = _coerce_pair(a, b)
+    if x != x or y != y:  # NaN
+        return False
+    if x == y:
+        return test(0)
+    try:
+        return test(-1 if x < y else 1)
+    except TypeError:
+        raise TypeError_(
+            f"cannot order {type(x).__name__} against {type(y).__name__}"
+        ) from None
+
+
 def atomic_equal(a: AtomicValue, b: AtomicValue) -> bool:
     """Equality under general-comparison coercion; NaN equals nothing."""
     x, y = _coerce_pair(a, b)
@@ -124,8 +142,7 @@ def value_compare(op: str, left: Sequence, right: Sequence) -> Sequence:
     if op in ("eq", "ne"):
         eq = atomic_equal(la[0], ra[0])
         return [AtomicValue.boolean(eq if op == "eq" else not eq)]
-    c = compare_atomic(la[0], ra[0])
-    return [AtomicValue.boolean(_OPS[op](c))]
+    return [AtomicValue.boolean(_ordered(_OPS[op], la[0], ra[0]))]
 
 
 def general_compare(op: str, left: Sequence, right: Sequence) -> bool:
@@ -146,7 +163,7 @@ def general_compare(op: str, left: Sequence, right: Sequence) -> bool:
     test = _OPS[op]
     for a in la:
         for b in ra:
-            if test(compare_atomic(a, b)):
+            if _ordered(test, a, b):
                 return True
     return False
 

@@ -136,6 +136,11 @@ class Store:
         from repro.index.manager import IndexManager
 
         self._indexes = IndexManager(self)
+        # The manager's numeric columns (name -> column), dropped by the
+        # mutators below whenever an element of that name could read a
+        # different number() or stop being alone under its parent.  The
+        # manager only ever changes this dict in place.
+        self._columns = self._indexes.columns
         # Observability: cumulative counts a traced execution reports
         # the difference of (store.nodes_created / store.nodes_detached).
         self.nodes_created = 0
@@ -158,6 +163,13 @@ class Store:
         # Empty in the single-threaded, non-atomic case, where the
         # whole machinery costs one truthiness test per mutation.
         self._snapshots: list = []
+
+    def _drop_columns(self, *names: str | None) -> None:
+        """Drop the numeric columns of *names* (callers test
+        ``self._columns`` first, so this runs only while one exists)."""
+        for name in names:
+            if name is not None:
+                self._columns.pop(name, None)
 
     def _touch(self, *roots: int) -> None:
         """Invalidate cached order keys (and nothing else: the name and
@@ -244,6 +256,10 @@ class Store:
             # Every element enters the name index at birth — including
             # deep-copy clones, which do not go through create_element.
             self._name_index.setdefault(name, set()).add(nid)
+            if self._columns:
+                # A deep copy gives the new element its children without
+                # a mutator, so its name's column goes at birth.
+                self._drop_columns(name)
         self._indexes.on_alloc(nid, kind, name, value)
         self.nodes_created += 1
         return nid
@@ -413,6 +429,24 @@ class Store:
         callers verify).  None when the needle cannot use the index."""
         return self._indexes.token_probe(needle)
 
+    def text_eq_probe(self, target: str) -> tuple[int, ...] | None:
+        """Candidate text-node ids for a string value equal to *target*
+        (superset; callers verify).  None when the target cannot use
+        the index."""
+        return self._indexes.text_eq_probe(target)
+
+    def numeric_range_probe(
+        self,
+        name: str,
+        bounds: list[tuple[str, float]],
+        limit: int | None = None,
+    ) -> tuple[int, ...] | None:
+        """Ids of the elements named *name* whose ``number()`` meets
+        every ``(op, double)`` bound, store-wide (callers re-check
+        attachment); None when the scan could raise or match an element
+        the numeric column lacks, or more than *limit* match."""
+        return self._indexes.numeric_range_probe(name, bounds, limit)
+
     def descendants(self, nid: int, include_self: bool = False) -> Iterator[int]:
         """Yield descendant node ids in document order.
 
@@ -529,6 +563,8 @@ class Store:
         self._check_no_cycle(parent, child)
         if self._snapshots:
             self._cow(parent, child)
+        if self._columns:
+            self._drop_columns(prec.name, crec.name)
         if prec.children:
             prec.children.append(child)
         else:
@@ -561,6 +597,8 @@ class Store:
             roots = (self.root(parent), child)
         if self._snapshots:
             self._cow(parent, child)
+        if self._columns:
+            self._drop_columns(prec.name, crec.name)
         if prec.children:
             prec.children.insert(index, child)
         else:
@@ -643,6 +681,8 @@ class Store:
         if self._snapshots:
             self._cow(nid, parent)
         prec = self._rec(parent)
+        if self._columns:
+            self._drop_columns(prec.name, rec.name)
         if rec.kind is NodeKind.ATTRIBUTE:
             siblings = prec.attributes
         else:
@@ -679,6 +719,8 @@ class Store:
             )
         if self._snapshots:
             self._cow(nid)
+        if self._columns:
+            self._drop_columns(rec.name, name)
         if rec.kind is NodeKind.ELEMENT and rec.name != name:
             self._name_index.get(rec.name, set()).discard(nid)
             self._name_index.setdefault(name, set()).add(nid)
@@ -695,6 +737,8 @@ class Store:
             )
         if self._snapshots:
             self._cow(nid)
+        if self._columns and rec.parent is not None:
+            self._drop_columns(self._records[rec.parent].name)
         self._indexes.on_set_value(nid, rec, value)
         rec.value = value
         self._version += 1
@@ -793,6 +837,8 @@ class Store:
     # ------------------------------------------------------------------
 
     def _put(self, nid, kind, name, parent, children, attributes, value):
+        if self._columns:
+            self._columns.clear()
         rec = _NodeRecord(NodeKind(kind), name, value)
         rec.parent = parent
         if children:
@@ -832,6 +878,8 @@ class Store:
     def drop_records(self, nids: Iterable[int]) -> None:
         """Remove the records of *nids* outright, postings included
         (garbage collection, discarding scratch allocations)."""
+        if self._columns:
+            self._columns.clear()
         for nid in nids:
             rec = self._records[nid]
             if self._snapshots:
@@ -897,6 +945,8 @@ class Store:
         stay attached (offered the pre-images first, as for any
         mutation)."""
         self.end_undo(log)
+        if self._columns:
+            self._columns.clear()
         records = self._records
         top = max(self._next_id, log.top)
         self.drop_records(

@@ -314,6 +314,19 @@ def to_double(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def string_to_double(text: str) -> float:
+    """*text* read as ``fn:number`` reads a string or untypedAtomic: an
+    integer form cast to xs:integer, any other double form to xs:double,
+    then promoted to double; NaN for a bad form.  The numeric column of
+    the value indexes reads element text through this same rule."""
+    value = parse_number(text, XS_INTEGER)
+    if value is None:
+        value = parse_number(text, XS_DOUBLE)
+        if value is None:
+            return math.nan
+    return to_double(value)
+
+
 def cast_to_number(av: AtomicValue) -> AtomicValue:
     """Cast an atomic value to a numeric type: an untyped or string
     integer form to xs:integer, any other double form to xs:double.  A
