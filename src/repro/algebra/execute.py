@@ -23,7 +23,9 @@ only at the operators whose semantics require seeing the full stream:
   expressions in generation order so key-expression deltas land exactly
   where the interpreter puts them);
 * **HashJoin / GroupBy** — the build side is hashed in full; the probe
-  (left) side still streams.
+  (left) side still streams.  A build side the attribute value index
+  already answers (``B//N`` keyed by ``@a`` or ``c/@a``) is not hashed:
+  each probe reads the index (see :class:`_IndexedBuild`).
 
 Linear operator chains are driven *iteratively* with an explicit iterator
 stack rather than one generator frame per operator, so FLWOR nesting
@@ -33,16 +35,26 @@ depth is bounded by memory, not the Python recursion limit — a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.algebra import plan as P
 from repro.errors import DynamicError
+from repro.lang import core_ast as core
 from repro.lang.core_ast import CPure
 from repro.obs.tracer import maybe_span
 from repro.semantics.context import DynamicContext
+from repro.semantics.evaluator import bare_step_name, probe_owners
 from repro.semantics.update import ApplySemantics, UpdateList, apply_update_list
 from repro.xdm.compare import general_compare
-from repro.xdm.values import AtomicValue, Sequence, atomize, effective_boolean_value
+from repro.xdm.nodes import Node
+from repro.xdm.values import (
+    XS_STRING,
+    XS_UNTYPED,
+    AtomicValue,
+    Sequence,
+    atomize,
+    effective_boolean_value,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
@@ -334,11 +346,10 @@ def _hash_join(plan: P.HashJoin, state: _ExecState) -> Iterator[Tuple_]:
     if plan.build == "left":
         yield from _hash_join_build_left(plan, state)
         return
-    table = _build_hash_ordered(plan.right, plan.right_key, state)
+    build = _build_side(plan.right, plan.right_key, state)
     for left_tup in _tuples(plan.left, state):
         left_key_value = state.eval_scalar(plan.left_key, left_tup)
-        keys = _join_keys(left_key_value)
-        for right_tup in _probe(table, keys, left_key_value):
+        for right_tup in build(left_key_value):
             merged = dict(left_tup)
             merged.update(_strip_order(right_tup))
             yield merged
@@ -347,12 +358,11 @@ def _hash_join(plan: P.HashJoin, state: _ExecState) -> Iterator[Tuple_]:
 def _hash_join_build_left(
     plan: P.HashJoin, state: _ExecState
 ) -> Iterator[Tuple_]:
-    table = _build_hash_ordered(plan.left, plan.left_key, state)
-    pairs: list[tuple[int, int, Tuple_]] = []
+    build = _build_side(plan.left, plan.left_key, state)
+    pairs: list[tuple[object, int, Tuple_]] = []
     for right_index, right_tup in enumerate(_tuples(plan.right, state)):
         right_key_value = state.eval_scalar(plan.right_key, right_tup)
-        keys = _join_keys(right_key_value)
-        for left_tup in _probe(table, keys, right_key_value):
+        for left_tup in build(right_key_value):
             merged = _strip_order(left_tup)
             merged.update(right_tup)
             pairs.append((left_tup["__order__"], right_index, merged))
@@ -364,18 +374,170 @@ def _hash_join_build_left(
 def _group_by(plan: P.GroupBy, state: _ExecState) -> Iterator[Tuple_]:
     """Build the right side (a barrier), stream the grouped left side."""
     join = plan.input
-    table = _build_hash_ordered(join.right, join.right_key, state)
+    build = _build_side(join.right, join.right_key, state)
     for left_tup in _tuples(join.left, state):
         left_key_value = state.eval_scalar(join.left_key, left_tup)
-        keys = _join_keys(left_key_value)
         group: Sequence = []
-        for right_tup in _probe(table, keys, left_key_value):
+        for right_tup in build(left_key_value):
             merged = dict(left_tup)
             merged.update(_strip_order(right_tup))
             group.extend(state.eval_scalar(plan.per_match, merged))
         out = dict(left_tup)
         out[plan.group_var] = group
         yield out
+
+
+def _build_side(
+    plan: P.Plan, key, state: _ExecState
+) -> Callable[[Sequence], list[Tuple_]]:
+    """The build side of a join: a function from a probe key's value to
+    the matching build tuples, in build-stream order, each stamped with
+    its ``__order__``.
+
+    A build side the attribute value index answers (see
+    :func:`_indexed_build`) reads it per probe; a probe it cannot answer
+    (a key that is not all strings, or a store that declines) reads the
+    hash table, built on first need.  Any other build side is hashed
+    here, before the probe side streams.
+    """
+    indexed = _indexed_build(plan, key, state)
+    table = None if indexed is not None else _build_hash_ordered(
+        plan, key, state
+    )
+
+    def matches(key_value: Sequence) -> list[Tuple_]:
+        nonlocal table
+        if indexed is not None:
+            found = indexed.matches(key_value)
+            if found is not None:
+                return found
+            if table is None:
+                table = indexed.table()
+        return _probe(table, _join_keys(key_value), key_value)
+
+    return matches
+
+
+def _attr_key(key, var: str) -> tuple[str, str | None] | None:
+    """``(a, None)`` when *key* is ``$var/@a``, ``(a, c)`` when it is
+    ``$var/c/@a``, else None."""
+    if type(key) is not core.CPath:
+        return None
+    attr, base = bare_step_name(key.step, "attribute"), key.base
+    if attr is None:
+        return None
+    if type(base) is core.CVar:
+        return (attr, None) if base.name == var else None
+    if type(base) is core.CPath and type(base.base) is core.CVar:
+        child = bare_step_name(base.step, "child")
+        if child is not None and base.base.name == var:
+            return attr, child
+    return None
+
+
+def _indexed_build(
+    plan: P.Plan, key, state: _ExecState
+) -> "_IndexedBuild | None":
+    """An index-backed build side for ``MapConcat(UnitTuple, $v,
+    B/descendant::N)`` keyed by ``$v/@a`` or ``$v/c/@a``, or None.
+
+    B is evaluated here, before the probe side streams, exactly as the
+    hash build would (so its errors surface at the same point).  None
+    also when the value indexes are off, or B is not one node of the
+    executing store that its indexes cover.
+    """
+    evaluator = state.evaluator
+    if not (
+        evaluator.use_indexes
+        and type(plan) is P.MapConcat
+        and type(plan.input) is P.UnitTuple
+        and plan.position_var is None
+        and type(plan.source) is core.CPath
+    ):
+        return None
+    name = bare_step_name(plan.source.step, "descendant")
+    path = _attr_key(key, plan.var)
+    if name is None or path is None:
+        return None
+    base = state.eval_scalar(plan.source.base, {})
+    store = evaluator.store
+    if (
+        len(base) != 1
+        or not isinstance(base[0], Node)
+        or base[0].store is not store
+    ):
+        return None
+    blind = getattr(store, "_probes_blind_below", None)
+    if blind is not None and blind(base[0].nid):
+        return None
+    return _IndexedBuild(plan, key, state, base[0].nid, name, *path)
+
+
+class _IndexedBuild:
+    """The tuples ``{$v: N}`` of ``B/descendant::N`` whose key ``$v/@a``
+    (or ``$v/c/@a``) equals a probe key, read from the attribute value
+    index instead of a hash table over every N.
+
+    A key of strings and untyped atomics compares with the untyped
+    attribute as raw strings (general ``=``), so the index's exact
+    ``(a, value)`` postings hold every match.  Each hit's owner (or the
+    owner's parent, for ``c/@a``) must carry the step's names and lie
+    inside B: the index is store-wide and also lists detached
+    attributes.
+
+    Postings outside B (other trees, detached nodes) cost a check each
+    and can grow without bound while B does not, so the index reads at
+    most as many postings as the store has N elements (the most rows a
+    hash build reads) before the probes move to the table for good."""
+
+    def __init__(self, plan, key, state, root, name, attr, child):
+        self.plan, self.key, self.state = plan, key, state
+        self.root, self.name, self.attr, self.child = root, name, attr, child
+        self.budget = state.evaluator.store.count_named(name)
+
+    def matches(self, key_value: Sequence) -> list[Tuple_] | None:
+        """The matching tuples in document order (the build stream's
+        order), or None when the key has a non-string atomic, the store
+        declines a probe or the postings budget is spent."""
+        if self.budget < 0:
+            return None
+        targets = set()
+        for av in atomize(key_value):
+            if av.type not in (XS_STRING, XS_UNTYPED):
+                return None
+            targets.add(str(av.value))
+        state = self.state
+        evaluator = state.evaluator
+        store = evaluator.store
+        aids: list[int] = []
+        for target in targets:
+            hits = evaluator.counted(store.attr_eq_probe(self.attr, target))
+            if hits is None:
+                return None
+            self.budget -= len(hits)
+            if self.budget < 0:
+                return None
+            aids.extend(hits)
+        if state.tracer is not None:
+            state.tracer.count("exec.join.index_probes")
+        var = self.plan.var
+        return [
+            {var: [Node(store, nid)], "__order__": store.order_key(nid)}
+            for nid in probe_owners(
+                store, aids, self.name, self.root, via=self.child
+            )
+        ]
+
+    def table(self) -> dict[object, list[Tuple_]]:
+        """The hash table, for the probes the index cannot answer.  Its
+        tuples are stamped with document-order keys, like the index's,
+        so a left build sorts tuples from either source together."""
+        table = _build_hash_ordered(self.plan, self.key, self.state)
+        order_key, var = self.state.evaluator.store.order_key, self.plan.var
+        for rows in table.values():
+            for tup in rows:
+                tup["__order__"] = order_key(tup[var][0].nid)
+        return table
 
 
 def _build_hash_ordered(

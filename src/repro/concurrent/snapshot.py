@@ -284,6 +284,7 @@ class StoreSnapshot:
         return len(self._rec(nid).children)
 
     children_named = Store.children_named  # reads only _rec
+    count_named = Store.count_named  # the live count: a bound here
 
     def attributes(self, nid: int) -> tuple[int, ...]:
         return tuple(self._rec(nid).attributes)

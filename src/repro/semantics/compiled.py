@@ -754,11 +754,19 @@ def _call(expr, env, unit):
         values = [arg(ev, frame) for arg in args]
         if isinstance(resolved, core.CFunction):
             body = compiled_function(functions, resolved)
-            if type(body) is core.CPure:
-                return body.invoke(ev, values)
-            value, delta = ev.evaluate(body, DynamicContext(
-                dict(zip(resolved.params, values)), globals_=ev.globals
-            ))
+            depth = ev.enter_call(name)
+            try:
+                if type(body) is core.CPure:
+                    return body.invoke(ev, values)
+                value, delta = ev.evaluate(body, DynamicContext(
+                    dict(zip(resolved.params, values)), globals_=ev.globals
+                ))
+            except RecursionError:
+                if depth > 1:
+                    raise
+                raise ev.stack_exhausted(name) from None
+            finally:
+                ev.call_depth = depth - 1
             if delta:
                 raise DynamicError(
                     f"{name}#{arity} became updating after its caller "

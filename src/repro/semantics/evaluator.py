@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 
 from repro.errors import (
     DynamicError,
+    ResourceLimitError,
     TypeError_,
     UpdateTargetError,
 )
@@ -61,6 +62,7 @@ from repro.xdm.values import (
     AtomicValue,
     Sequence,
     UntypedAtomic,
+    atomize,
     atomize_optional,
     atomize_single,
     cast_to_number,
@@ -87,6 +89,17 @@ class EvalResult(NamedTuple):
 
 
 _EMPTY = _EMPTY_DELTA
+
+#: How deeply user-function calls may nest in one execution.  Under
+#: Python's default limit of 1,000 frames, a simple recursion such as
+#: ``1 + local:f($n - 1)`` or ``$s[1] + local:sum(subsequence($s, 2))``
+#: completes up to 164 open calls on either evaluator from a script's
+#: main thread or an executor worker, and up to 158 under a test
+#: runner's deeper stack; 150 stays under both with room for a deeper
+#: caller still.  A body that spends more frames per level and exhausts
+#: the Python stack first is refused the same way (see
+#: Evaluator.enter_call).
+MAX_CALL_DEPTH = 150
 
 
 class Evaluator:
@@ -149,6 +162,8 @@ class Evaluator:
         # Session-private evaluators (which apply to a TransactionView,
         # not the live store) leave this None.
         self.txn_log = None
+        # User-function calls currently open (see enter_call).
+        self.call_depth = 0
 
     def fork(self, store: Store, globals_: dict[str, Sequence]) -> "Evaluator":
         """A per-execution evaluator over *store* with *globals_*.
@@ -165,7 +180,39 @@ class Evaluator:
         child.globals = globals_
         child.tracer = None
         child.control = None
+        child.call_depth = 0
         return child
+
+    def enter_call(self, name: str) -> int:
+        """Open one user-function call level; return the new depth.
+
+        Past ``MAX_CALL_DEPTH`` the execution is refused with
+        ``ResourceLimitError`` (REPR0007, ``max_call_depth``), like any
+        execution-control interruption: the pending Δ is discarded.  The
+        caller closes the level with ``call_depth = depth - 1`` and
+        passes a ``RecursionError`` at depth 1 to :meth:`stack_exhausted`.
+        """
+        depth = self.call_depth + 1
+        if depth > MAX_CALL_DEPTH:
+            raise ResourceLimitError(
+                f"user-function calls nest deeper than "
+                f"{MAX_CALL_DEPTH} (calling {name}); refused",
+                limit_name="max_call_depth",
+                limit=MAX_CALL_DEPTH,
+                observed=depth,
+            )
+        self.call_depth = depth
+        return depth
+
+    def stack_exhausted(self, name: str) -> ResourceLimitError:
+        """The refusal for a call chain that ran out of Python stack
+        below ``MAX_CALL_DEPTH``."""
+        return ResourceLimitError(
+            f"user-function calls exhausted the stack below depth "
+            f"{MAX_CALL_DEPTH} (calling {name}); refused",
+            limit_name="max_call_depth",
+            limit=MAX_CALL_DEPTH,
+        )
 
     # ------------------------------------------------------------------
     # Entry points
@@ -616,13 +663,19 @@ class Evaluator:
     @staticmethod
     def _string_target(other_value: Sequence) -> str | None:
         """The raw-string comparand of the key-lookup collapse case (see
-        _attr_compare_filter): a singleton string/untyped atomic."""
-        if (
-            len(other_value) == 1
-            and isinstance(other_value[0], AtomicValue)
-            and other_value[0].type in (XS_STRING, XS_UNTYPED)
-        ):
-            return str(other_value[0].value)
+        _attr_compare_filter): a singleton string/untyped atomic, or a
+        singleton node whose typed value is one (general ``=`` atomizes
+        it, and compares an untyped value with the key as a string)."""
+        if len(other_value) != 1:
+            return None
+        item = other_value[0]
+        if not isinstance(item, AtomicValue):
+            atoms = atomize(other_value)
+            if len(atoms) != 1:
+                return None
+            item = atoms[0]
+        if item.type in (XS_STRING, XS_UNTYPED):
+            return str(item.value)
         return None
 
     @staticmethod
@@ -649,7 +702,7 @@ class Evaluator:
             cur = store.parent(cur)
         return None
 
-    def _counted(self, ids: tuple[int, ...] | None) -> tuple[int, ...] | None:
+    def counted(self, ids: tuple[int, ...] | None) -> tuple[int, ...] | None:
         """Record an answered index probe on the tracer; pass *ids* on."""
         if ids is not None and self.tracer is not None:
             self.tracer.count("index.probes")
@@ -664,29 +717,16 @@ class Evaluator:
         # On the child axis the scan reads one list: probe only when the
         # posting list is no longer (both lengths are O(1) to read).
         limit = store.child_count(root) if child else None
-        aids = self._counted(store.attr_eq_probe(shape.key, target, limit))
+        aids = self.counted(store.attr_eq_probe(shape.key, target, limit))
         if aids is None:
             return None
-        or_self = shape.axis == "descendant-or-self"
-        out = []
-        for aid in aids:
-            owner = store.parent(aid)
-            if owner is None or store.name(owner) != shape.name:
-                continue
-            if store.kind(owner) is not NodeKind.ELEMENT:
-                continue
-            if child:
-                if store.parent(owner) == root:
-                    out.append(owner)
-            elif self._contained(store, owner, root, or_self):
-                out.append(owner)
-        return store.sort_document_order(out)
+        return probe_owners(store, aids, shape.name, root, shape.axis)
 
     def _probe_child_eq(self, store, root, shape, value) -> list[int] | None:
         target = self._string_target(value)
         if not target:  # empty string: no text to witness it — scan
             return None
-        tids = self._counted(store.text_eq_probe(target))
+        tids = self.counted(store.text_eq_probe(target))
         if tids is None:
             return None
         name, child_name = shape.name, shape.key
@@ -730,27 +770,12 @@ class Evaluator:
             bounds.append((op, to_double(value[0].value)))
         child = shape.axis == "child"
         limit = store.child_count(root) if child else None
-        cids = self._counted(
+        cids = self.counted(
             store.numeric_range_probe(shape.key, bounds, limit)
         )
         if cids is None:
             return None
-        or_self = shape.axis == "descendant-or-self"
-        out = []
-        for cid in cids:
-            owner = store.parent(cid)
-            if (
-                owner is None
-                or store.name(owner) != shape.name
-                or store.kind(owner) is not NodeKind.ELEMENT
-            ):
-                continue
-            if child:
-                if store.parent(owner) == root:
-                    out.append(owner)
-            elif self._contained(store, owner, root, or_self):
-                out.append(owner)
-        return store.sort_document_order(out)
+        return probe_owners(store, cids, shape.name, root, shape.axis)
 
     def _probe_contains(self, store, root, shape, value) -> list[int] | None:
         if len(value) != 1 or not isinstance(value[0], AtomicValue):
@@ -758,7 +783,7 @@ class Evaluator:
         needle = value[0].lexical()
         if not needle:  # contains(s, "") is uniformly true — scan
             return None
-        tids = self._counted(store.token_probe(needle))
+        tids = self.counted(store.token_probe(needle))
         if tids is None:
             return None
         or_self = shape.axis == "descendant-or-self"
@@ -972,12 +997,23 @@ class Evaluator:
             from repro.semantics.compiled import compiled_function
 
             body = compiled_function(self.functions, resolved)
-            if type(body) is core.CPure:
-                return EvalResult(list(body.invoke(self, arg_values)), delta)
-            body_context = DynamicContext(
-                dict(zip(resolved.params, arg_values)), globals_=self.globals
-            )
-            body_value, body_delta = self.evaluate(body, body_context)
+            depth = self.enter_call(expr.name)
+            try:
+                if type(body) is core.CPure:
+                    return EvalResult(
+                        list(body.invoke(self, arg_values)), delta
+                    )
+                body_context = DynamicContext(
+                    dict(zip(resolved.params, arg_values)),
+                    globals_=self.globals,
+                )
+                body_value, body_delta = self.evaluate(body, body_context)
+            except RecursionError:
+                if depth > 1:
+                    raise
+                raise self.stack_exhausted(expr.name) from None
+            finally:
+                self.call_depth = depth - 1
             return EvalResult(body_value, delta + body_delta)
         # Built-in: pure by construction (no update requests).
         return EvalResult(resolved(self, context, arg_values), delta)
@@ -1511,30 +1547,66 @@ class AttrShape(NamedTuple):
     operand: core.CoreExpr
 
 
+def probe_owners(
+    store,
+    ids,
+    name: str,
+    root: int,
+    axis: str = "descendant",
+    via: str | None = None,
+) -> list[int]:
+    """The elements named *name* on *axis* from *root* whose child is an
+    index hit in *ids* (an attribute, or a range probe's ``c``), or with
+    *via* whose child named *via* has it, deduplicated in document
+    order.  The value indexes are store-wide and also list detached
+    nodes, so each hit's names and place are checked here."""
+
+    def element(nid: int | None, wanted: str) -> bool:
+        return (
+            nid is not None
+            and store.name(nid) == wanted
+            and store.kind(nid) is NodeKind.ELEMENT
+        )
+
+    or_self = axis == "descendant-or-self"
+    out = []
+    for nid in ids:
+        owner = store.parent(nid)
+        if via is not None:
+            if not element(owner, via):
+                continue
+            owner = store.parent(owner)
+        if not element(owner, name):
+            continue
+        if axis == "child":
+            if store.parent(owner) == root:
+                out.append(owner)
+        elif Evaluator._contained(store, owner, root, or_self):
+            out.append(owner)
+    return store.sort_document_order(out)
+
+
+def bare_step_name(expr: core.CoreExpr, axis: str) -> str | None:
+    """The name when *expr* is a predicate-free ``axis::name`` step."""
+    if (
+        isinstance(expr, core.CAxisStep)
+        and expr.axis == axis
+        and expr.test.kind == "name"
+        and expr.test.name not in (None, "*")
+        and not expr.predicates
+    ):
+        return expr.test.name
+    return None
+
+
 def _attr_compare_operand(side: core.CoreExpr) -> str | None:
     """The attribute name when *side* is a bare ``@name`` step."""
-    if (
-        isinstance(side, core.CAxisStep)
-        and side.axis == "attribute"
-        and side.test.kind == "name"
-        and side.test.name not in (None, "*")
-        and not side.predicates
-    ):
-        return side.test.name
-    return None
+    return bare_step_name(side, "attribute")
 
 
 def _child_step_operand(side: core.CoreExpr) -> str | None:
     """The element name when *side* is a bare ``child`` name step."""
-    if (
-        isinstance(side, core.CAxisStep)
-        and side.axis == "child"
-        and side.test.kind == "name"
-        and side.test.name not in (None, "*")
-        and not side.predicates
-    ):
-        return side.test.name
-    return None
+    return bare_step_name(side, "child")
 
 
 def _eq_comparand(

@@ -329,6 +329,11 @@ class Store:
         """Number of children of *nid*, without copying the child list."""
         return len(self._rec(nid).children)
 
+    def count_named(self, name: str) -> int:
+        """How many elements named *name* the live store holds, in every
+        tree (detached ones too), without copying the name index."""
+        return len(self._name_index.get(name, ()))
+
     def children_named(self, nid: int, name: str) -> list[int]:
         """Ids of the element children of *nid* named *name*, in order."""
         rec = self._rec

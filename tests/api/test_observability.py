@@ -35,6 +35,12 @@ JOIN = (
     "where $x/@id = $y/@id return <pair/>"
 )
 
+# A numeric key: the attribute value index cannot answer its probes.
+NUMERIC_JOIN = (
+    "for $x in $doc//item for $y in $doc//item "
+    "where number($x/@price) = $y/@price return <pair/>"
+)
+
 
 class TestPhaseSpans:
     def test_cold_execute_records_frontend_phases(self):
@@ -136,10 +142,37 @@ class TestConflictMetrics:
 class TestExecutorBarriers:
     def test_hash_join_barriers_counted(self):
         engine = make_engine()
-        stats = engine.execute(JOIN, collect_stats=True).stats
+        result = engine.execute(NUMERIC_JOIN, collect_stats=True)
+        stats = result.stats
+        assert len(result.items) == 3
         assert stats.counters["exec.barrier.snap"] == 1
         assert stats.counters["exec.barrier.hash_build"] == 1
         assert stats.observations["exec.hash_build.rows"].count == 1
+        assert "exec.join.index_probes" not in stats.counters
+
+    def test_index_answered_join_builds_no_table(self):
+        engine = make_engine()
+        result = engine.execute(JOIN, collect_stats=True)
+        stats = result.stats
+        assert len(result.items) == 3
+        assert stats.counters["exec.barrier.snap"] == 1
+        assert stats.counters["exec.join.index_probes"] == 3
+        assert "exec.barrier.hash_build" not in stats.counters
+        assert "exec.hash_build.rows" not in stats.observations
+
+    def test_postings_outside_the_build_side_fall_back_to_a_table(self):
+        # Each probe for "a" reads six postings, five outside $doc; the
+        # index reads no more postings than the store has items (three)
+        # before it builds the table.
+        engine = make_engine()
+        engine.bind("junk", engine.parse_fragment(
+            "<j>" + "<x id='a'/>" * 5 + "</j>"
+        ))
+        result = engine.execute(JOIN, collect_stats=True)
+        stats = result.stats
+        assert len(result.items) == 3
+        assert stats.counters["exec.barrier.hash_build"] == 1
+        assert "exec.join.index_probes" not in stats.counters
 
     def test_order_by_barrier_counted(self):
         engine = make_engine()

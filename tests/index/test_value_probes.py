@@ -166,6 +166,34 @@ def test_equality_probe_in_a_transaction_sees_buffered_writes():
     assert fast == slow == 4
 
 
+# A let-bound node comparand: general "=" atomizes it, and its untyped
+# value compares with the attribute or child as a string.
+NODE_KEYS = (
+    '<r><o ref="b"/><o ref="z"/><o ref="a"><n>c</n></o>'
+    '<p id="a"><c>c</c></p><p id="b"><c>x</c></p><p id="c"/></r>'
+)
+
+
+@pytest.mark.parametrize(
+    ("query", "expected"),
+    [
+        ("for $o in $d/o let $k := $o/@ref return $d//p[@id = $k]",
+         ["a", "b"]),
+        ("for $o in $d/o let $k := $o/n return $d//p[@id = $k]", ["c"]),
+        ("for $o in $d/o let $k := $o/n return $d//p[c = $k]", ["a"]),
+    ],
+)
+def test_a_node_comparand_probes_like_its_string_value(query, expected):
+    engine = engine_with(NODE_KEYS)
+    ids = f"for $p in ({query}) return string($p/@id)"
+    before = probes(engine)
+    assert sorted(engine.execute(ids).strings()) == expected
+    assert probes(engine) > before
+    assert engine.execute(ids, options=_NO_INDEX).strings() == (
+        engine.execute(ids).strings()
+    )
+
+
 # --------------------------------------------------------------------------
 # Numeric columns (shape D)
 # --------------------------------------------------------------------------

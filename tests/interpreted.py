@@ -1,11 +1,12 @@
-"""The reference side of a "rewritten plan ≡ evaluator" comparison.
+"""The reference side of a "rewritten ≡ as written" comparison.
 
 A prepared query runs its body as a plan only when a §4.3 rewrite fired
 (:func:`repro.algebra.compile.compile_query`).  The reference run takes
 the same query through the same engine with that plan withheld:
 ``compile_query`` is patched to return None while the query prepares,
-so its body runs on the evaluator.  There is no production switch for
-this.
+so its body runs on the evaluator.  :func:`without_pushdown` withholds
+the where-pushdown rule of :mod:`repro.lang.simplify` the same way.
+There is no production switch for either.
 """
 
 from __future__ import annotations
@@ -37,3 +38,19 @@ def interpreted(engine, query: str, **kwargs):
             return engine.execute(query, **kwargs)
     finally:
         engine.prepared_cache.clear()
+
+
+@contextmanager
+def without_pushdown():
+    """Every query prepared inside the block keeps its ``where`` clauses
+    where they are (:mod:`repro.lang.simplify`'s where-pushdown is
+    withheld).  A query prepared before the block keeps its form."""
+    from repro.lang import simplify
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplify, "_where_pushdown", _same)
+        yield
+
+
+def _same(expr):
+    return expr
