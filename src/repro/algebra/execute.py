@@ -480,19 +480,21 @@ class _IndexedBuild:
 
     A key of strings and untyped atomics compares with the untyped
     attribute as raw strings (general ``=``), so the index's exact
-    ``(a, value)`` postings hold every match.  Each hit's owner (or the
-    owner's parent, for ``c/@a``) must carry the step's names and lie
-    inside B: the index is store-wide and also lists detached
-    attributes.
+    ``(a, value)`` postings hold every match.  The probe reads only the
+    postings on the key's path: owned by an N for ``@a``, owned by a
+    ``c`` under an N for ``c/@a``.  Each hit must still lie inside B:
+    the index is store-wide and also lists detached attributes.
 
-    Postings outside B (other trees, detached nodes) cost a check each
-    and can grow without bound while B does not, so the index reads at
-    most as many postings as the store has N elements (the most rows a
-    hash build reads) before the probes move to the table for good."""
+    Postings on that path outside B (other trees, detached copies) cost
+    a check each and can grow without bound while B does not, so the
+    index reads at most as many postings as the store has N elements
+    (the most rows a hash build reads) before the probes move to the
+    table for good."""
 
     def __init__(self, plan, key, state, root, name, attr, child):
         self.plan, self.key, self.state = plan, key, state
         self.root, self.name, self.attr, self.child = root, name, attr, child
+        self.path = (name,) if child is None else (child, name)
         self.budget = state.evaluator.store.count_named(name)
 
     def matches(self, key_value: Sequence) -> list[Tuple_] | None:
@@ -511,7 +513,9 @@ class _IndexedBuild:
         store = evaluator.store
         aids: list[int] = []
         for target in targets:
-            hits = evaluator.counted(store.attr_eq_probe(self.attr, target))
+            hits = evaluator.counted(
+                store.attr_eq_probe(self.attr, target, None, self.path)
+            )
             if hits is None:
                 return None
             self.budget -= len(hits)

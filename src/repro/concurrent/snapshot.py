@@ -118,7 +118,7 @@ class StoreSnapshot:
         # whole-table rebind (Store.load_rows) installs fresh dicts, so
         # these stay the ones describing the table this snapshot reads.
         self._name_index = store._name_index
-        self._attr_index = store._indexes.attr_index
+        self._attr_postings = store._indexes.attr_reader()
         self._token_index = store._indexes.token_index
         # Pre-images fed by the live store's mutators.  Entries are never
         # removed, so a hit is authoritative forever.
@@ -394,7 +394,11 @@ class StoreSnapshot:
         return ()
 
     def attr_eq_probe(
-        self, name: str, value: str, limit: int | None = None
+        self,
+        name: str,
+        value: str,
+        limit: int | None = None,
+        path: tuple = (),
     ) -> tuple[int, ...] | None:
         """Snapshot-consistent attribute-value probe.
 
@@ -407,18 +411,22 @@ class StoreSnapshot:
         *to* the target after snapshot time.  The index is maintained by
         the writer from the store's birth, so a reader always has one to
         ask and never builds anything itself.  None when the live
-        posting list is longer than *limit* (see
-        :meth:`Store.attr_eq_probe`).
+        postings are more than *limit* (see :meth:`Store.attr_eq_probe`).
+
+        The live keys name each attribute's *current* owner and parent,
+        which may differ from snapshot time, so *path* is ignored: the
+        candidates are the postings of ``name="value"`` on every path.
+        An attribute the writer re-keys while this reads may be in
+        neither key when read, but the store offered its pre-image
+        before moving it, so the overlay lists it.
         """
         ceiling = self._ceiling
         candidates: set[int] = set()
-        live = self._attr_index.get((name, value))
+        live = self._attr_postings(name, value)
         if live:
             if limit is not None and len(live) > limit:
                 return None
-            # tuple(): GIL-atomic copy; the writer may mutate postings
-            # while this reader iterates.
-            for c in tuple(live):
+            for c in live:
                 if c < ceiling:
                     candidates.add(c)
         for c, pre in list(self._overlay.items()):

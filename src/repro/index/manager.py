@@ -1,21 +1,31 @@
 """Value indexes over a :class:`~repro.xdm.store.Store`.
 
-Two hash indexes, both keyed by node *content* rather than attachment:
+Two hash indexes:
 
-* the **attribute index** maps ``(attribute name, value)`` to the ids of
-  the attribute nodes currently bearing that pair;
+* the **attribute index** maps ``(attribute name, value, owner name,
+  owner's parent name)`` to the ids of the attribute nodes currently
+  bearing that pair on that path (both names are None for a parentless
+  attribute; the parent's is None for a parentless owner, or one under
+  a document);
 * the **token index** maps each whitespace-delimited token of a text
   node's value to the ids of the text nodes containing it.
 
-Content keying is what makes incremental maintenance O(1) per value
-operation: creating, revaluing, renaming or reclaiming a node touches
-exactly its own postings, and *structural* mutations (insert, detach,
-reorder) touch none at all — attachment is re-checked at probe time by
-the caller, which walks the candidate's parent chain.  That re-check is
-also what makes probes exact on detached subtrees and on copy-on-write
-snapshots: a candidate set only ever needs to be a *superset* of the
-truth, because every probe site verifies candidates against the actual
-predicate before accepting them.
+The token index is keyed by content alone, so creating, revaluing or
+reclaiming a text node touches exactly its own postings and structural
+mutations touch none.  The attribute index also keys by the two names
+above the attribute, so that a probe which knows its step's names reads
+only the postings that can match (``person[@id = $v]`` never reads the
+``@id`` of an ``item``).  That costs the structural mutators a re-key of
+the attributes whose path they change: attaching or detaching an
+element moves its own attributes, renaming one moves its own and its
+element children's, each O(1) per attribute moved.  The names narrow a
+probe; they do not decide it: attachment (containment in the context
+node) is still re-checked at probe time by the caller, which walks the
+candidate's parent chain.  That re-check is also what makes probes
+exact on detached subtrees and on copy-on-write snapshots: a candidate
+set only ever needs to be a *superset* of the truth, because every
+probe site verifies candidates against the actual predicate before
+accepting them.
 
 The token index answers ``contains(string(.), $needle)`` probes.  A
 needle can span token and even text-node boundaries, so a probe scans
@@ -191,19 +201,72 @@ def _bisect_bounds(
     return lo, hi
 
 
+AttrKey = tuple[str, str, Optional[str], Optional[str]]
+Path = tuple[Optional[str], Optional[str]]
+
+
+def _attr_path(records: dict[int, "_NodeRecord"], owner: Optional[int]) -> Path:
+    """The ``(owner name, owner's parent name)`` half of the key of an
+    attribute whose parent is *owner*: ``(None, None)`` when parentless,
+    a None parent name when the owner is parentless (or under a
+    document).  An id missing from *records* reads as no node."""
+    orec = records.get(owner) if owner is not None else None
+    if orec is None:
+        return None, None
+    grand = orec.parent
+    grec = records.get(grand) if grand is not None else None
+    return orec.name, grec.name if grec is not None else None
+
+
 def _build(
     records: dict[int, "_NodeRecord"],
-) -> tuple[dict[tuple[str, str], set[int]], dict[str, set[int]]]:
+) -> tuple[dict[AttrKey, set[int]], dict[str, set[int]]]:
     """Both indexes computed from scratch over *records*."""
-    attr: dict[tuple[str, str], set[int]] = {}
+    attr: dict[AttrKey, set[int]] = {}
     token: dict[str, set[int]] = {}
     for nid, rec in records.items():
         if rec.kind is NodeKind.ATTRIBUTE:
-            attr.setdefault((rec.name or "", rec.value or ""), set()).add(nid)
+            key = (rec.name or "", rec.value or "") + _attr_path(
+                records, rec.parent
+            )
+            attr.setdefault(key, set()).add(nid)
         elif rec.kind is NodeKind.TEXT:
             for tok in tokenize(rec.value):
                 token.setdefault(tok, set()).add(nid)
     return attr, token
+
+
+def _paths_of(attr: dict[AttrKey, set[int]]) -> dict[str, set[Path]]:
+    """Attribute name -> the paths its keys in *attr* use."""
+    paths: dict[str, set[Path]] = {}
+    for name, _, owner, parent in attr:
+        paths.setdefault(name, set()).add((owner, parent))
+    return paths
+
+
+def _read_postings(
+    attr: dict[AttrKey, set[int]],
+    paths: dict[str, set[Path]],
+    name: str,
+    value: str,
+    path: tuple = (),
+) -> list[set[int]]:
+    """The posting sets of ``name="value"`` on *path*: ``()`` reads every
+    path, ``(owner,)`` every path of that owner, ``(owner, parent)``
+    one key."""
+    if len(path) == 2:
+        found = attr.get((name, value) + path)
+        return [found] if found else []
+    out = []
+    # tuple(): GIL-atomic copy; the writer may register a path while a
+    # snapshot reader iterates.
+    for known in tuple(paths.get(name, ())):
+        if path and known[0] != path[0]:
+            continue
+        found = attr.get((name, value) + known)
+        if found:
+            out.append(found)
+    return out
 
 
 class IndexManager:
@@ -223,7 +286,8 @@ class IndexManager:
 
     __slots__ = (
         "_store",
-        "attr_index",
+        "_attr",
+        "_paths",
         "token_index",
         "probes",
         "hits",
@@ -235,8 +299,13 @@ class IndexManager:
 
     def __init__(self, store: "Store") -> None:
         self._store = store
-        # (attribute name, value) -> ids of attribute nodes bearing it.
-        self.attr_index: dict[tuple[str, str], set[int]] = {}
+        # (name, value, owner name, owner's parent name) -> ids of the
+        # attribute nodes bearing it (see the module docstring).
+        self._attr: dict[AttrKey, set[int]] = {}
+        # attribute name -> every (owner, parent) path one of its keys
+        # used since the last build: a superset (emptied keys leave
+        # their path behind), read to union a name's keys.
+        self._paths: dict[str, set[Path]] = {}
         # token -> ids of text nodes whose value contains it.
         self.token_index: dict[str, set[int]] = {}
         self.probes = 0
@@ -262,7 +331,8 @@ class IndexManager:
         own (now frozen) table.
         """
         start = time.perf_counter()
-        self.attr_index, self.token_index = _build(self._store._records)
+        self._attr, self.token_index = _build(self._store._records)
+        self._paths = _paths_of(self._attr)
         self.columns.clear()
         self.rebuilds += 1
         elapsed = (time.perf_counter() - start) * 1000.0
@@ -273,48 +343,155 @@ class IndexManager:
     # state in *rec*)
     # ------------------------------------------------------------------
 
-    def _add(self, kind, name: Optional[str], value: Optional[str], nid: int) -> None:
-        if kind is NodeKind.ATTRIBUTE:
-            self.attr_index.setdefault(
-                (name or "", value or ""), set()
-            ).add(nid)
-            self.maintained += 1
-        elif kind is NodeKind.TEXT:
-            for tok in tokenize(value):
-                self.token_index.setdefault(tok, set()).add(nid)
-            self.maintained += 1
+    def _add_attr(self, nid: int, key: AttrKey) -> None:
+        postings = self._attr.get(key)
+        if postings is None:
+            self._attr[key] = {nid}
+            self._paths.setdefault(key[0], set()).add(key[2:])
+        else:
+            postings.add(nid)
+        self.maintained += 1
 
-    def _remove(self, kind, name: Optional[str], value: Optional[str], nid: int) -> None:
-        if kind is NodeKind.ATTRIBUTE:
-            key = (name or "", value or "")
-            postings = self.attr_index.get(key)
+    def _discard_attr(self, nid: int, key: AttrKey) -> None:
+        postings = self._attr.get(key)
+        if postings is not None:
+            postings.discard(nid)
+            if not postings:
+                del self._attr[key]
+
+    def _key(self, name: Optional[str], value: Optional[str],
+             owner: Optional[int]) -> AttrKey:
+        """The key of an attribute named *name*, valued *value*, whose
+        parent is *owner*."""
+        return (name or "", value or "") + _attr_path(
+            self._store._records, owner
+        )
+
+    def _add_text(self, value: Optional[str], nid: int) -> None:
+        for tok in tokenize(value):
+            self.token_index.setdefault(tok, set()).add(nid)
+        self.maintained += 1
+
+    def _remove_text(self, value: Optional[str], nid: int) -> None:
+        for tok in tokenize(value):
+            postings = self.token_index.get(tok)
             if postings is not None:
                 postings.discard(nid)
                 if not postings:
-                    del self.attr_index[key]
-            self.maintained += 1
-        elif kind is NodeKind.TEXT:
-            for tok in tokenize(value):
-                postings = self.token_index.get(tok)
-                if postings is not None:
-                    postings.discard(nid)
-                    if not postings:
-                        del self.token_index[tok]
-            self.maintained += 1
+                    del self.token_index[tok]
+        self.maintained += 1
 
-    def on_alloc(self, nid: int, kind, name: Optional[str], value: Optional[str]) -> None:
-        self._add(kind, name, value, nid)
+    def on_alloc(
+        self,
+        nid: int,
+        kind,
+        name: Optional[str],
+        value: Optional[str],
+        owner: Optional[int] = None,
+    ) -> None:
+        """A node was born; an attribute born with a parent (a deep
+        copy's) names it as *owner*."""
+        if kind is NodeKind.ATTRIBUTE:
+            self._add_attr(
+                nid,
+                (name or "", value or "", None, None) if owner is None
+                else self._key(name, value, owner),
+            )
+        elif kind is NodeKind.TEXT:
+            self._add_text(value, nid)
 
     def on_set_value(self, nid: int, rec: "_NodeRecord", value: Optional[str]) -> None:
-        self._remove(rec.kind, rec.name, rec.value, nid)
-        self._add(rec.kind, rec.name, value, nid)
+        if rec.kind is NodeKind.ATTRIBUTE:
+            key = self._key(rec.name, rec.value, rec.parent)
+            self._discard_attr(nid, key)
+            self.maintained += 1
+            self._add_attr(nid, key[:1] + (value or "",) + key[2:])
+        elif rec.kind is NodeKind.TEXT:
+            self._remove_text(rec.value, nid)
+            self._add_text(value, nid)
 
     def on_rename(self, nid: int, rec: "_NodeRecord", name: str) -> None:
-        self._remove(rec.kind, rec.name, rec.value, nid)
-        self._add(rec.kind, name, rec.value, nid)
+        """*rec* is about to be named *name*.  An attribute moves to its
+        new name's key; an element moves its own attributes (owner) and
+        its element children's (owner's parent) to keys with *name*."""
+        if rec.kind is NodeKind.ATTRIBUTE:
+            key = self._key(rec.name, rec.value, rec.parent)
+            self._discard_attr(nid, key)
+            self.maintained += 1
+            self._add_attr(nid, (name,) + key[1:])
+        elif rec.kind is NodeKind.ELEMENT and rec.name != name:
+            records = self._store._records
+            above = _attr_path(records, rec.parent)[0]
+            self.on_move(rec.attributes, (rec.name, above), (name, above))
+            for cid in rec.children:
+                crec = records[cid]
+                if crec.attributes and crec.kind is NodeKind.ELEMENT:
+                    self.on_move(
+                        crec.attributes, (crec.name, rec.name),
+                        (crec.name, name),
+                    )
+
+    def on_move(self, aids, old: Path, new: Path) -> None:
+        """The attributes *aids* (an element's, or one attribute) change
+        path from *old* to *new*: an attach, a detach or a rename.
+
+        Their pre-images go to open snapshots first: a snapshot reader
+        that unions the keys (see :meth:`attr_reader`) may read the new
+        key before the posting arrives and the old one after it left,
+        and then finds the attribute in its overlay instead."""
+        if old == new:
+            return
+        if self._store._snapshots:
+            self._store._cow(*aids)
+        # _discard_attr then _add_attr, inlined: every attach and detach
+        # of an element with attributes runs this.
+        attr, records = self._attr, self._store._records
+        old_owner, old_parent = old
+        new_owner, new_parent = new
+        for aid in aids:
+            rec = records[aid]
+            name, value = rec.name or "", rec.value or ""
+            key = (name, value, old_owner, old_parent)
+            postings = attr.get(key)
+            if postings is not None:
+                postings.discard(aid)
+                if not postings:
+                    del attr[key]
+            key = (name, value, new_owner, new_parent)
+            postings = attr.get(key)
+            if postings is None:
+                attr[key] = {aid}
+                self._paths.setdefault(name, set()).add(new)
+            else:
+                postings.add(aid)
+        self.maintained += len(aids)
 
     def on_free(self, nid: int, rec: "_NodeRecord") -> None:
-        self._remove(rec.kind, rec.name, rec.value, nid)
+        if rec.kind is NodeKind.ATTRIBUTE:
+            self._discard_attr(nid, self._key(rec.name, rec.value, rec.parent))
+            self.maintained += 1
+        elif rec.kind is NodeKind.TEXT:
+            self._remove_text(rec.value, nid)
+
+    def unindex_attrs(self, aids) -> None:
+        """Take the attributes *aids* out of the index under whatever
+        path their postings carry: for raw record installs, which may
+        change or remove the records a key was computed from."""
+        records, paths = self._store._records, self._paths
+        for aid in aids:
+            rec = records[aid]
+            head = (rec.name or "", rec.value or "")
+            for path in tuple(paths.get(head[0], ())):
+                self._discard_attr(aid, head + path)
+            self.maintained += 1
+
+    def index_attrs(self, aids) -> None:
+        """Post the attributes *aids* under their current key (after a
+        raw install put every record they depend on in place)."""
+        records = self._store._records
+        for aid in aids:
+            rec = records[aid]
+            self._add_attr(aid, self._key(rec.name, rec.value, rec.parent))
 
     # ------------------------------------------------------------------
     # Probes (live store; the snapshot layer has its own, overlay-aware
@@ -322,17 +499,43 @@ class IndexManager:
     # ------------------------------------------------------------------
 
     def attr_probe(
-        self, name: str, value: str, limit: int | None = None
+        self,
+        name: str,
+        value: str,
+        limit: int | None = None,
+        path: tuple = (),
     ) -> tuple[int, ...] | None:
-        """Ids of attribute nodes bearing ``name="value"`` (exact); None,
-        without counting a probe, when there are more than *limit*."""
-        postings = self.attr_index.get((name, value), ())
-        if limit is not None and len(postings) > limit:
+        """Ids of attribute nodes bearing ``name="value"`` (exact) on
+        *path*: ``()`` any, ``(owner,)`` owned by an element named
+        *owner*, ``(owner, parent)`` also under an element (or document,
+        for None) named *parent*.  None, without counting a probe, when
+        there are more than *limit*."""
+        postings = _read_postings(self._attr, self._paths, name, value, path)
+        if limit is not None and sum(map(len, postings)) > limit:
             return None
         self.probes += 1
-        out = tuple(postings)
+        out = tuple(nid for ids in postings for nid in ids)
         self.hits += len(out)
         return out
+
+    def attr_reader(self) -> Callable[[str, str], list[int]]:
+        """A function listing every posting of ``name="value"``, on any
+        path, in the tables current now: a snapshot keeps reading the
+        tables it opened on after a rebind replaces them here.  Safe
+        against a concurrent writer only together with the pre-images
+        :meth:`on_move` offers (a posting in flight between two keys may
+        be missed here)."""
+        attr, paths = self._attr, self._paths
+
+        def postings(name: str, value: str) -> list[int]:
+            # tuple(): GIL-atomic copies of sets the writer may mutate.
+            return [
+                nid
+                for ids in _read_postings(attr, paths, name, value)
+                for nid in tuple(ids)
+            ]
+
+        return postings
 
     def token_probe(self, needle: str) -> tuple[int, ...] | None:
         """Ids of text nodes that may witness an occurrence of *needle*.
@@ -425,7 +628,11 @@ class IndexManager:
         Raises :class:`~repro.errors.StoreError` on any divergence — the
         incremental maintenance hooks must keep the indexes exactly
         equal to what a from-scratch build over the current records
-        produces.
+        produces, which for the attribute index means every posting's
+        key names its attribute's current owner and the owner's current
+        parent.  Every key's path must also be registered (see
+        :attr:`_paths`), or a probe that unions a name's paths misses
+        it.
         """
         attr, token = _build(self._store._records)
         stale = [
@@ -436,7 +643,7 @@ class IndexManager:
         if stale:
             raise StoreError(f"numeric column out of sync: {sorted(stale)}")
         for label, fresh, kept in (
-            ("attribute index", attr, self.attr_index),
+            ("attribute index", attr, self._attr),
             ("token index", token, self.token_index),
         ):
             if fresh != kept:
@@ -447,5 +654,13 @@ class IndexManager:
                 ]
                 raise StoreError(
                     f"{label} out of sync; diverging keys: "
-                    f"{sorted(diff)[:5]}"
+                    f"{sorted(diff, key=repr)[:5]}"
                 )
+        unregistered = [
+            key for key in attr
+            if key[2:] not in self._paths.get(key[0], ())
+        ]
+        if unregistered:
+            raise StoreError(
+                f"attribute index paths unregistered: {unregistered[:5]}"
+            )

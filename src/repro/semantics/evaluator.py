@@ -618,11 +618,14 @@ class Evaluator:
     # predicates filter the probe result (see _eval_axis_step), so
     # positional tails like [@a = $v][1] count exactly as the scan.
     #
-    # Each probe yields a candidate *superset* (the indexes are content-
-    # keyed and store-wide); candidates are verified against the exact
-    # predicate semantics before acceptance, so results are identical to
-    # the generic path — only the work is proportional to matches, not
-    # to the subtree.  The live store, a snapshot and a transaction view
+    # Each probe yields a candidate *superset* (the indexes are store-
+    # wide; on the live store (A) reads only the postings whose owner,
+    # and on the child axis whose owner's parent, bears the step's
+    # names); candidates
+    # are verified against the exact predicate semantics before
+    # acceptance, so results are identical to the generic path — only
+    # the work is proportional to matches, not to the subtree.  The
+    # live store, a snapshot and a transaction view
     # answer (A)-(C) through the same probe calls (a view adds its
     # buffered writes to the candidates); (D) declines on both, as its
     # columns describe only the live store.  (D) answers only while the
@@ -713,11 +716,18 @@ class Evaluator:
         target = self._string_target(value)
         if target is None:
             return None
-        child = shape.axis == "child"
-        # On the child axis the scan reads one list: probe only when the
-        # posting list is no longer (both lengths are O(1) to read).
-        limit = store.child_count(root) if child else None
-        aids = self.counted(store.attr_eq_probe(shape.key, target, limit))
+        # Only postings owned by a `name` element can match; on the
+        # child axis the owner's parent is the context node, so its name
+        # is known too.  There the scan reads one list: probe only when
+        # the postings are no more (both lengths are O(1) to read).
+        if shape.axis == "child":
+            limit = store.child_count(root)
+            path = (shape.name, store.name(root))
+        else:
+            limit, path = None, (shape.name,)
+        aids = self.counted(
+            store.attr_eq_probe(shape.key, target, limit, path)
+        )
         if aids is None:
             return None
         return probe_owners(store, aids, shape.name, root, shape.axis)

@@ -202,7 +202,9 @@ class Store:
         Called by every structural mutator **before** it changes a
         record, so a snapshot always captures the state the record had
         when the snapshot was taken (first offer wins; later offers of an
-        already-saved record are ignored by the snapshot).
+        already-saved record are ignored by the snapshot).  Moving
+        attributes to another index key offers them too (see
+        :meth:`IndexManager.on_move`).
         """
         # tuple(): GIL-atomic copy — release_snapshot may run from a
         # reader thread mid-iteration; a just-released snapshot may still
@@ -248,10 +250,19 @@ class Store:
         self._next_id = next_id
         self._id_counter = itertools.count(next_id)
 
-    def _alloc(self, kind: NodeKind, name: str | None, value: str | None) -> int:
+    def _alloc(
+        self,
+        kind: NodeKind,
+        name: str | None,
+        value: str | None,
+        parent: int | None = None,
+    ) -> int:
+        """A new record; *parent* links it upward only (a deep copy's
+        node, which its parent lists once the copy wires it)."""
         nid = next(self._id_counter)
         self._next_id = nid + 1
-        self._records[nid] = _NodeRecord(kind, name, value)
+        rec = self._records[nid] = _NodeRecord(kind, name, value)
+        rec.parent = parent
         if kind is NodeKind.ELEMENT and name:
             # Every element enters the name index at birth — including
             # deep-copy clones, which do not go through create_element.
@@ -260,7 +271,7 @@ class Store:
                 # A deep copy gives the new element its children without
                 # a mutator, so its name's column goes at birth.
                 self._drop_columns(name)
-        self._indexes.on_alloc(nid, kind, name, value)
+        self._indexes.on_alloc(nid, kind, name, value, parent)
         self.nodes_created += 1
         return nid
 
@@ -418,16 +429,23 @@ class Store:
         return self._indexes
 
     def attr_eq_probe(
-        self, name: str, value: str, limit: int | None = None
+        self,
+        name: str,
+        value: str,
+        limit: int | None = None,
+        path: tuple = (),
     ) -> tuple[int, ...] | None:
-        """Ids of attribute nodes bearing ``name="value"``, store-wide.
+        """Ids of attribute nodes bearing ``name="value"``, store-wide,
+        narrowed by *path*: ``(owner,)`` keeps those owned by an element
+        named *owner*, ``(owner, parent)`` also needs the owner's parent
+        named *parent* (None: a document, or no parent).
 
-        Exact on content; callers re-check attachment (owner element,
-        containment) because the index is content-keyed and also lists
-        detached attributes.  None when more than *limit* nodes bear the
-        pair: a caller that could scan *limit* nodes instead scans.
+        Exact on content and names; callers re-check attachment
+        (containment) because the index also lists detached attributes
+        and other trees.  None when more than *limit* nodes qualify: a
+        caller that could scan *limit* nodes instead scans.
         """
-        return self._indexes.attr_probe(name, value, limit)
+        return self._indexes.attr_probe(name, value, limit, path)
 
     def token_probe(self, needle: str) -> tuple[int, ...] | None:
         """Candidate text-node ids for a ``contains`` search (superset;
@@ -565,7 +583,8 @@ class Store:
             raise UpdateApplicationError(
                 "attribute nodes must be attached with set_attribute"
             )
-        self._check_no_cycle(parent, child)
+        if crec.children or parent == child:
+            self._check_no_cycle(parent, child)
         if self._snapshots:
             self._cow(parent, child)
         if self._columns:
@@ -575,6 +594,10 @@ class Store:
         else:
             prec.children = [child]
         crec.parent = parent
+        if crec.attributes:
+            self._indexes.on_move(
+                crec.attributes, (crec.name, None), (crec.name, prec.name)
+            )
         # Appending as last child shifts no existing sibling position, so
         # only the attached subtree's keys (cached under root == child,
         # since the child was parentless) go stale.
@@ -592,7 +615,8 @@ class Store:
             raise UpdateApplicationError(
                 f"insert position {index} out of range for node {parent}"
             )
-        self._check_no_cycle(parent, child)
+        if crec.children or parent == child:
+            self._check_no_cycle(parent, child)
         if index == len(prec.children):
             # Equivalent to append: no sibling shifts.
             roots: tuple[int, ...] = (child,)
@@ -609,6 +633,10 @@ class Store:
         else:
             prec.children = [child]
         crec.parent = parent
+        if crec.attributes:
+            self._indexes.on_move(
+                crec.attributes, (crec.name, None), (crec.name, prec.name)
+            )
         self._touch(*roots)
 
     def insert_after(self, parent: int, anchor: int, child: int) -> None:
@@ -663,9 +691,33 @@ class Store:
         else:
             erec.attributes = [attr]
         arec.parent = element
+        self._indexes.on_move(
+            (attr,), (None, None),
+            (erec.name, self._records[erec.parent].name
+             if erec.parent is not None else None),
+        )
         # Appending to the attribute list shifts nothing; only the
         # (parentless) attribute's own cached key goes stale.
         self._touch(attr)
+
+    def add_attribute(self, element: int, name: str, value: str) -> int:
+        """Allocate an attribute on *element*, which has none named
+        *name* (the parser's path): the attribute is born attached, so
+        its index posting is keyed once.  Returns its id."""
+        erec = self._rec(element)
+        if erec.kind is not NodeKind.ELEMENT:
+            raise UpdateApplicationError("attributes can only go on elements")
+        if not name:
+            raise StoreError("attribute name must be non-empty")
+        attr = self._alloc(NodeKind.ATTRIBUTE, name, value, element)
+        if self._snapshots:
+            self._cow(element)
+        if erec.attributes:
+            erec.attributes.append(attr)
+        else:
+            erec.attributes = [attr]
+        self._touch(attr)
+        return attr
 
     def detach(self, nid: int) -> None:
         """Sever the parent link of *nid* (the paper's delete semantics).
@@ -690,8 +742,19 @@ class Store:
             self._drop_columns(prec.name, rec.name)
         if rec.kind is NodeKind.ATTRIBUTE:
             siblings = prec.attributes
+            grand = prec.parent
+            self._indexes.on_move(
+                (nid,),
+                (prec.name,
+                 self._records[grand].name if grand is not None else None),
+                (None, None),
+            )
         else:
             siblings = prec.children
+            if rec.attributes:
+                self._indexes.on_move(
+                    rec.attributes, (rec.name, prec.name), (rec.name, None)
+                )
         # It lists nid, so it is a list, not the shared empty tuple.
         assert isinstance(siblings, list)
         siblings.remove(nid)
@@ -751,7 +814,9 @@ class Store:
     def _check_no_cycle(self, parent: int, child: int) -> None:
         # Inserting a node above itself would create a cycle.  Since the
         # inserted node must be parentless, a cycle can only arise if
-        # `parent` is inside the subtree of `child`.
+        # `parent` is inside the subtree of `child` (so callers skip the
+        # walk for a childless child other than `parent`: the parser
+        # attaches every element before its content).
         cur: int | None = parent
         while cur is not None:
             if cur == child:
@@ -785,14 +850,13 @@ class Store:
             attributes: list[int] = []
             for aid in source_rec.attributes:
                 arec = self._rec(aid)
-                acopy = self._alloc(arec.kind, arec.name, arec.value)
-                self._rec(acopy).parent = copied
-                attributes.append(acopy)
+                attributes.append(
+                    self._alloc(arec.kind, arec.name, arec.value, copied)
+                )
             children: list[int] = []
             for cid in source_rec.children:
                 crec = self._rec(cid)
-                ccopy = self._alloc(crec.kind, crec.name, crec.value)
-                self._rec(ccopy).parent = copied
+                ccopy = self._alloc(crec.kind, crec.name, crec.value, copied)
                 children.append(ccopy)
                 stack.append((cid, ccopy))
             # Leaves keep the shared empty tuple they were born with.
@@ -865,6 +929,7 @@ class Store:
         records created.
         """
         created = 0
+        attributes = []
         for row in rows:
             nid = row[0]
             if nid in self._records:
@@ -874,8 +939,14 @@ class Store:
                 # the ids it must drop on rollback reach.
                 self._cow(nid)
             rec = self._put(*row)
-            self._indexes.on_alloc(nid, rec.kind, rec.name, rec.value)
+            if rec.kind is NodeKind.ATTRIBUTE:
+                # Rows come in any order: key it once its owner is in.
+                attributes.append(nid)
+            else:
+                self._indexes.on_alloc(nid, rec.kind, rec.name, rec.value)
             created += 1
+        if attributes:
+            self._indexes.index_attrs(attributes)
         if created:
             self._touch()
         return created
@@ -885,14 +956,18 @@ class Store:
         (garbage collection, discarding scratch allocations)."""
         if self._columns:
             self._columns.clear()
+        nids = list(nids)
+        records = self._records
+        if self._snapshots:
+            self._cow(*nids)
+        # Postings first, while every record a key names is still here.
         for nid in nids:
-            rec = self._records[nid]
-            if self._snapshots:
-                self._cow(nid)
+            self._indexes.on_free(nid, records[nid])
+        for nid in nids:
+            rec = records[nid]
             if rec.kind is NodeKind.ELEMENT and rec.name:
                 self._name_index.get(rec.name, set()).discard(nid)
-            self._indexes.on_free(nid, rec)
-            del self._records[nid]
+            del records[nid]
             key = self._order_cache.pop(nid, None)
             if key is not None:
                 cached = self._cached_roots.get(key[0])
@@ -958,21 +1033,42 @@ class Store:
             [nid for nid in range(log.watermark, top) if nid in records]
         )
         saved = log.saved
+        # Every attribute whose key a logged record is part of: the
+        # logged attributes and the current attributes of logged
+        # elements and of their element children.  (An attribute that
+        # changed owner, or an owner that changed parent, was logged
+        # itself.)  The keys come out before the pre-images go in,
+        # whichever path they carry, and go back in computed afresh.
+        moved = set()
+        for nid in saved:
+            rec = records[nid]
+            if rec.kind is NodeKind.ATTRIBUTE:
+                moved.add(nid)
+                continue
+            moved.update(rec.attributes)
+            for cid in rec.children:
+                child = records.get(cid)
+                if child is not None:
+                    moved.update(child.attributes)
+        moved.intersection_update(records)  # Δ's own ones are gone
         if self._snapshots and saved:
-            self._cow(*saved)
+            self._cow(*saved, *moved)
+        self._indexes.unindex_attrs(moved)
         for nid, (name, parent, children, attributes, value) in saved.items():
             rec = records[nid]
             if rec.name != name or rec.value != value:
                 if rec.kind is NodeKind.ELEMENT:
                     self._name_index.get(rec.name, set()).discard(nid)
                     self._name_index.setdefault(name, set()).add(nid)
-                self._indexes.on_free(nid, rec)
-                self._indexes.on_alloc(nid, rec.kind, name, value)
+                if rec.kind is not NodeKind.ATTRIBUTE:
+                    self._indexes.on_free(nid, rec)
+                    self._indexes.on_alloc(nid, rec.kind, name, value)
                 rec.name = name
                 rec.value = value
             rec.parent = parent
             rec.children = list(children)
             rec.attributes = list(attributes)
+        self._indexes.index_attrs(moved)
         self._reset_ids(log.watermark)
         self._touch()
 

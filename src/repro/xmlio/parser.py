@@ -125,8 +125,7 @@ def parse_document(text: str, store: Store | None = None) -> Node:
         _parse_misc(sc, store, doc)
         if sc.eof() or sc.peek() != "<":
             raise sc.error("expected a root element")
-        root = _parse_element(sc, store)
-        store.append_child(doc, root)
+        _parse_element(sc, store, doc)
         _parse_misc(sc, store, doc)
     except RecursionError:
         raise sc.error(
@@ -152,7 +151,7 @@ def parse_fragment(text: str, store: Store | None = None) -> Node:
     if sc.eof() or sc.peek() != "<":
         raise sc.error("expected an element")
     try:
-        nid = _parse_element(sc, store)
+        nid = _parse_element(sc, store, None)
     except RecursionError:
         raise sc.error(
             "document nests too deeply to parse; refused"
@@ -191,10 +190,16 @@ def _parse_misc(sc: _Scanner, store: Store, parent: int) -> None:
             return
 
 
-def _parse_element(sc: _Scanner, store: Store) -> int:
+def _parse_element(sc: _Scanner, store: Store, parent: int | None) -> int:
+    """Parse one element, attached as *parent*'s last child (when not
+    None) before its attributes and content: each attribute is then
+    born with its final owner and parent, which key its index posting
+    (see repro.index.manager)."""
     sc.expect("<")
     name = sc.read_name()
     element = store.create_element(name)
+    if parent is not None:
+        store.append_child(parent, element)
     # Attributes.
     while True:
         sc.skip_whitespace()
@@ -215,7 +220,7 @@ def _parse_element(sc: _Scanner, store: Store) -> int:
         value = _decode(raw, sc)
         if store.attribute_named(element, attr_name) is not None:
             raise sc.error(f"duplicate attribute {attr_name!r} on <{name}>")
-        store.set_attribute(element, store.create_attribute(attr_name, value))
+        store.add_attribute(element, attr_name, value)
     if sc.startswith("/>"):
         sc.advance(2)
         return element
@@ -264,8 +269,7 @@ def _parse_content(sc: _Scanner, store: Store, element: int, name: str) -> None:
             )
         elif sc.peek() == "<":
             flush_text()
-            child = _parse_element(sc, store)
-            store.append_child(element, child)
+            _parse_element(sc, store, element)
         else:
             start = sc.pos
             nxt = sc.text.find("<", sc.pos)

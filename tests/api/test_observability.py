@@ -161,18 +161,74 @@ class TestExecutorBarriers:
         assert "exec.hash_build.rows" not in stats.observations
 
     def test_postings_outside_the_build_side_fall_back_to_a_table(self):
-        # Each probe for "a" reads six postings, five outside $doc; the
-        # index reads no more postings than the store has items (three)
-        # before it builds the table.
-        engine = make_engine()
+        # The build side $doc//item is keyed by $y/tag/@ref.  A second
+        # tree holds an item with five tags ref="a": on the probe's path
+        # (a tag under an item) but outside $doc.  The probe for "a"
+        # reads six postings where the store has four items (the most
+        # rows a hash build reads), so the build moves to the table
+        # before it answers a probe.  (An @a key cannot trip the budget
+        # with distinct probe keys: each N owns one @a.)
+        engine = Engine()
+        engine.load_document(
+            "doc",
+            "<inventory>"
+            + "".join(
+                f"<item id='{k}'><tag ref='{k}'/></item>" for k in "abc"
+            )
+            + "</inventory>",
+        )
         engine.bind("junk", engine.parse_fragment(
-            "<j>" + "<x id='a'/>" * 5 + "</j>"
+            "<j><item>" + "<tag ref='a'/>" * 5 + "</item></j>"
         ))
-        result = engine.execute(JOIN, collect_stats=True)
+        result = engine.execute(
+            "for $x in $doc//item for $y in $doc//item "
+            "where $x/@id = $y/tag/@ref return <pair/>",
+            collect_stats=True,
+        )
         stats = result.stats
         assert len(result.items) == 3
         assert stats.counters["exec.barrier.hash_build"] == 1
         assert "exec.join.index_probes" not in stats.counters
+
+    @pytest.mark.parametrize("copies", [0, 40])
+    def test_group_by_reads_only_postings_on_its_path(self, copies):
+        # The Q8 shape: a group-by whose build side is keyed by
+        # $t/buyer/@person, after inserts of <buyer person=...> copies
+        # into another tree.  The copies' postings sit on another path
+        # (a buyer under a purchasers), so every probe is answered from
+        # the index, no table is built, and the postings each probe
+        # reads do not grow with the copies.
+        persons = [f"p{i}" for i in range(5)]
+        engine = Engine()
+        engine.load_document(
+            "doc",
+            "<site>"
+            + "".join(f"<person id='{p}'/>" for p in persons)
+            + "".join(
+                f"<closed_auction><buyer person='{p}'/></closed_auction>"
+                for p in persons[:3] * 2
+            )
+            + "</site>",
+        )
+        engine.bind("purchasers", engine.parse_fragment("<purchasers/>"))
+        for i in range(copies):
+            engine.execute(
+                f'snap {{ insert {{ <buyer person="{persons[i % 5]}"/> }} '
+                "into { $purchasers } }"
+            )
+        result = engine.execute(
+            "for $p in $doc//person "
+            "let $a := for $t in $doc//closed_auction "
+            "where $t/buyer/@person = $p/@id return $t "
+            "return count($a)",
+            collect_stats=True,
+        )
+        stats = result.stats
+        assert [item.value for item in result.items] == [2, 2, 2, 0, 0]
+        assert stats.counters["exec.join.index_probes"] == len(persons)
+        assert "exec.barrier.hash_build" not in stats.counters
+        # Six buyers under $doc, read once each across the probes.
+        assert stats.counters["index.hits"] == 6
 
     def test_order_by_barrier_counted(self):
         engine = make_engine()

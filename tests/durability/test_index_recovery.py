@@ -44,7 +44,7 @@ def assert_indexes_match_fresh_rebuild(store):
     live.verify()
     scratch = IndexManager(store)
     scratch.ensure_built()
-    assert live.attr_index == scratch.attr_index
+    assert live._attr == scratch._attr
     assert live.token_index == scratch.token_index
 
 

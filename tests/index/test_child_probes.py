@@ -82,11 +82,14 @@ class TestFirstPredicateProbe:
             assert probes(engine) == before + 1, query
 
     def test_declined_probe_scans_with_the_same_tail(self):
-        # Every row bears k="all", and one more node elsewhere: 21
-        # postings against 20 children, so the guard declines.
+        # Every row bears k="all", and one more row under another rows
+        # element: 21 postings on the probe's path (a row under a rows)
+        # against 20 children, so the guard declines.
         rows = "".join(f'<row k="all" amount="{i}"/>' for i in range(20))
         engine = engine_with("r", f"<rows>{rows}</rows>")
-        engine.bind("other", engine.parse_fragment('<row k="all"/>'))
+        engine.bind(
+            "other", engine.parse_fragment('<rows><row k="all"/></rows>')
+        )
         engine.bind("x", 15)
         before = probes(engine)
         fast, slow = both(engine, '$r/row[@k = "all"][number(@amount) >= $x]')

@@ -208,10 +208,10 @@ class TestStaleIndexRegression:
     def test_touch_leaves_postings_intact(self):
         engine = self.fresh()
         store = engine.store
-        attr = dict(store.indexes.attr_index)
+        attr = dict(store.indexes._attr)
         tokens = dict(store.indexes.token_index)
         store._touch()  # clears order keys only
-        assert store.indexes.attr_index == attr
+        assert store.indexes._attr == attr
         assert store.indexes.token_index == tokens
         assert len(store.token_probe("widget")) == 1
         assert store.indexes.rebuilds == 0

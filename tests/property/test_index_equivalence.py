@@ -1,19 +1,28 @@
 """Property: indexed execution is observationally equivalent to
 unindexed execution — for randomized XMark-style queries, for child-axis
 key lookups with positional and value tails, across random update
-sequences, across transactional commits and rolled-back snaps, for
-snapshot readers taken mid-update-stream, and for statements inside a
-transaction that read its own buffered writes.
+sequences, across transactional commits, rolled-back snaps and journal
+replays, for snapshot readers taken mid-update-stream, and for
+statements inside a transaction that read its own buffered writes.
 
 The fast paths only ever *narrow* work (probe supersets are re-verified
 against exact semantics), so any divergence is a bug in maintenance,
-probe verification, or snapshot consistency."""
+probe verification, or snapshot consistency.  The attribute index keys
+each posting by its owner's and the owner's parent's names, so the
+update pools move keys on purpose: subtrees moved between trees,
+renamed owners and parents, renamed, revalued and deleted attributes.
+After every step the maintained indexes must equal a rebuild
+(``IndexManager.verify``): a key left on a stale path can hide behind
+probe verification, which rejects it, until a later probe misses it."""
 
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.durability import DurableEngine
 from repro.engine import Engine, ExecutionOptions
 from repro.errors import UpdateApplicationError
 from repro.semantics.context import DynamicContext
@@ -26,13 +35,21 @@ _NO_INDEX = ExecutionOptions(use_indexes=False)
 WORDS = ["fine", "word", "widget", "rare", "zebra", ""]
 
 
-def fresh_engine(seed: int, atomic_snaps: bool = False) -> Engine:
-    engine = Engine(atomic_snaps=atomic_snaps)
+def fresh_engine(
+    seed: int, atomic_snaps: bool = False, path: str | None = None
+) -> Engine:
+    """The auction as ``$doc`` and an ``<other/>`` tree as ``$other``;
+    journaled in directory *path* when given."""
+    if path is None:
+        engine = Engine(atomic_snaps=atomic_snaps)
+    else:
+        engine = DurableEngine(path, fsync="never", atomic_snaps=atomic_snaps)
     config = XMarkConfig(
         persons=12, items=10, open_auctions=6, closed_auctions=8, seed=seed
     )
     doc = engine.load_document("auction", generate_auction_xml(config))
     engine.bind("doc", [doc])
+    engine.bind("other", engine.parse_fragment("<other/>"))
     return engine
 
 
@@ -45,11 +62,29 @@ def query_pool(rng: random.Random) -> list[str]:
         '$doc//closed_auction[price = "draw"]',
         f'$doc//person[name = "{word}"]',
         '$doc//bidder[personref = "x"]',
+        # Probes narrowed by the owner's and its parent's names, over
+        # names the updates below rename to and move between trees.
+        f'$doc/site/*/person[@id = "{pid}"]',
+        f'$doc//persona[@id = "{pid}"]',
+        f'$other/*[@id = "{pid}"]',
+        # Join and group-by build sides keyed by c/@a and @a.
+        "for $p in $doc//person for $t in $doc//closed_auction "
+        "where $t/buyer/@person = $p/@id return $t",
+        "for $p in $doc//person let $a := for $t in $doc//sold "
+        "where $t/buyer/@person = $p/@id return $t return $a",
+        "for $t in $doc//closed_auction for $p in $doc//person "
+        "where $t/buyer/@person = $p/@id return $p",
     ]
+
+
+def each(target: str, update: str) -> str:
+    """A snap applying *update* to ``$x`` bound to each of *target*."""
+    return f"snap {{ for $x in {target} return {update} }}"
 
 
 def updates_pool(rng: random.Random) -> list[str]:
     n = rng.randrange(20)
+    k = 1 + n % 4
     return [
         f"snap {{ replace value of {{ ($doc//person)[{1 + n % 5}]/@id }} "
         f'with {{ "person{n}" }} }}',
@@ -57,9 +92,28 @@ def updates_pool(rng: random.Random) -> list[str]:
         f'with {{ "{rng.choice(WORDS[:-1])} #{n}" }} }}',
         "snap { delete { ($doc//closed_auction)[1] } }",
         'snap { insert { <person id="personX"><name>Draw Card</name>'
-        "</person> } into { $doc//people } }",
+        "</person> } into { ($doc//people, $doc//folk)[1] } }",
         f"snap {{ rename {{ ($doc//item)[{1 + n % 3}]/@id }} "
         'to { "id" } }',
+        # Moves between trees (insert copies; delete detaches).  The
+        # targets may be gone by now, so each binds them with a `for`.
+        each(f"($doc//person)[{k}]",
+             "(insert { $x } into { $other }, delete { $x })"),
+        each("($doc//people)[1]",
+             "(insert { $other/* } into { $x }, delete { $other/* })"),
+        each(f"($doc//closed_auction)[{k}]", "delete { $x }"),
+        # Renamed owners and parents.
+        each(f"($doc//person)[{k}]", 'rename { $x } to { "persona" }'),
+        each("($doc//persona)[1]", 'rename { $x } to { "person" }'),
+        each("($doc//people)[1]", 'rename { $x } to { "folk" }'),
+        each("($doc//folk)[1]", 'rename { $x } to { "people" }'),
+        each(f"($doc//closed_auction)[{k}]", 'rename { $x } to { "sold" }'),
+        # Renamed, revalued and deleted attributes on a c/@a path.
+        each(f"($doc//closed_auction)[{k}]/buyer/@person",
+             'rename { $x } to { "by" }'),
+        each(f"($doc//closed_auction)[{k}]/buyer/@person",
+             f'replace value of {{ $x }} with {{ "person{n}" }}'),
+        each(f"($doc//person)[{k}]/@id", "delete { $x }"),
     ]
 
 
@@ -74,10 +128,12 @@ def run_both(engine: Engine, query: str):
 
 def run_on_snapshot(engine: Engine, snap, prepared, use_indexes: bool):
     """Evaluate a prepared query's body against *snap*."""
-    doc_nid = engine.evaluator.globals["doc"][0].nid
     ev = Evaluator(snap, engine.functions)
     ev.use_indexes = use_indexes
-    ev.globals = {"doc": [Node(snap, doc_nid)]}
+    ev.globals = {
+        name: [Node(snap, node.nid) for node in engine.variable(name)]
+        for name in ("doc", "other")
+    }
     value, _ = ev.evaluate(
         prepared._module.body, DynamicContext(dict(ev.globals))
     )
@@ -94,7 +150,7 @@ def transactional_commit(engine: Engine, rng: random.Random) -> None:
         with session.transaction() as txn:
             txn.execute(
                 f'snap {{ insert {{ <person id="person{n}"><name>{word}'
-                "</name></person> } into { $doc//people } }"
+                "</name></person> } into { ($doc//people, $doc//folk)[1] } }"
             )
             txn.execute(
                 "snap { replace value of { ($doc//item)[1]/name } "
@@ -103,24 +159,39 @@ def transactional_commit(engine: Engine, rng: random.Random) -> None:
 
 
 def rolled_back_snap(engine: Engine, rng: random.Random) -> None:
-    """A snap that revalues and renames, then fails mid-Δ: the insert's
-    anchor was detached by the delete before it.  Under ``atomic_snaps``
-    the store rolls back from its undo log (``Store.rollback_undo``)."""
+    """A snap that revalues, renames and moves keys (an owner renamed,
+    a parent renamed, an element detached, a copy attached), then fails
+    mid-Δ: the insert's anchor was detached by the delete before it.
+    Under ``atomic_snaps`` the store rolls back from its undo log
+    (``Store.rollback_undo``)."""
     n = rng.randrange(20)
     with pytest.raises(UpdateApplicationError):
         engine.execute(
-            "snap { replace value of { ($doc//person)[1]/@id } "
+            "snap { replace value of { ($doc//person/@id)[1] } "
             f'with {{ "person{n}" }}, '
             "rename { ($doc//item)[1]/@id } to { 'ident' }, "
+            "rename { ($doc//person)[2] } to { 'persona' }, "
+            "rename { ($doc//people, $doc//folk)[1] } to { 'folk' }, "
+            "insert { ($doc//person)[3] } into { $other }, "
+            "delete { ($doc//person)[3] }, "
             "delete { ($doc//closed_auction)[1] }, "
             "insert { <closed_auction/> } after "
             "{ ($doc//closed_auction)[1] } }"
         )
 
 
+def key_moving_update(engine: Engine, rng: random.Random) -> None:
+    """One draw from the update pool."""
+    engine.execute(rng.choice(updates_pool(rng)))
+
+
 STEPS = {
     "transactional-commit": transactional_commit,
     "rolled-back-snap": rolled_back_snap,
+    "update": key_moving_update,
+    # Reopening the durable directory (see the test) replays the
+    # journal onto the checkpoint: raw rows plus the logged requests.
+    "journal-replay": None,
 }
 
 
@@ -144,6 +215,7 @@ def test_update_streams_keep_equivalence(seed, data):
             st.sampled_from(updates_pool(rng)), label="update"
         )
         engine.execute(update)
+        engine.store.indexes.verify()
         for query in query_pool(rng):
             fast, slow = run_both(engine, query)
             assert fast == slow, (update, query)
@@ -181,33 +253,43 @@ def test_snapshot_reads_mid_update_stream(seed):
 @settings(max_examples=15, deadline=None)
 @given(
     st.integers(0, 10_000),
-    st.lists(st.sampled_from(sorted(STEPS)), min_size=1, max_size=3),
+    st.lists(st.sampled_from(sorted(STEPS)), min_size=1, max_size=4),
 )
 def test_commits_and_rollbacks_keep_equivalence(seed, steps):
-    """The two paths that install or put back raw records — a
-    transactional commit and a snap rolled back from its undo log —
-    leave the maintained indexes equal to a rebuild, indexed answers
-    equal to unindexed ones on the live store, and a snapshot opened
-    before the step still answering (either way) as the store did
-    then."""
+    """The three paths that install or put back raw records — a
+    transactional commit, a snap rolled back from its undo log and a
+    journal replay — and the key-moving updates between them leave the
+    maintained indexes equal to a rebuild, indexed answers equal to
+    unindexed ones on the live store, and a snapshot opened before the
+    step still answering (either way) as the store did then."""
     rng = random.Random(seed)
-    engine = fresh_engine(seed, atomic_snaps=True)
-    store = engine.store
-    for step in steps:
-        queries = query_pool(rng)
-        prepared = [engine.prepare(q) for q in queries]
-        before = [run_both(engine, q)[1] for q in queries]
-        snap = store.begin_snapshot()
-        STEPS[step](engine, rng)
-        store.indexes.verify()
-        for query, pq, then in zip(queries, prepared, before):
-            fast, slow = run_both(engine, query)
-            assert fast == slow, (step, query)
-            for use_indexes in (True, False):
-                got = run_on_snapshot(engine, snap, pq, use_indexes)
-                assert got == then, (step, query, use_indexes)
-        store.release_snapshot(snap)
-    store.check_invariants()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "engine")
+        engine = fresh_engine(seed, atomic_snaps=True, path=path)
+        for step in steps:
+            store = engine.store
+            queries = query_pool(rng)
+            prepared = [engine.prepare(q) for q in queries]
+            before = [run_both(engine, q)[1] for q in queries]
+            snap = store.begin_snapshot()
+            if STEPS[step] is None:
+                engine.close()
+                engine = DurableEngine(path, fsync="never")
+                # Node ids survive recovery, so the old store's answers
+                # are the recovered store's too.
+                assert [run_both(engine, q)[1] for q in queries] == before
+            else:
+                STEPS[step](engine, rng)
+            engine.store.indexes.verify()
+            for query, pq, then in zip(queries, prepared, before):
+                fast, slow = run_both(engine, query)
+                assert fast == slow, (step, query)
+                for use_indexes in (True, False):
+                    got = run_on_snapshot(engine, snap, pq, use_indexes)
+                    assert got == then, (step, query, use_indexes)
+            store.release_snapshot(snap)
+        engine.store.check_invariants()
+        engine.close()
 
 
 # --------------------------------------------------------------------------
@@ -258,6 +340,8 @@ def child_pool(rng: random.Random) -> list[str]:
         f'$r//bid[@itemid = "{item}"]{tail}',
         f'$r/bid[@ref = "{item}"]{tail}',
         f'$log/entry[@itemid = "{item}"]{tail}',
+        f'$log/bid[@itemid = "{item}"]{tail}',
+        f'$r/offer[@itemid = "{item}"]{tail}',
     ]
 
 
@@ -282,6 +366,12 @@ TXN_WRITES = {
     " into { $people } }",
     "revalue-text": "snap { replace value of { ($people/person)[1]/name }"
     ' with { "rare 1" } }',
+    # Buffered renames of an owner and of its parent: the live postings
+    # keep the names the base store has, which a probe must still read.
+    "rename-owner": 'snap { rename { ($r/bid)[1] } to { "offer" } }',
+    "rename-parent": 'snap { rename { $r } to { "offers" } }',
+    "move": "snap { for $b in ($r/bid)[2] return "
+    "(insert { $b } into { $log }, delete { $b }) }",
 }
 
 
