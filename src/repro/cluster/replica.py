@@ -130,6 +130,9 @@ class ReplicaApplier:
         self.durable: DurableEngine | None = None
         result = recover(directory, readonly=True, tracer=tracer)
         self.engine: Engine = result.engine
+        # Until promotion the primary's journal decides what is garbage:
+        # a later record may name a node it detached but still holds.
+        self.engine.store.reclaims = False
         self._restore_module(self.engine)
         #: Highest sequence number durably applied (the ACK watermark).
         self.applied_seq = result.report.next_seq - 1
@@ -360,7 +363,11 @@ class ReplicaApplier:
         inner = getattr(engine, "engine", engine)
         store = inner.store
         watermark = store._next_id
-        recovered = dict(inner.evaluator.globals)
+        # Held copies: the reload frees what no binding holds.
+        recovered = {
+            name: inner.variable(name)
+            for name in list(inner.evaluator.globals)
+        }
         inner.load_module(self.module_source)
         inner.evaluator.globals.update(recovered)
         store.drop_records(

@@ -42,7 +42,7 @@ from repro.concurrent.snapshot import StoreSnapshot
 from repro.errors import ServiceOverloadedError
 from repro.obs.tracer import SharedTracer
 from repro.prepared import rehandled_fork, run_module
-from repro.xdm.nodes import Node
+from repro.xdm.nodes import held_from_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine import Engine, ExecutionOptions, QueryResult
@@ -558,9 +558,11 @@ class ConcurrentExecutor:
             try:
                 # A fork over the bundle: nothing here touches the
                 # engine's shared evaluator.  Result handles below the
-                # snapshot ceiling are re-pointed at the live store;
-                # constructed nodes keep their snapshot handles (the
-                # snapshot outlives its release and stays readable).
+                # snapshot ceiling are re-pointed at the live store and
+                # pinned there; constructed nodes, and nodes a write
+                # reclaimed since the snapshot, keep their snapshot
+                # handles (the snapshot outlives its release and stays
+                # readable).
                 snapshot = bundle.snapshot
                 base = bundle.evaluator
                 result = run_module(
@@ -570,13 +572,9 @@ class ConcurrentExecutor:
                     request.options,
                     control=request.control,
                 )
-                result.items = [
-                    Node(self.engine.store, item.nid)
-                    if isinstance(item, Node)
-                    and not snapshot._is_local(item.nid)
-                    else item
-                    for item in result.items
-                ]
+                result.items = held_from_snapshot(
+                    result.items, self.engine.store, snapshot
+                )
                 if key is not None:
                     with bundle.results_mutex:
                         if len(bundle.results) < self.result_cache_size:

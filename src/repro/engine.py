@@ -36,7 +36,7 @@ from repro.semantics.context import FunctionRegistry
 from repro.semantics.evaluator import Evaluator
 from repro.semantics.functions import default_registry
 from repro.semantics.update import ApplySemantics
-from repro.xdm.nodes import Node
+from repro.xdm.nodes import Node, held
 from repro.xdm.store import Store
 from repro.xdm.values import AtomicValue, Item, Sequence, item_string
 from repro.xmlio.parser import parse_document, parse_fragment
@@ -179,7 +179,16 @@ class QueryResult:
     ``stats`` is a :class:`~repro.obs.report.QueryStats` when the query ran
     with ``collect_stats=True`` (None otherwise); ``explain`` is an
     :class:`~repro.obs.report.ExplainReport` when requested.
+
+    The result's nodes are host handles: they share one pin, so their
+    trees survive reclamation for as long as the host holds any of them
+    (see :meth:`Engine.gc`).
     """
+
+    # A host may keep many results (the benchmark harness keeps every
+    # one), and each now carries a pin: without a per-instance dict a
+    # kept result is no larger than before pins existed.
+    __slots__ = ("items", "_engine", "stats", "explain")
 
     def __init__(
         self,
@@ -188,7 +197,7 @@ class QueryResult:
         stats: Optional[QueryStats] = None,
         explain: Optional[ExplainReport] = None,
     ):
-        self.items = items
+        self.items = held(items)
         self._engine = engine
         self.stats = stats
         self.explain = explain
@@ -292,6 +301,12 @@ class Engine:
         self._prepare_lock = threading.RLock()
         # OCC bookkeeping for sessions/transactions, created on first use.
         self._txn_manager = None
+        # Statements running on the live store, in any thread; the
+        # first id of those that ended without collecting; and the lock
+        # that guards both (see _statement).
+        self._statements_open = 0
+        self._unswept: int | None = None
+        self._statement_lock = threading.Lock()
 
     @property
     def journal(self):
@@ -319,6 +334,53 @@ class Engine:
     # Data loading and variable binding
     # ------------------------------------------------------------------
 
+    def _held(self) -> set[int]:
+        """The engine's part of the reclamation root set: the fn:doc
+        catalog and the global bindings."""
+        evaluator = self.evaluator
+        ids = {node.nid for node in evaluator.documents.values()}
+        for value in evaluator.globals.values():
+            for item in value:
+                if isinstance(item, Node):
+                    ids.add(item.nid)
+        return ids
+
+    def _statement(
+        self, run: Callable[[], QueryResult], collect: bool = True
+    ) -> QueryResult:
+        """``run()`` as one statement on the live store: when it ends
+        with no other statement open, in this thread or another, free
+        the trees left unreachable since the last collection
+        (:meth:`Store.reclaim`).  A statement run inside another, by a
+        callback the outer one makes, frees nothing: the outer one may
+        still hold what the inner one sees as garbage; so does one that
+        ends while another thread's is open, whose trees in the making
+        look unreachable.  The collection holds the count's lock, so no
+        statement starts during it.
+
+        With *collect* False the statement never collects: a module an
+        executor's reader thread loads through :meth:`prepare` runs
+        without the store's write lock, so it leaves its garbage to the
+        next statement that holds it.  A statement that does not
+        collect passes its construction on: the next one that does
+        looks at every id allocated since the first of them."""
+        store = self.store
+        with self._statement_lock:
+            self._statements_open += 1
+            since = store._next_id
+        try:
+            return run()
+        finally:
+            with self._statement_lock:
+                self._statements_open -= 1
+                if self._unswept is not None:
+                    since = min(since, self._unswept)
+                if collect and not self._statements_open:
+                    self._unswept = None
+                    store.reclaim(self._held(), since)
+                else:
+                    self._unswept = since
+
     def load_document(self, name: str, xml_text: str) -> Node:
         """Parse *xml_text* into the store, bind ``$name`` to the document
         node and register it in the fn:doc catalog under *name*."""
@@ -339,10 +401,11 @@ class Engine:
         """Current value of a global variable.
 
         Raises :class:`~repro.errors.DynamicError` (XPDY0002) when the
-        variable is not bound, naming the variable.
+        variable is not bound, naming the variable.  Its nodes are host
+        handles, valid after the variable is rebound.
         """
         try:
-            return self.evaluator.globals[name]
+            return held(self.evaluator.globals[name])
         except KeyError:
             raise DynamicError(f"variable ${name} is not bound") from None
 
@@ -380,7 +443,7 @@ class Engine:
                 )
             self._loading.add(uri)
             try:
-                library, _ = self._load(text)
+                library, _ = self._load(text, collect=False)
                 functions = [
                     decl
                     for decl in library.declarations
@@ -416,10 +479,12 @@ class Engine:
             module, result = self._load(text)
         return result if module.body is not None else None
 
-    def _load(self, text: str) -> tuple[core.CModule, QueryResult]:
+    def _load(
+        self, text: str, collect: bool = True
+    ) -> tuple[core.CModule, QueryResult]:
         """Parse *text*, register its prolog and run it with no bindings:
         its variable declarations bind straight into the engine's
-        globals."""
+        globals.  *collect* as for :meth:`_statement`."""
         module = simplify_module(normalize_module(parse_module(text)))
         self._register_prolog(module)
         self._maybe_check(module)
@@ -427,7 +492,9 @@ class Engine:
             self, text, module, None, self.functions.generation
         )
         shared = self.evaluator
-        run = run_module(shared.fork(self.store, shared.globals), prepared)
+        run = self._statement(lambda: run_module(
+            shared.fork(self.store, shared.globals), prepared
+        ), collect)
         return module, run
 
     # ------------------------------------------------------------------
@@ -725,10 +792,15 @@ class Engine:
         return serialize_sequence(list(items), indent)
 
     def gc(self) -> int:
-        """Reclaim store records unreachable from any global binding."""
-        live: list[int] = []
-        for value in self.evaluator.globals.values():
-            for item in value:
-                if isinstance(item, Node):
-                    live.append(item.nid)
-        return self.store.gc(live)
+        """Free every tree no node of which is in the root set: the
+        fn:doc catalog, the global bindings, an open transaction's view
+        and every node the host still holds a handle to (a result, a
+        navigation property, a parse).  Each statement already does
+        this for the trees it left unreachable; this applies the same
+        rule to every tree.  Returns the number of records freed; 0 while
+        a statement is open (called from a ``trace`` sink, or from
+        another thread), which may still hold what looks unreachable."""
+        with self._statement_lock:
+            if self._statements_open:
+                return 0
+            return self.store.gc(self._held())

@@ -95,6 +95,11 @@ class Lexer:
         self.pos = 0
         self.n = len(text)
         self._pushback: list[Token] = []
+        # location_at's cursor: an offset, its line, and the offset of
+        # the last newline before it (-1 on the first line).  Tokens are
+        # located in source order, so each call counts only the newlines
+        # between the previous offset and this one.
+        self._loc = (0, 1, -1)
 
     # ------------------------------------------------------------------
     # Char-level interface used by the direct-constructor parser
@@ -112,9 +117,25 @@ class Lexer:
         self.pos = offset
 
     def location_at(self, offset: int) -> tuple[int, int]:
-        """(line, column) of an absolute source offset."""
-        line = self.text.count("\n", 0, offset) + 1
-        last_nl = self.text.rfind("\n", 0, offset)
+        """(line, column) of an absolute source offset.
+
+        Incremental: moving from the previous offset costs the distance
+        between the two (plus, when a backward move crosses a newline,
+        the length of the line it lands on), so lexing a query is linear
+        in its length."""
+        text = self.text
+        at, line, last_nl = self._loc
+        if offset >= at:
+            crossed = text.count("\n", at, offset)
+            if crossed:
+                line += crossed
+                last_nl = text.rfind("\n", at, offset)
+        else:
+            crossed = text.count("\n", offset, at)
+            if crossed:
+                line -= crossed
+                last_nl = text.rfind("\n", 0, offset)
+        self._loc = (offset, line, last_nl)
         return line, offset - last_nl
 
     # ------------------------------------------------------------------

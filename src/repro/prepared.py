@@ -190,7 +190,7 @@ class PreparedQuery:
         # overridden back for this query, as re-parsing would.
         engine._register_prolog(self._module)
         shared = engine.evaluator
-        return run_module(
+        return engine._statement(lambda: run_module(
             shared.fork(engine.store, dict(shared.globals)),
             self,
             bindings,
@@ -198,7 +198,7 @@ class PreparedQuery:
             tracer=_tracer,
             control=_control,
             publish=shared.globals,
-        )
+        ))
 
     def __repr__(self) -> str:
         head = self.query_text.strip().splitlines()[0][:60]

@@ -538,7 +538,10 @@ class ChaosHarness:
             recovered = DurableEngine(self.path)
             try:
                 inner = recovered.engine
-                saved = dict(inner.evaluator.globals)
+                saved = {
+                    name: inner.variable(name)
+                    for name in list(inner.evaluator.globals)
+                }
                 inner.load_module(SERVICE_MODULE)
                 inner.evaluator.globals.update(saved)
                 total = int(

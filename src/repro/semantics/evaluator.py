@@ -1512,7 +1512,7 @@ def root_value(item) -> Sequence:
         raise no_context_item()
     if not isinstance(item, Node):
         raise TypeError_("'/' requires the context item to be a node")
-    return [item.root]
+    return [Node(item.store, item.store.root(item.nid))]
 
 
 def path_result(results: Sequence) -> Sequence:
@@ -1920,7 +1920,25 @@ _FRESH_NODE = frozenset(
 
 
 def is_fresh(expr: core.CoreExpr) -> bool:
-    return type(_unwrap(expr)) in _FRESH_NODE
+    """True when every node *expr* returns is one its own constructors
+    made for this value alone, so copying it copies nothing anyone else
+    can see: a constructor, ``()``, a ``for``/``let``/ordered FLWOR whose
+    return is fresh, an ``if`` whose branches are, or a sequence of fresh
+    items.  A variable is never fresh: ``let $a := <a/> return $a``
+    copies, because ``$a`` may be read again."""
+    expr = _unwrap(expr)
+    kind = type(expr)
+    if kind in _FRESH_NODE or kind is core.CEmpty:
+        return True
+    if kind is core.CFor or kind is core.CLet:
+        return is_fresh(expr.body)
+    if kind is core.COrderedFLWOR:
+        return is_fresh(expr.ret)
+    if kind is core.CIf:
+        return is_fresh(expr.then) and is_fresh(expr.orelse)
+    if kind is core.CSequence or kind is core.CSequenced:
+        return all(is_fresh(item) for item in expr.items)
+    return False
 
 
 # Evaluation rule per core node type, shared by every evaluator and fork.

@@ -253,7 +253,7 @@ def fn_root(ev, ctx, args):
     node = _item_or_context(args, ctx, "root")
     if node is None:
         return []
-    return [node.root]
+    return [Node(node.store, node.store.root(node.nid))]
 
 
 def fn_string_length(ev, ctx, args):

@@ -45,6 +45,11 @@ class TransactionView(StoreSnapshot):
     constructed element can now live *under* a base node).
     """
 
+    # While the view is open the live store reclaims no tree holding an
+    # id below its ceiling: the session's globals and buffered Δ may name
+    # any of them, and commit replays the Δ against the live records.
+    holds_base = True
+
     def __init__(
         self,
         store: "Store",

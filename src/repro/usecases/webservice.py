@@ -128,7 +128,11 @@ class AuctionService:
                 # restart recovers the same thing.
                 self.durable = DurableEngine(durable_path, **durable_options)
                 inner = self.durable.engine
-                recovered_globals = dict(inner.evaluator.globals)
+                # Held copies: the reload frees what no binding holds.
+                recovered_globals = {
+                    name: inner.variable(name)
+                    for name in list(inner.evaluator.globals)
+                }
                 inner.load_module(SERVICE_MODULE)
                 inner.evaluator.globals.update(recovered_globals)
                 # Directories persisted before the bid/watchlist

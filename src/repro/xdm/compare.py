@@ -187,45 +187,56 @@ def _deep_equal_item(a: Item, b: Item) -> bool:
 
 
 def _deep_equal_node(a: Node, b: Node) -> bool:
-    if a.kind is not b.kind:
+    return _deep_equal_ids(a.store, a.nid, b.store, b.nid)
+
+
+def _deep_equal_ids(sa, a: int, sb, b: int) -> bool:
+    # Through the stores, not Node's navigation properties: those make
+    # host handles, which a comparison has no use for.
+    kind = sa.kind(a)
+    if kind is not sb.kind(b):
         return False
-    if a.kind in (NodeKind.TEXT, NodeKind.COMMENT):
-        return a.string_value == b.string_value
-    if a.kind in (NodeKind.ATTRIBUTE, NodeKind.PROCESSING_INSTRUCTION):
-        return a.name == b.name and a.string_value == b.string_value
-    if a.kind is NodeKind.ELEMENT and a.name != b.name:
+    if kind in (NodeKind.TEXT, NodeKind.COMMENT):
+        return sa.string_value(a) == sb.string_value(b)
+    if kind in (NodeKind.ATTRIBUTE, NodeKind.PROCESSING_INSTRUCTION):
+        return (
+            sa.name(a) == sb.name(b)
+            and sa.string_value(a) == sb.string_value(b)
+        )
+    if kind is NodeKind.ELEMENT and sa.name(a) != sb.name(b):
         return False
-    a_attrs = {attr.name: attr.string_value for attr in a.attributes}
-    b_attrs = {attr.name: attr.string_value for attr in b.attributes}
+    a_attrs = {sa.name(x): sa.string_value(x) for x in sa.attributes(a)}
+    b_attrs = {sb.name(y): sb.string_value(y) for y in sb.attributes(b)}
     if a_attrs != b_attrs:
         return False
-    a_kids = _comparable_children(a)
-    b_kids = _comparable_children(b)
+    a_kids = _comparable_children(sa, a)
+    b_kids = _comparable_children(sb, b)
     if len(a_kids) != len(b_kids):
         return False
     for x, y in zip(a_kids, b_kids):
         if isinstance(x, str) or isinstance(y, str):
             if x != y:
                 return False
-        elif not _deep_equal_node(x, y):
+        elif not _deep_equal_ids(sa, x, sb, y):
             return False
     return True
 
 
-def _comparable_children(node: Node) -> list:
+def _comparable_children(store, nid: int) -> list:
     """Children relevant to deep-equal: comments/PIs dropped, runs of
     adjacent text nodes merged into one string (the XDM never distinguishes
     a text run from its concatenation)."""
     out: list = []
     pending_text: list[str] = []
-    for child in node.children:
-        if child.kind is NodeKind.TEXT:
-            pending_text.append(child.string_value)
+    for child in store.children(nid):
+        kind = store.kind(child)
+        if kind is NodeKind.TEXT:
+            pending_text.append(store.string_value(child))
             continue
         if pending_text:
             out.append("".join(pending_text))
             pending_text = []
-        if child.kind in (NodeKind.COMMENT, NodeKind.PROCESSING_INSTRUCTION):
+        if kind in (NodeKind.COMMENT, NodeKind.PROCESSING_INSTRUCTION):
             continue
         out.append(child)
     if pending_text:

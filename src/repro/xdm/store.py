@@ -12,9 +12,11 @@ Design notes
 * Node ids are dense integers allocated by the store; a node's identity is
   its id.  Handles (:class:`repro.xdm.nodes.Node`) pair a store with an id.
 * ``delete`` in XQuery! *detaches* (Section 3.1): the parent link is severed
-  but the record survives, so detached subtrees remain queryable.  The store
-  therefore never frees records implicitly; :meth:`Store.gc` reclaims
-  unreachable detached trees on demand (the paper defers GC, we provide it).
+  but the record survives, so detached subtrees remain queryable through
+  whatever still refers to them.  A tree nothing refers to any more is
+  garbage; :meth:`Store.reclaim` frees such trees when a statement ends
+  and :meth:`Store.gc` frees every one, both under one root rule (see
+  "Reclaiming unreachable nodes" in ``docs/internals.md``).
 * Document order is structural: nodes are ordered by (root id, path of
   sibling positions), with attributes ordered after their owner element and
   before its children.  Distinct trees are ordered by root node id, which is
@@ -26,6 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
+from collections import deque
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
@@ -73,6 +76,28 @@ class _NodeRecord:
         self.children: list[int] | tuple[()] = ()
         self.attributes: list[int] | tuple[()] = ()
         self.value = value
+
+
+class Pin:
+    """One host call's hold on the node ids it handed out.
+
+    Every handle one call returns (a query result, a navigation
+    property, a parse) shares one pin; when the last of them is gone the
+    pin's finalizer queues the ids for release.  The finalizer may run
+    in any thread and in the middle of anything, the collector
+    included, so it only appends to a deque (atomic under the GIL); the
+    counts themselves change under the store's pin lock, when the next
+    pin or collection drains the queue.
+    """
+
+    __slots__ = ("store", "nids")
+
+    def __init__(self, store: "Store", nids: tuple[int, ...]):
+        self.store = store
+        self.nids = nids
+
+    def __del__(self) -> None:
+        self.store._released.append(self.nids)
 
 
 class UndoLog:
@@ -145,6 +170,7 @@ class Store:
         # the difference of (store.nodes_created / store.nodes_detached).
         self.nodes_created = 0
         self.nodes_detached = 0
+        self.nodes_reclaimed = 0
         # Concurrency: the query-granularity reader-writer lock.  The
         # store itself does not take it — callers running queries
         # concurrently do (the ConcurrentExecutor holds the write side
@@ -163,6 +189,20 @@ class Store:
         # Empty in the single-threaded, non-atomic case, where the
         # whole machinery costs one truthiness test per mutation.
         self._snapshots: list = []
+        # Reclamation (see reclaim): host pins per node id, the pin
+        # lock that guards them, pins whose handles are gone, ids whose
+        # tree may have become unreachable, and the ids the caller held
+        # at the last collection.
+        self._pins: dict[int, int] = {}
+        self._pin_lock = threading.Lock()
+        self._released: deque = deque()
+        self._candidates: set[int] = set()
+        self._held_last: set[int] = set()
+        # False for a store that mirrors another's journal (a replica
+        # before promotion): the primary's root set — its host pins, its
+        # open transactions — is not visible here, and a later record
+        # may name a node this store would see as garbage.
+        self.reclaims = True
 
     def _drop_columns(self, *names: str | None) -> None:
         """Drop the numeric columns of *names* (callers test
@@ -759,6 +799,10 @@ class Store:
         assert isinstance(siblings, list)
         siblings.remove(nid)
         rec.parent = None
+        # Both halves may now be unreachable: the detached subtree, and
+        # the tree it left if only the subtree was held.
+        self._candidates.add(nid)
+        self._candidates.add(tree_root)
         self._touch(tree_root)
 
     def rename(self, nid: int, name: str) -> None:
@@ -867,30 +911,170 @@ class Store:
         return root_copy
 
     # ------------------------------------------------------------------
-    # Garbage collection of unreachable detached trees
+    # Reclaiming unreachable trees
+    #
+    # A tree is reachable while one of its nodes is in the root set: the
+    # ids the caller holds (the engine's fn:doc catalog and global
+    # bindings), the ids a host handle pins, and — while a transaction
+    # is open — every id older than its view, which its session globals
+    # and buffered Δ may name.  A tree none of whose nodes is, nothing
+    # can reach again: the paper's "garbage collection of persistent but
+    # unreachable nodes" (Section 4.1).
     # ------------------------------------------------------------------
 
-    def gc(self, live_roots: Iterable[int]) -> int:
-        """Drop every record not reachable from *live_roots*.
+    def hold(self, nids: tuple[int, ...]) -> Pin:
+        """Pin *nids* for host handles; they stay in the root set until
+        the returned pin is gone."""
+        with self._pin_lock:
+            self._unpin_released()
+            pins = self._pins
+            for nid in nids:
+                pins[nid] = pins.get(nid, 0) + 1
+        return Pin(self, nids)
 
-        The caller supplies the node ids still referenced from the outside
-        (bound variables, documents).  Returns the number of reclaimed
-        records.  This implements the "garbage collection of persistent but
-        unreachable nodes" the paper mentions as a consequence of the detach
-        semantics (Section 4.1).
+    def hold_present(self, nids: list[int]) -> tuple[Pin | None, set[int]]:
+        """Pin those of *nids* the store still has; returns the pin (None
+        when it has none of them) and the ids already reclaimed.  The
+        check and the pin share one hold of the pin lock, so a
+        collection in another thread cannot free an id in between."""
+        present = []
+        gone = set()
+        with self._pin_lock:
+            self._unpin_released()
+            records = self._records
+            pins = self._pins
+            for nid in nids:
+                if nid in records:
+                    pins[nid] = pins.get(nid, 0) + 1
+                    present.append(nid)
+                else:
+                    gone.add(nid)
+        return (Pin(self, tuple(present)) if present else None), gone
+
+    def _unpin_released(self) -> None:
+        """Take the ids of finalized pins off their counts (the caller
+        holds the pin lock); an id whose count reaches 0 becomes a
+        candidate.  Every new pin does this first, so under read-only
+        traffic, where no statement ends, the queue stays as short as
+        the pins finalized since the last one."""
+        released = self._released
+        pins = self._pins
+        candidates = self._candidates
+        while released:
+            for nid in released.popleft():
+                left = pins.get(nid, 0) - 1
+                if left > 0:
+                    pins[nid] = left
+                else:
+                    pins.pop(nid, None)
+                    candidates.add(nid)
+
+    def reclaim(self, held: set[int], since: int | None = None) -> int:
+        """Free every candidate tree no node of which is in the root set
+        (*held* plus pins and open transactions); the statement-end
+        collection.  Returns the number of records freed.
+
+        The candidates are the trees that may have become unreachable
+        since the last collection, so the cost follows them, not the
+        store: subtrees :meth:`detach` cut off and the trees they left,
+        ids whose last pin went away, ids held last time but not now
+        (a rebound global), and the parentless ids allocated at or above
+        *since* (the statements' construction).  A tree kept only for an
+        open transaction stays a candidate for the next collection.  The
+        caller must let no statement run on the store meanwhile: a tree
+        one is still building looks unreachable.
         """
-        reachable: set[int] = set()
-        stack = [self.root(nid) for nid in live_roots if nid in self._records]
-        while stack:
-            cur = stack.pop()
-            if cur in reachable:
-                continue
-            reachable.add(cur)
-            rec = self._rec(cur)
-            stack.extend(rec.children)
-            stack.extend(rec.attributes)
-        dead = [nid for nid in self._records if nid not in reachable]
-        self.drop_records(dead)
+        candidates = self._candidates
+        if held != self._held_last:
+            candidates.update(self._held_last.difference(held))
+            self._held_last = held
+        if since is not None:
+            records = self._records
+            for nid in range(since, self._next_id):
+                rec = records.get(nid)
+                if rec is not None and rec.parent is None:
+                    candidates.add(nid)
+        if not candidates and not self._released:
+            return 0
+        return self._collect(held, everything=False)
+
+    def gc(self, live_roots: Iterable[int]) -> int:
+        """:meth:`reclaim` with every tree a candidate: drop every tree
+        no node of which is in *live_roots*, pinned, or visible to an
+        open transaction.  Returns the number of records freed."""
+        return self._collect(set(live_roots), everything=True)
+
+    def _collect(self, held: set[int], everything: bool) -> int:
+        records = self._records
+        pins = self._pins
+        candidates = self._candidates
+        with self._pin_lock:
+            self._unpin_released()
+            if not self.reclaims:
+                candidates.clear()
+                return 0
+            if everything:
+                roots = {
+                    nid for nid, rec in records.items() if rec.parent is None
+                }
+            elif candidates:
+                roots = set()
+                for nid in candidates:
+                    rec = records.get(nid)
+                    if rec is None:
+                        continue  # freed already
+                    while rec.parent is not None:
+                        nid = rec.parent
+                        rec = records[nid]
+                    roots.add(nid)
+            else:
+                return 0
+            candidates.clear()
+            # An open transaction's view reads every id below its
+            # ceiling, and commit replays its Δ against them.
+            floor = min(
+                (view.ceiling for view in self._snapshots
+                 if getattr(view, "holds_base", False)),
+                default=-1,
+            ) if self._snapshots else -1
+            dead: list[int] = []
+            for root in roots:
+                if root in held or root in pins:
+                    continue
+                tree: list[int] = []
+                stack = [root]
+                kept = old = False
+                while stack:
+                    nid = stack.pop()
+                    if nid in held or nid in pins:
+                        kept = True
+                        break
+                    if nid < floor:
+                        old = True
+                    tree.append(nid)
+                    rec = records[nid]
+                    if rec.children:
+                        stack.extend(rec.children)
+                    if rec.attributes:
+                        stack.extend(rec.attributes)
+                if kept:
+                    continue
+                if old:
+                    candidates.add(root)
+                    continue
+                dead.extend(tree)
+            if dead:
+                if self._columns:
+                    # Whole trees go, so only their elements' names'
+                    # columns can change.
+                    self._drop_columns(*{
+                        records[nid].name for nid in dead
+                        if records[nid].kind is NodeKind.ELEMENT
+                    })
+                self._drop(dead)
+                self.nodes_reclaimed += len(dead)
+                # Snapshot bundles and their result caches key on it.
+                self._version += 1
         return len(dead)
 
     # ------------------------------------------------------------------
@@ -953,10 +1137,12 @@ class Store:
 
     def drop_records(self, nids: Iterable[int]) -> None:
         """Remove the records of *nids* outright, postings included
-        (garbage collection, discarding scratch allocations)."""
+        (discarding scratch allocations); drops every numeric column."""
         if self._columns:
             self._columns.clear()
-        nids = list(nids)
+        self._drop(list(nids))
+
+    def _drop(self, nids: list[int]) -> None:
         records = self._records
         if self._snapshots:
             self._cow(*nids)

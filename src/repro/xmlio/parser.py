@@ -11,7 +11,7 @@ namespaces beyond lexical prefixes.
 from __future__ import annotations
 
 from repro.errors import XMLParseError
-from repro.xdm.nodes import Node
+from repro.xdm.nodes import Node, held_node
 from repro.xdm.store import Store
 
 _PREDEFINED = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
@@ -134,7 +134,7 @@ def parse_document(text: str, store: Store | None = None) -> Node:
     sc.skip_whitespace()
     if not sc.eof():
         raise sc.error("content after the root element")
-    return Node(store, doc)
+    return held_node(store, doc)
 
 
 def parse_fragment(text: str, store: Store | None = None) -> Node:
@@ -159,7 +159,7 @@ def parse_fragment(text: str, store: Store | None = None) -> Node:
     sc.skip_whitespace()
     if not sc.eof():
         raise sc.error("content after the element")
-    return Node(store, nid)
+    return held_node(store, nid)
 
 
 def _parse_prolog(sc: _Scanner) -> None:

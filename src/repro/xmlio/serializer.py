@@ -28,7 +28,7 @@ def serialize(node: Node, indent: bool = False) -> str:
     content is always emitted verbatim to preserve the string value.
     """
     parts: list[str] = []
-    _serialize_node(node, parts, 0, indent)
+    _serialize_node(node.store, node.nid, parts, 0, indent)
     return "".join(parts)
 
 
@@ -49,55 +49,58 @@ def serialize_sequence(seq: Sequence, indent: bool = False) -> str:
     return "".join(parts)
 
 
-def _children_are_elements_only(node: Node) -> bool:
-    kids = node.children
-    if not kids:
-        return False
-    return all(
-        child.kind in (NodeKind.ELEMENT, NodeKind.COMMENT, NodeKind.PROCESSING_INSTRUCTION)
-        for child in kids
-    )
+_ELEMENT_LIKE = (
+    NodeKind.ELEMENT, NodeKind.COMMENT, NodeKind.PROCESSING_INSTRUCTION
+)
 
 
-def _serialize_node(node: Node, parts: list[str], depth: int, indent: bool) -> None:
-    kind = node.kind
+def _serialize_node(
+    store, nid: int, parts: list[str], depth: int, indent: bool
+) -> None:
+    # Through the store, not Node's navigation properties: those make
+    # host handles, which a serializer has no use for.
+    kind = store.kind(nid)
     pad = "  " * depth if indent else ""
     if kind is NodeKind.DOCUMENT:
-        for child in node.children:
-            _serialize_node(child, parts, depth, indent)
+        for child in store.children(nid):
+            _serialize_node(store, child, parts, depth, indent)
             if indent:
                 parts.append("\n")
         return
     if kind is NodeKind.TEXT:
-        parts.append(_escape_text(node.string_value))
+        parts.append(_escape_text(store.string_value(nid)))
         return
     if kind is NodeKind.COMMENT:
-        parts.append(f"<!--{node.string_value}-->")
+        parts.append(f"<!--{store.string_value(nid)}-->")
         return
     if kind is NodeKind.PROCESSING_INSTRUCTION:
-        value = node.string_value
+        value = store.string_value(nid)
         body = f" {value}" if value else ""
-        parts.append(f"<?{node.name}{body}?>")
+        parts.append(f"<?{store.name(nid)}{body}?>")
         return
     if kind is NodeKind.ATTRIBUTE:
         raise SerializationError(
             "cannot serialize a free-standing attribute node"
         )
     # Element.
-    parts.append(f"<{node.name}")
-    for attr in node.attributes:
-        parts.append(f' {attr.name}="{_escape_attribute(attr.string_value)}"')
-    kids = node.children
+    name = store.name(nid)
+    parts.append(f"<{name}")
+    for attr in store.attributes(nid):
+        parts.append(
+            f' {store.name(attr)}='
+            f'"{_escape_attribute(store.string_value(attr))}"'
+        )
+    kids = store.children(nid)
     if not kids:
         parts.append("/>")
         return
     parts.append(">")
-    if indent and _children_are_elements_only(node):
+    if indent and all(store.kind(kid) in _ELEMENT_LIKE for kid in kids):
         for child in kids:
             parts.append("\n" + "  " * (depth + 1))
-            _serialize_node(child, parts, depth + 1, indent)
+            _serialize_node(store, child, parts, depth + 1, indent)
         parts.append("\n" + pad)
     else:
         for child in kids:
-            _serialize_node(child, parts, depth + 1, False)
-    parts.append(f"</{node.name}>")
+            _serialize_node(store, child, parts, depth + 1, False)
+    parts.append(f"</{name}>")

@@ -63,6 +63,31 @@ class TestApply:
         assert replica.applied_seq == 2
         assert replica.fingerprint() == recovery_fingerprint(path)
 
+    def test_a_replica_started_mid_statement_keeps_what_it_detached(
+        self, tmp_path
+    ):
+        # The replica recovers between the two records of one primary
+        # statement; re-registering its module runs a statement there,
+        # which must not free the node the second record inserts into.
+        path = str(tmp_path / "d")
+        started: list[ReplicaApplier] = []
+
+        def start_replica(message: str) -> None:
+            started.append(ReplicaApplier(
+                path, module_source="declare function local:f() { 1 };"
+            ))
+
+        engine = DurableEngine(path, trace_sink=start_replica)
+        engine.load_document("doc", "<log><a/></log>")
+        engine.execute(
+            "let $a := $doc/log/a return (snap delete { $a }, "
+            'trace(1, "t"), snap insert { <n/> } into { $a })'
+        )
+        (replica,) = started
+        follower = JournalFollower(path, after_seq=replica.applied_seq)
+        replica.apply_records(follower.poll())
+        assert replica.fingerprint() == recovery_fingerprint(path)
+
     def test_sequence_gap_is_permanently_fatal(self, tmp_path):
         path, engine = fresh(tmp_path)
         replica = ReplicaApplier(path)

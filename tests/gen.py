@@ -19,6 +19,13 @@ binds: ``$d`` (the document), ``$v`` (a string), ``$n`` (an integer),
 
 Operands are drawn without regard to type, so a good share of programs
 raise a dynamic error; which error comes first is part of the meaning.
+
+``statements()`` draws updating statements over the same document: the
+five update primitives (insert at every location, delete, replace,
+replace value of, rename) under a top-level ``snap`` in any of its three
+modes, nested snaps, and constructed trees updated in scratch before a
+query returns or inserts them.  Their targets are paths, so some select
+nothing or several nodes and raise.
 """
 
 from __future__ import annotations
@@ -275,4 +282,63 @@ def predicates(depth: int, scope: frozenset):
         fixed,
         st.sampled_from(FOCUS).map(lambda e: f"[{e}]"),
         expressions(depth - 1, scope).map(lambda e: f"[{e}]"),
+    )
+
+
+# -- updating statements ---------------------------------------------------
+
+# ``$h`` is a global the host binds (and rebinds) between statements.
+TARGETS = (
+    "($d//a)[1]", "($d//b)[last()]", "($d//c)[1]", "($d//a/@k)[1]",
+    "($d//b/@n)[last()]", "($d//text())[1]", "$d/r", "($d//c/..)[1]",
+    "$d//a", "$h", "$h/*[1]",
+)
+CONTENT = (
+    '<a k="x"/>', '<b n="1">y</b>', 'text { "t" }', '<c><a id="2"/></c>',
+    "($d//b)[1]", '(<a/>, <b k="y"/>)', 'attribute k { "z" }',
+    'for $i in 1 to 2 return <c n="{$i}"/>',
+)
+SNAPS = ("snap", "snap ordered", "snap nondeterministic",
+         "snap conflict-detection")
+LOCATIONS = ("into", "as first into", "as last into", "before", "after")
+
+
+def primitives():
+    target = st.sampled_from(TARGETS)
+    content = st.sampled_from(CONTENT)
+    return st.one_of(
+        st.tuples(content, st.sampled_from(LOCATIONS), target).map(
+            lambda t: f"insert {{ {t[0]} }} {t[1]} {{ {t[2]} }}"
+        ),
+        target.map(lambda t: f"delete {{ {t} }}"),
+        st.tuples(target, content).map(
+            lambda t: f"replace {{ {t[0]} }} with {{ {t[1]} }}"
+        ),
+        st.tuples(target, st.sampled_from(('"v"', "$v", "count($d//a)")))
+        .map(lambda t: f"replace value of {{ {t[0]} }} with {{ {t[1]} }}"),
+        st.tuples(target, st.sampled_from(('"z"', '"a"', '"k"'))).map(
+            lambda t: f"rename {{ {t[0]} }} to {{ {t[1]} }}"
+        ),
+    )
+
+
+def statements():
+    """One statement: a snap of update primitives (maybe nested, maybe
+    returning a path), an update of a constructed tree, or a pure
+    program."""
+    body = st.lists(primitives(), min_size=1, max_size=3).map(", ".join)
+    return st.one_of(
+        st.tuples(st.sampled_from(SNAPS), body).map(
+            lambda t: f"{t[0]} {{ {t[1]} }}"
+        ),
+        st.tuples(body, st.sampled_from(TARGETS)).map(
+            lambda t: f"(snap {{ {t[0]} }}, {t[1]})"
+        ),
+        st.tuples(st.sampled_from(CONTENT), st.sampled_from(LOCATIONS[:3]))
+        .map(
+            lambda t: f"let $x := <s><a/></s> return "
+            f"(snap insert {{ {t[0]} }} {t[1]} {{ $x/a }}, $x)"
+        ),
+        st.sampled_from(TARGETS),
+        programs(),
     )

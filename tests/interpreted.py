@@ -1,12 +1,13 @@
-"""The reference side of a "rewritten ≡ as written" comparison.
+"""Reference sides of "optimized ≡ as written" comparisons.
 
 A prepared query runs its body as a plan only when a §4.3 rewrite fired
 (:func:`repro.algebra.compile.compile_query`).  The reference run takes
 the same query through the same engine with that plan withheld:
 ``compile_query`` is patched to return None while the query prepares,
 so its body runs on the evaluator.  :func:`without_pushdown` withholds
-the where-pushdown rule of :mod:`repro.lang.simplify` the same way.
-There is no production switch for either.
+the where-pushdown rule of :mod:`repro.lang.simplify` the same way, and
+:func:`without_reclamation` an engine's statement-end reclamation.
+There is no production switch for any of them.
 """
 
 from __future__ import annotations
@@ -54,3 +55,15 @@ def without_pushdown():
 
 def _same(expr):
     return expr
+
+
+def without_reclamation(engine):
+    """*engine*, with statement-end reclamation withheld: its store keeps
+    every record, as a store without a collector would.  The reference
+    side of a "reclamation is invisible" comparison."""
+    engine.store.reclaim = _keep_everything
+    return engine
+
+
+def _keep_everything(held, since=None):
+    return 0

@@ -171,3 +171,39 @@ class TestPushbackAndSeek:
         lexer.next()
         lexer.seek(pos)
         assert lexer.next().value == "b"
+
+
+class TestLocations:
+    def test_located_like_a_count_from_the_start(self):
+        text = "ab\ncd\n\nefg h\n" * 5
+        lexer = Lexer(text)
+
+        def naive(offset):
+            return (
+                text.count("\n", 0, offset) + 1,
+                offset - text.rfind("\n", 0, offset),
+            )
+
+        # Forward, backward across newlines, and back again: the cursor
+        # answers wherever the parser's seeks take it.
+        offsets = list(range(len(text))) + [40, 3, 0, 55, 12, 12, 2, 60]
+        assert [lexer.location_at(o) for o in offsets] == [
+            naive(o) for o in offsets
+        ]
+
+    def test_lexing_is_linear_in_the_query_length(self):
+        import time
+
+        def best_lex_time(terms: int) -> float:
+            text = "1 +\n" * terms + "1"
+            best = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                toks(text)
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        small, large = best_lex_time(5000), best_lex_time(20000)
+        # Linear would be 4x; counting newlines from the start for
+        # every token made it ~16x.
+        assert large < 8 * small

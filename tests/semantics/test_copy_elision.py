@@ -3,13 +3,18 @@
 ``insert { <a/> } into { $x }`` normalizes to ``insert { copy { <a/> } }``
 and element content is copied into the new element; when the copied
 node comes straight from a constructor, nothing else can reach it, so
-the evaluator attaches it instead of allocating a copy.  Every node
-that *can* be reached some other way (a variable, a path, an explicit
-``copy`` of one) is still copied."""
+the evaluator attaches it instead of allocating a copy.  The same holds
+for a constructor in a return position: a ``for``/``let``/ordered
+FLWOR whose return is one, an ``if`` whose branches are (or ``()``),
+and a sequence of them.  Every node that *can* be reached some other way
+(a variable, a path, an explicit ``copy`` of one) is still copied."""
 
 import pytest
 
 from repro import Engine
+from repro.lang.normalize import normalize_module
+from repro.lang.parser import parse_module
+from repro.semantics.evaluator import is_fresh
 
 
 @pytest.fixture
@@ -87,3 +92,69 @@ class TestElided:
         assert created(engine, query, n=7) == 400
         marks = engine.execute('count($doc/p/mark[@n = "7"])')
         assert marks.first_value() == 200
+
+
+def fresh(text: str) -> bool:
+    return is_fresh(normalize_module(parse_module(text)).body)
+
+
+class TestReturnPositions:
+    @pytest.mark.parametrize("text, verdict", [
+        ("<a/>", True),
+        ("()", True),
+        ("for $i in 1 to 3 return <a/>", True),
+        ("let $i := 1 return <a>{ $i }</a>", True),
+        ("for $i in (2, 1) order by $i return <a/>", True),
+        ("if (1) then <a/> else ()", True),
+        ("if (1) then <a/> else <b/>", True),
+        ("(<a/>, text { 1 }, for $i in 1 to 2 return <b/>)", True),
+        ("let $a := <a/> return $a", False),
+        ("for $i in 1 to 3 return $i", False),
+        ("if (1) then <a/> else $x", False),
+        ("(<a/>, $x)", False),
+        ("document { <a/> }", False),
+    ])
+    def test_which_shapes_are_fresh(self, text, verdict):
+        assert fresh(text) is verdict
+
+    def test_flwor_content_is_attached_not_copied(self, e):
+        query = (
+            "<report>{ for $i in 1 to 3 "
+            'return <sale n="{$i}"/> }</report>'
+        )
+        # report + three sales with one attribute each; no copies.
+        assert created(e, query) == 7
+        assert e.execute(query).serialize() == (
+            '<report><sale n="1"/><sale n="2"/><sale n="3"/></report>'
+        )
+
+    def test_ordered_flwor_if_and_sequence_content(self, e):
+        assert created(
+            e, "<r>{ for $i in (2, 1) order by $i return <a/> }</r>"
+        ) == 3
+        assert created(e, "<r>{ if ($x) then <a/> else () }</r>") == 2
+        assert created(e, "<r>{ (<a/>, <b/>) }</r>") == 3
+
+    def test_insert_of_a_flwor_adopts_the_new_nodes(self, e):
+        query = "insert { for $i in 1 to 4 return <a/> } into { $x }"
+        assert created(e, query) == 4
+        assert e.execute("count($x/a)").first_value() == 4
+
+    def test_a_variable_in_a_return_position_still_copies(self, e):
+        assert created(e, "let $a := <a/> return <r>{ $a }</r>") == 3
+        out = e.execute("let $a := <a/> return (<r>{ $a }</r>/a is $a)")
+        assert out.first_value() is False
+        out = e.execute(
+            "let $a := <a/> return "
+            "<r>{ for $i in 1 to 2 return $a }</r>/a[1] is $a"
+        )
+        assert out.first_value() is False
+
+    def test_duplicate_attributes_read_the_same_adopted_or_copied(self, e):
+        attrs = "for $i in 1 to 2 return attribute a { $i }"
+        adopted = f"<r>{{ {attrs} }}</r>"
+        copied = f"<r>{{ let $s := {attrs} return $s }}</r>"
+        assert fresh(attrs) is True
+        assert e.execute(adopted).serialize() == '<r a="2"/>'
+        assert e.execute(copied).serialize() == '<r a="2"/>'
+        e.store.check_invariants()
