@@ -1,8 +1,8 @@
 """Plan execution over the store (the algebra's physical layer).
 
 Tuple streams are lazily produced ``dict[str, Sequence]`` values; pending
-updates collected while producing tuples accumulate in the execution
-state's Δ, preserving the evaluation order the dynamic semantics
+updates collected while producing tuples accumulate in the evaluator's
+pending Δ, preserving the evaluation order the dynamic semantics
 prescribes.  Hash-based joins use atomized join keys under the general-
 comparison matching rules (untyped values match as strings *and* as
 numbers when both sides parse, mirroring ``=``).
@@ -40,11 +40,11 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.algebra import plan as P
 from repro.errors import DynamicError
 from repro.lang import core_ast as core
-from repro.lang.core_ast import CPure
+from repro.lang.core_ast import CCompiled
 from repro.obs.tracer import maybe_span
 from repro.semantics.context import DynamicContext
 from repro.semantics.evaluator import bare_step_name, probe_owners
-from repro.semantics.update import ApplySemantics, UpdateList, apply_update_list
+from repro.semantics.update import ApplySemantics
 from repro.xdm.compare import general_compare
 from repro.xdm.nodes import Node
 from repro.xdm.values import (
@@ -65,10 +65,10 @@ Tuple_ = dict  # dict[str, Sequence]
 
 
 class _ExecState:
-    """Shared execution state: the evaluator (and through it the store),
-    the lowered embedded expressions, the pending update list, and (when
-    stats are being collected) the tracer fed by the materialization
-    barriers."""
+    """Shared execution state: the evaluator (and through it the store
+    and the pending update list), the lowered embedded expressions, and
+    (when stats are being collected) the tracer fed by the
+    materialization barriers."""
 
     def __init__(
         self,
@@ -78,7 +78,7 @@ class _ExecState:
     ):
         self.evaluator = evaluator
         self.compiled = compiled
-        self.delta: UpdateList = []
+        evaluator.pending = []
         self.tracer = tracer
         # Execution control (deadline/cancellation), shared with the
         # evaluator running embedded expressions; None when unused.
@@ -87,15 +87,16 @@ class _ExecState:
     def eval_scalar(self, expr, tup: Tuple_) -> Sequence:
         """Evaluate an embedded core expression against a tuple's bindings
         (then the globals); its pending updates are appended to the
-        plan's Δ.  A pure expression runs as its compiled closure."""
+        plan's Δ.  It runs as its compiled closure unless it nests too
+        deeply to compile."""
         lowered = self.compiled.lowered(expr)
         evaluator = self.evaluator
-        if type(lowered) is CPure:
+        if type(lowered) is CCompiled:
             return lowered.call(evaluator, tup)
         value, delta = evaluator.evaluate(
             lowered, DynamicContext(tup, globals_=evaluator.globals)
         )
-        self.delta.extend(delta)
+        evaluator.pending += delta
         return value
 
 
@@ -144,17 +145,8 @@ def _items(plan: P.Plan, state: _ExecState) -> Sequence:
             state.control.check()
         evaluator = state.evaluator
         with maybe_span(tracer, "snap-apply"):
-            apply_update_list(
-                evaluator.store,
-                state.delta,
-                mode,
-                atomic=evaluator.atomic_snaps,
-                tracer=tracer,
-                journal=evaluator.journal,
-                control=state.control,
-                txn_log=evaluator.txn_log,
-            )
-        state.delta = []
+            evaluator.apply_updates(evaluator.pending, mode)
+        evaluator.pending = []
         return inner
     return list(_stream_items(plan, state))
 

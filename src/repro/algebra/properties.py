@@ -13,8 +13,10 @@ For each core expression we compute:
 
 User function calls propagate the flags of their bodies with the monadic
 rule of Section 5 ("a function that calls an updating function is updating
-as well"); recursive cycles are resolved conservatively (assume both
-flags).
+as well").  The flags of the functions a call reaches are the least
+fixpoint of that rule over the call graph: every function starts pure and
+the bodies are re-judged until no flag changes, so a recursive function is
+exactly as updating (or snapping) as its cycle makes it.
 """
 
 from __future__ import annotations
@@ -63,13 +65,14 @@ class EffectAnalyzer:
     """Memoizing analyzer over a function registry.
 
     One analyzer should be created per optimization pass; function bodies
-    are analyzed on demand and cached by (name, arity).
+    are analyzed on demand and cached by declaration.
     """
 
     def __init__(self, registry: FunctionRegistry | None):
         self._registry = registry
         self._function_cache: dict[int, EffectProps] = {}
-        self._in_progress: set[int] = set()
+        # The flags assumed so far for the functions being solved.
+        self._assumed: dict[int, EffectProps] = {}
 
     def analyze(self, expr: core.CoreExpr) -> EffectProps:
         """Compute the effect flags of *expr*."""
@@ -111,18 +114,58 @@ class EffectAnalyzer:
                 return _PURE
             return _BOTH
         key = id(function)
-        if key in self._function_cache:
-            return self._function_cache[key]
-        if key in self._in_progress:
-            # Recursive cycle: conservative.
-            return _BOTH
-        self._in_progress.add(key)
-        try:
-            props = self.analyze(function.body)
-        finally:
-            self._in_progress.discard(key)
-        self._function_cache[key] = props
+        props = self._function_cache.get(key) or self._assumed.get(key)
+        if props is None:
+            self._solve(function)
+            props = self._function_cache[key]
         return props
+
+    def _solve(self, function: core.CFunction) -> None:
+        """Judge *function* and every user function it reaches that is
+        not judged yet: assume them all pure, then re-judge each body
+        until no flag changes.  A round that changes something raises a
+        flag, and flags never fall, so this ends within two rounds per
+        function, plus one; only the final flags are cached."""
+        reached: dict[int, core.CFunction] = {}
+        stack = [function]
+        while stack:
+            current = stack.pop()
+            key = id(current)
+            if key in reached or key in self._function_cache:
+                continue
+            reached[key] = current
+            for call in _calls(current.body):
+                callee = self._registry.lookup_user(call.name, len(call.args))
+                if callee is not None:
+                    stack.append(callee)
+        assumed = self._assumed
+        assumed.update((key, _PURE) for key in reached)
+        try:
+            changed = True
+            while changed:
+                changed = False
+                for key, current in reached.items():
+                    props = self.analyze(current.body)
+                    if props != assumed[key]:
+                        assumed[key] = props
+                        changed = True
+            for key in reached:
+                self._function_cache[key] = assumed[key]
+        finally:
+            for key in reached:
+                del assumed[key]
+
+
+def _calls(expr: core.CoreExpr) -> list[core.CCall]:
+    """Every call in *expr* (iteratively: bodies may nest deeply)."""
+    calls = []
+    stack = [expr]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, core.CCall):
+            calls.append(current)
+        stack.extend(core.child_exprs(current))
+    return calls
 
 
 def effect_properties(

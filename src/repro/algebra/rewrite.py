@@ -185,21 +185,26 @@ def hoist_invariant_lets(
             continue
         free = free_variables(step.source)
         # Find the earliest position where every variable the source needs
-        # is already bound.
+        # is already bound, passing no step that binds the let's own
+        # variable or reads it (moved above it, the let would shadow the
+        # binding that step, or the return, sees).
+        # Hoisting above a WhereStep would change how often E runs only
+        # if E were effectful, which we excluded — but it could
+        # *evaluate* E when the where filters everything out; that is
+        # safe for a pure E.
         target = index
         for position in range(index - 1, -1, -1):
             previous = steps[position]
-            if isinstance(previous, (ForStep, LetStep)):
+            if isinstance(previous, WhereStep):
+                if step.var in free_variables(previous.predicate):
+                    break
+            else:
                 binds = {previous.var}
                 if isinstance(previous, ForStep) and previous.position_var:
                     binds.add(previous.position_var)
-                if binds & free:
+                reads = free_variables(previous.source)
+                if binds & free or step.var in binds | reads:
                     break
-                # Hoisting above a pure let/for is fine; hoisting above a
-                # WhereStep would change how often E runs only if E were
-                # effectful, which we excluded — but it could *evaluate*
-                # E when the where filters everything out; that is safe
-                # for a pure E.
             target = position
         if target < index:
             steps.insert(target, steps.pop(index))

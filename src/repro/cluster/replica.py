@@ -263,23 +263,39 @@ class ReplicaApplier:
         Before promotion only provably read-only queries are admitted —
         an updating query gets a typed
         :class:`~repro.errors.UpdateError` (a replica must never apply
-        a Δ the journal does not describe).  After promotion the full
-        durable write path serves.
+        a Δ the journal does not describe) — and they run on a snapshot,
+        as the executor's reads do: a node the read constructs takes a
+        snapshot-local id, never one a later journal record installs.
+        After promotion the full durable write path serves.
         """
-        target = self.durable if self.durable is not None else self.engine
         if not self.promoted:
             from repro.engine import ExecutionOptions
+            from repro.prepared import rehandled_fork, run_module
+            from repro.xdm.nodes import held_from_snapshot
 
-            prepared = target.prepare(query)
+            engine = self.engine
+            prepared = engine.prepare(query)
             if not prepared.is_readonly():
                 raise UpdateError(
                     "replica is read-only: updating queries must go to "
                     "the primary"
                 )
-            return prepared.execute(
-                bindings=bindings,
-                options=ExecutionOptions(timeout_ms=timeout_ms),
-            )
+            store = engine.store
+            with store.lock.write_locked():
+                snapshot = store.begin_snapshot()
+                fork = rehandled_fork(engine.evaluator, snapshot)
+            try:
+                result = run_module(
+                    fork, prepared, bindings,
+                    ExecutionOptions(timeout_ms=timeout_ms),
+                )
+                result.items = held_from_snapshot(
+                    result.items, store, snapshot
+                )
+            finally:
+                store.release_snapshot(snapshot)
+            return result
+        target = self.durable if self.durable is not None else self.engine
         return target.execute(
             query, bindings=bindings, timeout_ms=timeout_ms
         )

@@ -3,10 +3,12 @@
 Two hash indexes:
 
 * the **attribute index** maps ``(attribute name, value, owner name,
-  owner's parent name)`` to the ids of the attribute nodes currently
-  bearing that pair on that path (both names are None for a parentless
-  attribute; the parent's is None for a parentless owner, or one under
-  a document);
+  owner's parent name)`` to the ids of the attached attribute nodes
+  currently bearing that pair on that path (the parent's name is None
+  for a parentless owner, or one under a document).  A parentless
+  attribute has no owner a step could reach it through, so it has no
+  posting: a constructed attribute is keyed once, when its element
+  takes it, and a detached one leaves the index;
 * the **token index** maps each whitespace-delimited token of a text
   node's value to the ids of the text nodes containing it.
 
@@ -226,6 +228,8 @@ def _build(
     token: dict[str, set[int]] = {}
     for nid, rec in records.items():
         if rec.kind is NodeKind.ATTRIBUTE:
+            if rec.parent is None:
+                continue
             key = (rec.name or "", rec.value or "") + _attr_path(
                 records, rec.parent
             )
@@ -352,7 +356,7 @@ class IndexManager:
             postings.add(nid)
         self.maintained += 1
 
-    def _discard_attr(self, nid: int, key: AttrKey) -> None:
+    def _discard_attr(self, nid: int, key: AttrKey | None) -> None:
         postings = self._attr.get(key)
         if postings is not None:
             postings.discard(nid)
@@ -360,9 +364,11 @@ class IndexManager:
                 del self._attr[key]
 
     def _key(self, name: Optional[str], value: Optional[str],
-             owner: Optional[int]) -> AttrKey:
+             owner: Optional[int]) -> AttrKey | None:
         """The key of an attribute named *name*, valued *value*, whose
-        parent is *owner*."""
+        parent is *owner* (None for a parentless one: it has none)."""
+        if owner is None:
+            return None
         return (name or "", value or "") + _attr_path(
             self._store._records, owner
         )
@@ -390,19 +396,18 @@ class IndexManager:
         owner: Optional[int] = None,
     ) -> None:
         """A node was born; an attribute born with a parent (a deep
-        copy's) names it as *owner*."""
+        copy's, or the parser's) names it as *owner*."""
         if kind is NodeKind.ATTRIBUTE:
-            self._add_attr(
-                nid,
-                (name or "", value or "", None, None) if owner is None
-                else self._key(name, value, owner),
-            )
+            if owner is not None:
+                self._add_attr(nid, self._key(name, value, owner))
         elif kind is NodeKind.TEXT:
             self._add_text(value, nid)
 
     def on_set_value(self, nid: int, rec: "_NodeRecord", value: Optional[str]) -> None:
         if rec.kind is NodeKind.ATTRIBUTE:
             key = self._key(rec.name, rec.value, rec.parent)
+            if key is None:
+                return
             self._discard_attr(nid, key)
             self.maintained += 1
             self._add_attr(nid, key[:1] + (value or "",) + key[2:])
@@ -416,6 +421,8 @@ class IndexManager:
         its element children's (owner's parent) to keys with *name*."""
         if rec.kind is NodeKind.ATTRIBUTE:
             key = self._key(rec.name, rec.value, rec.parent)
+            if key is None:
+                return
             self._discard_attr(nid, key)
             self.maintained += 1
             self._add_attr(nid, (name,) + key[1:])
@@ -433,7 +440,8 @@ class IndexManager:
 
     def on_move(self, aids, old: Path, new: Path) -> None:
         """The attributes *aids* (an element's, or one attribute) change
-        path from *old* to *new*: an attach, a detach or a rename.
+        path from *old* to *new*: an attach, a detach or a rename.  A
+        ``(None, None)`` path is a parentless attribute's: no key.
 
         Their pre-images go to open snapshots first: a snapshot reader
         that unions the keys (see :meth:`attr_reader`) may read the new
@@ -451,12 +459,15 @@ class IndexManager:
         for aid in aids:
             rec = records[aid]
             name, value = rec.name or "", rec.value or ""
-            key = (name, value, old_owner, old_parent)
-            postings = attr.get(key)
-            if postings is not None:
-                postings.discard(aid)
-                if not postings:
-                    del attr[key]
+            if old_owner is not None:
+                key = (name, value, old_owner, old_parent)
+                postings = attr.get(key)
+                if postings is not None:
+                    postings.discard(aid)
+                    if not postings:
+                        del attr[key]
+            if new_owner is None:
+                continue
             key = (name, value, new_owner, new_parent)
             postings = attr.get(key)
             if postings is None:
@@ -491,7 +502,10 @@ class IndexManager:
         records = self._store._records
         for aid in aids:
             rec = records[aid]
-            self._add_attr(aid, self._key(rec.name, rec.value, rec.parent))
+            if rec.parent is not None:
+                self._add_attr(
+                    aid, self._key(rec.name, rec.value, rec.parent)
+                )
 
     # ------------------------------------------------------------------
     # Probes (live store; the snapshot layer has its own, overlay-aware

@@ -382,18 +382,19 @@ class CModule:
     declared_uri: Optional[str] = None
 
 
-# -- lowered core (repro.semantics.compiled) --------------------------------
+# -- compiled core (repro.semantics.compiled) -------------------------------
 
-class CPure(CoreExpr):
-    """A pure subtree compiled to a closure.
+class CCompiled(CoreExpr):
+    """A core expression compiled to a closure.
 
-    Its Δ is empty by the purity judgment (Section 4.3), so ``run(ev,
-    frame)`` returns the value alone.  The frame is a list of ``size``
-    slots: the focus (item, position, size), then ``params`` argument
-    slots, then the local binders' and the free variables' slots; each
-    ``(name, slot)`` of ``free`` is read from the caller's bindings, then
-    the fork's globals (None when unbound).  ``expr`` is the source
-    subtree, for shape tests and diagnostics.
+    ``run(ev, frame)`` returns the value; the update requests the
+    expression emits are appended, in the order of Figs. 2-3, to the
+    executing fork's ``pending`` list (the innermost snap's Δ).  The
+    frame is a list of ``size`` slots: the focus (item, position, size),
+    then ``params`` argument slots, then the local binders' and the free
+    variables' slots; each ``(name, slot)`` of ``free`` is read from the
+    caller's bindings, then the fork's globals (None when unbound).
+    ``expr`` is the source expression, for diagnostics.
     """
 
     def __init__(self, expr, run, free: tuple[tuple[str, int], ...],
@@ -433,10 +434,10 @@ class CPure(CoreExpr):
 
 
 class CGroupedPath(CPath):
-    """``B//name[P...]`` whose predicates never snap: ``base`` is the
-    ``B/descendant-or-self::node()`` path and ``step`` the child step,
-    both lowered, so the evaluator can take the grouped one-pass route
-    (the shape is decided once, when the expression is lowered)."""
+    """``B//name[P...]`` whose predicates never snap, marked for the
+    tree-walker: ``base`` is the ``B/descendant-or-self::node()`` path
+    and ``step`` the child step, so the evaluator takes the grouped
+    one-pass route the compiled closures take."""
 
 
 def child_exprs(expr: CoreExpr) -> list[CoreExpr]:

@@ -1,37 +1,44 @@
-"""Pure core subtrees compiled once to Python closures.
+"""Core expressions compiled once to Python closures.
 
-The evaluation judgment pairs every value with a Δ, but for a *pure*
-subtree — no update request, no snap — the purity judgment of Section
-4.3 (:mod:`repro.algebra.properties`) proves that Δ empty.  Such a
-subtree needs none of the tree-walker's per-node machinery (dispatch,
-``EvalResult``, ``DynamicContext``, Δ concatenation), so it is compiled
-once into a closure ``run(ev, frame) -> items``:
+The evaluation judgment of Figs. 2-3 pairs every value with a Δ.  Each
+rule concatenates its premises' Δs in the order it evaluates them, so
+the Δ of any expression is the list of requests its primitives emit, in
+evaluation order.  A compiled expression therefore returns its value
+alone and appends its requests to one list: the innermost open snap's Δ,
+``ev.pending``.  A ``snap`` swaps in a fresh list for its body, applies
+it through :func:`~repro.semantics.update.apply_update_list` when the
+body is done, and puts the outer list back.  None of the tree-walker's
+per-node machinery (dispatch, ``EvalResult``, ``DynamicContext``, Δ
+ropes) is left, and the closures have the shape ``run(ev, frame) ->
+items``:
 
 * ``ev`` is the executing fork; it supplies the store, the globals, the
   function registry, ``use_indexes``/``use_name_index``, the execution
-  control and the tracer, all read at run time;
+  control, the tracer and the pending Δ, all read at run time;
 * ``frame`` is a list: the focus (item, position, size), then one slot
   per parameter, free variable and local binder (see
-  :class:`~repro.lang.core_ast.CPure`) — variables resolve to slots when
-  the subtree is compiled.
+  :class:`~repro.lang.core_ast.CCompiled`) — variables resolve to slots
+  when the expression is compiled.
 
-:func:`lower` turns an expression into *lowered core*: each maximal pure
-subtree becomes a ``CPure``, and the impure nodes around them are copied
-for the tree-walker, which keeps the rules of Figs. 2-3 (and so the
-order of Δ) for everything that may update or snap.  A prepared query
-lowers its prolog, body and plan expressions once, cached with it
-(:class:`CompiledModule`); a user function's body is lowered once per
-registry state (:func:`compiled_function`).
+:func:`lower` compiles a whole expression to a ``CCompiled``.  A
+prepared query lowers its prolog, body and plan expressions once,
+cached with it (:class:`CompiledModule`); a user function's body is
+lowered once per registry state (:func:`compiled_function`).  The
+tree-walker (:class:`~repro.semantics.evaluator.Evaluator`) runs only
+what is nested too deeply to compile, and serves as the reference the
+tests compare closures with.
 
 The closures follow the tree-walker rule for rule: operands in the same
-order, the same value functions (shared with :mod:`.evaluator`), the
-same errors first, ``control.check()`` at the same points (``for``, the
-ordered FLWOR and quantifiers).  Axis steps iterate node ids and make
-``Node`` handles only at their boundary, and they call the evaluator's
-access paths (value-index probes, the attribute-compare filter, the
-grouped ``B//name[P...]`` step), whose shapes are decided here, once.
-A step from one context node on a forward axis yields document order by
-construction, so only multi-node and reverse-axis steps sort.
+order, the same value functions and update requests (shared with
+:mod:`.evaluator`), the same errors first, ``control.check()`` at the
+same points (``for``, the ordered FLWOR, quantifiers, and before a snap
+applies), the same call-depth guard.  Axis steps iterate node ids and
+make ``Node`` handles only at their boundary, and they call the
+evaluator's access paths (value-index probes, the attribute-compare
+filter, the grouped ``B//name[P...]`` step), whose shapes are decided
+here, once.  A step from one context node on a forward axis yields
+document order by construction, so only multi-node and reverse-axis
+steps sort.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from collections.abc import Callable
 from dataclasses import fields, replace
 
 from repro.algebra.properties import EffectAnalyzer
-from repro.errors import DynamicError, UndefinedVariableError
+from repro.errors import UndefinedVariableError
 from repro.lang import core_ast as core
 from repro.semantics.context import (
     DynamicContext,
@@ -55,13 +62,18 @@ from repro.semantics.evaluator import (
     cast_value,
     compare_value,
     ctor_name,
+    delete_requests,
+    insert_request,
     is_fresh,
     node_test,
     path_result,
     probe_shape,
     range_value,
+    rename_request,
+    replace_requests,
     root_value,
     set_value,
+    set_value_request,
     sort_keyed,
     step_context,
     treat_value,
@@ -69,6 +81,7 @@ from repro.semantics.evaluator import (
 )
 from repro.semantics.functions import fn_last, fn_position
 from repro.semantics.types import matches_sequence_type
+from repro.semantics.update import ApplySemantics
 from repro.xdm.compare import (
     general_compare,
     nodes_in_document_order,
@@ -103,8 +116,9 @@ class CompiledModule:
     """A prepared query's lowered expressions, built on first use.
 
     ``key`` is the registry's ``compiled`` table this was built against:
-    purity verdicts depend on the user functions, so a registry change
-    makes the owner build a new one."""
+    name resolution and the effect verdicts the grouped step depends on
+    change with the user functions, so a registry change makes the owner
+    build a new one."""
 
     def __init__(self, registry: FunctionRegistry):
         self.key = registry.compiled
@@ -124,16 +138,17 @@ def lower(
     registry: FunctionRegistry | None,
     params: tuple[str, ...] = (),
 ) -> core.CoreExpr:
-    """*expr* with every maximal pure subtree compiled to a ``CPure``
-    (*params*: the function parameters when *expr* is a body).  An
-    expression nested past the compiler's stack headroom stays whole
-    for the tree-walker, which needs less of it per level."""
-    effects: dict[int, object] = {}
+    """*expr* compiled to a ``CCompiled`` (*params*: the function
+    parameters when *expr* is a body).  An expression nested past the
+    compiler's stack headroom stays whole for the tree-walker, which
+    needs less of it per level."""
     try:
-        _effects(expr, EffectAnalyzer(registry), effects)
-        return _lower(expr, effects, params)
+        unit = compile_closure(expr, params, registry)
+        if unit is None:
+            return _walker_form(expr, EffectAnalyzer(registry))
     except RecursionError:
         return expr
+    return unit
 
 
 def compiled_function(
@@ -148,37 +163,31 @@ def compiled_function(
     return entry[1]
 
 
-def compile_pure(
-    expr: core.CoreExpr, params: tuple[str, ...] = ()
-) -> core.CPure | None:
-    """Compile the pure *expr* to a closure over a slot frame (None would
-    leave *expr* to the tree-walker)."""
-    unit = _Unit(3 + len(params))
+def compile_closure(
+    expr: core.CoreExpr,
+    params: tuple[str, ...] = (),
+    registry: FunctionRegistry | None = None,
+) -> core.CCompiled | None:
+    """Compile *expr* to a closure over a slot frame (None would leave
+    *expr* to the tree-walker).  *registry* resolves the user functions
+    a grouped step's predicates call (without one, every call may
+    snap)."""
+    unit = _Unit(3 + len(params), EffectAnalyzer(registry))
     run = _compile(expr, {name: 3 + i for i, name in enumerate(params)}, unit)
     free = tuple(unit.free.items())
-    return core.CPure(expr, run, free, len(params), unit.next)
+    return core.CCompiled(expr, run, free, len(params), unit.next)
 
 
-def _effects(expr, analyzer: EffectAnalyzer, out: dict):
-    props = analyzer.combine(
-        expr, [_effects(c, analyzer, out) for c in core.child_exprs(expr)]
-    )
-    out[id(expr)] = props
-    return props
-
-
-def _lower(expr: core.CoreExpr, effects: dict, params=()) -> core.CoreExpr:
-    if effects[id(expr)].pure:
-        unit = compile_pure(expr, params)
-        if unit is not None:
-            return unit
+def _walker_form(expr: core.CoreExpr, effects: EffectAnalyzer):
+    """*expr* for the tree-walker (when :func:`compile_closure`
+    declines, as the reference runs of the tests make it): each step
+    that a closure would take by the grouped route becomes a
+    ``CGroupedPath``, so both take the same access paths."""
 
     def sub(child):
-        return _lower(child, effects)
+        return _walker_form(child, effects)
 
-    if _grouped_shape(expr) and not any(
-        effects[id(p)].may_snap for p in expr.step.predicates
-    ):
+    if _grouped(expr, effects):
         inner = expr.base
         return core.CGroupedPath(
             base=replace(inner, base=sub(inner.base), step=sub(inner.step)),
@@ -214,6 +223,15 @@ def _map(value, sub):
     return value
 
 
+def _grouped(expr, effects: EffectAnalyzer) -> bool:
+    """*expr* has the grouped shape, and no predicate of its step may
+    apply a nested snap, which could restructure the tree between two
+    groups (see ``Evaluator._grouped_child_path``)."""
+    return _grouped_shape(expr) and not any(
+        effects.analyze(p).may_snap for p in expr.step.predicates
+    )
+
+
 def _grouped_shape(expr) -> bool:
     """``CPath(CPath(B, descendant-or-self::node()), child::name[P...])``."""
     if type(expr) is not core.CPath:
@@ -237,12 +255,14 @@ def _grouped_shape(expr) -> bool:
 # ----------------------------------------------------------------------
 
 class _Unit:
-    """Slot allocation for one compiled subtree: one slot per binder and
-    per free variable name."""
+    """Slot allocation for one compiled expression: one slot per binder
+    and per free variable name; and the effect analysis deciding which
+    grouped steps keep their one-pass route."""
 
-    def __init__(self, first: int):
+    def __init__(self, first: int, effects: EffectAnalyzer):
         self.next = first
         self.free: dict[str, int] = {}
+        self.effects = effects
 
     def slot(self) -> int:
         self.next += 1
@@ -629,7 +649,7 @@ def _path(expr, env, unit):
     """A chain of path steps compiles to one closure that applies them
     in turn: a loop at run time, and no compiler frame per step."""
     steps = []
-    while type(expr) is core.CPath and not _grouped_shape(expr):
+    while type(expr) is core.CPath and not _grouped(expr, unit.effects):
         steps.append(_path_step(expr.step, env, unit))
         expr = expr.base
     if not steps:
@@ -756,7 +776,7 @@ def _call(expr, env, unit):
             body = compiled_function(functions, resolved)
             depth = ev.enter_call(name)
             try:
-                if type(body) is core.CPure:
+                if type(body) is core.CCompiled:
                     return body.invoke(ev, values)
                 value, delta = ev.evaluate(body, DynamicContext(
                     dict(zip(resolved.params, values)), globals_=ev.globals
@@ -767,11 +787,7 @@ def _call(expr, env, unit):
                 raise ev.stack_exhausted(name) from None
             finally:
                 ev.call_depth = depth - 1
-            if delta:
-                raise DynamicError(
-                    f"{name}#{arity} became updating after its caller "
-                    "was compiled"
-                )
+            ev.pending += delta
             return value
         if arity:
             return resolved(ev, _NO_FOCUS, values)
@@ -875,6 +891,94 @@ def _copy(expr, env, unit):
     return lambda ev, frame: ev.copy(source(ev, frame), fresh)
 
 
+# -- updates (Fig. 2) ---------------------------------------------------------
+
+def _insert(expr, env, unit):
+    source = _compile(expr.source, env, unit)
+    target = _compile(expr.target, env, unit)
+    position = expr.position
+
+    def run(ev, frame):
+        source_value = source(ev, frame)
+        ev.pending.append(insert_request(
+            ev.store, position, source_value, target(ev, frame)
+        ))
+        return []
+
+    return run
+
+
+def _delete(expr, env, unit):
+    target = _compile(expr.target, env, unit)
+
+    def run(ev, frame):
+        ev.pending += delete_requests(target(ev, frame))
+        return []
+
+    return run
+
+
+def _replace(expr, env, unit):
+    target = _compile(expr.target, env, unit)
+    source = _compile(expr.source, env, unit)
+
+    def run(ev, frame):
+        target_value = target(ev, frame)
+        ev.pending += replace_requests(
+            ev.store, target_value, source(ev, frame)
+        )
+        return []
+
+    return run
+
+
+def _replace_value(expr, env, unit):
+    target = _compile(expr.target, env, unit)
+    source = _compile(expr.source, env, unit)
+
+    def run(ev, frame):
+        target_value = target(ev, frame)
+        ev.pending.append(set_value_request(target_value, source(ev, frame)))
+        return []
+
+    return run
+
+
+def _rename(expr, env, unit):
+    target = _compile(expr.target, env, unit)
+    name = _compile(expr.name, env, unit)
+
+    def run(ev, frame):
+        target_value = target(ev, frame)
+        ev.pending.append(rename_request(target_value, name(ev, frame)))
+        return []
+
+    return run
+
+
+def _snap(expr, env, unit):
+    """Fig. 2 snap rule: the body's requests collect in a Δ of their
+    own, applied once the body is done; nested snaps stack."""
+    body = _compile(expr.body, env, unit)
+    mode = ApplySemantics.from_keyword(expr.mode)
+
+    def run(ev, frame):
+        outer = ev.pending
+        delta = ev.pending = []
+        try:
+            value = body(ev, frame)
+        finally:
+            ev.pending = outer
+        # Check before applying: an interrupt must discard this snap's
+        # Δ, never land mid-application.
+        if ev.control is not None:
+            ev.control.check()
+        ev.apply_updates(delta, mode)
+        return value
+
+    return run
+
+
 # -- typing ------------------------------------------------------------------
 
 def _typeswitch(expr, env, unit):
@@ -917,7 +1021,7 @@ def _cast(expr, env, unit):
     return lambda ev, frame: cast_value(expr, operand(ev, frame))
 
 
-# The compiler per pure core node type.
+# The compiler per core node type.
 _COMPILERS = {
     core.CLiteral: _literal,
     core.CVar: _var,
@@ -948,6 +1052,12 @@ _COMPILERS = {
     core.CDoc: _doc,
     core.CPI: _pi,
     core.CCopy: _copy,
+    core.CInsert: _insert,
+    core.CDelete: _delete,
+    core.CReplace: _replace,
+    core.CReplaceValue: _replace_value,
+    core.CRename: _rename,
+    core.CSnap: _snap,
     core.CTypeswitch: _typeswitch,
     core.CInstanceOf: _instance_of,
     core.CTreat: _treat,

@@ -14,6 +14,12 @@ Evaluation order is fully specified, left-to-right, as the rules of Figs. 2
 and 3 require — the premises of each rule are executed top-to-bottom.
 ``and`` / ``or`` short-circuit left-to-right (a *defined* order, hence
 permissible under the paper's "precise evaluation order" stance).
+
+Prepared queries run as closures compiled from the same rules
+(:mod:`repro.semantics.compiled`), which share the value functions and
+update requests defined at the end of this module; the tree-walker runs
+what nests too deeply to compile, and is the reference the tests compare
+the closures with.
 """
 
 from __future__ import annotations
@@ -164,6 +170,10 @@ class Evaluator:
         self.txn_log = None
         # User-function calls currently open (see enter_call).
         self.call_depth = 0
+        # The innermost open snap's Δ while compiled closures run: they
+        # append their update requests here, in evaluation order, which
+        # is the order of Figs. 2-3 (see repro.semantics.compiled).
+        self.pending: list = []
 
     def fork(self, store: Store, globals_: dict[str, Sequence]) -> "Evaluator":
         """A per-execution evaluator over *store* with *globals_*.
@@ -181,6 +191,7 @@ class Evaluator:
         child.tracer = None
         child.control = None
         child.call_depth = 0
+        child.pending = []
         return child
 
     def enter_call(self, name: str) -> int:
@@ -232,22 +243,32 @@ class Evaluator:
         mode: ApplySemantics = ApplySemantics.ORDERED,
     ) -> Sequence:
         """Evaluate under the implicit top-level snap (Section 2.3: "a snap
-        is always implicitly present around the top-level query")."""
+        is always implicitly present around the top-level query").  A
+        compiled *expr* (:mod:`repro.semantics.compiled`) runs as its
+        closure, anything else on the tree-walker."""
         tracer = self.tracer
         with maybe_span(tracer, "evaluate"):
-            value, delta = self.evaluate(expr, context)
+            if type(expr) is core.CCompiled:
+                delta = self.pending = []
+                value = list(expr.call_in(self, context))
+            else:
+                value, delta = self.evaluate(expr, context)
         # Last check before committing: a fired deadline discards the
         # pending Δ here, so a timed-out query never half-applies.
         if self.control is not None:
             self.control.check()
         with maybe_span(tracer, "snap-apply"):
-            apply_update_list(
-                self.store, delta, mode,
-                atomic=self.atomic_snaps, tracer=tracer,
-                journal=self.journal, control=self.control,
-                txn_log=self.txn_log,
-            )
+            self.apply_updates(delta, mode)
         return value
+
+    def apply_updates(self, delta, mode: ApplySemantics) -> None:
+        """Apply a closing snap's Δ (the caller has polled the control)."""
+        apply_update_list(
+            self.store, delta, mode,
+            atomic=self.atomic_snaps, tracer=self.tracer,
+            journal=self.journal, control=self.control,
+            txn_log=self.txn_log,
+        )
 
     # ------------------------------------------------------------------
     # Leaves
@@ -267,14 +288,6 @@ class Evaluator:
 
     def _eval_root(self, expr: core.CRoot, context: DynamicContext) -> EvalResult:
         return EvalResult(root_value(context.require_context_item()), _EMPTY)
-
-    def _eval_pure(
-        self, expr: core.CPure, context: DynamicContext
-    ) -> EvalResult:
-        """A compiled pure subtree: its Δ is empty by the purity
-        judgment, so only the value comes back (copied: the closure may
-        hand out a bound variable's own list)."""
-        return EvalResult(list(expr.call_in(self, context)), _EMPTY)
 
     # ------------------------------------------------------------------
     # Composition
@@ -467,7 +480,7 @@ class Evaluator:
         predicates = expr.predicates
         delta = _EMPTY
         if predicates and self.use_indexes:
-            shape = probe_shape(expr.axis, expr.test, _unwrap(predicates[0]))
+            shape = probe_shape(expr.axis, expr.test, predicates[0])
             probed = None
             if shape is not None:
                 probed = self._indexed_predicate_step(
@@ -527,7 +540,7 @@ class Evaluator:
         has that shape (and *fast*)."""
         rest = predicates
         if fast and predicates and nids:
-            shape = attr_filter_shape(_unwrap(predicates[0]))
+            shape = attr_filter_shape(predicates[0])
             if shape is not None:
                 kept = self._attr_compare_filter(
                     shape, nids, self._comparand(shape.operand, context)
@@ -901,7 +914,7 @@ class Evaluator:
         same (item, position, size), Δ comes out in the same order and the
         first error is the same one.  A predicate that may apply a nested
         snap could restructure the tree between two groups, so such a
-        path is never lowered to this route (see CGroupedPath).
+        path never takes this route (see CGroupedPath).
         """
         store = self.store
         found = None
@@ -949,9 +962,7 @@ class Evaluator:
         predicates = step.predicates
         probe = None
         if predicates:
-            probe = probe_shape(
-                "descendant", step.test, _unwrap(predicates[0])
-            )
+            probe = probe_shape("descendant", step.test, predicates[0])
 
         def filter_group(nids: list[int], first: int) -> list[int]:
             nonlocal delta
@@ -1009,10 +1020,16 @@ class Evaluator:
             body = compiled_function(self.functions, resolved)
             depth = self.enter_call(expr.name)
             try:
-                if type(body) is core.CPure:
-                    return EvalResult(
-                        list(body.invoke(self, arg_values)), delta
-                    )
+                if type(body) is core.CCompiled:
+                    # The closure appends its requests to a sink of its
+                    # own, which becomes this call's body Δ.
+                    outer, self.pending = self.pending, []
+                    try:
+                        body_value = list(body.invoke(self, arg_values))
+                        body_delta = Delta.from_iterable(self.pending)
+                    finally:
+                        self.pending = outer
+                    return EvalResult(body_value, delta + body_delta)
                 body_context = DynamicContext(
                     dict(zip(resolved.params, arg_values)),
                     globals_=self.globals,
@@ -1069,7 +1086,8 @@ class Evaluator:
         space-separated text, adjacent texts merge with no separator,
         empty texts are dropped and a document contributes its children.
         Nodes are copied unless *fresh* says a constructor made them for
-        this content alone (then the copy is the node itself, §3.3)."""
+        this content alone (then the copy is the node itself, §3.3).  Two
+        attributes with one name raise XQDY0025."""
         store = self.store
         # The pending run of adjacent text: (text, node id) pieces, the id
         # set only for a fresh text node, which a run of one reuses.
@@ -1101,6 +1119,13 @@ class Evaluator:
                         raise TypeError_(
                             "attribute constructors must precede other "
                             "element content (XQTY0024)"
+                        )
+                    name = store.name(nid)
+                    if store.attribute_named(element, name) is not None:
+                        raise DynamicError(
+                            f"element constructor has two attributes "
+                            f"named {name!r} (XQDY0025)",
+                            code="XQDY0025",
                         )
                     store.set_attribute(
                         element, nid if fresh else store.deep_copy(nid)
@@ -1209,99 +1234,33 @@ class Evaluator:
     def _eval_insert(self, expr: core.CInsert, context: DynamicContext) -> EvalResult:
         """Fig. 2 insert rule: evaluate the (already copy-wrapped) source,
         then the target, then run the InsertLocation judgment and emit the
-        insert request.  The *target* is validated now; the exact slot
-        (e.g. which child is currently last) resolves at application time —
-        see :mod:`repro.semantics.update` for why the paper's own Section
-        3.4 example requires this."""
+        insert request (see :func:`insert_request`)."""
         source_value, delta1 = self.evaluate(expr.source, context)
         target_value, delta2 = self.evaluate(expr.target, context)
-        nodes = self._content_to_nodes(source_value)
-        target = single_node(target_value, "insert target")
-        if expr.position in ("first", "last"):
-            if target.kind not in (NodeKind.ELEMENT, NodeKind.DOCUMENT):
-                raise UpdateTargetError(
-                    "insert into requires an element or document target"
-                )
-        else:
-            if self.store.parent(target.nid) is None:
-                raise UpdateTargetError(
-                    f"insert {expr.position} requires a target with a parent"
-                )
-        request = InsertRequest(
-            nodes=tuple(node.nid for node in nodes),
-            position=expr.position,
-            target=target.nid,
+        request = insert_request(
+            self.store, expr.position, source_value, target_value
         )
         return EvalResult([], delta1 + delta2 + Delta.leaf(request))
-
-    def _content_to_nodes(self, value: Sequence) -> list[Node]:
-        """Convert an insert/replace source to nodes: atomic values become
-        text nodes (runs of adjacent atomics are space-joined, as in
-        element content construction), nodes pass through."""
-        nodes: list[Node] = []
-        pending: list[AtomicValue] = []
-
-        def flush() -> None:
-            if pending:
-                text = " ".join(av.lexical() for av in pending)
-                nodes.append(Node(self.store, self.store.create_text(text)))
-                pending.clear()
-
-        for item in value:
-            if isinstance(item, AtomicValue):
-                pending.append(item)
-            else:
-                flush()
-                nodes.append(item)
-        flush()
-        return nodes
 
     def _eval_delete(self, expr: core.CDelete, context: DynamicContext) -> EvalResult:
         """Fig. 2 delete rule, generalized to node sequences (the paper's
         own use case deletes ``$log/logentry``, a sequence)."""
         value, delta = self.evaluate(expr.target, context)
-        nodes = node_sequence(value, "delete target")
-        requests = [DeleteRequest(node.nid) for node in nodes]
-        return EvalResult([], delta + Delta.from_iterable(requests))
+        return EvalResult(
+            [], delta + Delta.from_iterable(delete_requests(value))
+        )
 
     def _eval_replace(self, expr: core.CReplace, context: DynamicContext) -> EvalResult:
         """Fig. 2 replace rule:
         Δ3 = (Δ1, Δ2, insert(nodeseq, nodepar, node), delete(node))."""
         target_value, delta1 = self.evaluate(expr.target, context)
         source_value, delta2 = self.evaluate(expr.source, context)
-        target = single_node(target_value, "replace target")
-        nodes = self._content_to_nodes(source_value)
-        parent = self.store.parent(target.nid)
-        if parent is None:
-            raise UpdateTargetError("replace target must have a parent")
-        # The insert/delete pair of one replace shares a group token so the
-        # conflict checker treats it as a single logical write.
-        group = next_group()
-        if target.kind is NodeKind.ATTRIBUTE:
-            # Attribute replacement: the new nodes become attributes of the
-            # parent element; there is no sibling anchor.
-            request = InsertRequest(
-                nodes=tuple(node.nid for node in nodes),
-                position="last",
-                target=parent,
-                group=group,
-            )
-        else:
-            # Fig. 2: insert(nodeseq, nodepar, node) then delete(node) —
-            # the new nodes land right after the node being replaced.
-            request = InsertRequest(
-                nodes=tuple(node.nid for node in nodes),
-                position="after",
-                target=target.nid,
-                group=group,
-            )
-        delta = (
-            delta1
-            + delta2
-            + Delta.leaf(request)
-            + Delta.leaf(DeleteRequest(target.nid, group=group))
+        insert, delete = replace_requests(
+            self.store, target_value, source_value
         )
-        return EvalResult([], delta)
+        return EvalResult(
+            [], delta1 + delta2 + Delta.leaf(insert) + Delta.leaf(delete)
+        )
 
     def _eval_replace_value(
         self, expr: core.CReplaceValue, context: DynamicContext
@@ -1310,19 +1269,13 @@ class Evaluator:
         and request a content overwrite of the target node."""
         target_value, delta1 = self.evaluate(expr.target, context)
         source_value, delta2 = self.evaluate(expr.source, context)
-        target = single_node(target_value, "replace value of target")
-        text = sequence_string(source_value)
-        request = SetValueRequest(target.nid, text)
+        request = set_value_request(target_value, source_value)
         return EvalResult([], delta1 + delta2 + Delta.leaf(request))
 
     def _eval_rename(self, expr: core.CRename, context: DynamicContext) -> EvalResult:
         target_value, delta1 = self.evaluate(expr.target, context)
         name_value, delta2 = self.evaluate(expr.name, context)
-        target = single_node(target_value, "rename target")
-        name = atomize_single(name_value, "rename name").lexical().strip()
-        if not name:
-            raise UpdateTargetError("rename requires a non-empty name")
-        request = RenameRequest(target.nid, name)
+        request = rename_request(target_value, name_value)
         return EvalResult([], delta1 + delta2 + Delta.leaf(request))
 
     def _eval_snap(self, expr: core.CSnap, context: DynamicContext) -> EvalResult:
@@ -1334,16 +1287,7 @@ class Evaluator:
         # never land mid-application.
         if self.control is not None:
             self.control.check()
-        apply_update_list(
-            self.store,
-            delta,
-            ApplySemantics.from_keyword(expr.mode),
-            atomic=self.atomic_snaps,
-            tracer=self.tracer,
-            journal=self.journal,
-            control=self.control,
-            txn_log=self.txn_log,
-        )
+        self.apply_updates(delta, ApplySemantics.from_keyword(expr.mode))
         return EvalResult(value, _EMPTY)
 
     def _eval_typeswitch(self, expr: core.CTypeswitch, context: DynamicContext) -> EvalResult:
@@ -1770,11 +1714,6 @@ def attr_filter_shape(predicate: core.CoreExpr) -> AttrShape | None:
     return AttrShape(name, predicate.op, flipped, operand)
 
 
-def _unwrap(expr: core.CoreExpr) -> core.CoreExpr:
-    """The source expression of a compiled subtree, for shape tests."""
-    return expr.expr if type(expr) is core.CPure else expr
-
-
 # ----------------------------------------------------------------------
 # Value rules, shared by the tree-walker and the compiled closures
 # ----------------------------------------------------------------------
@@ -1900,6 +1839,96 @@ def cast_value(expr: core.CCast, value: Sequence) -> Sequence:
     return [cast_atomic(av, expr.type_name)]
 
 
+def content_ids(store: Store, value: Sequence) -> tuple[int, ...]:
+    """An insert/replace source as node ids: runs of adjacent atomics
+    become one space-joined text node each (as in element content
+    construction), nodes pass through."""
+    ids: list[int] = []
+    pending: list[str] = []
+    for item in value:
+        if isinstance(item, AtomicValue):
+            pending.append(item.lexical())
+            continue
+        if pending:
+            ids.append(store.create_text(" ".join(pending)))
+            pending = []
+        ids.append(item.nid)
+    if pending:
+        ids.append(store.create_text(" ".join(pending)))
+    return tuple(ids)
+
+
+def insert_request(
+    store: Store, position: str, source_value: Sequence,
+    target_value: Sequence,
+) -> InsertRequest:
+    """The request of ``insert {source} <position> {target}``.  The
+    *target* is validated now; the exact slot (e.g. which child is
+    currently last) resolves at application time — see
+    :mod:`repro.semantics.update` for why the paper's own Section 3.4
+    example requires this."""
+    nodes = content_ids(store, source_value)
+    target = single_node(target_value, "insert target")
+    if position in ("first", "last"):
+        if target.kind not in (NodeKind.ELEMENT, NodeKind.DOCUMENT):
+            raise UpdateTargetError(
+                "insert into requires an element or document target"
+            )
+    elif store.parent(target.nid) is None:
+        raise UpdateTargetError(
+            f"insert {position} requires a target with a parent"
+        )
+    return InsertRequest(nodes=nodes, position=position, target=target.nid)
+
+
+def delete_requests(value: Sequence) -> list[DeleteRequest]:
+    nodes = node_sequence(value, "delete target")
+    return [DeleteRequest(node.nid) for node in nodes]
+
+
+def replace_requests(
+    store: Store, target_value: Sequence, source_value: Sequence
+) -> tuple[InsertRequest, DeleteRequest]:
+    """Fig. 2's ``insert(nodeseq, nodepar, node)`` then ``delete(node)``
+    of one replace, sharing a group token so the conflict checker treats
+    the pair as a single logical write."""
+    target = single_node(target_value, "replace target")
+    nodes = content_ids(store, source_value)
+    parent = store.parent(target.nid)
+    if parent is None:
+        raise UpdateTargetError("replace target must have a parent")
+    group = next_group()
+    if target.kind is NodeKind.ATTRIBUTE:
+        # The new nodes become attributes of the parent element; there
+        # is no sibling anchor.
+        insert = InsertRequest(
+            nodes=nodes, position="last", target=parent, group=group
+        )
+    else:
+        # The new nodes land right after the node being replaced.
+        insert = InsertRequest(
+            nodes=nodes, position="after", target=target.nid, group=group
+        )
+    return insert, DeleteRequest(target.nid, group=group)
+
+
+def set_value_request(
+    target_value: Sequence, source_value: Sequence
+) -> SetValueRequest:
+    target = single_node(target_value, "replace value of target")
+    return SetValueRequest(target.nid, sequence_string(source_value))
+
+
+def rename_request(
+    target_value: Sequence, name_value: Sequence
+) -> RenameRequest:
+    target = single_node(target_value, "rename target")
+    name = atomize_single(name_value, "rename name").lexical().strip()
+    if not name:
+        raise UpdateTargetError("rename requires a non-empty name")
+    return RenameRequest(target.nid, name)
+
+
 def sort_keyed(keyed: list, specs: list[core.COrderSpec]) -> list:
     """Stable multi-key order-by sort of ``(keys, payload)`` pairs, in
     place: by the last key first."""
@@ -1926,7 +1955,6 @@ def is_fresh(expr: core.CoreExpr) -> bool:
     return is fresh, an ``if`` whose branches are, or a sequence of fresh
     items.  A variable is never fresh: ``let $a := <a/> return $a``
     copies, because ``$a`` may be read again."""
-    expr = _unwrap(expr)
     kind = type(expr)
     if kind in _FRESH_NODE or kind is core.CEmpty:
         return True
@@ -1948,7 +1976,6 @@ _DISPATCH = {
     core.CContext: Evaluator._eval_context,
     core.CEmpty: Evaluator._eval_empty,
     core.CRoot: Evaluator._eval_root,
-    core.CPure: Evaluator._eval_pure,
     core.CSequence: Evaluator._eval_sequence,
     core.CSequenced: Evaluator._eval_sequence,  # ';' == ',' dynamically
     core.CRange: Evaluator._eval_range,

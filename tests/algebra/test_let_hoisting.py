@@ -53,6 +53,20 @@ class TestHoisting:
         )
         assert isinstance(after.steps[0], LetStep)
 
+    @pytest.mark.parametrize("query", [
+        # The let rebinds the loop's variable: above it, the loop's
+        # binding would shadow the let's.
+        "for $i in (1, 2) return let $i := 5 return $i",
+        # The loop reads an outer $k the let would shadow.
+        "let $k := 1 return for $x in ($k, $k) let $k := 7 return $x + $k",
+        # So does the where clause between them.
+        "let $k := 1 return for $x in (1, 2) return "
+        "if ($k = 1) then let $k := 7 return $x + $k else ()",
+    ])
+    def test_hoist_never_shadows_a_binding(self, query):
+        engine = Engine()
+        assert engine.execute(query).items == interpreted(engine, query).items
+
     def test_hoist_stops_at_binder(self):
         _, after = hoist(
             "for $a in $s for $b in $t let $k := count($b) return $k"

@@ -100,13 +100,31 @@ class TestFunctionPropagation:
         p = props("mystery($x)", default_registry())
         assert p.may_update and p.may_snap
 
-    def test_recursive_function_conservative(self):
+    def test_recursive_function_takes_the_least_fixpoint(self):
         registry = registry_for(
             "declare function loop($n) { if ($n) then loop($n - 1) else 0 };"
         )
-        p = props("loop(3)", registry)
-        # The cycle is resolved conservatively (assume effects).
-        assert p.may_update and p.may_snap
+        # Every function starts pure; nothing in the cycle updates.
+        assert props("loop(3)", registry).pure
+
+    def test_mutual_recursion_updates_through_its_cycle(self):
+        registry = registry_for(
+            "declare function even($n) { if ($n) then odd($n - 1) else () };"
+            "declare function odd($n) {"
+            "  (insert { <a/> } into { $x }, even($n)) };"
+            "declare function top($n) { even($n) };"
+        )
+        for call in ("even(2)", "odd(2)", "top(2)"):
+            p = props(call, registry)
+            assert p.may_update and not p.may_snap, call
+
+    def test_snap_in_a_cycle_snaps_every_member(self):
+        registry = registry_for(
+            "declare function f($n) { if ($n) then g($n) else 0 };"
+            "declare function g($n) { snap { f($n - 1) } };"
+        )
+        p = props("f(3)", registry)
+        assert p.may_snap and not p.may_update
 
     def test_memoization(self):
         registry = registry_for("declare function f() { 1 };")

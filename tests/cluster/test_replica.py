@@ -88,6 +88,34 @@ class TestApply:
         replica.apply_records(follower.poll())
         assert replica.fingerprint() == recovery_fingerprint(path)
 
+    def test_a_read_between_two_records_takes_no_id_they_install(
+        self, tmp_path
+    ):
+        # A replica read that constructs nodes runs on a snapshot, as the
+        # executor's reads do: its nodes take snapshot-local ids, so the
+        # primary's next record can install its <n/> under the id the
+        # primary gave it.
+        path, engine = fresh(tmp_path)
+        engine.execute('snap insert { <a/> } into { $doc/log }')
+        replica = ReplicaApplier(path)
+        follower = JournalFollower(path, after_seq=replica.applied_seq)
+        reads = []
+
+        def read_on_replica(message: str) -> None:
+            replica.apply_records(follower.poll())
+            reads.append(
+                replica.execute("count(<s><t/></s>//t)").first_value()
+            )
+
+        engine.engine.evaluator.trace_sink = read_on_replica
+        engine.execute(
+            "let $a := $doc/log/a return (snap delete { $a }, "
+            'trace(1, "t"), snap insert { <n/> } into { $a })'
+        )
+        assert reads == [1]
+        replica.apply_records(follower.poll())
+        assert replica.fingerprint() == recovery_fingerprint(path)
+
     def test_sequence_gap_is_permanently_fatal(self, tmp_path):
         path, engine = fresh(tmp_path)
         replica = ReplicaApplier(path)

@@ -12,11 +12,12 @@ comparison at all and its steps grow ~2x.  E11: the same join whose body
 snaps its insert observes its own effects, so the rewrite must not fire
 and the query keeps the P·C nested loop.
 
-Pure subexpressions run as compiled closures
-(:mod:`repro.semantics.compiled`) and the rest on the tree-walker, so a
-comparison is a general comparison made by a compiled closure or a
-``CComparison`` the tree-walker dispatches, and a step is a compiled
-closure's run or an ``Evaluator.evaluate`` dispatch.
+Prepared queries run as compiled closures
+(:mod:`repro.semantics.compiled`), and the tree-walker runs only what
+nests too deeply to compile, so a comparison is a general comparison
+made by a compiled closure or a ``CComparison`` the tree-walker
+dispatches, and a step is a compiled closure's run or an
+``Evaluator.evaluate`` dispatch.
 """
 
 from __future__ import annotations

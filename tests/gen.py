@@ -23,8 +23,12 @@ raise a dynamic error; which error comes first is part of the meaning.
 ``statements()`` draws updating statements over the same document: the
 five update primitives (insert at every location, delete, replace,
 replace value of, rename) under a top-level ``snap`` in any of its three
-modes, nested snaps, and constructed trees updated in scratch before a
-query returns or inserts them.  Their targets are paths, so some select
+modes, snaps nested in snaps (each in any mode), two inserts at one
+place, ``for`` loops whose body updates each node they bind, calls of
+the updating functions of ``PROLOG`` (one recursing to a depth its
+caller picks, past the call depth limit too, one snapping as it
+recurses), and constructed trees updated in scratch before a query
+returns or inserts them.  Their targets are paths, so some select
 nothing or several nodes and raise.
 """
 
@@ -38,12 +42,23 @@ VALUES = ("1", "2", "10", "x", "y", "")
 TEXTS = ("x", "y", "2", "10", "x y")
 
 # Pure functions the programs may call: a plain one, a positional one
-# and a recursive one (the effect analysis keeps recursion interpreted).
+# and a recursive one; and two updating ones for the statements: one
+# that inserts $k marks into $t, one mark per level of its recursion,
+# and one that snaps an insert per level and returns what it then sees.
 PROLOG = """
 declare function local:twice($x) { ($x, $x) };
 declare function local:pick($s, $i) { $s[$i] };
 declare function local:depth($m) {
   if (empty($m/..)) then 0 else 1 + local:depth($m/..)
+};
+declare function local:mark($t, $k) {
+  if ($k <= 0) then ()
+  else (insert { <m k="{$k}"/> } into { $t }, local:mark($t, $k - 1))
+};
+declare function local:bump($k) {
+  if ($k <= 0) then count($d//c)
+  else (snap insert { <c n="{$k}"/> } as first into { $d/r },
+        local:bump($k - 1))
 };
 """
 
@@ -322,15 +337,89 @@ def primitives():
     )
 
 
+# What a ``for`` binds, and what its body does to each node bound.
+BOUND = ("$d//a", "$d//b", "$d//a/@k", "$d//text()", "$d/r/*", "$h/*")
+PER_NODE = (
+    "insert {{ {c} }} into {{ $x }}", "insert {{ {c} }} after {{ $x }}",
+    "delete {{ $x }}", "replace {{ $x }} with {{ {c} }}",
+    'replace value of {{ $x }} with {{ concat("v", $i) }}',
+    'rename {{ $x }} to {{ "z" }}',
+    'insert {{ <p i="{{$i}}"/> }} as first into {{ $x }}',
+)
+# The depths local:mark recurses to: past 150 the call-depth guard
+# refuses the statement.
+DEPTHS = ("0", "1", "3", "160")
+
+
+def loops():
+    """``for $x at $i in P return <primitive on $x>``, maybe snapped."""
+    return st.tuples(
+        st.sampled_from(("",) + SNAPS),
+        st.sampled_from(BOUND),
+        st.sampled_from(PER_NODE),
+        st.sampled_from(CONTENT),
+    ).map(lambda t: _snapped(
+        t[0], f"for $x at $i in {t[1]} return {t[2].format(c=t[3])}"
+    ))
+
+
+def _snapped(snap: str, body: str) -> str:
+    return f"{snap} {{ {body} }}" if snap else body
+
+
+def calls():
+    """Calls of PROLOG's updating functions: under a snap, beside a
+    read of what they did, and as the ``let`` of a loop (were it judged
+    pure, the optimizer would move it out of the loop and call it
+    once)."""
+    target = st.sampled_from(TARGETS)
+    depth = st.sampled_from(DEPTHS)
+    return st.one_of(
+        st.tuples(st.sampled_from(SNAPS), target, depth).map(
+            lambda t: f"{t[0]} {{ local:mark({t[1]}, {t[2]}) }}"
+        ),
+        st.tuples(target, depth).map(
+            lambda t: f"for $i in (1, 2) let $u := local:mark({t[0]}, {t[1]})"
+            " return ($u, $i)"
+        ),
+        st.sampled_from(("0", "1", "2")).map(
+            lambda k: f"(local:bump({k}), count($d//c))"
+        ),
+    )
+
+
+def pairs():
+    """Two inserts at one place in one snap: Δ order decides which
+    lands first (conflict-detection may refuse the pair instead)."""
+    return st.tuples(
+        st.sampled_from(SNAPS),
+        st.sampled_from(CONTENT),
+        st.sampled_from(CONTENT),
+        st.sampled_from(LOCATIONS),
+        st.sampled_from(TARGETS),
+    ).map(
+        lambda t: f"{t[0]} {{ insert {{ {t[1]} }} {t[3]} {{ {t[4]} }}, "
+        f"insert {{ {t[2]} }} {t[3]} {{ {t[4]} }} }}"
+    )
+
+
 def statements():
     """One statement: a snap of update primitives (maybe nested, maybe
-    returning a path), an update of a constructed tree, or a pure
-    program."""
+    returning a path), two inserts at one place, a loop updating what
+    it binds, a call of an updating function, an update of a constructed
+    tree, or a pure program."""
     body = st.lists(primitives(), min_size=1, max_size=3).map(", ".join)
     return st.one_of(
         st.tuples(st.sampled_from(SNAPS), body).map(
             lambda t: f"{t[0]} {{ {t[1]} }}"
         ),
+        st.tuples(
+            st.sampled_from(SNAPS), primitives(), st.sampled_from(SNAPS),
+            body, primitives(),
+        ).map(lambda t: f"{t[0]} {{ {t[1]}, {t[2]} {{ {t[3]} }}, {t[4]} }}"),
+        pairs(),
+        loops(),
+        calls(),
         st.tuples(body, st.sampled_from(TARGETS)).map(
             lambda t: f"(snap {{ {t[0]} }}, {t[1]})"
         ),

@@ -101,8 +101,28 @@ class TestReKeys:
         assert store.attr_eq_probe("ref", "p2", None, ("person",)) == (aid,)
         store.detach(aid)
         assert store.attr_eq_probe("ref", "p2", None, ("person",)) == ()
-        assert store.attr_eq_probe("ref", "p2") == (aid,)
+        # A parentless attribute has no owner to reach it by: no posting.
+        assert store.attr_eq_probe("ref", "p2") == ()
         store.indexes.verify()
+        person = store.create_element("person")
+        store.set_attribute(person, aid)
+        assert store.attr_eq_probe("ref", "p2", None, ("person", None)) == (
+            aid,
+        )
+        store.indexes.verify()
+
+    def test_a_constructed_attribute_is_keyed_once(self):
+        engine = Engine()
+        engine.bind("x", engine.parse_fragment("<x/>"))
+        indexes = engine.store.indexes
+        before = indexes.maintained
+        engine.execute('snap insert { <mark n="1"/> } into { $x }')
+        # Born parentless (no key), keyed when <mark> takes it, moved
+        # once when <mark> goes under <x>.
+        assert indexes.maintained - before == 2
+        assert engine.store.attr_eq_probe("n", "1", None, ("mark", "x"))
+        assert engine.store.attr_eq_probe("n", "1", None, ("mark", None)) == ()
+        indexes.verify()
 
     def test_deep_copy_keys_each_attribute_on_its_copied_path(self):
         store = Store()

@@ -1,8 +1,8 @@
 """Property: a pure program compiled to closures means what the
 tree-walker of Figs. 2-3 makes of it.
 
-``repro.semantics.compiled.compile_pure`` is patched to decline every
-subtree for the reference run, so the tree-walker evaluates the whole
+``repro.semantics.compiled.compile_closure`` is patched to decline every
+expression for the reference run, so the tree-walker evaluates the whole
 program; the other run compiles as usual.  Each example draws a
 document and a pure program (``tests.gen``), and a configuration:
 ``use_indexes`` on or off, and where the program runs — on the live
@@ -103,11 +103,11 @@ SCENARIOS = {"live": live, "snapshot": snapshot, "transaction": transaction}
 def outcome(xml, program, scenario, options, interpreted) -> tuple:
     with pytest.MonkeyPatch.context() as patch:
         if interpreted:
-            patch.setattr(compiled, "compile_pure", decline)
+            patch.setattr(compiled, "compile_closure", decline)
         return SCENARIOS[scenario](make_engine(xml), program, options)
 
 
-def decline(expr, params=()):
+def decline(expr, params=(), registry=None):
     return None
 
 

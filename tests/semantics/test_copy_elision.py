@@ -12,6 +12,7 @@ and a sequence of them.  Every node that *can* be reached some other way
 import pytest
 
 from repro import Engine
+from repro.errors import DynamicError
 from repro.lang.normalize import normalize_module
 from repro.lang.parser import parse_module
 from repro.semantics.evaluator import is_fresh
@@ -151,10 +152,21 @@ class TestReturnPositions:
         assert out.first_value() is False
 
     def test_duplicate_attributes_read_the_same_adopted_or_copied(self, e):
+        # XQuery 1.0 §3.7.1.3: two attributes of one name are XQDY0025,
+        # whether the constructor adopts its content or copies it.
         attrs = "for $i in 1 to 2 return attribute a { $i }"
         adopted = f"<r>{{ {attrs} }}</r>"
         copied = f"<r>{{ let $s := {attrs} return $s }}</r>"
         assert fresh(attrs) is True
-        assert e.execute(adopted).serialize() == '<r a="2"/>'
-        assert e.execute(copied).serialize() == '<r a="2"/>'
+        for query in (
+            adopted,
+            copied,
+            "<r>{attribute a {1}, attribute a {2}}</r>",
+            '<r a="1">{attribute a {2}}</r>',
+        ):
+            with pytest.raises(DynamicError) as raised:
+                e.execute(query)
+            assert raised.value.code == "XQDY0025", query
+        distinct = e.execute("<r>{attribute a {1}, attribute b {2}}</r>")
+        assert distinct.serialize() == '<r a="1" b="2"/>'
         e.store.check_invariants()
