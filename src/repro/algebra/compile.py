@@ -4,9 +4,10 @@ The compiler recognizes the FLWOR *pipeline* shape that normalization
 produces — a chain of nested ``for``/``let``/``if`` — and hands it to
 the optimizer (:mod:`repro.algebra.rewrite`), which restructures it into
 join / outer-join/group-by plans when the side-effect guards allow.  A
-query gets a plan only when a rewrite fired; every other body runs on the
-evaluator (the paper's architecture likewise only rewrites plans
-matching its rules' preconditions).
+query gets a plan only when a rewrite fired; every other body runs as
+written (the paper's architecture likewise only rewrites plans matching
+its rules' preconditions).  Either way it runs lowered to closures
+(:mod:`repro.semantics.compiled`).
 
 A plan is always wrapped in a top-level :class:`Snap` — "recall that the
 query is always wrapped into a top-level snap" (Section 4.3).
@@ -147,8 +148,8 @@ def compile_query(
     tracer: "Tracer | None" = None,
 ) -> P.Snap | None:
     """The rewritten plan of a query body, or None when the body is not a
-    FLWOR pipeline or no rewrite rule fires: the body then runs on the
-    evaluator.
+    FLWOR pipeline or no rewrite rule fires: the body then runs as
+    written.
 
     A plan is always ``Snap { ... }`` with the given update-application
     *semantics* (the engine's default when omitted).  A *tracer* records

@@ -1,13 +1,14 @@
 """Logical plan operators of the nested-relational algebra (Section 4.3).
 
-Plans operate on *tuple streams*: lazily produced dictionaries mapping
-variable names to XDM sequences (the Galax-style tuple representation of
-[21] the paper builds on).  Scalar work inside operators — path steps,
-predicates, constructors — is expressed as embedded core expressions
-evaluated by the dynamic-semantics evaluator against the tuple's bindings;
-this hybrid is exactly the architecture the paper describes (the algebra
-restructures the *iteration* while the XQuery! semantics define each
-expression).
+Plans operate on *tuple streams*: lazily produced bindings of variable
+names to XDM sequences (the Galax-style tuples of [21] the paper builds
+on).  Scalar work inside operators — path steps, predicates,
+constructors — is expressed as embedded core expressions under the
+tuple's bindings; this hybrid is exactly the architecture the paper
+describes (the algebra restructures the *iteration* while the XQuery!
+semantics define each expression).  A plan runs lowered to the same
+closures as every other expression (:mod:`repro.semantics.compiled`),
+its variables frame slots.
 
 The operator names mirror the optimized plan printed in Section 4.3::
 
@@ -23,7 +24,7 @@ The operator names mirror the optimized plan printed in Section 4.3::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from repro.lang import core_ast as core
 
@@ -197,21 +198,8 @@ class Snap(Plan):
         return [self.input]
 
 
-PlanNode = Union[
-    UnitTuple,
-    MapConcat,
-    LetBind,
-    Select,
-    HashJoin,
-    LeftOuterJoin,
-    GroupBy,
-    MapFromItem,
-    Snap,
-]
-
-
 #: How ``pretty_plan`` renders the absent plan of a query that no
-#: rewrite applies to: its body runs on the evaluator.
+#: rewrite applies to: its body runs as written.
 NO_PLAN = "(no plan: no rewrite applies; the evaluator runs the body)"
 
 

@@ -5,11 +5,17 @@ For each core expression we compute:
 * ``may_update`` — evaluation may *produce* pending update requests;
 * ``may_snap``  — evaluation may *apply* updates (contains a ``snap``, so
   the store can visibly change during evaluation);
-* combined: an expression is **pure** iff neither holds ("if they only
-  perform allocations or copies, their evaluation can still be commuted or
-  interleaved" — Section 3.4), and **collecting** iff it may update but
-  never snaps (safe inside an innermost snap: effects are gathered, not
-  observed).
+* ``may_construct`` — evaluation may *allocate* nodes (a constructor or
+  ``copy``);
+* combined: an expression is **pure** iff it neither updates nor snaps
+  ("if they only perform allocations or copies, their evaluation can
+  still be commuted or interleaved" — Section 3.4), and **collecting**
+  iff it may update but never snaps (safe inside an innermost snap:
+  effects are gathered, not observed).  A pure expression that
+  constructs may be reordered, but not run more or fewer times: each
+  evaluation of a constructor makes a node of its own (XQuery 1.0
+  §3.7.1), so a rewrite that changes how often an expression runs also
+  needs it not to construct (:meth:`EffectProps.movable`).
 
 User function calls propagate the flags of their bodies with the monadic
 rule of Section 5 ("a function that calls an updating function is updating
@@ -33,6 +39,7 @@ class EffectProps:
 
     may_update: bool = False
     may_snap: bool = False
+    may_construct: bool = False
 
     @property
     def pure(self) -> bool:
@@ -40,25 +47,30 @@ class EffectProps:
         return not (self.may_update or self.may_snap)
 
     @property
+    def movable(self) -> bool:
+        """Pure and allocation-free: it may run more or fewer times."""
+        return not (self.may_update or self.may_snap or self.may_construct)
+
+    @property
     def collecting_only(self) -> bool:
         """Produces update requests but never applies them."""
         return self.may_update and not self.may_snap
 
-    def __or__(self, other: "EffectProps") -> "EffectProps":
-        return EffectProps(
-            self.may_update or other.may_update,
-            self.may_snap or other.may_snap,
-        )
 
-
-_PURE = EffectProps(False, False)
-_UPDATING = EffectProps(True, False)
-_SNAPPING = EffectProps(False, True)
-_BOTH = EffectProps(True, True)
 _FLAGS = {
-    (False, False): _PURE, (True, False): _UPDATING,
-    (False, True): _SNAPPING, (True, True): _BOTH,
+    (update, snap, construct): EffectProps(update, snap, construct)
+    for update in (False, True)
+    for snap in (False, True)
+    for construct in (False, True)
 }
+_PURE = _FLAGS[False, False, False]
+_UPDATING = _FLAGS[True, False, False]
+_CONSTRUCTING = _FLAGS[False, False, True]
+_ALL = _FLAGS[True, True, True]
+_CONSTRUCTORS = (
+    core.CElem, core.CAttr, core.CText, core.CComment, core.CDoc, core.CPI,
+    core.CCopy,
+)
 
 
 class EffectAnalyzer:
@@ -84,10 +96,11 @@ class EffectAnalyzer:
         self, expr: core.CoreExpr, children: list[EffectProps]
     ) -> EffectProps:
         """The flags of *expr* given those of its ``child_exprs``."""
+        construct = any(c.may_construct for c in children)
         if isinstance(expr, core.CSnap):
             # The snap applies its body's updates: the body's may_update is
             # discharged here, surfacing as a store mutation (may_snap).
-            return _SNAPPING
+            return _FLAGS[False, True, construct]
         if isinstance(
             expr,
             (core.CInsert, core.CDelete, core.CReplace,
@@ -96,23 +109,25 @@ class EffectAnalyzer:
             own = _UPDATING
         elif isinstance(expr, core.CCall):
             own = self._call_props(expr)
+        elif isinstance(expr, _CONSTRUCTORS):
+            own = _CONSTRUCTING
         else:
             own = _PURE
         update = own.may_update or any(c.may_update for c in children)
         snap = own.may_snap or any(c.may_snap for c in children)
-        return _FLAGS[update, snap]
+        return _FLAGS[update, snap, construct or own.may_construct]
 
     def _call_props(self, expr: core.CCall) -> EffectProps:
         if self._registry is None:
             # Without a registry we cannot see function bodies: assume the
             # worst for non-built-in names.
-            return _BOTH
+            return _ALL
         function = self._registry.lookup_user(expr.name, len(expr.args))
         if function is None:
             # Built-ins are pure by construction.
             if self._registry.lookup_builtin(expr.name, len(expr.args)):
                 return _PURE
-            return _BOTH
+            return _ALL
         key = id(function)
         props = self._function_cache.get(key) or self._assumed.get(key)
         if props is None:

@@ -22,6 +22,9 @@ preconditions"):
    predicate must be pure: the join evaluates B *once* instead of once per
    outer tuple, which would change how many times B's effects fire ("we
    must check that the inner branch of a join does not have updates").
+   Allocation counts too: each evaluation of a constructor makes a node
+   of its own, so whatever a rewrite runs more or fewer times must not
+   construct either (``EffectProps.movable``).
 3. **Cardinality preservation for effects** — expressions that may collect
    updates (E, R, A) are only ever moved to positions where they are still
    evaluated exactly once per original iteration, in the original order.
@@ -57,7 +60,7 @@ def try_optimize(
     stats=None,
 ) -> P.Plan | None:
     """Attempt the rewrites; None means "no rewrite applies": the body
-    then runs on the evaluator, with no plan.
+    then runs as written, with no plan.
 
     With a *tracer*, every rule records a :class:`RuleFiring` (fired or
     not, with the guard detail that decided it), each attempt runs under a
@@ -171,8 +174,9 @@ def hoist_invariant_lets(
     A ``let $v := E`` whose source is pure and independent of every
     variable bound by *preceding* for clauses is evaluated identically on
     every iteration; moving it in front of those loops evaluates it once.
-    Guarded by purity (an effectful E must keep its per-iteration
-    cardinality) — the same cardinality argument as the join guard.
+    Guarded by purity and by allocation (an effectful E must keep its
+    per-iteration cardinality, and a constructing one makes a node per
+    iteration) — the same cardinality argument as the join guard.
     Returns the original pipeline object when nothing moves.
     """
     steps = list(pipeline.steps)
@@ -181,7 +185,7 @@ def hoist_invariant_lets(
         step = steps[index]
         if not isinstance(step, LetStep):
             continue
-        if not analyzer.analyze(step.source).pure:
+        if not analyzer.analyze(step.source).movable:
             continue
         free = free_variables(step.source)
         # Find the earliest position where every variable the source needs
@@ -191,7 +195,7 @@ def hoist_invariant_lets(
         # Hoisting above a WhereStep would change how often E runs only
         # if E were effectful, which we excluded — but it could
         # *evaluate* E when the where filters everything out; that is
-        # safe for a pure E.
+        # safe for a pure, allocation-free E.
         target = index
         for position in range(index - 1, -1, -1):
             previous = steps[position]
@@ -312,10 +316,13 @@ def _match_inner_join(
         return None
     outer_steps = pipeline.steps[:let_index]
     outer_vars = _bound_vars(outer_steps)
+    if inner_for.var in outer_vars:
+        return None  # it shadows an outer variable: the keys cannot split
     all_vars = pipeline_vars | {inner_for.var}
-    # Guard 2: B and every inner where conjunct must be pure, and B must be
-    # independent of the outer pipeline variables.
-    if not analyzer.analyze(inner_for.source).pure:
+    # Guard 2: B and every inner where conjunct must be pure and
+    # allocation-free, and B must be independent of the outer pipeline
+    # variables.
+    if not analyzer.analyze(inner_for.source).movable:
         return None
     if free_variables(inner_for.source) & pipeline_vars:
         return None
@@ -323,7 +330,7 @@ def _match_inner_join(
     extra_guards: list[core.CoreExpr] = []
     right_selects: list[core.CoreExpr] = []
     for where in wheres:
-        if not analyzer.analyze(where.predicate).pure:
+        if not analyzer.analyze(where.predicate).movable:
             return None
         if join_keys is None:
             join_keys = _split_equality(
@@ -383,10 +390,13 @@ def _hashjoin_candidates(
         inner_var = step.var
         outer_steps = steps[:j]
         outer_vars = _bound_vars(outer_steps)
+        if inner_var in outer_vars:
+            continue  # it shadows an outer variable: the keys cannot split
         if not any(isinstance(s, ForStep) for s in outer_steps):
             continue
-        # Guard 2: the inner branch must be pure and independent.
-        if not analyzer.analyze(step.source).pure:
+        # Guard 2: the inner branch must be pure, allocation-free and
+        # independent.
+        if not analyzer.analyze(step.source).movable:
             continue
         if free_variables(step.source) & pipeline_vars:
             continue
@@ -401,8 +411,10 @@ def _hashjoin_candidates(
             if isinstance(where, (ForStep, LetStep)):
                 break  # only rewrite across a contiguous where block
             assert isinstance(where, WhereStep)
-            if not analyzer.analyze(where.predicate).pure:
-                continue
+            if not analyzer.analyze(where.predicate).movable:
+                # It must run per pair, after the conjuncts before it and
+                # before those after it: nothing moves past it.
+                break
             if join_keys is None:
                 join_keys = _split_equality(
                     where.predicate, outer_vars, inner_var, pipeline_vars

@@ -3,14 +3,14 @@
 A query cannot be preempted mid-expression — Python threads have no safe
 asynchronous interruption, and semantically an interrupt must never land
 inside a snap application (that would half-apply a Δ, breaking the
-paper's atomicity discipline).  Instead the evaluator and the algebra's
-tuple pipeline poll an :class:`ExecutionControl` at their natural
-iteration boundaries:
+paper's atomicity discipline).  Instead the compiled closures (and the
+tree-walker they mirror) poll an :class:`ExecutionControl` at their
+natural iteration boundaries:
 
-* each FLWOR/``for`` iteration (``Evaluator._eval_for``, the ordered
-  FLWOR clause loops, quantifier bindings);
-* each tuple pulled through the streaming operator chain
-  (``algebra.execute._chain_tuples``);
+* each FLWOR/``for`` iteration (``for``, the ordered FLWOR clause
+  loops, quantifier bindings);
+* each tuple pulled through a plan's streaming operator chain
+  (``repro.semantics.compiled._chain``);
 * immediately *before* an update list applies (so a fired deadline or
   token discards the pending Δ rather than interrupting its
   application).

@@ -14,7 +14,7 @@ Typical use::
 normalize → compile to the algebra and rewrite → evaluate, with the
 implicit top-level ``snap`` wrapped around the query body (Section 2.3).
 A body runs as a plan only where a guarded rewrite fired; every other
-body runs on the evaluator.
+body runs as written.  Both run lowered to closures.
 """
 
 from __future__ import annotations
@@ -554,7 +554,7 @@ class Engine:
         """Run the frontend once — parse → normalize → simplify → static
         check → compile and rewrite to the algebra — and return a reusable
         :class:`PreparedQuery`, which runs its body as the rewritten plan
-        when a rewrite fired and on the evaluator otherwise.
+        when a rewrite fired and as written otherwise.
 
         Results are cached in a bounded LRU keyed by ``(query text, snap
         semantics)``; ``register_module`` and
@@ -580,7 +580,7 @@ class Engine:
         options: ExecutionOptions | None = None,
     ):
         """The algebra plan :meth:`prepare` runs for *query* — None when
-        no rewrite applies and the body runs on the evaluator.  Useful for
+        no rewrite applies and the body runs as written.  Useful for
         inspecting rewrites; the query is prepared (and cached) but not
         run."""
         return self.prepare(query, semantics=semantics, options=options)._plan
@@ -683,6 +683,16 @@ class Engine:
                     plan = compile_query(
                         module.body, self, semantics=resolved, tracer=tracer
                     )
+            # Lowered here, under this guard: a module that cannot lower
+            # is refused now, never switched to another evaluator later.
+            prepared = PreparedQuery(
+                engine=self,
+                query_text=query,
+                module=module,
+                plan=plan,
+                generation=self.functions.generation,
+                semantics=resolved,
+            )
         except RecursionError:
             # Hostile depth past the parser's guard: the normalize /
             # simplify / static-check / compile phases are recursive too,
@@ -698,14 +708,6 @@ class Engine:
             # prepared cache) exactly as it found them.
             self.functions.restore(snapshot)
             raise
-        prepared = PreparedQuery(
-            engine=self,
-            query_text=query,
-            module=module,
-            plan=plan,
-            generation=self.functions.generation,
-            semantics=resolved,
-        )
         self.prepared_cache.store(key, prepared)
         return prepared
 

@@ -393,26 +393,18 @@ class CCompiled(CoreExpr):
     frame is a list of ``size`` slots: the focus (item, position, size),
     then ``params`` argument slots, then the local binders' and the free
     variables' slots; each ``(name, slot)`` of ``free`` is read from the
-    caller's bindings, then the fork's globals (None when unbound).
-    ``expr`` is the source expression, for diagnostics.
+    caller's context, or else the fork's globals (None when unbound).
+    ``expr`` is the source expression (or algebra plan), for
+    diagnostics.
     """
 
     def __init__(self, expr, run, free: tuple[tuple[str, int], ...],
                  params: int, size: int):
-        self.line = expr.line
+        self.line = getattr(expr, "line", 0)
         self.expr = expr
         self.run = run
         self.free = free
         self.blank = [None] * (size - 3 - params)
-
-    def call(self, ev, variables: dict | None = None) -> list:
-        """Run with no focus; free names from *variables*, then globals."""
-        globals_ = ev.globals
-        frame = [None, 0, 0, *self.blank]
-        for name, slot in self.free:
-            value = variables.get(name) if variables else None
-            frame[slot] = globals_.get(name) if value is None else value
-        return self.run(ev, frame)
 
     def call_in(self, ev, context) -> list:
         """Run under a tree-walker context: its focus and bindings."""
@@ -424,8 +416,9 @@ class CCompiled(CoreExpr):
             frame[slot] = context.lookup(name)
         return self.run(ev, frame)
 
-    def invoke(self, ev, args: list) -> list:
-        """Run a function body: *args* fill the parameter slots."""
+    def invoke(self, ev, args) -> list:
+        """Run with no focus (a function body, or a plan with no *args*):
+        *args* fill the parameter slots, the globals the free ones."""
         globals_ = ev.globals
         frame = [None, 0, 0, *args, *self.blank]
         for name, slot in self.free:

@@ -134,7 +134,7 @@ class ExplainReport:
         plan_before: pretty-printed naive plan of the FLWOR pipeline.
         plan_after: pretty-printed plan the query runs — the rewritten
             one, or :data:`repro.algebra.plan.NO_PLAN` when no rewrite
-            fired and the body runs on the evaluator.  A body that is not
+            fired and the body runs as written.  A body that is not
             a FLWOR pipeline has ``NO_PLAN`` on both sides.
         operators_before / operators_after: operator-name lists of the two
             plans (machine-checkable shape; empty for no plan).

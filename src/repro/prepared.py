@@ -48,7 +48,7 @@ import time
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.concurrent.control import ExecutionControl
-from repro.errors import DynamicError
+from repro.errors import DynamicError, StaticError
 from repro.lang import core_ast as core
 from repro.obs.tracer import Tracer, maybe_span
 from repro.semantics.compiled import CompiledModule
@@ -107,8 +107,8 @@ class PreparedQuery:
         self._semantics = semantics
         # Lazily computed purity verdict (see is_readonly).
         self._readonly: bool | None = None
-        # The lowered module (see compiled), built on first execution.
-        self._compiled: CompiledModule | None = None
+        # The lowered module (see compiled).
+        self._compiled = self._lower()
 
     @property
     def external_variables(self) -> tuple[str, ...]:
@@ -149,15 +149,26 @@ class PreparedQuery:
         return verdict
 
     def compiled(self) -> CompiledModule:
-        """The module's expressions with their pure subtrees compiled to
-        closures (:mod:`repro.semantics.compiled`), built on first use.
-        A change to the user functions rebuilds it: purity verdicts and
-        name resolution depend on them."""
-        registry = self._engine.functions
+        """The module's expressions compiled to closures
+        (:mod:`repro.semantics.compiled`), lowered when the query was
+        prepared.  A change to the user functions lowers them again:
+        effect verdicts and name resolution depend on them."""
         current = self._compiled
-        if current is None or current.key is not registry.compiled:
-            current = self._compiled = CompiledModule(registry)
+        if current.key is not self._engine.functions.compiled:
+            current = self._compiled = self._lower()
         return current
+
+    def _lower(self) -> CompiledModule:
+        """The prolog initializers and the body (or plan), lowered; a
+        module nested too deeply to lower is refused as XPST0003."""
+        try:
+            return CompiledModule(
+                self._engine.functions, self._module, self._plan
+            )
+        except RecursionError:
+            raise StaticError(
+                "query nests too deeply to compile; refused"
+            ) from None
 
     def execute(
         self,
@@ -262,9 +273,9 @@ def run_module(
       and binds its name in the fork's globals (and in *publish*, when
       given);
     * the body runs as the rewritten plan when a rewrite fired at prepare
-      time, else on the evaluator under the implicit snap;
-    * every expression runs lowered (:meth:`PreparedQuery.compiled`):
-      its pure subtrees as compiled closures;
+      time (its own top-level snap), else under the implicit snap;
+    * every expression runs lowered to closures
+      (:meth:`PreparedQuery.compiled`);
     * ``collect_stats`` attaches :class:`~repro.obs.report.QueryStats`
       (*tracer*, when given, already holds the frontend phases) and
       ``explain`` an :class:`~repro.obs.report.ExplainReport`;
@@ -304,10 +315,8 @@ def run_module(
     semantics = prepared._semantics or engine.default_semantics
     compiled = prepared.compiled()
     with maybe_span(tracer, "prolog"):
-        for decl in module.declarations:
-            if not isinstance(decl, core.CVarDecl):
-                continue
-            if decl.expr is None:
+        for decl, initializer in compiled.prolog:
+            if initializer is None:
                 if decl.name not in globals_:
                     raise DynamicError(
                         f"external variable ${decl.name} is not bound; pass "
@@ -315,26 +324,20 @@ def run_module(
                     )
                 continue
             value = evaluator.run_snapped(
-                compiled.lowered(decl.expr),
-                DynamicContext(globals_=globals_),
-                semantics,
+                initializer, DynamicContext(globals_=globals_), semantics
             )
             globals_[decl.name] = value
             if publish is not None:
                 publish[decl.name] = value
-    if module.body is None:
+    if compiled.body is None:
         items: list = []
     elif prepared._plan is not None:
         from repro.algebra.execute import execute_plan
 
-        items = execute_plan(
-            prepared._plan, evaluator, tracer=tracer, compiled=compiled
-        )
+        items = execute_plan(prepared._plan, evaluator, compiled.body)
     else:
         items = evaluator.run_snapped(
-            compiled.lowered(module.body),
-            DynamicContext(globals_=globals_),
-            semantics,
+            compiled.body, DynamicContext(globals_=globals_), semantics
         )
     result = QueryResult(items, engine)
     if tracer is not None:

@@ -20,13 +20,13 @@ items``:
   :class:`~repro.lang.core_ast.CCompiled`) — variables resolve to slots
   when the expression is compiled.
 
-:func:`lower` compiles a whole expression to a ``CCompiled``.  A
-prepared query lowers its prolog, body and plan expressions once,
-cached with it (:class:`CompiledModule`); a user function's body is
-lowered once per registry state (:func:`compiled_function`).  The
-tree-walker (:class:`~repro.semantics.evaluator.Evaluator`) runs only
-what is nested too deeply to compile, and serves as the reference the
-tests compare closures with.
+:func:`lower` compiles a whole expression, or a §4.3 plan, to a
+``CCompiled``.  A prepared query lowers its prolog and its body or plan
+when it is prepared (:class:`CompiledModule`), and a query too deeply
+nested to lower is refused there; a user function's body is lowered
+once per registry state (:func:`compiled_function`).  Production runs
+nothing else: the tree-walker (``Evaluator.evaluate``) is the reference
+the tests compare closures with.
 
 The closures follow the tree-walker rule for rule: operands in the same
 order, the same value functions and update requests (shared with
@@ -45,10 +45,14 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import fields, replace
+from operator import itemgetter
 
+from repro.algebra import plan as P
+from repro.algebra.execute import BuildSide
 from repro.algebra.properties import EffectAnalyzer
 from repro.errors import UndefinedVariableError
 from repro.lang import core_ast as core
+from repro.obs.tracer import maybe_span
 from repro.semantics.context import (
     DynamicContext,
     FunctionRegistry,
@@ -113,52 +117,61 @@ _FOCUS_READS = {fn_position: 1, fn_last: 2}
 # ----------------------------------------------------------------------
 
 class CompiledModule:
-    """A prepared query's lowered expressions, built on first use.
+    """A prepared query's expressions, lowered when it is prepared: each
+    prolog variable initializer (``prolog``: ``(declaration, lowered)``
+    pairs, None for an external variable), and the body — or, when a
+    §4.3 rewrite fired, its plan (``body``, None without a body).
 
     ``key`` is the registry's ``compiled`` table this was built against:
     name resolution and the effect verdicts the grouped step depends on
     change with the user functions, so a registry change makes the owner
     build a new one."""
 
-    def __init__(self, registry: FunctionRegistry):
+    def __init__(
+        self,
+        registry: FunctionRegistry,
+        module: core.CModule,
+        plan: P.Plan | None = None,
+    ):
         self.key = registry.compiled
-        self._registry = registry
-        self._lowered: dict[int, tuple] = {}
-
-    def lowered(self, expr: core.CoreExpr) -> core.CoreExpr:
-        entry = self._lowered.get(id(expr))
-        if entry is None or entry[0] is not expr:
-            entry = (expr, lower(expr, self._registry))
-            self._lowered[id(expr)] = entry
-        return entry[1]
+        self.prolog = [
+            (decl, None if decl.expr is None else lower(decl.expr, registry))
+            for decl in module.declarations
+            if isinstance(decl, core.CVarDecl)
+        ]
+        body = module.body if plan is None else plan
+        self.body = None if body is None else lower(body, registry)
 
 
 def lower(
-    expr: core.CoreExpr,
+    expr: core.CoreExpr | P.Plan,
     registry: FunctionRegistry | None,
     params: tuple[str, ...] = (),
 ) -> core.CoreExpr:
-    """*expr* compiled to a ``CCompiled`` (*params*: the function
-    parameters when *expr* is a body).  An expression nested past the
-    compiler's stack headroom stays whole for the tree-walker, which
-    needs less of it per level."""
-    try:
-        unit = compile_closure(expr, params, registry)
-        if unit is None:
-            return _walker_form(expr, EffectAnalyzer(registry))
-    except RecursionError:
-        return expr
+    """*expr* (or a plan) compiled to a ``CCompiled`` (*params*: the
+    function parameters when *expr* is a body).  Only a test's reference
+    run makes :func:`compile_closure` decline; *expr* then stays for the
+    tree-walker.  An expression nested past the compiler's stack
+    headroom raises ``RecursionError``, which :meth:`Engine.prepare
+    <repro.engine.Engine.prepare>` refuses as a static error."""
+    unit = compile_closure(expr, params, registry)
+    if unit is None:
+        return _walker_form(expr, EffectAnalyzer(registry))
     return unit
 
 
 def compiled_function(
     registry: FunctionRegistry, function: core.CFunction
 ) -> core.CoreExpr:
-    """*function*'s lowered body, lowered once per registry state."""
+    """*function*'s lowered body, lowered once per registry state.  A
+    body left for the tree-walker (a reference run declined it) is not
+    kept, so a later call outside that run still gets its closure."""
     table = registry.compiled
     entry = table.get(id(function))
     if entry is None or entry[0] is not function:
         body = lower(function.body, registry, tuple(function.params))
+        if type(body) is not core.CCompiled:
+            return body
         entry = table[id(function)] = (function, body)
     return entry[1]
 
@@ -773,22 +786,16 @@ def _call(expr, env, unit):
             site[0] = (functions.compiled, resolved)
         values = [arg(ev, frame) for arg in args]
         if isinstance(resolved, core.CFunction):
-            body = compiled_function(functions, resolved)
             depth = ev.enter_call(name)
             try:
-                if type(body) is core.CCompiled:
-                    return body.invoke(ev, values)
-                value, delta = ev.evaluate(body, DynamicContext(
-                    dict(zip(resolved.params, values)), globals_=ev.globals
-                ))
+                body = compiled_function(functions, resolved)
+                return body.invoke(ev, values)
             except RecursionError:
                 if depth > 1:
                     raise
                 raise ev.stack_exhausted(name) from None
             finally:
                 ev.call_depth = depth - 1
-            ev.pending += delta
-            return value
         if arity:
             return resolved(ev, _NO_FOCUS, values)
         slot = _FOCUS_READS.get(resolved)
@@ -1021,6 +1028,242 @@ def _cast(expr, env, unit):
     return lambda ev, frame: cast_value(expr, operand(ev, frame))
 
 
+# -- plans (Section 4.3) ------------------------------------------------------
+#
+# A rewritten plan compiles like any expression, over the same frame: each
+# plan variable gets a slot, and a tuple stream is an iterator that binds
+# its variables' slots each time it advances.  A stream compiles to
+# ``(stream, scope)``, the scope being *env* plus what its tuples bind.
+
+_DONE = object()
+
+
+def _plan_snap(plan, env, unit):
+    """A plan's snap: a barrier that materializes its input, then
+    applies the Δ the input collected."""
+    items = _compile(plan.input, env, unit)
+    mode = ApplySemantics.from_keyword(plan.mode or None)
+
+    def run(ev, frame):
+        tracer = ev.tracer
+        if tracer is not None:
+            tracer.count("exec.barrier.snap")
+        outer, delta = ev.pending, []
+        ev.pending = delta
+        try:
+            with maybe_span(tracer, "evaluate"):
+                value = items(ev, frame)
+        finally:
+            ev.pending = outer
+        # An interrupt discards the Δ rather than landing inside it.
+        if ev.control is not None:
+            ev.control.check()
+        with maybe_span(tracer, "snap-apply"):
+            ev.apply_updates(delta, mode)
+        return value
+
+    return run
+
+
+def _map_from_item(plan, env, unit):
+    tuples, scope = _stream(plan.input, env, unit)
+    ret = _compile(plan.ret, scope, unit)
+
+    def run(ev, frame):
+        out = []
+        for _ in tuples(ev, frame):
+            out += ret(ev, frame)
+        return out
+
+    return run
+
+
+def _stream(plan, env, unit):
+    if isinstance(plan, _CHAIN):
+        return _chain(plan, env, unit)
+    if type(plan) is P.UnitTuple:
+        return (lambda ev, frame: iter((None,))), env
+    return _STREAMS[type(plan)](plan, env, unit)
+
+
+def _own(env: dict, scope: dict) -> dict:
+    """The bindings a stream with *scope* adds to *env*."""
+    return {n: slot for n, slot in scope.items() if env.get(n) != slot}
+
+
+def _chain(top, env, unit):
+    """A linear MapConcat/LetBind/Select chain: one closure driving its
+    per-operator steps with an explicit stack, so chains deeper than the
+    recursion limit run.  Level *k* of the stack yields once per tuple
+    that passed the first *k* operators; always pulling from the deepest
+    level gives the nested loops' depth-first order and the same lazy
+    evaluation points."""
+    ops = []
+    while isinstance(top, _CHAIN):
+        ops.append(top)
+        top = top.input
+    source, env = _stream(top, env, unit)
+    steps = []
+    for op in reversed(ops):
+        if type(op) is P.Select:
+            steps.append(_select_step(_test(op.predicate, env, unit)))
+            continue
+        run = _compile(op.source, env, unit)
+        env, slot = _bind(env, unit, op.var)
+        if type(op) is P.LetBind:
+            steps.append(_let_step(run, slot))
+        else:
+            env, pos_slot = _bind(env, unit, op.position_var)
+            steps.append(_for_step(run, slot, pos_slot))
+    last = len(steps)
+
+    def stream(ev, frame):
+        control = ev.control
+        stack = [source(ev, frame)]
+        while stack:
+            if control is not None:
+                control.check()
+            if next(stack[-1], _DONE) is _DONE:
+                stack.pop()
+            elif len(stack) > last:
+                yield
+            else:
+                stack.append(steps[len(stack) - 1](ev, frame))
+
+    return stream, env
+
+
+def _for_step(source, slot, pos_slot):
+    def step(ev, frame):
+        for index, item in enumerate(source(ev, frame), start=1):
+            frame[slot] = [item]
+            if pos_slot is not None:
+                frame[pos_slot] = [AtomicValue.integer(index)]
+            yield
+
+    return step
+
+
+def _let_step(source, slot):
+    def step(ev, frame):
+        frame[slot] = source(ev, frame)
+        return iter((None,))
+
+    return step
+
+
+def _select_step(test):
+    return lambda ev, frame: iter((None,) if test(ev, frame) else ())
+
+
+def _order_by_sort(plan, env, unit):
+    """Materialize the stream (a barrier), key each tuple in generation
+    order, so key-expression deltas land where the interpreter puts
+    them, and stable-sort."""
+    tuples, scope = _stream(plan.input, env, unit)
+    keys = [_compile(spec.expr, scope, unit) for spec in plan.specs]
+    slots = list(_own(env, scope).values())
+
+    def stream(ev, frame):
+        if ev.tracer is not None:
+            ev.tracer.count("exec.barrier.order_by")
+        keyed = [
+            (
+                [atomize_optional(key(ev, frame), "order by key")
+                 for key in keys],
+                [frame[slot] for slot in slots],
+            )
+            for _ in tuples(ev, frame)
+        ]
+        for _, values in sort_keyed(keyed, plan.specs):
+            _restore(frame, slots, values)
+            yield
+
+    return stream, scope
+
+
+def _restore(frame, slots, values):
+    for slot, value in zip(slots, values):
+        frame[slot] = value
+
+
+def _join(join, env, unit, build_left=False):
+    """Both inputs of a join lowered: the probe side's ``(stream, key,
+    scope, slots)``, the other as a :class:`BuildSide`, and the scope of
+    a joined tuple (the right side's bindings win)."""
+    sides = []
+    inputs = ((join.left, join.left_key), (join.right, join.right_key))
+    for plan, key in inputs:
+        stream, scope = _stream(plan, env, unit)
+        sides.append((plan, key, stream, scope, _own(env, scope)))
+    joined = {**sides[0][3], **sides[1][4]}
+    probe, build = sides[::-1] if build_left else sides
+    plan, key, stream, scope, own = build
+    build = BuildSide(
+        plan, key, stream, _compile(key, scope, unit), list(own.values()),
+        lambda expr: _compile(expr, env, unit),
+    )
+    plan, key, stream, scope, own = probe
+    probe = stream, _compile(key, scope, unit), scope, list(own.values())
+    return probe, build, joined
+
+
+def _hash_join(plan, env, unit):
+    """Build one side (a barrier), stream the other.  Both sides are
+    pure and allocation-free (the rewrite guard), so building the left
+    one when the cost model chose it is unobservable; its output is
+    re-sorted to (left position, right position), the right build's."""
+    build_left = plan.build == "left"
+    (tuples, key, _, probe_slots), side, joined = _join(
+        plan, env, unit, build_left
+    )
+    slots = side.slots
+
+    def stream(ev, frame):
+        matches = side.open(ev, frame)
+        for _ in tuples(ev, frame):
+            for row in matches(key(ev, frame)):
+                _restore(frame, slots, row[2])
+                yield
+
+    def stream_left(ev, frame):
+        matches = side.open(ev, frame)
+        pairs = []
+        for index, _ in enumerate(tuples(ev, frame)):
+            values = [frame[slot] for slot in probe_slots]
+            for row in matches(key(ev, frame)):
+                pairs.append((row[0], index, row[2], values))
+        pairs.sort(key=itemgetter(0, 1))
+        for _, _, left_values, right_values in pairs:
+            _restore(frame, slots, left_values)
+            _restore(frame, probe_slots, right_values)
+            yield
+
+    return (stream_left if build_left else stream), joined
+
+
+def _group_by(plan, env, unit):
+    """The paper's outer join and group-by: build the right side (a
+    barrier), stream the left one, and bind each left tuple's group:
+    *per_match* once per match, in build order."""
+    (tuples, key, left, _), side, joined = _join(plan.input, env, unit)
+    per_match = _compile(plan.per_match, joined, unit)
+    scope, group_slot = _bind(left, unit, plan.group_var)
+    slots = side.slots
+
+    def stream(ev, frame):
+        matches = side.open(ev, frame)
+        for _ in tuples(ev, frame):
+            group = []
+            for row in matches(key(ev, frame)):
+                _restore(frame, slots, row[2])
+                group += per_match(ev, frame)
+            frame[group_slot] = group
+            yield
+
+    return stream, scope
+
+
 # The compiler per core node type.
 _COMPILERS = {
     core.CLiteral: _literal,
@@ -1062,4 +1305,13 @@ _COMPILERS = {
     core.CInstanceOf: _instance_of,
     core.CTreat: _treat,
     core.CCast: _cast,
+    P.Snap: _plan_snap,
+    P.MapFromItem: _map_from_item,
+}
+# The linear operators of a FLWOR chain, and the other tuple streams.
+_CHAIN = (P.MapConcat, P.LetBind, P.Select)
+_STREAMS = {
+    P.OrderBySort: _order_by_sort,
+    P.HashJoin: _hash_join,
+    P.GroupBy: _group_by,
 }

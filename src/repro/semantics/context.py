@@ -174,12 +174,14 @@ class FunctionRegistry:
     def restore(
         self, snapshot: tuple[dict[tuple[str, int], CFunction], int]
     ) -> None:
-        """Reset user functions and generation to a prior snapshot."""
+        """Reset user functions and generation to a prior snapshot.  The
+        compiled bodies stay valid when nothing was registered since."""
         users, generation = snapshot
         with self._mutex:
+            if self.generation != generation:
+                self.compiled = {}
             self._user = dict(users)
             self.generation = generation
-            self.compiled = {}
 
     # -- lookup ------------------------------------------------------------
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro import Engine
 from repro.algebra.compile import LetStep, decompose_pipeline
-from repro.algebra.plan import plan_operators, pretty_plan
+from repro.algebra.plan import pretty_plan
 from repro.algebra.properties import EffectAnalyzer
 from repro.algebra.rewrite import hoist_invariant_lets
 from repro.lang.normalize import normalize
@@ -109,3 +109,22 @@ class TestEndToEnd:
         engine.execute(query)
         # One insert per n — cardinality preserved.
         assert engine.execute("count($sink/p)").first_value() == 50
+
+
+class TestAllocationGuard:
+    """Each evaluation of a constructor makes a node of its own (XQuery
+    1.0 §3.7.1): a constructing ``let`` source is pure but stays in its
+    loop, or one node would stand for every iteration's."""
+
+    def test_constructing_let_stays(self):
+        before, after = hoist(
+            "for $i in (1, 2) let $y := <m/> return $y"
+        )
+        assert after is before
+
+    def test_each_iteration_constructs_its_own_node(self):
+        nodes = Engine().execute(
+            "for $i in (1, 2) let $y := <m/> return $y"
+        ).items
+        assert len(nodes) == 2
+        assert nodes[0].nid != nodes[1].nid

@@ -82,6 +82,17 @@ class TestFunctionPropagation:
         )
         assert props("outer()", registry).may_update
 
+    def test_constructing_function(self):
+        registry = registry_for(
+            "declare function make() { <m/> };"
+            "declare function twice() { (make(), copy { $x }) };"
+        )
+        p = props("twice()", registry)
+        assert p.pure and p.may_construct and not p.movable
+        assert props("count(twice())", registry).may_construct
+        assert not props("snap { 1 }", registry).may_construct
+        assert props("snap { <m/> }", registry).may_construct
+
     def test_snapping_function(self):
         registry = registry_for(
             "declare function bump() { snap { delete { $x } } };"

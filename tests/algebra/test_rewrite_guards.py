@@ -162,6 +162,27 @@ class TestIndependenceGuard:
         assert "HashJoin" not in ops
 
 
+class TestShadowingGuard:
+    """An inner ``for`` that rebinds an outer variable's name shadows it:
+    both sides of the equality then read the inner binding, so neither
+    is the outer key."""
+
+    DOC = '<r><a k="3" id="a1"/><b k="1" j="1" id="b1"/></r>'
+
+    @pytest.mark.parametrize("query, expected", [
+        ("for $a in $d//a for $a in $d//b where $a/@k = $a/@j "
+         "return string($a/@id)", ["b1"]),
+        ("for $a in $d//a for $p in (1, 2) let $g := for $a in $d//b "
+         "where $a/@k = $a/@j return ($a, $p) return count($g)",
+         ["2", "2"]),
+    ])
+    def test_shadowing_inner_for_blocks_the_join(self, query, expected):
+        engine = Engine()
+        engine.load_document("d", self.DOC)
+        assert engine.compile(query) is None
+        assert engine.execute(query).strings() == expected
+
+
 class TestEffectsInAllowedPositions:
     """Effects in the return clause / per-match expression survive the
     rewrite (evaluated once per original iteration, in original order)."""
@@ -195,3 +216,37 @@ class TestEffectsInAllowedPositions:
             == e2.execute("count($purchasers/started)").first_value()
             == 1
         )
+
+
+class TestAllocationAndPlacementGuards:
+    """Whatever a join runs fewer times than the nested loop it replaces
+    must be pure and make no node; a conjunct that may not move keeps
+    its place, running once per pair."""
+
+    DOC = '<r><p g="1"/><p g="1"/></r>'
+
+    def test_constructed_inner_source_blocks_join(self):
+        engine = Engine()
+        engine.load_document("d", self.DOC)
+        query = (
+            "for $a in $d//p for $b in <x k=\"1\"/> "
+            "where $a/@g = $b/@k return $b"
+        )
+        nodes = engine.execute(query).items
+        assert len(nodes) == 2
+        assert nodes[0].nid != nodes[1].nid
+
+    def test_updating_conjunct_runs_once_per_pair(self):
+        query = (
+            "for $a in $d//p for $b in $d//p "
+            "where (insert { <m/> } into { $s }, true()) "
+            "and $a/@g = $b/@g return 1"
+        )
+        counts = []
+        for run in (Engine.execute, interpreted):
+            engine = Engine()
+            engine.load_document("d", '<r><p g="1"/><p g="2"/></r>')
+            engine.bind("s", engine.parse_fragment("<s/>"))
+            assert len(run(engine, query).items) == 2
+            counts.append(engine.execute("count($s/m)").first_value())
+        assert counts == [4, 4]

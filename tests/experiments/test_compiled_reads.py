@@ -12,10 +12,13 @@ the probes of a run that interprets every node.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.engine import ExecutionOptions
-from repro.semantics import compiled, evaluator
+from repro.semantics import evaluator
+from tests.interpreted import on_tree_walker
 
 SCAN = "count($auction//person[number(income) > 40000])"
 KEYED = 'count($auction//person[@id = "person3"][number(income) > 0])'
@@ -35,32 +38,24 @@ def dispatches(monkeypatch):
     return counts
 
 
-def decline(expr, params=(), registry=None):
-    return None
-
-
-def read(engine_factory, query: str, interpreted: bool, monkeypatch):
-    with monkeypatch.context() as patch:
-        if interpreted:
-            patch.setattr(compiled, "compile_closure", decline)
+def read(engine_factory, query: str, interpreted: bool):
+    with on_tree_walker() if interpreted else nullcontext():
         result = engine_factory(120, 40).execute(query, options=OPTIONS)
     return result.first_value(), result.stats.counters.get("index.probes", 0)
 
 
-def test_scan_never_dispatches_to_the_tree_walker(
-    auction_engine, dispatches, monkeypatch
-):
-    value, probes = read(auction_engine, SCAN, False, monkeypatch)
+def test_scan_never_dispatches_to_the_tree_walker(auction_engine, dispatches):
+    value, probes = read(auction_engine, SCAN, False)
     assert dispatches["evaluate"] == 0
-    walked_value, walked_probes = read(auction_engine, SCAN, True, monkeypatch)
+    walked_value, walked_probes = read(auction_engine, SCAN, True)
     assert dispatches["evaluate"] > 0
     assert (value, probes) == (walked_value, walked_probes)
 
 
 def test_keyed_scan_probes_as_often_as_the_interpreted_run(
-    auction_engine, dispatches, monkeypatch
+    auction_engine, dispatches
 ):
-    value, probes = read(auction_engine, KEYED, False, monkeypatch)
+    value, probes = read(auction_engine, KEYED, False)
     assert dispatches["evaluate"] == 0
     assert (value, probes) == (1, 1)
-    assert read(auction_engine, KEYED, True, monkeypatch) == (value, probes)
+    assert read(auction_engine, KEYED, True) == (value, probes)

@@ -27,8 +27,10 @@ modes, snaps nested in snaps (each in any mode), two inserts at one
 place, ``for`` loops whose body updates each node they bind, calls of
 the updating functions of ``PROLOG`` (one recursing to a depth its
 caller picks, past the call depth limit too, one snapping as it
-recurses), and constructed trees updated in scratch before a query
-returns or inserts them.  Their targets are paths, so some select
+recurses), constructed trees updated in scratch before a query
+returns or inserts them, and FLWORs a §4.3 rewrite may fire on (a
+loop-invariant ``let``, a two-``for`` join on attributes, a ``let``-bound
+inner FLWOR joined to its loop).  Their targets are paths, so some select
 nothing or several nodes and raise.
 """
 
@@ -403,13 +405,65 @@ def pairs():
     )
 
 
+# -- FLWORs a §4.3 rewrite may fire on ---------------------------------------
+
+# Loop-invariant ``let`` sources: hoisted out of the loop when pure and
+# allocation-free; a constructor must stay in it, one node per iteration.
+INVARIANT = (
+    "count($d//b)", "$d//c", "string($v)", "local:twice($n)", "<m/>",
+    '<p k="{$n}"/>',
+)
+LET_BODIES = (
+    "($x, $y, $p)", "insert { $y } into { $x }", "count($y) + $p",
+    'insert { <m n="{count($y)}"/> } into { $x }',
+    "insert { $y } into { $d/r }",
+)
+# Join sources, conjuncts (one separable equality, maybe beside a
+# one-sided filter or an updating conjunct that must keep its place) and
+# bodies, and the group-by's per-match and return expressions.
+INNER = ("$d//b", "$d//a", "$d/r/*", '<x k="1" n="x"/>')
+WHERES = (
+    "$a/@k = $b/@k", "$a/@k = $b/@k and $b/@n", "$b/@id and $a/@id = $b/@n",
+    "(insert { <w/> } into { $a }, true()) and $a/@k = $b/@k",
+    '$a/@n = $b/@k and $a/@k != "2"',
+)
+JOIN_BODIES = (
+    "$b", "($a/@k, $b/@n)", "insert { <m/> } into { $b }", "<j>{$a/@id}</j>",
+)
+ORDERS = ("", " order by $b/@n", " order by $a/@k descending")
+PER_MATCH = ("$b", "insert { <m/> } into { $b }", "<m/>")
+GROUP_BODIES = ("count($g)", "($a/@k, $g)", "<row>{ count($g) }</row>")
+
+
+def plans():
+    """A FLWOR with a loop-invariant ``let``, a join of two ``for``
+    clauses, or a ``let``-bound inner FLWOR joined to its loop."""
+    return st.one_of(
+        st.tuples(
+            st.sampled_from(BOUND), st.sampled_from(INVARIANT),
+            st.sampled_from(LET_BODIES),
+        ).map(lambda t: f"for $x at $p in {t[0]} let $y := {t[1]} "
+                        f"return {t[2]}"),
+        st.tuples(
+            st.sampled_from(INNER), st.sampled_from(WHERES),
+            st.sampled_from(ORDERS), st.sampled_from(JOIN_BODIES),
+        ).map(lambda t: f"for $a in $d//a for $b in {t[0]} where {t[1]}"
+                        f"{t[2]} return {t[3]}"),
+        st.tuples(
+            st.sampled_from(INNER), st.sampled_from(PER_MATCH),
+            st.sampled_from(GROUP_BODIES),
+        ).map(lambda t: f"for $a in $d//a let $g := for $b in {t[0]} "
+                        f"where $a/@k = $b/@k return {t[1]} return {t[2]}"),
+    )
+
+
 def statements():
     """One statement: a snap of update primitives (maybe nested, maybe
     returning a path), two inserts at one place, a loop updating what
     it binds, a call of an updating function, an update of a constructed
-    tree, or a pure program."""
+    tree, a FLWOR a rewrite may fire on, or a pure program."""
     body = st.lists(primitives(), min_size=1, max_size=3).map(", ".join)
-    return st.one_of(
+    return _evenly(
         st.tuples(st.sampled_from(SNAPS), body).map(
             lambda t: f"{t[0]} {{ {t[1]} }}"
         ),
@@ -428,6 +482,16 @@ def statements():
             lambda t: f"let $x := <s><a/></s> return "
             f"(snap insert {{ {t[0]} }} {t[1]} {{ $x/a }}, $x)"
         ),
+        plans(),
         st.sampled_from(TARGETS),
         programs(),
+    )
+
+
+def _evenly(*strategies):
+    """One of *strategies*, each drawn about as often as the others.
+    Drawn by ``st.one_of``, the pure programs took all but a few of 150
+    draws, so the updating branches were rarely checked."""
+    return st.integers(0, len(strategies) - 1).flatmap(
+        lambda index: strategies[index]
     )

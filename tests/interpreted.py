@@ -4,8 +4,10 @@ A prepared query runs its body as a plan only when a §4.3 rewrite fired
 (:func:`repro.algebra.compile.compile_query`).  The reference run takes
 the same query through the same engine with that plan withheld:
 ``compile_query`` is patched to return None while the query prepares,
-so its body runs on the evaluator.  :func:`without_pushdown` withholds
-the where-pushdown rule of :mod:`repro.lang.simplify` the same way, and
+so its body runs as written, lowered to closures like any other.
+:func:`on_tree_walker` withholds the closures too, so the tree-walker of
+Figs. 2-3 runs everything.  :func:`without_pushdown` withholds the
+where-pushdown rule of :mod:`repro.lang.simplify` the same way, and
 :func:`without_reclamation` an engine's statement-end reclamation.
 There is no production switch for any of them.
 """
@@ -28,8 +30,27 @@ def without_plans():
         yield
 
 
+@contextmanager
+def on_tree_walker():
+    """Every query prepared inside the block runs on the tree-walker:
+    ``compile_closure`` declines every expression, and plans, which have
+    no other executor, are withheld.  A query prepared inside the block
+    keeps its tree-walker form in the prepared cache, so a reference run
+    should have an engine of its own, or clear the cache after it."""
+    from repro.semantics import compiled
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compiled, "compile_closure", _decline)
+        with without_plans():
+            yield
+
+
+def _decline(expr, params=(), registry=None):
+    return None
+
+
 def interpreted(engine, query: str, **kwargs):
-    """``engine.execute(query, **kwargs)`` with the body on the evaluator.
+    """``engine.execute(query, **kwargs)`` with the body as written.
 
     The plan-less prepared query is kept out of the prepared cache, so
     a later ``execute`` of the same text on *engine* gets its plan."""

@@ -1,9 +1,9 @@
 """Property: a pure program compiled to closures means what the
 tree-walker of Figs. 2-3 makes of it.
 
-``repro.semantics.compiled.compile_closure`` is patched to decline every
-expression for the reference run, so the tree-walker evaluates the whole
-program; the other run compiles as usual.  Each example draws a
+The reference run declines every closure and withholds plans
+(:func:`tests.interpreted.on_tree_walker`), so the tree-walker evaluates
+the whole program; the other run compiles as usual.  Each example draws a
 document and a pure program (``tests.gen``), and a configuration:
 ``use_indexes`` on or off, and where the program runs — on the live
 store, as a read of a snapshot taken before a write moved the live
@@ -19,18 +19,19 @@ nested context nodes (its result must be sorted), a predicate that
 reads ``last()``, an ``and`` whose right operand would raise, and two
 calls given an infinite number."""
 
-import pytest
+from contextlib import nullcontext
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Engine, ExecutionOptions
 from repro.errors import XQueryError
 from repro.prepared import rehandled_fork, run_module
-from repro.semantics import compiled
 from repro.xdm.nodes import Node
 from repro.xdm.store import NodeKind
 from repro.xmlio.serializer import serialize
 from tests.gen import PROLOG, documents, programs
+from tests.interpreted import on_tree_walker
 
 WRITE = 'snap insert { <a k="x" n="2"><b>x</b></a> } into { $d/r }'
 COUNTERS = ("index.probes", "index.hits", "store.nodes_created")
@@ -101,14 +102,8 @@ SCENARIOS = {"live": live, "snapshot": snapshot, "transaction": transaction}
 
 
 def outcome(xml, program, scenario, options, interpreted) -> tuple:
-    with pytest.MonkeyPatch.context() as patch:
-        if interpreted:
-            patch.setattr(compiled, "compile_closure", decline)
+    with on_tree_walker() if interpreted else nullcontext():
         return SCENARIOS[scenario](make_engine(xml), program, options)
-
-
-def decline(expr, params=(), registry=None):
-    return None
 
 
 # Nested a elements: a step from both of them must sort its result.

@@ -25,7 +25,6 @@ from repro.engine import Engine
 from repro.errors import XQueryError
 from repro.persist import record_rows
 from repro.prepared import rehandled_fork
-from repro.semantics.context import DynamicContext
 
 KEYS = ("x", "y", "b")
 
@@ -141,9 +140,9 @@ def live(engine: Engine, writes, queries) -> list:
 
 def snapshot(engine: Engine, writes, queries) -> list:
     """Queries on a snapshot taken before *writes* hit the live store:
-    the snapshot reads through its overlay.  Bodies are evaluated as
-    ``run_module`` would run them (lowered: pure subtrees compiled), not
-    applied (a snapshot is read-only), so Δ is compared directly."""
+    the snapshot reads through its overlay.  Bodies run lowered, as
+    ``run_module`` would run them, but their Δ is not applied (a
+    snapshot is read-only), so it is compared directly."""
     prepared = [engine.prepare(query) for query in queries]
     snap = engine.store.begin_snapshot()
     try:
@@ -151,11 +150,9 @@ def snapshot(engine: Engine, writes, queries) -> list:
         fork = rehandled_fork(engine.evaluator, snap)
         for pq in prepared:
             def run(pq=pq):
-                value, delta = fork.evaluate(
-                    pq.compiled().lowered(pq._module.body),
-                    DynamicContext(globals_=fork.globals),
-                )
-                return ids(value), [repr(r) for r in delta]
+                fork.pending = []
+                value = pq.compiled().body.invoke(fork, ())
+                return ids(value), [repr(r) for r in fork.pending]
 
             seen.append(outcome(run))
     finally:
