@@ -36,9 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lang.core_ast import CCompiled
     from repro.semantics.evaluator import Evaluator
 
-#: A build row is ``[order, key value, slot values]``: its place in the
-#: build stream (a document-order key for the rows the index answers,
-#: whose key value is None), and the values of the build side's slots.
+#: A build row is ``(order, slot values)``: its place in the build stream
+#: (a document-order key for the rows the index answers) and the values
+#: of the build side's slots.  The hash table keeps each row beside its
+#: key value.
 _ORDER = itemgetter(0)
 
 
@@ -76,7 +77,8 @@ class BuildSide:
 
     def open(self, ev, frame) -> Callable[[Sequence], list]:
         """Build the side (a barrier) and return the function from a
-        probe key's value to the matching rows, in build-stream order.
+        probe key's value to the matching ``(order, slot values)`` rows,
+        in build-stream order.
         A side the value index answers reads it per probe, and a probe
         it cannot answer (a key that is not all strings, or a store that
         declines) reads the hash table, built on first need; any other
@@ -126,11 +128,11 @@ def _probe(table: dict[object, list], keys: list, key_value: Sequence) -> list:
     matches = []
     seen: set[int] = set()
     for key in keys:
-        for row in table.get(key, ()):
+        for built, row in table.get(key, ()):
             if id(row) in seen:
                 continue
             seen.add(id(row))
-            if general_compare("eq", key_value, row[1]):
+            if general_compare("eq", key_value, built):
                 matches.append(row)
     matches.sort(key=_ORDER)
     return matches
@@ -145,10 +147,10 @@ def _build_hash_ordered(side: BuildSide, ev, frame) -> dict[object, list]:
     order = 0
     for _ in side.rows(ev, frame):
         key_value = key(ev, frame)
-        row = [order, key_value, [frame[slot] for slot in slots]]
+        entry = key_value, [order, [frame[slot] for slot in slots]]
         order += 1
         for hashed in _join_keys(key_value):
-            table.setdefault(hashed, []).append(row)
+            table.setdefault(hashed, []).append(entry)
     tracer = ev.tracer
     if tracer is not None:
         tracer.count("exec.barrier.hash_build")
@@ -259,7 +261,7 @@ class _IndexedBuild:
             ev.tracer.count("exec.join.index_probes")
         order_key = store.order_key
         return [
-            [order_key(nid), None, [[Node(store, nid)]]]
+            (order_key(nid), [[Node(store, nid)]])
             for nid in probe_owners(
                 store, aids, self.name, self.root, via=self.child
             )
@@ -271,7 +273,7 @@ class _IndexedBuild:
         a left build sorts rows from either source together."""
         table = _build_hash_ordered(self.side, self.ev, self.frame)
         order_key = self.ev.store.order_key
-        for rows in table.values():
-            for row in rows:
-                row[0] = order_key(row[2][0][0].nid)
+        for entries in table.values():
+            for _, row in entries:
+                row[0] = order_key(row[1][0][0].nid)
         return table

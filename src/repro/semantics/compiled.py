@@ -1222,8 +1222,8 @@ def _hash_join(plan, env, unit):
     def stream(ev, frame):
         matches = side.open(ev, frame)
         for _ in tuples(ev, frame):
-            for row in matches(key(ev, frame)):
-                _restore(frame, slots, row[2])
+            for _, values in matches(key(ev, frame)):
+                _restore(frame, slots, values)
                 yield
 
     def stream_left(ev, frame):
@@ -1231,8 +1231,8 @@ def _hash_join(plan, env, unit):
         pairs = []
         for index, _ in enumerate(tuples(ev, frame)):
             values = [frame[slot] for slot in probe_slots]
-            for row in matches(key(ev, frame)):
-                pairs.append((row[0], index, row[2], values))
+            for order, built in matches(key(ev, frame)):
+                pairs.append((order, index, built, values))
         pairs.sort(key=itemgetter(0, 1))
         for _, _, left_values, right_values in pairs:
             _restore(frame, slots, left_values)
@@ -1255,8 +1255,8 @@ def _group_by(plan, env, unit):
         matches = side.open(ev, frame)
         for _ in tuples(ev, frame):
             group = []
-            for row in matches(key(ev, frame)):
-                _restore(frame, slots, row[2])
+            for _, values in matches(key(ev, frame)):
+                _restore(frame, slots, values)
                 group += per_match(ev, frame)
             frame[group_slot] = group
             yield
