@@ -78,11 +78,10 @@ class BuildSide:
     def open(self, ev, frame) -> Callable[[Sequence], list]:
         """Build the side (a barrier) and return the function from a
         probe key's value to the matching ``(order, slot values)`` rows,
-        in build-stream order.
-        A side the value index answers reads it per probe, and a probe
-        it cannot answer (a key that is not all strings, or a store that
-        declines) reads the hash table, built on first need; any other
-        side is hashed here."""
+        in build-stream order.  A side the value index answers reads it
+        per probe, and a probe it cannot answer (a key that is not all
+        strings, or a store that declines) reads the hash table, built on
+        first need; any other side is hashed here."""
         indexed = _indexed_build(self, ev, frame)
         table = None if indexed is not None else _build_hash_ordered(
             self, ev, frame
