@@ -55,9 +55,9 @@ def execute_plan(
     barrier records an ``exec.barrier.*`` counter when it is hit, and
     evaluation and snap application get spans."""
     if lowered is None:
-        from repro.semantics.compiled import compile_closure
+        from repro.semantics.compiled import lower
 
-        lowered = compile_closure(plan, (), evaluator.functions)
+        lowered = lower(plan, evaluator.functions)
     return lowered.invoke(evaluator, ())
 
 
@@ -187,10 +187,10 @@ def _indexed_build(side: BuildSide, ev, frame) -> "_IndexedBuild | None":
 
     B is evaluated here, before the probe side streams, exactly as the
     hash build would (so its errors surface at the same point).  None
-    also when the value indexes are off, or B is not one node of the
-    executing store that its indexes cover.
+    also when B is not one node of the executing store that its indexes
+    cover.
     """
-    if side.shape is None or not ev.use_indexes:
+    if side.shape is None:
         return None
     base = side.base(ev, frame)
     store = ev.store

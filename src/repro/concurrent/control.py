@@ -3,9 +3,8 @@
 A query cannot be preempted mid-expression — Python threads have no safe
 asynchronous interruption, and semantically an interrupt must never land
 inside a snap application (that would half-apply a Δ, breaking the
-paper's atomicity discipline).  Instead the compiled closures (and the
-tree-walker they mirror) poll an :class:`ExecutionControl` at their
-natural iteration boundaries:
+paper's atomicity discipline).  Instead the compiled closures poll an
+:class:`ExecutionControl` at their natural iteration boundaries:
 
 * each FLWOR/``for`` iteration (``for``, the ordered FLWOR clause
   loops, quantifier bindings);

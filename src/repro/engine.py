@@ -55,7 +55,7 @@ class ExecutionOptions:
     All fields are keyword-only and the object is immutable, so an options
     value can be built once and shared across calls::
 
-        opts = ExecutionOptions(use_indexes=False, collect_stats=True)
+        opts = ExecutionOptions(timeout_ms=500, collect_stats=True)
         result = engine.execute(query, options=opts)
         result.stats.phase_times_ms  # parse/compile/evaluate/snap-apply ...
 
@@ -82,11 +82,6 @@ class ExecutionOptions:
             any thread makes the call raise
             :class:`~repro.errors.QueryCancelledError` at its next check
             point, with the same discard-the-Δ guarantee.
-        use_indexes: answer eligible descendant steps and value
-            predicates from the store's structural and value indexes
-            (see :mod:`repro.index`).  On by default; turning it off
-            forces the sequential paths — results are identical either
-            way (the equivalence the property suite checks).
         max_lag_seq: staleness bound for routed reads, in journal
             records behind the primary's committed watermark.  Only
             consulted by :class:`~repro.cluster.QueryRouter`: a read
@@ -105,7 +100,6 @@ class ExecutionOptions:
     explain: bool = False
     timeout_ms: float | None = None
     cancel: "CancelToken | None" = None
-    use_indexes: bool = True
     max_lag_seq: int | None = None
 
     def __post_init__(self) -> None:
@@ -511,13 +505,12 @@ class Engine:
         explain: bool | None = None,
         timeout_ms: float | None = None,
         cancel: CancelToken | None = None,
-        use_indexes: bool | None = None,
         options: ExecutionOptions | None = None,
     ) -> QueryResult:
         """Parse, normalize and evaluate *query* (which may include a
         prolog).  The query body runs as its rewritten algebra plan when a
-        guarded rewrite fired at prepare time (Section 4), else on the
-        evaluator.
+        guarded rewrite fired at prepare time (Section 4), else as
+        written; either way as closures lowered when it was prepared.
 
         All options are keyword-only; an :class:`ExecutionOptions` can be
         passed via ``options=`` and individual keywords override its
@@ -538,7 +531,6 @@ class Engine:
             explain=explain,
             timeout_ms=timeout_ms,
             cancel=cancel,
-            use_indexes=use_indexes,
         )
         tracer = Tracer() if opts.collect_stats else None
         prepared = self._prepare(query, opts.resolved_semantics, tracer)

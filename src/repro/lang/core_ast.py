@@ -407,7 +407,7 @@ class CCompiled(CoreExpr):
         self.blank = [None] * (size - 3 - params)
 
     def call_in(self, ev, context) -> list:
-        """Run under a tree-walker context: its focus and bindings."""
+        """Run under a dynamic context: its focus and bindings."""
         frame = [
             context.context_item, context.position, context.size,
             *self.blank,
@@ -424,13 +424,6 @@ class CCompiled(CoreExpr):
         for name, slot in self.free:
             frame[slot] = globals_.get(name)
         return self.run(ev, frame)
-
-
-class CGroupedPath(CPath):
-    """``B//name[P...]`` whose predicates never snap, marked for the
-    tree-walker: ``base`` is the ``B/descendant-or-self::node()`` path
-    and ``step`` the child step, so the evaluator takes the grouped
-    one-pass route the compiled closures take."""
 
 
 def child_exprs(expr: CoreExpr) -> list[CoreExpr]:

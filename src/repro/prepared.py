@@ -298,7 +298,6 @@ def run_module(
             bindings = merged
         if tracer is None and options.collect_stats:
             tracer = Tracer()
-        evaluator.use_indexes = options.use_indexes
         if control is None:
             control = ExecutionControl.from_options(options)
     hook = engine.on_slow_query

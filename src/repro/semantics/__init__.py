@@ -1,8 +1,11 @@
 """Dynamic semantics of XQuery!.
 
 Implements the paper's Section 3: the evaluation judgment
-``store0; dynEnv |- Expr => value; Delta; store1``
-(:mod:`repro.semantics.evaluator`), pending-update requests and the three
+``store0; dynEnv |- Expr => value; Delta; store1``, compiled to closures
+(:mod:`repro.semantics.compiled`) that run on an evaluator fork
+(:mod:`repro.semantics.evaluator`) and written rule by rule as the
+executable specification (:mod:`repro.semantics.spec`, which production
+never imports), pending-update requests and the three
 update-application semantics (:mod:`repro.semantics.update`,
 :mod:`repro.semantics.conflicts`), the dynamic context
 (:mod:`repro.semantics.context`) and the built-in function library
@@ -10,7 +13,7 @@ update-application semantics (:mod:`repro.semantics.update`,
 """
 
 from repro.semantics.context import DynamicContext, FunctionRegistry
-from repro.semantics.evaluator import Evaluator, EvalResult
+from repro.semantics.evaluator import Evaluator
 from repro.semantics.update import (
     ApplySemantics,
     DeleteRequest,
@@ -26,7 +29,6 @@ __all__ = [
     "DynamicContext",
     "FunctionRegistry",
     "Evaluator",
-    "EvalResult",
     "ApplySemantics",
     "UpdateRequest",
     "InsertRequest",

@@ -7,14 +7,13 @@ evaluation order.  A compiled expression therefore returns its value
 alone and appends its requests to one list: the innermost open snap's Δ,
 ``ev.pending``.  A ``snap`` swaps in a fresh list for its body, applies
 it through :func:`~repro.semantics.update.apply_update_list` when the
-body is done, and puts the outer list back.  None of the tree-walker's
-per-node machinery (dispatch, ``EvalResult``, ``DynamicContext``, Δ
-ropes) is left, and the closures have the shape ``run(ev, frame) ->
-items``:
+body is done, and puts the outer list back.  The closures have the
+shape ``run(ev, frame) -> items``:
 
-* ``ev`` is the executing fork; it supplies the store, the globals, the
-  function registry, ``use_indexes``/``use_name_index``, the execution
-  control, the tracer and the pending Δ, all read at run time;
+* ``ev`` is the executing :class:`~repro.semantics.evaluator.Evaluator`
+  fork; it supplies the store, the globals, the function registry, the
+  access paths, the execution control, the tracer and the pending Δ,
+  all read at run time;
 * ``frame`` is a list: the focus (item, position, size), then one slot
   per parameter, free variable and local binder (see
   :class:`~repro.lang.core_ast.CCompiled`) — variables resolve to slots
@@ -25,26 +24,26 @@ items``:
 when it is prepared (:class:`CompiledModule`), and a query too deeply
 nested to lower is refused there; a user function's body is lowered
 once per registry state (:func:`compiled_function`).  Production runs
-nothing else: the tree-walker (``Evaluator.evaluate``) is the reference
-the tests compare closures with.
+nothing else.
 
-The closures follow the tree-walker rule for rule: operands in the same
-order, the same value functions and update requests (shared with
-:mod:`.evaluator`), the same errors first, ``control.check()`` at the
-same points (``for``, the ordered FLWOR, quantifiers, and before a snap
-applies), the same call-depth guard.  Axis steps iterate node ids and
-make ``Node`` handles only at their boundary, and they call the
-evaluator's access paths (value-index probes, the attribute-compare
-filter, the grouped ``B//name[P...]`` step), whose shapes are decided
-here, once.  A step from one context node on a forward axis yields
-document order by construction, so only multi-node and reverse-axis
-steps sort.
+The closures follow the executable specification
+(:mod:`repro.semantics.spec`, the reference the tests compare them with)
+rule for rule: operands in the same order, the same value functions and
+update requests (both import them from :mod:`.evaluator`), the same
+errors first, the same call-depth guard.  They add what the spec leaves
+out: ``control.check()`` (in ``for``, the ordered FLWOR, quantifiers, a
+plan's tuple chain, and before a snap applies), and the access paths.
+Axis steps iterate node ids and make ``Node`` handles only at their
+boundary, and they call the evaluator's access paths (value-index
+probes, the attribute-compare filter, the grouped ``B//name[P...]``
+step), whose shapes are decided here, once.  A step from one context
+node on a forward axis yields document order by construction, so only
+multi-node and reverse-axis steps sort.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import fields, replace
 from operator import itemgetter
 
 from repro.algebra import plan as P
@@ -145,108 +144,39 @@ class CompiledModule:
 
 def lower(
     expr: core.CoreExpr | P.Plan,
-    registry: FunctionRegistry | None,
-    params: tuple[str, ...] = (),
-) -> core.CoreExpr:
-    """*expr* (or a plan) compiled to a ``CCompiled`` (*params*: the
-    function parameters when *expr* is a body).  Only a test's reference
-    run makes :func:`compile_closure` decline; *expr* then stays for the
-    tree-walker.  An expression nested past the compiler's stack
-    headroom raises ``RecursionError``, which :meth:`Engine.prepare
-    <repro.engine.Engine.prepare>` refuses as a static error."""
-    unit = compile_closure(expr, params, registry)
-    if unit is None:
-        return _walker_form(expr, EffectAnalyzer(registry))
-    return unit
-
-
-def compiled_function(
-    registry: FunctionRegistry, function: core.CFunction
-) -> core.CoreExpr:
-    """*function*'s lowered body, lowered once per registry state.  A
-    body left for the tree-walker (a reference run declined it) is not
-    kept, so a later call outside that run still gets its closure."""
-    table = registry.compiled
-    entry = table.get(id(function))
-    if entry is None or entry[0] is not function:
-        body = lower(function.body, registry, tuple(function.params))
-        if type(body) is not core.CCompiled:
-            return body
-        entry = table[id(function)] = (function, body)
-    return entry[1]
-
-
-def compile_closure(
-    expr: core.CoreExpr,
-    params: tuple[str, ...] = (),
     registry: FunctionRegistry | None = None,
-) -> core.CCompiled | None:
-    """Compile *expr* to a closure over a slot frame (None would leave
-    *expr* to the tree-walker).  *registry* resolves the user functions
-    a grouped step's predicates call (without one, every call may
-    snap)."""
+    params: tuple[str, ...] = (),
+) -> core.CCompiled:
+    """*expr* (or a plan) compiled to a closure over a slot frame
+    (*params*: the function parameters when *expr* is a body).
+    *registry* resolves the user functions a grouped step's predicates
+    call (without one, every call may snap).  An expression nested past
+    the compiler's stack headroom raises ``RecursionError``, which
+    :meth:`Engine.prepare <repro.engine.Engine.prepare>` refuses as a
+    static error."""
     unit = _Unit(3 + len(params), EffectAnalyzer(registry))
     run = _compile(expr, {name: 3 + i for i, name in enumerate(params)}, unit)
     free = tuple(unit.free.items())
     return core.CCompiled(expr, run, free, len(params), unit.next)
 
 
-def _walker_form(expr: core.CoreExpr, effects: EffectAnalyzer):
-    """*expr* for the tree-walker (when :func:`compile_closure`
-    declines, as the reference runs of the tests make it): each step
-    that a closure would take by the grouped route becomes a
-    ``CGroupedPath``, so both take the same access paths."""
-
-    def sub(child):
-        return _walker_form(child, effects)
-
-    if _grouped(expr, effects):
-        inner = expr.base
-        return core.CGroupedPath(
-            base=replace(inner, base=sub(inner.base), step=sub(inner.step)),
-            step=_rebuild(expr.step, sub),
-            line=expr.line,
-        )
-    return _rebuild(expr, sub)
-
-
-def _rebuild(node, sub):
-    """A copy of *node* with each sub-expression replaced by sub(it)."""
-    changes = {}
-    for f in fields(node):
-        value = getattr(node, f.name)
-        new = _map(value, sub)
-        if new is not value:
-            changes[f.name] = new
-    return replace(node, **changes) if changes else node
-
-
-def _map(value, sub):
-    if isinstance(value, core.CoreExpr):
-        return sub(value)
-    if isinstance(value, (list, tuple)):
-        new = [_map(item, sub) for item in value]
-        if all(a is b for a, b in zip(new, value)):
-            return value
-        return new if isinstance(value, list) else tuple(new)
-    if isinstance(
-        value, (core.CForClause, core.CLetClause, core.COrderSpec, core.CCase)
-    ):
-        return _rebuild(value, sub)
-    return value
+def compiled_function(
+    registry: FunctionRegistry, function: core.CFunction
+) -> core.CCompiled:
+    """*function*'s lowered body, lowered once per registry state."""
+    table = registry.compiled
+    entry = table.get(id(function))
+    if entry is None or entry[0] is not function:
+        body = lower(function.body, registry, tuple(function.params))
+        entry = table[id(function)] = (function, body)
+    return entry[1]
 
 
 def _grouped(expr, effects: EffectAnalyzer) -> bool:
-    """*expr* has the grouped shape, and no predicate of its step may
-    apply a nested snap, which could restructure the tree between two
-    groups (see ``Evaluator._grouped_child_path``)."""
-    return _grouped_shape(expr) and not any(
-        effects.analyze(p).may_snap for p in expr.step.predicates
-    )
-
-
-def _grouped_shape(expr) -> bool:
-    """``CPath(CPath(B, descendant-or-self::node()), child::name[P...])``."""
+    """*expr* is ``CPath(CPath(B, descendant-or-self::node()),
+    child::name[P...])``, and no predicate of its step may apply a
+    nested snap, which could restructure the tree between two groups
+    (see ``Evaluator._grouped_child_path``)."""
     if type(expr) is not core.CPath:
         return False
     inner, step = expr.base, expr.step
@@ -260,6 +190,7 @@ def _grouped_shape(expr) -> bool:
         and inner.step.axis == "descendant-or-self"
         and inner.step.test.kind == "node"
         and not inner.step.predicates
+        and not any(effects.analyze(p).may_snap for p in step.predicates)
     )
 
 
@@ -619,18 +550,14 @@ def _probe(step: core.CAxisStep, axis: str, env, unit):
 def _step_ids(expr: core.CAxisStep, env, unit):
     """``ids(ev, frame, item)``: the step from node *item*, as ids of
     ``item.store`` in document order."""
-    probe, operand = _probe(expr, expr.axis, env, unit)
+    axis, test = expr.axis, expr.test
+    probe, operand = _probe(expr, axis, env, unit)
     predicates = _predicates(expr.predicates, env, unit)
-    return _ids(expr.axis, expr.test, probe, operand, predicates)
-
-
-def _ids(axis, test, probe, operand, predicates):
-    """:func:`_step_ids` from the step's compiled parts."""
     matches = node_test(test, axis)
     forward = axis in FORWARD_AXES
 
     def ids(ev, frame, item):
-        if probe is not None and ev.use_indexes:
+        if probe is not None:
             probed = ev._indexed_predicate_step(
                 item, probe, lambda: operand(ev, frame)
             )
@@ -723,25 +650,16 @@ def _apply_ids(ids):
 
 
 def _grouped_path(expr, env, unit):
-    """``B//name[P...]``: the evaluator's grouped one-pass step while
-    ``use_name_index`` holds, else one child step per node of
-    ``B/descendant-or-self::node()``.  Both routes share the compiled
-    B and predicates, so nested grouped steps compile in linear time."""
+    """``B//name[P...]``: the evaluator's grouped one-pass step, over the
+    compiled B and predicates."""
     step = expr.step
     root = _compile(expr.base.base, env, unit)
-    descend = _path_step(expr.base.step, env, unit)  # no predicates
     probe, operand = _probe(step, "descendant", env, unit)
     predicates = _predicates(step.predicates, env, unit)
-    per_node = _apply_ids(_ids(
-        "child", step.test, *_probe(step, "child", env, unit), predicates
-    ))
     name = step.test.name
 
     def run(ev, frame):
-        base_value = root(ev, frame)
-        if not ev.use_name_index:
-            return per_node(ev, frame, descend(ev, frame, base_value))
-        base_nodes = node_sequence(base_value, "path step input")
+        base_nodes = node_sequence(root(ev, frame), "path step input")
         store = ev.store
         nids = ev._grouped_child_path(
             base_nodes,

@@ -1,25 +1,20 @@
-"""The dynamic semantics of XQuery! core.
+"""The runtime of XQuery! core: the executing fork and its access paths.
 
-Implements the paper's evaluation judgment (Section 3.4):
+Every prepared query runs as closures compiled from the evaluation
+judgment of Figs. 2-3 (:mod:`repro.semantics.compiled`).  An
+:class:`Evaluator` is what those closures run *on*: it owns the store,
+the globals, the function registry and the fn:doc catalog, the tracer,
+the execution control, the journal and the transaction log; it builds
+nodes (element content, copies); it applies a closing snap's Δ
+(:meth:`Evaluator.apply_updates`); and it holds the access paths an axis
+step may take instead of walking its axis — value-index probes, the
+attribute-compare filter and the grouped ``B//name[P...]`` step.
 
-    store0; dynEnv |- Expr  =>  value; Δ; store1
-
-Each ``_eval_*`` method returns ``EvalResult(value, delta)``; the store is
-threaded implicitly (it is the single mutable object), which matches the
-formal rules exactly: an expression may modify the store (through node
-construction or a nested ``snap``) *and* return pending update requests
-that have not been applied yet.
-
-Evaluation order is fully specified, left-to-right, as the rules of Figs. 2
-and 3 require — the premises of each rule are executed top-to-bottom.
-``and`` / ``or`` short-circuit left-to-right (a *defined* order, hence
-permissible under the paper's "precise evaluation order" stance).
-
-Prepared queries run as closures compiled from the same rules
-(:mod:`repro.semantics.compiled`), which share the value functions and
-update requests defined at the end of this module; the tree-walker runs
-what nests too deeply to compile, and is the reference the tests compare
-the closures with.
+The module also holds the value rules and update-request builders the
+closures share with the executable specification
+(:mod:`repro.semantics.spec`, which the tests compare the closures
+with): arithmetic, comparisons, casts, ``insert_request`` and the rest,
+and the order-by sort.
 """
 
 from __future__ import annotations
@@ -40,15 +35,12 @@ from repro.semantics.context import (
     FunctionRegistry,
     no_context_item,
 )
-from repro.semantics.deltarope import EMPTY as _EMPTY_DELTA
-from repro.semantics.deltarope import Delta
 from repro.semantics.update import (
     ApplySemantics,
     DeleteRequest,
     InsertRequest,
     RenameRequest,
     SetValueRequest,
-    UpdateList,
     apply_update_list,
     next_group,
 )
@@ -81,35 +73,19 @@ from repro.xdm.values import (
 )
 
 
-class EvalResult(NamedTuple):
-    """The (value, Δ) pair of the evaluation judgment.
-
-    Δ is a :class:`~repro.semantics.deltarope.Delta` rope — the paper's
-    Section 4.1 "specialized tree structure": concatenation is O(1), so
-    the pervasive Δ-concatenation of the Fig. 2/3 rules costs linear time
-    overall instead of O(|Δ| x nesting depth).
-    """
-
-    value: Sequence
-    delta: Delta
-
-
-_EMPTY = _EMPTY_DELTA
-
 #: How deeply user-function calls may nest in one execution.  Under
 #: Python's default limit of 1,000 frames, a simple recursion such as
 #: ``1 + local:f($n - 1)`` or ``$s[1] + local:sum(subsequence($s, 2))``
-#: completes up to 164 open calls on either evaluator from a script's
-#: main thread or an executor worker, and up to 158 under a test
-#: runner's deeper stack; 150 stays under both with room for a deeper
-#: caller still.  A body that spends more frames per level and exhausts
-#: the Python stack first is refused the same way (see
-#: Evaluator.enter_call).
+#: completes up to 164 open calls from a script's main thread or an
+#: executor worker, and up to 158 under a test runner's deeper stack;
+#: 150 stays under both with room for a deeper caller still.  A body
+#: that spends more frames per level and exhausts the Python stack first
+#: is refused the same way (see Evaluator.enter_call).
 MAX_CALL_DEPTH = 150
 
 
 class Evaluator:
-    """Tree-walking evaluator over core expressions.
+    """The runtime compiled closures execute on.
 
     One evaluator instance owns one store; the dynamic context is passed
     per call.  ``globals`` holds the module-level variable bindings visible
@@ -123,7 +99,6 @@ class Evaluator:
         functions: FunctionRegistry | None = None,
         trace_sink: Callable[[str], None] | None = None,
         atomic_snaps: bool = False,
-        use_name_index: bool = True,
     ):
         self.store = store
         if functions is None:
@@ -138,15 +113,6 @@ class Evaluator:
         # With atomic_snaps, every snap rolls back on a failed application
         # (failure containment; see apply_update_list).
         self.atomic_snaps = atomic_snaps
-        # Use the store's element-name index to answer descendant::name
-        # steps (O(candidates x depth) instead of an O(subtree) walk).
-        self.use_name_index = use_name_index
-        # Use the value indexes (repro.index) for equality and contains
-        # probes on descendant steps.  Set on each fork from
-        # ExecutionOptions(use_indexes=...); with False the evaluator
-        # runs the generic scan paths — the reference semantics the
-        # equivalence property compares against.
-        self.use_indexes = use_name_index
         # Observability: a repro.obs.Tracer on the fork of a traced
         # execution, else None (the default — hot paths guard on None).
         self.tracer = None
@@ -180,9 +146,8 @@ class Evaluator:
 
         The fork shares the function registry, the fn:doc catalog, the
         journal and the transaction log; its ``tracer`` and ``control``
-        start empty and ``use_indexes`` starts at this evaluator's value.
-        Setting any of them on the fork leaves this evaluator untouched,
-        so concurrent executions never see each other's state.
+        start empty.  Setting either on the fork leaves this evaluator
+        untouched, so concurrent executions never see each other's state.
         """
         child = object.__new__(Evaluator)
         child.__dict__.update(self.__dict__)
@@ -229,30 +194,20 @@ class Evaluator:
     # Entry points
     # ------------------------------------------------------------------
 
-    def evaluate(self, expr: core.CoreExpr, context: DynamicContext) -> EvalResult:
-        """Evaluate *expr*, returning its value and pending update list."""
-        method = _DISPATCH.get(type(expr))
-        if method is None:
-            raise DynamicError(f"no evaluation rule for {type(expr).__name__}")
-        return method(self, expr, context)
-
     def run_snapped(
         self,
-        expr: core.CoreExpr,
+        expr: core.CCompiled,
         context: DynamicContext,
         mode: ApplySemantics = ApplySemantics.ORDERED,
     ) -> Sequence:
         """Evaluate under the implicit top-level snap (Section 2.3: "a snap
-        is always implicitly present around the top-level query").  A
-        compiled *expr* (:mod:`repro.semantics.compiled`) runs as its
-        closure, anything else on the tree-walker."""
+        is always implicitly present around the top-level query"):
+        *expr* is a lowered expression (:mod:`repro.semantics.compiled`),
+        and its closure runs under *context*."""
         tracer = self.tracer
         with maybe_span(tracer, "evaluate"):
-            if type(expr) is core.CCompiled:
-                delta = self.pending = []
-                value = list(expr.call_in(self, context))
-            else:
-                value, delta = self.evaluate(expr, context)
+            delta = self.pending = []
+            value = list(expr.call_in(self, context))
         # Last check before committing: a fired deadline discards the
         # pending Δ here, so a timed-out query never half-applies.
         if self.control is not None:
@@ -271,287 +226,8 @@ class Evaluator:
         )
 
     # ------------------------------------------------------------------
-    # Leaves
+    # Access paths: what an axis step may take instead of its axis walk
     # ------------------------------------------------------------------
-
-    def _eval_literal(self, expr: core.CLiteral, context: DynamicContext) -> EvalResult:
-        return EvalResult([expr.value], _EMPTY)
-
-    def _eval_var(self, expr: core.CVar, context: DynamicContext) -> EvalResult:
-        return EvalResult(list(context.variable(expr.name)), _EMPTY)
-
-    def _eval_context(self, expr: core.CContext, context: DynamicContext) -> EvalResult:
-        return EvalResult([context.require_context_item()], _EMPTY)
-
-    def _eval_empty(self, expr: core.CEmpty, context: DynamicContext) -> EvalResult:
-        return EvalResult([], _EMPTY)
-
-    def _eval_root(self, expr: core.CRoot, context: DynamicContext) -> EvalResult:
-        return EvalResult(root_value(context.require_context_item()), _EMPTY)
-
-    # ------------------------------------------------------------------
-    # Composition
-    # ------------------------------------------------------------------
-
-    def _eval_sequence(self, expr: core.CSequence, context: DynamicContext) -> EvalResult:
-        """Fig. 3 sequence rule: Expr1 fully evaluated before Expr2; values
-        and deltas concatenated in order."""
-        value: Sequence = []
-        delta = _EMPTY
-        for item_expr in expr.items:
-            item_value, item_delta = self.evaluate(item_expr, context)
-            value.extend(item_value)
-            delta = delta + item_delta
-        return EvalResult(value, delta)
-
-    def _eval_range(self, expr: core.CRange, context: DynamicContext) -> EvalResult:
-        lo_value, delta1 = self.evaluate(expr.lo, context)
-        hi_value, delta2 = self.evaluate(expr.hi, context)
-        return EvalResult(range_value(lo_value, hi_value), delta1 + delta2)
-
-    # ------------------------------------------------------------------
-    # Arithmetic
-    # ------------------------------------------------------------------
-
-    def _eval_arith(self, expr: core.CArith, context: DynamicContext) -> EvalResult:
-        left_value, delta1 = self.evaluate(expr.left, context)
-        right_value, delta2 = self.evaluate(expr.right, context)
-        value = arith_value(expr.op, left_value, right_value)
-        return EvalResult(value, delta1 + delta2)
-
-    def _eval_unary(self, expr: core.CUnary, context: DynamicContext) -> EvalResult:
-        value, delta = self.evaluate(expr.operand, context)
-        return EvalResult(unary_value(expr.op, value), delta)
-
-    # ------------------------------------------------------------------
-    # Comparisons and logic
-    # ------------------------------------------------------------------
-
-    def _eval_comparison(self, expr: core.CComparison, context: DynamicContext) -> EvalResult:
-        left_value, delta1 = self.evaluate(expr.left, context)
-        right_value, delta2 = self.evaluate(expr.right, context)
-        value = compare_value(self.store, expr, left_value, right_value)
-        return EvalResult(value, delta1 + delta2)
-
-    def _eval_bool(self, expr: core.CBool, context: DynamicContext) -> EvalResult:
-        left_value, delta = self.evaluate(expr.left, context)
-        left = effective_boolean_value(left_value)
-        if expr.op == "and" and not left:
-            return EvalResult([AtomicValue.boolean(False)], delta)
-        if expr.op == "or" and left:
-            return EvalResult([AtomicValue.boolean(True)], delta)
-        right_value, delta2 = self.evaluate(expr.right, context)
-        right = effective_boolean_value(right_value)
-        return EvalResult([AtomicValue.boolean(right)], delta + delta2)
-
-    def _eval_set(self, expr: core.CSet, context: DynamicContext) -> EvalResult:
-        left_value, delta1 = self.evaluate(expr.left, context)
-        right_value, delta2 = self.evaluate(expr.right, context)
-        value = set_value(expr.op, left_value, right_value)
-        return EvalResult(value, delta1 + delta2)
-
-    # ------------------------------------------------------------------
-    # Control (Fig. 3)
-    # ------------------------------------------------------------------
-
-    def _eval_if(self, expr: core.CIf, context: DynamicContext) -> EvalResult:
-        cond_value, delta1 = self.evaluate(expr.cond, context)
-        branch = expr.then if effective_boolean_value(cond_value) else expr.orelse
-        value, delta2 = self.evaluate(branch, context)
-        return EvalResult(value, delta1 + delta2)
-
-    def _eval_for(self, expr: core.CFor, context: DynamicContext) -> EvalResult:
-        """Fig. 3 for rule: the source delta first, then per-iteration
-        deltas in binding order."""
-        source_value, delta = self.evaluate(expr.source, context)
-        value: Sequence = []
-        control = self.control
-        for index, item in enumerate(source_value):
-            if control is not None:
-                control.check()
-            inner = context.bind(expr.var, [item])
-            if expr.position_var is not None:
-                inner = inner.bind(
-                    expr.position_var, [AtomicValue.integer(index + 1)]
-                )
-            item_value, item_delta = self.evaluate(expr.body, inner)
-            value.extend(item_value)
-            delta = delta + item_delta
-        return EvalResult(value, delta)
-
-    def _eval_let(self, expr: core.CLet, context: DynamicContext) -> EvalResult:
-        source_value, delta1 = self.evaluate(expr.source, context)
-        inner = context.bind(expr.var, source_value)
-        value, delta2 = self.evaluate(expr.body, inner)
-        return EvalResult(value, delta1 + delta2)
-
-    def _eval_ordered_flwor(
-        self, expr: core.COrderedFLWOR, context: DynamicContext
-    ) -> EvalResult:
-        """FLWOR with order by: generate the tuple stream, filter, sort,
-        then evaluate the return clause in sorted order.  Deltas from the
-        generation phase come first (generation order), then return-clause
-        deltas in sorted order."""
-        delta = _EMPTY
-        control = self.control
-        tuples: list[DynamicContext] = [context]
-        for clause in expr.clauses:
-            new_tuples: list[DynamicContext] = []
-            if isinstance(clause, core.CForClause):
-                for tup in tuples:
-                    if control is not None:
-                        control.check()
-                    source_value, source_delta = self.evaluate(clause.source, tup)
-                    delta = delta + source_delta
-                    for index, item in enumerate(source_value):
-                        bound = tup.bind(clause.var, [item])
-                        if clause.position_var is not None:
-                            bound = bound.bind(
-                                clause.position_var,
-                                [AtomicValue.integer(index + 1)],
-                            )
-                        new_tuples.append(bound)
-            else:
-                for tup in tuples:
-                    if control is not None:
-                        control.check()
-                    source_value, source_delta = self.evaluate(clause.source, tup)
-                    delta = delta + source_delta
-                    new_tuples.append(tup.bind(clause.var, source_value))
-            tuples = new_tuples
-        if expr.where is not None:
-            kept: list[DynamicContext] = []
-            for tup in tuples:
-                cond_value, cond_delta = self.evaluate(expr.where, tup)
-                delta = delta + cond_delta
-                if effective_boolean_value(cond_value):
-                    kept.append(tup)
-            tuples = kept
-        # Compute the sort keys for every tuple.
-        keyed: list[tuple[list, DynamicContext]] = []
-        for tup in tuples:
-            keys: list = []
-            for spec in expr.specs:
-                key_value, key_delta = self.evaluate(spec.expr, tup)
-                delta = delta + key_delta
-                keys.append(atomize_optional(key_value, "order by key"))
-            keyed.append((keys, tup))
-        value: Sequence = []
-        for _, tup in sort_keyed(keyed, expr.specs):
-            if control is not None:
-                control.check()
-            ret_value, ret_delta = self.evaluate(expr.ret, tup)
-            value.extend(ret_value)
-            delta = delta + ret_delta
-        return EvalResult(value, delta)
-
-    def _eval_quantified(self, expr: core.CQuantified, context: DynamicContext) -> EvalResult:
-        """some/every with left-to-right, short-circuit evaluation."""
-        delta = _EMPTY
-        want = expr.kind == "some"
-
-        def recurse(bindings: list[tuple[str, core.CoreExpr]], ctx: DynamicContext) -> bool:
-            nonlocal delta
-            if not bindings:
-                value, inner_delta = self.evaluate(expr.satisfies, ctx)
-                delta = delta + inner_delta
-                return effective_boolean_value(value)
-            var, source = bindings[0]
-            source_value, source_delta = self.evaluate(source, ctx)
-            delta = delta + source_delta
-            control = self.control
-            for item in source_value:
-                if control is not None:
-                    control.check()
-                result = recurse(bindings[1:], ctx.bind(var, [item]))
-                if result == want:
-                    return want
-            return not want
-
-        result = recurse(expr.bindings, context)
-        return EvalResult([AtomicValue.boolean(result)], delta)
-
-    # ------------------------------------------------------------------
-    # Paths
-    # ------------------------------------------------------------------
-
-    def _eval_axis_step(self, expr: core.CAxisStep, context: DynamicContext) -> EvalResult:
-        item = step_context(context.context_item, expr.axis)
-        predicates = expr.predicates
-        delta = _EMPTY
-        if predicates and self.use_indexes:
-            shape = probe_shape(expr.axis, expr.test, predicates[0])
-            probed = None
-            if shape is not None:
-                probed = self._indexed_predicate_step(
-                    item, shape, self._probe_comparand(shape, context)
-                )
-            if probed is not None:
-                # The probed predicate is boolean-valued, so the probe
-                # result is exactly what the scan keeps after it, in axis
-                # (= document) order: the remaining predicates count
-                # positions over the same list, and filtering keeps it
-                # in document order.
-                probed, delta = self._filter(
-                    probed, predicates[1:], context, delta, fast=False
-                )
-                return EvalResult(self._nodes(probed), delta)
-        candidates, delta = self._filter(
-            self._axis_candidates(
-                item, expr.axis, expr.test, node_test(expr.test, expr.axis)
-            ),
-            predicates, context, delta,
-        )
-        store = item.store
-        candidates = store.sort_document_order(candidates)
-        return EvalResult([Node(store, nid) for nid in candidates], delta)
-
-    def _nodes(self, nids: list[int]) -> list[Node]:
-        store = self.store
-        return [Node(store, nid) for nid in nids]
-
-    def _comparand(
-        self, operand: core.CoreExpr, context: DynamicContext
-    ) -> Callable[[], Sequence]:
-        return lambda: self.evaluate(operand, context).value
-
-    def _probe_comparand(
-        self, shape: "ProbeShape", context: DynamicContext
-    ) -> Callable[[], Sequence]:
-        """The comparand thunk of a probe: one value, or for a range
-        shape the list of its bounds' values."""
-        if shape.kind == "range":
-            return lambda: [
-                self.evaluate(operand, context).value
-                for operand in shape.operand
-            ]
-        return self._comparand(shape.operand, context)
-
-    def _filter(
-        self,
-        nids: list[int],
-        predicates: list[core.CoreExpr],
-        context: DynamicContext,
-        delta: Delta,
-        fast: bool = True,
-    ) -> tuple[list[int], Delta]:
-        """Filter one step's candidates (in axis order) by its predicates;
-        the first goes through the attribute-compare fast path when it
-        has that shape (and *fast*)."""
-        rest = predicates
-        if fast and predicates and nids:
-            shape = attr_filter_shape(predicates[0])
-            if shape is not None:
-                kept = self._attr_compare_filter(
-                    shape, nids, self._comparand(shape.operand, context)
-                )
-                if kept is not None:
-                    nids, rest = kept, predicates[1:]
-        for predicate in rest:
-            nids, delta = self._apply_predicate(
-                predicate, nids, context, delta, self.store
-            )
-        return nids, delta
 
     def _attr_compare_filter(
         self,
@@ -628,7 +304,7 @@ class Evaluator:
     # (B) and (C) are descendant(-or-self) only.  A child-axis (A) or (D)
     # probe declines when it has more hits than the context has
     # children, so it never costs more than the scan.  The remaining
-    # predicates filter the probe result (see _eval_axis_step), so
+    # predicates filter the probe result (see ``compiled._step_ids``), so
     # positional tails like [@a = $v][1] count exactly as the scan.
     #
     # Each probe yields a candidate *superset* (the indexes are store-
@@ -849,8 +525,7 @@ class Evaluator:
             aid = store.attribute_named(item.nid, test.name)
             return [] if aid is None else [aid]
         if (
-            self.use_name_index
-            and axis in ("descendant", "descendant-or-self")
+            axis in ("descendant", "descendant-or-self")
             and named
             and test.name is not None
             and store is self.store
@@ -865,30 +540,6 @@ class Evaluator:
             return store.sort_document_order(ids)
         return [nid for nid in _axis_ids(store, item.nid, axis)
                 if matches(store, nid)]
-
-    def _apply_predicate(
-        self,
-        predicate: core.CoreExpr,
-        items: list,
-        context: DynamicContext,
-        delta: Delta,
-        store: Store | None = None,
-    ) -> tuple[list, Delta]:
-        """Filter *items* (node ids of *store* when it is given) by one
-        predicate with positional semantics; the enclosing variables
-        remain visible inside the predicate.  Returns the kept items and
-        the delta extended with predicate effects."""
-        kept = []
-        size = len(items)
-        for position, item in enumerate(items, start=1):
-            focus = context.with_focus(
-                item if store is None else Node(store, item), position, size
-            )
-            pred_value, pred_delta = self.evaluate(predicate, focus)
-            delta = delta + pred_delta
-            if _predicate_truth(pred_value, position):
-                kept.append(item)
-        return kept, delta
 
     def _grouped_child_path(
         self,
@@ -914,11 +565,12 @@ class Evaluator:
         same (item, position, size), Δ comes out in the same order and the
         first error is the same one.  A predicate that may apply a nested
         snap could restructure the tree between two groups, so such a
-        path never takes this route (see CGroupedPath).
+        path never takes this route (see
+        ``repro.semantics.compiled._grouped``).
         """
         store = self.store
         found = None
-        if probe is not None and self.use_indexes:
+        if probe is not None:
             found = self._probe_descendants(base_nodes, probe, comparand)
         first = 0
         if found is None:
@@ -951,124 +603,9 @@ class Evaluator:
             found.update(probed)
         return found
 
-    def _eval_grouped_path(
-        self, expr: core.CGroupedPath, context: DynamicContext
-    ) -> EvalResult:
-        if not self.use_name_index:
-            return self._eval_path(expr, context)
-        step = expr.step
-        base_value, delta = self.evaluate(expr.base.base, context)
-        base_nodes = node_sequence(base_value, "path step input")
-        predicates = step.predicates
-        probe = None
-        if predicates:
-            probe = probe_shape("descendant", step.test, predicates[0])
-
-        def filter_group(nids: list[int], first: int) -> list[int]:
-            nonlocal delta
-            kept, delta = self._filter(
-                nids, predicates[first:], context, delta
-            )
-            return kept
-
-        comparand = (
-            None if probe is None else self._probe_comparand(probe, context)
-        )
-        nids = self._grouped_child_path(
-            base_nodes, step.test.name, probe, comparand, filter_group
-        )
-        return EvalResult(self._nodes(nids), delta)
-
-    def _eval_path(self, expr: core.CPath, context: DynamicContext) -> EvalResult:
-        base_value, delta = self.evaluate(expr.base, context)
-        base_nodes = node_sequence(base_value, "path step input")
-        base_nodes = list(nodes_in_document_order(base_nodes))
-        results: Sequence = []
-        size = len(base_nodes)
-        for position, node in enumerate(base_nodes, start=1):
-            focus = context.with_focus(node, position, size)
-            step_value, step_delta = self.evaluate(expr.step, focus)
-            results.extend(step_value)
-            delta = delta + step_delta
-        return EvalResult(path_result(results), delta)
-
-    def _eval_filter(self, expr: core.CFilter, context: DynamicContext) -> EvalResult:
-        items, delta = self.evaluate(expr.base, context)
-        for predicate in expr.predicates:
-            items, delta = self._apply_predicate(
-                predicate, items, context, delta
-            )
-        return EvalResult(list(items), delta)
-
     # ------------------------------------------------------------------
-    # Function calls (Fig. 3)
+    # Construction
     # ------------------------------------------------------------------
-
-    def _eval_call(self, expr: core.CCall, context: DynamicContext) -> EvalResult:
-        resolved = self.functions.resolve(expr.name, len(expr.args))
-        # Fig. 3: arguments are evaluated left to right, their deltas are
-        # concatenated, then the body delta follows.
-        arg_values: list[Sequence] = []
-        delta = _EMPTY
-        for arg in expr.args:
-            arg_value, arg_delta = self.evaluate(arg, context)
-            arg_values.append(arg_value)
-            delta = delta + arg_delta
-        if isinstance(resolved, core.CFunction):
-            from repro.semantics.compiled import compiled_function
-
-            body = compiled_function(self.functions, resolved)
-            depth = self.enter_call(expr.name)
-            try:
-                if type(body) is core.CCompiled:
-                    # The closure appends its requests to a sink of its
-                    # own, which becomes this call's body Δ.
-                    outer, self.pending = self.pending, []
-                    try:
-                        body_value = list(body.invoke(self, arg_values))
-                        body_delta = Delta.from_iterable(self.pending)
-                    finally:
-                        self.pending = outer
-                    return EvalResult(body_value, delta + body_delta)
-                body_context = DynamicContext(
-                    dict(zip(resolved.params, arg_values)),
-                    globals_=self.globals,
-                )
-                body_value, body_delta = self.evaluate(body, body_context)
-            except RecursionError:
-                if depth > 1:
-                    raise
-                raise self.stack_exhausted(expr.name) from None
-            finally:
-                self.call_depth = depth - 1
-            return EvalResult(body_value, delta + body_delta)
-        # Built-in: pure by construction (no update requests).
-        return EvalResult(resolved(self, context, arg_values), delta)
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-
-    def _resolve_ctor_name(
-        self, name: str | core.CoreExpr, context: DynamicContext, what: str
-    ) -> tuple[str, UpdateList]:
-        if isinstance(name, str):
-            return name, _EMPTY
-        value, delta = self.evaluate(name, context)
-        return ctor_name(value, what), delta
-
-    def _eval_elem(self, expr: core.CElem, context: DynamicContext) -> EvalResult:
-        """Element construction: content nodes are deep-copied into the new
-        element (the XQuery 1.0 copy semantics the paper leans on in its
-        normalization rule); content is processed per enclosed expression
-        (see _populate_element)."""
-        name, delta = self._resolve_ctor_name(expr.name, context, "element")
-        parts: list[tuple[Sequence, bool]] = []
-        for content_expr in expr.content:
-            content_value, content_delta = self.evaluate(content_expr, context)
-            parts.append((content_value, is_fresh(content_expr)))
-            delta = delta + content_delta
-        return EvalResult(self.make_element(name, parts), delta)
 
     def make_element(
         self, name: str, parts: list[tuple[Sequence, bool]]
@@ -1154,66 +691,11 @@ class Evaluator:
                 run.append((" ".join(atomics), None))
         flush()
 
-    def _eval_attr(self, expr: core.CAttr, context: DynamicContext) -> EvalResult:
-        name, delta = self._resolve_ctor_name(expr.name, context, "attribute")
-        parts: list[str] = []
-        for part in expr.parts:
-            if isinstance(part, str):
-                parts.append(part)
-            else:
-                part_value, part_delta = self.evaluate(part, context)
-                delta = delta + part_delta
-                parts.append(sequence_string(part_value))
-        attr = self.store.create_attribute(name, "".join(parts))
-        return EvalResult([Node(self.store, attr)], delta)
-
-    def _eval_text(self, expr: core.CText, context: DynamicContext) -> EvalResult:
-        if expr.content is None:
-            return EvalResult([], _EMPTY)
-        value, delta = self.evaluate(expr.content, context)
-        return EvalResult(self.make_text(value), delta)
-
     def make_text(self, value: Sequence) -> Sequence:
         if not value:
             return []
         node = self.store.create_text(sequence_string(value))
         return [Node(self.store, node)]
-
-    def _eval_comment(self, expr: core.CComment, context: DynamicContext) -> EvalResult:
-        if expr.content is None:
-            return EvalResult([], _EMPTY)
-        value, delta = self.evaluate(expr.content, context)
-        node = self.store.create_comment(sequence_string(value))
-        return EvalResult([Node(self.store, node)], delta)
-
-    def _eval_doc(self, expr: core.CDoc, context: DynamicContext) -> EvalResult:
-        doc = self.store.create_document()
-        delta = _EMPTY
-        if expr.content is not None:
-            value, delta = self.evaluate(expr.content, context)
-            # Content is processed like element content (one enclosed
-            # expression); attributes are rejected by the store
-            # (documents cannot carry them).
-            self._populate_element(doc, [(value, False)])
-        return EvalResult([Node(self.store, doc)], delta)
-
-    def _eval_pi(self, expr: core.CPI, context: DynamicContext) -> EvalResult:
-        target, delta = self._resolve_ctor_name(expr.target, context, "PI")
-        text = ""
-        if expr.content is not None:
-            value, content_delta = self.evaluate(expr.content, context)
-            delta = delta + content_delta
-            text = sequence_string(value)
-        node = self.store.create_processing_instruction(target, text)
-        return EvalResult([Node(self.store, node)], delta)
-
-    # ------------------------------------------------------------------
-    # XQuery! operations (Fig. 2)
-    # ------------------------------------------------------------------
-
-    def _eval_copy(self, expr: core.CCopy, context: DynamicContext) -> EvalResult:
-        value, delta = self.evaluate(expr.source, context)
-        return EvalResult(self.copy(value, is_fresh(expr.source)), delta)
 
     def copy(self, value: Sequence, fresh: bool) -> Sequence:
         """copy{Expr}: deep copy via the data-model operation; atomic items
@@ -1230,100 +712,6 @@ class Evaluator:
             else:
                 copied.append(item)
         return copied
-
-    def _eval_insert(self, expr: core.CInsert, context: DynamicContext) -> EvalResult:
-        """Fig. 2 insert rule: evaluate the (already copy-wrapped) source,
-        then the target, then run the InsertLocation judgment and emit the
-        insert request (see :func:`insert_request`)."""
-        source_value, delta1 = self.evaluate(expr.source, context)
-        target_value, delta2 = self.evaluate(expr.target, context)
-        request = insert_request(
-            self.store, expr.position, source_value, target_value
-        )
-        return EvalResult([], delta1 + delta2 + Delta.leaf(request))
-
-    def _eval_delete(self, expr: core.CDelete, context: DynamicContext) -> EvalResult:
-        """Fig. 2 delete rule, generalized to node sequences (the paper's
-        own use case deletes ``$log/logentry``, a sequence)."""
-        value, delta = self.evaluate(expr.target, context)
-        return EvalResult(
-            [], delta + Delta.from_iterable(delete_requests(value))
-        )
-
-    def _eval_replace(self, expr: core.CReplace, context: DynamicContext) -> EvalResult:
-        """Fig. 2 replace rule:
-        Δ3 = (Δ1, Δ2, insert(nodeseq, nodepar, node), delete(node))."""
-        target_value, delta1 = self.evaluate(expr.target, context)
-        source_value, delta2 = self.evaluate(expr.source, context)
-        insert, delete = replace_requests(
-            self.store, target_value, source_value
-        )
-        return EvalResult(
-            [], delta1 + delta2 + Delta.leaf(insert) + Delta.leaf(delete)
-        )
-
-    def _eval_replace_value(
-        self, expr: core.CReplaceValue, context: DynamicContext
-    ) -> EvalResult:
-        """replace value of {t} with {s}: atomize the source to a string
-        and request a content overwrite of the target node."""
-        target_value, delta1 = self.evaluate(expr.target, context)
-        source_value, delta2 = self.evaluate(expr.source, context)
-        request = set_value_request(target_value, source_value)
-        return EvalResult([], delta1 + delta2 + Delta.leaf(request))
-
-    def _eval_rename(self, expr: core.CRename, context: DynamicContext) -> EvalResult:
-        target_value, delta1 = self.evaluate(expr.target, context)
-        name_value, delta2 = self.evaluate(expr.name, context)
-        request = rename_request(target_value, name_value)
-        return EvalResult([], delta1 + delta2 + Delta.leaf(request))
-
-    def _eval_snap(self, expr: core.CSnap, context: DynamicContext) -> EvalResult:
-        """Fig. 2 snap rule: evaluate the body, apply its Δ to the (possibly
-        already modified) store, return the value with an empty Δ.  The
-        stack-like nesting behaviour falls out of the recursion."""
-        value, delta = self.evaluate(expr.body, context)
-        # Check before applying: an interrupt must discard this snap's Δ,
-        # never land mid-application.
-        if self.control is not None:
-            self.control.check()
-        self.apply_updates(delta, ApplySemantics.from_keyword(expr.mode))
-        return EvalResult(value, _EMPTY)
-
-    def _eval_typeswitch(self, expr: core.CTypeswitch, context: DynamicContext) -> EvalResult:
-        """typeswitch: operand evaluated once; first matching case wins;
-        untaken branches are not evaluated (their effects never fire)."""
-        operand_value, delta = self.evaluate(expr.operand, context)
-        for case in expr.cases:
-            if matches_sequence_type(operand_value, case.type_):
-                inner = context
-                if case.var is not None:
-                    inner = context.bind(case.var, operand_value)
-                value, case_delta = self.evaluate(case.ret, inner)
-                return EvalResult(value, delta + case_delta)
-        inner = context
-        if expr.default_var is not None:
-            inner = context.bind(expr.default_var, operand_value)
-        value, default_delta = self.evaluate(expr.default, inner)
-        return EvalResult(value, delta + default_delta)
-
-    # ------------------------------------------------------------------
-    # Dynamic typing operators
-    # ------------------------------------------------------------------
-
-    def _eval_instance_of(self, expr: core.CInstanceOf, context: DynamicContext) -> EvalResult:
-        value, delta = self.evaluate(expr.operand, context)
-        result = matches_sequence_type(value, expr.type_)
-        return EvalResult([AtomicValue.boolean(result)], delta)
-
-    def _eval_treat(self, expr: core.CTreat, context: DynamicContext) -> EvalResult:
-        value, delta = self.evaluate(expr.operand, context)
-        return EvalResult(treat_value(expr.type_, value), delta)
-
-    def _eval_cast(self, expr: core.CCast, context: DynamicContext) -> EvalResult:
-        value, delta = self.evaluate(expr.operand, context)
-        return EvalResult(cast_value(expr, value), delta)
-
 
 # ----------------------------------------------------------------------
 # Axis iteration and node tests (on node ids)
@@ -1474,7 +862,7 @@ def path_result(results: Sequence) -> Sequence:
 
 # ----------------------------------------------------------------------
 # Step shapes: properties of the expression, decided once per compiled
-# step (and per evaluation by the tree-walker)
+# step
 # ----------------------------------------------------------------------
 
 class ProbeShape(NamedTuple):
@@ -1715,7 +1103,7 @@ def attr_filter_shape(predicate: core.CoreExpr) -> AttrShape | None:
 
 
 # ----------------------------------------------------------------------
-# Value rules, shared by the tree-walker and the compiled closures
+# Value rules, shared by the compiled closures and the spec
 # ----------------------------------------------------------------------
 
 def _predicate_truth(value: Sequence, position: int) -> bool:
@@ -1967,51 +1355,6 @@ def is_fresh(expr: core.CoreExpr) -> bool:
     if kind is core.CSequence or kind is core.CSequenced:
         return all(is_fresh(item) for item in expr.items)
     return False
-
-
-# Evaluation rule per core node type, shared by every evaluator and fork.
-_DISPATCH = {
-    core.CLiteral: Evaluator._eval_literal,
-    core.CVar: Evaluator._eval_var,
-    core.CContext: Evaluator._eval_context,
-    core.CEmpty: Evaluator._eval_empty,
-    core.CRoot: Evaluator._eval_root,
-    core.CSequence: Evaluator._eval_sequence,
-    core.CSequenced: Evaluator._eval_sequence,  # ';' == ',' dynamically
-    core.CRange: Evaluator._eval_range,
-    core.CArith: Evaluator._eval_arith,
-    core.CUnary: Evaluator._eval_unary,
-    core.CComparison: Evaluator._eval_comparison,
-    core.CBool: Evaluator._eval_bool,
-    core.CSet: Evaluator._eval_set,
-    core.CIf: Evaluator._eval_if,
-    core.CFor: Evaluator._eval_for,
-    core.CLet: Evaluator._eval_let,
-    core.COrderedFLWOR: Evaluator._eval_ordered_flwor,
-    core.CQuantified: Evaluator._eval_quantified,
-    core.CAxisStep: Evaluator._eval_axis_step,
-    core.CPath: Evaluator._eval_path,
-    core.CGroupedPath: Evaluator._eval_grouped_path,
-    core.CFilter: Evaluator._eval_filter,
-    core.CCall: Evaluator._eval_call,
-    core.CElem: Evaluator._eval_elem,
-    core.CAttr: Evaluator._eval_attr,
-    core.CText: Evaluator._eval_text,
-    core.CComment: Evaluator._eval_comment,
-    core.CDoc: Evaluator._eval_doc,
-    core.CPI: Evaluator._eval_pi,
-    core.CCopy: Evaluator._eval_copy,
-    core.CInsert: Evaluator._eval_insert,
-    core.CDelete: Evaluator._eval_delete,
-    core.CReplace: Evaluator._eval_replace,
-    core.CReplaceValue: Evaluator._eval_replace_value,
-    core.CRename: Evaluator._eval_rename,
-    core.CSnap: Evaluator._eval_snap,
-    core.CInstanceOf: Evaluator._eval_instance_of,
-    core.CCast: Evaluator._eval_cast,
-    core.CTypeswitch: Evaluator._eval_typeswitch,
-    core.CTreat: Evaluator._eval_treat,
-}
 
 
 class _OrderKey:

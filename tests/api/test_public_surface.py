@@ -127,7 +127,7 @@ class TestExecutionOptions:
 
     def test_options_object_is_reusable_across_calls(self):
         engine = make_engine()
-        opts = ExecutionOptions(use_indexes=False, collect_stats=True)
+        opts = ExecutionOptions(timeout_ms=60_000, collect_stats=True)
         first = engine.execute("count($doc//item)", options=opts)
         second = engine.execute("count($doc//item)", options=opts)
         assert first.first_value() == second.first_value() == 2

@@ -1,17 +1,17 @@
 """Updating queries and plans run as compiled closures, never on the
-tree-walker.
+spec.
 
 Every node of a prepared query compiles (:mod:`repro.semantics.compiled`),
 the update primitives, snaps and §4.3 plans included.  So the web
 service's logged ``get_item`` (a nested-snap counter, a logged insert,
 the rollover), a bulk snap of one insert per person and the
 ``analytic-cold`` workload's two plans (the join and the updating Q8
-group-by) make no ``Evaluator.evaluate`` dispatch; nor does a pure
-recursive function, which the effect analysis judges pure as the least
-fixpoint of its cycle.  With the closures withheld, each runs on the
-tree-walker, with the same value and the same store left behind.  A
-query that cannot be lowered is refused when it is prepared: nothing
-falls back to the tree-walker.
+group-by) make no dispatch to the spec's ``evaluate``
+(:mod:`repro.semantics.spec`); nor does a pure recursive function,
+which the effect analysis judges pure as the least fixpoint of its
+cycle.  With the closures withheld, each runs on the spec, with the same
+value and the same store left behind.  A query that cannot be lowered is
+refused when it is prepared: nothing falls back to another evaluator.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import pytest
 from repro import Engine
 from repro.cluster.replica import store_fingerprint
 from repro.errors import StaticError
-from repro.semantics import compiled, evaluator
+from repro.semantics import compiled, spec
 from repro.usecases.webservice import AuctionService
 from repro.xmark import XMarkConfig, generate_auction_xml
 from tests.experiments.test_template_plans import TEMPLATES
-from tests.interpreted import on_tree_walker
+from tests.interpreted import on_spec
 
 UNMARK = "snap { delete { $auction//person/mark } }"
 BULK = (
@@ -45,13 +45,13 @@ local:f(20)
 @pytest.fixture
 def dispatches(monkeypatch):
     counts = {"evaluate": 0}
-    evaluate = evaluator.Evaluator.evaluate
+    evaluate = spec.evaluate
 
-    def counted(self, expr, context):
+    def counted(ev, expr, context):
         counts["evaluate"] += 1
-        return evaluate(self, expr, context)
+        return evaluate(ev, expr, context)
 
-    monkeypatch.setattr(evaluator.Evaluator, "evaluate", counted)
+    monkeypatch.setattr(spec, "evaluate", counted)
     return counts
 
 
@@ -62,7 +62,7 @@ def auction_xml() -> str:
 
 def service_run(xml: str, walked: bool) -> tuple:
     """Twelve logged calls (one rollover) and one bulk snap per mode."""
-    with on_tree_walker() if walked else nullcontext():
+    with on_spec() if walked else nullcontext():
         service = AuctionService(xml, maxlog=10)
         values = [
             service.get_item(f"item{i % 20}", f"person{i % 40}").serialize()
@@ -103,7 +103,7 @@ def test_pure_recursion_never_dispatches_to_the_tree_walker(
     engine = AuctionService(auction_xml).engine
     assert engine.execute(RECURSIVE).first_value() == 20
     assert dispatches["evaluate"] == 0
-    with on_tree_walker():
+    with on_spec():
         engine.prepared_cache.clear()
         assert engine.execute(RECURSIVE).first_value() == 20
     assert dispatches["evaluate"] > 0
@@ -111,7 +111,7 @@ def test_pure_recursion_never_dispatches_to_the_tree_walker(
 
 def plan_run(xml: str, walked: bool) -> tuple:
     """The join and Q8 templates, twice each, and the store they leave."""
-    with on_tree_walker() if walked else nullcontext():
+    with on_spec() if walked else nullcontext():
         engine = Engine()
         engine.load_document("auction", xml)
         engine.bind("purchasers", engine.parse_fragment("<purchasers/>"))
@@ -148,11 +148,11 @@ def test_a_query_that_cannot_lower_is_refused_at_prepare(monkeypatch):
     generation = engine.functions.generation
     cached = len(engine.prepared_cache)
 
-    def overflow(expr, params=(), registry=None):
+    def overflow(expr, registry=None, params=()):
         raise RecursionError
 
     with monkeypatch.context() as patch:
-        patch.setattr(compiled, "compile_closure", overflow)
+        patch.setattr(compiled, "lower", overflow)
         with pytest.raises(StaticError):
             engine.prepare("declare function local:f() { 1 }; local:f() + 1")
     assert engine.functions.generation == generation
@@ -161,11 +161,11 @@ def test_a_query_that_cannot_lower_is_refused_at_prepare(monkeypatch):
 
 
 def test_a_reference_run_leaves_the_closures_in_place(dispatches):
-    """A function body lowered for the tree-walker inside a reference
-    run is not kept: the next production call compiles it."""
+    """A reference run lowers nothing, and the spec calls a function's
+    body as written: the next production call compiles it."""
     engine = Engine()
     engine.load_module("declare function local:f($x) { $x + 1 }; 1")
-    with on_tree_walker():
+    with on_spec():
         assert engine.execute("local:f(1)").first_value() == 2
     walked = dispatches["evaluate"]
     assert walked > 0

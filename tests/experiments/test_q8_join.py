@@ -13,11 +13,11 @@ snaps its insert observes its own effects, so the rewrite must not fire
 and the query keeps the P·C nested loop.
 
 Prepared queries run as compiled closures
-(:mod:`repro.semantics.compiled`), and the tree-walker runs only what
-nests too deeply to compile, so a comparison is a general comparison
-made by a compiled closure or a ``CComparison`` the tree-walker
-dispatches, and a step is a compiled closure's run or an
-``Evaluator.evaluate`` dispatch.
+(:mod:`repro.semantics.compiled`), and only a test's reference run
+evaluates on the spec (:mod:`repro.semantics.spec`), so a comparison is
+a general comparison made by a compiled closure or a ``CComparison``
+the spec evaluates, and a step is a compiled closure's run or a
+dispatch of the spec's ``evaluate``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import pairwise
 import pytest
 
 from repro.lang import core_ast
-from repro.semantics import compiled, evaluator
+from repro.semantics import compiled, spec
 from tests.interpreted import interpreted
 
 SCALES = ((30, 40), (60, 80), (120, 160))
@@ -57,21 +57,21 @@ SNAPPING = COLLECTING.replace("return insert", "return snap insert")
 def counting(monkeypatch):
     """Count comparisons and evaluation steps across every evaluator."""
     counts = {"comparisons": 0, "steps": 0}
-    compare = evaluator._DISPATCH[core_ast.CComparison]
-    evaluate = evaluator.Evaluator.evaluate
+    compare = spec.RULES[core_ast.CComparison]
+    evaluate = spec.evaluate
     general_compare = compiled.general_compare
 
-    def counted_compare(self, expr, context):
+    def counted_compare(ev, expr, context):
         counts["comparisons"] += 1
-        return compare(self, expr, context)
+        return compare(ev, expr, context)
 
     def counted_general_compare(op, left, right):
         counts["comparisons"] += 1
         return general_compare(op, left, right)
 
-    def counted_evaluate(self, expr, context):
+    def counted_evaluate(ev, expr, context):
         counts["steps"] += 1
-        return evaluate(self, expr, context)
+        return evaluate(ev, expr, context)
 
     def counted_compiler(compile_node):
         def compile_counted(expr, env, unit):
@@ -85,10 +85,8 @@ def counting(monkeypatch):
 
         return compile_counted
 
-    monkeypatch.setitem(
-        evaluator._DISPATCH, core_ast.CComparison, counted_compare
-    )
-    monkeypatch.setattr(evaluator.Evaluator, "evaluate", counted_evaluate)
+    monkeypatch.setitem(spec.RULES, core_ast.CComparison, counted_compare)
+    monkeypatch.setattr(spec, "evaluate", counted_evaluate)
     monkeypatch.setattr(compiled, "general_compare", counted_general_compare)
     for node_type, compile_node in list(compiled._COMPILERS.items()):
         monkeypatch.setitem(

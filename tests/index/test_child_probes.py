@@ -1,17 +1,17 @@
 """Child-axis key lookups and first predicates followed by more
 predicates are answered from the value index; the child axis probes
 only when that cannot cost more than the scan; and every execution path
-(prepared, snapshot read, transaction statement) honours
-``ExecutionOptions(use_indexes=False)``."""
+(prepared, snapshot read, transaction statement) probes.  Each answer is
+compared with the spec's (:func:`tests.interpreted.by_spec`), which
+walks the child list and probes nothing."""
 
 import pytest
 
 from repro.concurrent.executor import ConcurrentExecutor
 from repro.concurrent.snapshot import StoreSnapshot
-from repro.engine import Engine, ExecutionOptions
+from repro.engine import Engine
 from repro.txn.view import TransactionView
-
-_NO_INDEX = ExecutionOptions(use_indexes=False)
+from tests.interpreted import by_spec
 
 
 def engine_with(name: str, xml: str) -> Engine:
@@ -34,7 +34,7 @@ def probes(engine: Engine) -> int:
 def both(engine: Engine, query: str) -> tuple[str, str]:
     return (
         engine.execute(query).serialize(),
-        engine.execute(query, options=_NO_INDEX).serialize(),
+        by_spec(engine, query).serialize(),
     )
 
 
@@ -48,7 +48,7 @@ class TestCostGuard:
         before = probes(engine)
         fast = engine.execute(query).first_value()
         assert probes(engine) == before
-        assert fast == engine.execute(query, options=_NO_INDEX).first_value()
+        assert fast == by_spec(engine, query).first_value()
         assert int(fast) == 4000
 
     def test_selective_key_probes(self):
@@ -98,7 +98,10 @@ class TestFirstPredicateProbe:
         assert probes(engine) == before
 
 
-class TestUseIndexesHonoured:
+class TestEveryPathProbes:
+    """A snapshot read and a transaction statement probe the value
+    index, and answer as the spec does."""
+
     QUERY = '$r/row[@k = "k4"]'
 
     def _recording(self, monkeypatch, cls) -> list:
@@ -114,27 +117,23 @@ class TestUseIndexesHonoured:
 
     def test_snapshot_reads(self, monkeypatch):
         engine = flat_root()
-        expected = engine.execute(self.QUERY, options=_NO_INDEX).serialize()
+        expected = by_spec(engine, self.QUERY).serialize()
         calls = self._recording(monkeypatch, StoreSnapshot)
-        for options, probed in ((_NO_INDEX, False), (None, True)):
-            # A fresh executor each time: no shared result cache.
-            executor = ConcurrentExecutor(engine, workers=1)
-            try:
-                future = executor.submit(self.QUERY, options=options)
-                got = future.result(timeout=30)
-            finally:
-                executor.shutdown()
-            assert got.serialize() == expected
-            assert bool(calls) is probed
-            calls.clear()
+        executor = ConcurrentExecutor(engine, workers=1)
+        try:
+            got = executor.submit(self.QUERY).result(timeout=30)
+        finally:
+            executor.shutdown()
+        assert got.serialize() == expected
+        assert calls
 
     def test_transaction_statements(self, monkeypatch):
         engine = flat_root()
-        expected = engine.execute(self.QUERY, options=_NO_INDEX).serialize()
+        expected = by_spec(engine, self.QUERY).serialize()
         calls = self._recording(monkeypatch, TransactionView)
         with engine.session() as session:
             with session.transaction() as txn:
-                got = txn.execute(self.QUERY, options=_NO_INDEX)
+                got = by_spec(engine, self.QUERY, on=txn)
                 assert got.serialize() == expected
                 assert not calls
                 assert txn.execute(self.QUERY).serialize() == expected

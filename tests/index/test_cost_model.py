@@ -4,17 +4,18 @@ every decision.  Access paths are not a plan choice: a ``for`` over
 ``B//name`` keeps its MapConcat source, which the evaluator answers
 from the name index."""
 
-from repro.engine import Engine, ExecutionOptions
+from repro.engine import Engine
 from repro.index import MIN_TABLE_NODES, Statistics, hash_join_cost
 from repro.xmark.generator import XMarkConfig, generate_auction_xml
-from tests.interpreted import interpreted
+from tests.interpreted import by_spec, interpreted
 
 
-def big_engine():
-    """An engine whose store clears MIN_TABLE_NODES (3x XMark ~ 25k)."""
+def big_engine(scale: float = 3):
+    """An engine whose store clears MIN_TABLE_NODES (3x XMark ~ 25k;
+    0.3x ~ 2.4k)."""
     engine = Engine()
     doc = engine.load_document(
-        "auction", generate_auction_xml(XMarkConfig.scale(3))
+        "auction", generate_auction_xml(XMarkConfig.scale(scale))
     )
     engine.bind("doc", [doc])
     assert len(engine.store._records) >= MIN_TABLE_NODES
@@ -142,31 +143,26 @@ class TestCostPass:
         assert [str(v) for v in fast.items] == [str(v) for v in slow.items]
 
 
-class TestUseIndexesOption:
-    def test_option_disables_index_scan_execution(self):
+class TestIndexFreeReference:
+    """The spec (:mod:`repro.semantics.spec`) reads no index: it is the
+    reference for production's probes and indexed join builds."""
+
+    def test_spec_answers_without_index_probes(self):
         engine = big_engine()
         query = '$doc//person[@id = "person3"]'
-        on = engine.execute(query, collect_stats=True)
-        off = engine.execute(
-            query,
-            collect_stats=True,
-            options=ExecutionOptions(use_indexes=False, collect_stats=True),
-        )
-        assert [n.nid for n in on.items] == [n.nid for n in off.items]
-        assert on.stats.counters.get("index.probes", 0) >= 1
-        assert off.stats.counters.get("index.probes", 0) == 0
+        fast = engine.execute(query, collect_stats=True)
+        slow = by_spec(engine, query, collect_stats=True)
+        assert [n.nid for n in fast.items] == [n.nid for n in slow.items]
+        assert fast.stats.counters.get("index.probes", 0) >= 1
+        assert slow.stats.counters.get("index.probes", 0) == 0
 
-    def test_option_restored_after_call(self):
-        engine = big_engine()
-        engine.execute("1", options=ExecutionOptions(use_indexes=False))
-        assert engine.evaluator.use_indexes
-
-    def test_compiled_plan_falls_back_without_indexes(self):
-        engine = big_engine()
-        fast = engine.execute(Q8_QUERY)
-        slow = engine.execute(
-            Q8_QUERY, options=ExecutionOptions(use_indexes=False)
-        )
+    def test_compiled_plan_equals_the_spec(self):
+        # The spec runs Q8 as nested loops, |person| x |closed_auction|
+        # comparisons, so this store only just clears MIN_TABLE_NODES.
+        engine = big_engine(0.3)
+        fast = engine.execute(Q8_QUERY, collect_stats=True)
+        assert fast.stats.counters["exec.join.index_probes"] > 0
+        slow = by_spec(engine, Q8_QUERY)
         assert [n.string_value for n in fast.items] == [
             n.string_value for n in slow.items
         ]

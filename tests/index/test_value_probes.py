@@ -5,21 +5,21 @@ and a transaction view alike.  Numeric columns answer
 their certificate proves the scan could neither raise nor match an
 element the column lacks; they read text with ``fn:number``'s own rule,
 are dropped by the mutators that could stale them, and are checked by
-``Store.check_invariants``."""
+``Store.check_invariants``.  Each answer is compared with the spec's
+(:func:`tests.interpreted.by_spec`), which probes no index."""
 
 import math
 
 import pytest
 
-from repro.engine import Engine, ExecutionOptions
+from repro.engine import Engine
 from repro.errors import StoreError, XQueryError
 from repro.index.manager import NumericColumn, eq_prefixes
+from repro.prepared import rehandled_fork
+from repro.semantics import spec
 from repro.semantics.context import DynamicContext
-from repro.semantics.evaluator import Evaluator
-from repro.xdm.nodes import Node
 from repro.xdm.values import string_to_double
-
-_NO_INDEX = ExecutionOptions(use_indexes=False)
+from tests.interpreted import by_spec
 
 #: An integer past the double range (about 1.8e308).
 BIG = "1" + "0" * 400
@@ -35,24 +35,29 @@ def probes(engine: Engine) -> int:
     return engine.store.indexes.probes
 
 
-def outcome(engine: Engine, query: str, options=None):
-    """The result's node ids (or atomized values), or the error code."""
+def outcome(engine: Engine, query: str, on_spec: bool = False):
+    """The result's node ids (or atomized values), or the error code;
+    as prepared, or on the spec."""
     try:
-        items = engine.execute(query, options=options).items
+        if on_spec:
+            items = by_spec(engine, query).items
+        else:
+            items = engine.execute(query).items
     except XQueryError as error:
         return ("error", error.code)
     return [getattr(item, "nid", item) for item in items]
 
 
-def on_snapshot(engine: Engine, snap, query: str, use_indexes: bool):
-    """*query* evaluated against *snap*, as node ids."""
-    ev = Evaluator(snap, engine.functions)
-    ev.use_indexes = use_indexes
-    ev.globals = {
-        "d": [Node(snap, node.nid) for node in engine.variable("d")]
-    }
-    body = engine.prepare(query)._module.body
-    value, _ = ev.evaluate(body, DynamicContext(dict(ev.globals)))
+def on_snapshot(engine: Engine, snap, query: str, on_spec: bool):
+    """*query* evaluated against *snap*, as node ids: lowered, or as
+    written on the spec."""
+    fork = rehandled_fork(engine.evaluator, snap)
+    prepared = engine.prepare(query)
+    if on_spec:
+        context = DynamicContext(globals_=fork.globals)
+        value, _ = spec.evaluate(fork, prepared._module.body, context)
+    else:
+        value = prepared.compiled().body.invoke(fork, ())
     return [node.nid for node in value]
 
 
@@ -106,7 +111,7 @@ def test_equality_probe_finds_fragmented_nested_and_short_values(
     before = probes(engine)
     assert outcome(engine, query) == expected
     assert probes(engine) == before + 1
-    assert outcome(engine, query, _NO_INDEX) == expected
+    assert outcome(engine, query, on_spec=True) == expected
 
 
 @pytest.mark.parametrize(("target", "positions"), EQ_CASES)
@@ -115,7 +120,7 @@ def test_equality_probe_on_a_snapshot_reads_its_own_epoch(
 ):
     engine = engine_with(CITIES)
     query = f'$d//p[c = "{target}"]'
-    then = outcome(engine, query, _NO_INDEX)
+    then = outcome(engine, query, on_spec=True)
     store = engine.store
     snap = store.begin_snapshot()
     # Move the live store on: every text becomes the target, and a new
@@ -128,11 +133,11 @@ def test_equality_probe_on_a_snapshot_reads_its_own_epoch(
         f'snap {{ insert {{ <p><c>{target}</c></p> }} into {{ $d }} }}'
     )
     try:
-        assert on_snapshot(engine, snap, query, True) == then
         assert on_snapshot(engine, snap, query, False) == then
+        assert on_snapshot(engine, snap, query, True) == then
     finally:
         store.release_snapshot(snap)
-    assert outcome(engine, query) == outcome(engine, query, _NO_INDEX)
+    assert outcome(engine, query) == outcome(engine, query, on_spec=True)
     store.check_invariants()
 
 
@@ -160,8 +165,8 @@ def test_equality_probe_in_a_transaction_sees_buffered_writes():
                 "into { $d } }"
             )
             fast = txn.execute('count($d//p[c = "Pisa"])').first_value()
-            slow = txn.execute(
-                'count($d//p[c = "Pisa"])', options=_NO_INDEX
+            slow = by_spec(
+                engine, 'count($d//p[c = "Pisa"])', on=txn
             ).first_value()
     assert fast == slow == 4
 
@@ -189,7 +194,7 @@ def test_a_node_comparand_probes_like_its_string_value(query, expected):
     before = probes(engine)
     assert sorted(engine.execute(ids).strings()) == expected
     assert probes(engine) > before
-    assert engine.execute(ids, options=_NO_INDEX).strings() == (
+    assert by_spec(engine, ids).strings() == (
         engine.execute(ids).strings()
     )
 
@@ -265,7 +270,7 @@ def test_regular_column_answers_as_the_scan(query):
     engine = bind_bounds(engine_with(REGULAR))
     before = probes(engine)
     fast = outcome(engine, query)
-    assert fast == outcome(engine, query, _NO_INDEX)
+    assert fast == outcome(engine, query, on_spec=True)
     if not query.startswith("$d/p"):  # the child axis may decline
         # One probe, answered: count it whether or not it hit.
         assert probes(engine) == before + 1
@@ -297,14 +302,14 @@ def test_certificate_declines_where_the_scan_differs(
     before = probes(engine)
     assert outcome(engine, query) == expected
     assert probes(engine) == before
-    assert outcome(engine, query, _NO_INDEX) == expected
+    assert outcome(engine, query, on_spec=True) == expected
 
 
 def test_duplicate_under_one_parent_raises_on_both_paths():
     engine = engine_with(numbered("<c>20</c>", "<c>1</c><c>2</c>"))
     query = "$d//p[number(c) > 10]"
     assert outcome(engine, query) == ("error", "XPTY0004")
-    assert outcome(engine, query, _NO_INDEX) == ("error", "XPTY0004")
+    assert outcome(engine, query, on_spec=True) == ("error", "XPTY0004")
 
 
 def test_child_axis_declines_when_hits_outnumber_children():
@@ -327,7 +332,7 @@ def test_non_numeric_bounds_decline():
         before = probes(engine)
         fast = outcome(engine, query)
         assert probes(engine) == before, query
-        assert fast == outcome(engine, query, _NO_INDEX), query
+        assert fast == outcome(engine, query, on_spec=True), query
 
 
 def test_snapshots_and_transaction_views_decline():
@@ -337,7 +342,7 @@ def test_snapshots_and_transaction_views_decline():
     snap = store.begin_snapshot()
     try:
         assert snap.numeric_range_probe("c", [("gt", 5.0)]) is None
-        assert on_snapshot(engine, snap, query, True) == outcome(
+        assert on_snapshot(engine, snap, query, False) == outcome(
             engine, query
         )
     finally:
@@ -346,9 +351,7 @@ def test_snapshots_and_transaction_views_decline():
         with session.transaction() as txn:
             txn.execute("snap { insert { <p><c>99</c></p> } into { $d } }")
             fast = txn.execute(f"count({query})").first_value()
-            slow = txn.execute(
-                f"count({query})", options=_NO_INDEX
-            ).first_value()
+            slow = by_spec(engine, f"count({query})", on=txn).first_value()
     assert fast == slow
 
 
@@ -376,13 +379,13 @@ def test_mutators_drop_stale_columns(update, label):
     ))
     queries = ["$d//p[number(c) > 5]", "$d//p[number(c) < 9]"]
     for query in queries:
-        assert outcome(engine, query) == outcome(engine, query, _NO_INDEX)
+        assert outcome(engine, query) == outcome(engine, query, on_spec=True)
     assert "c" in engine.store.indexes.columns
     engine.execute(update)
     engine.store.check_invariants()
     for query in queries:
         assert outcome(engine, query) == outcome(
-            engine, query, _NO_INDEX
+            engine, query, on_spec=True
         ), label
     engine.store.check_invariants()
 
@@ -396,7 +399,7 @@ def test_nested_snap_mid_query_drops_the_column():
     fast = engine_with(numbered("<c>7</c>", "<c>8</c>", "<c>9</c>"))
     slow = engine_with(numbered("<c>7</c>", "<c>8</c>", "<c>9</c>"))
     got = [v.value for v in fast.execute(queries).items]
-    want = [v.value for v in slow.execute(queries, options=_NO_INDEX).items]
+    want = [v.value for v in by_spec(slow, queries).items]
     assert got == want == [0, 1, 2]
     fast.store.check_invariants()
 

@@ -3,8 +3,9 @@
 ``Engine.execute``, a ``ConcurrentExecutor`` snapshot read, a session
 transaction statement and a ``DurableEngine`` all run a module through
 :func:`repro.prepared.run_module`.  The matrix below crosses the
-per-execution options, and queries whose rewrite fires or not, over
-those four surfaces and checks that each one honours every field: same
+per-execution options, queries whose rewrite fires or not, and a
+prepared query that is cached before the run (warm) or not, over those
+four surfaces and checks that each one honours every field: the spec's
 items, same error types, stats and explain whenever requested, one plan
 run for a query whose rewrite fires and none for one whose rewrite does
 not, and the slow-query hook.  The per-surface rules for globals are pinned
@@ -20,7 +21,7 @@ from repro import Engine, ExecutionOptions
 from repro.concurrent import CancelToken, ConcurrentExecutor
 from repro.durability import DurableEngine
 from repro.errors import DynamicError, QueryCancelledError, QueryTimeoutError
-from tests.interpreted import interpreted
+from tests.interpreted import by_spec
 
 DOC = (
     "<site><people>"
@@ -140,14 +141,11 @@ def runner(request, tmp_path):
 
 @pytest.fixture(scope="module")
 def reference():
-    """Items of every query on the evaluator alone, indexes off."""
+    """Items of every query on the spec, on an engine of its own."""
     engine = Engine()
     engine.load_document("doc", DOC)
-    options = ExecutionOptions(use_indexes=False)
     return [
-        interpreted(
-            engine, query, bindings=bindings, options=options
-        ).serialize()
+        by_spec(engine, query, bindings=bindings).serialize()
         for query, bindings, _ in QUERIES
     ]
 
@@ -175,30 +173,34 @@ def snap_counters(stats):
 
 
 @pytest.mark.parametrize("rewrites", [False, True])
-@pytest.mark.parametrize("use_indexes", [True, False])
+@pytest.mark.parametrize("warm", [True, False])
 class TestOptionsMatrix:
     def test_items_match_the_reference(
-        self, runner, reference, plan_runs, rewrites, use_indexes
+        self, runner, reference, plan_runs, rewrites, warm
     ):
-        options = ExecutionOptions(use_indexes=use_indexes)
         for (query, bindings, fires), expected in zip(QUERIES, reference):
             if fires is not rewrites:
                 continue
+            if warm:
+                runner.engine.prepare(query)
             del plan_runs[:]
-            result = runner.run(query, bindings, options)
+            result = runner.run(query, bindings)
             assert result.serialize() == expected, (runner.path, query)
             assert result.stats is None and result.explain is None
             assert len(plan_runs) == (1 if rewrites else 0), query
 
     def test_stats_and_explain_when_requested(
-        self, runner, plan_runs, rewrites, use_indexes
+        self, runner, plan_runs, rewrites, warm
     ):
-        options = ExecutionOptions(
-            use_indexes=use_indexes, collect_stats=True, explain=True
-        )
+        options = ExecutionOptions(collect_stats=True, explain=True)
         chosen = [entry for entry in QUERIES if entry[2] is rewrites]
         for query, bindings, _ in chosen:
+            if warm:
+                runner.engine.prepare(query)
+            cache = runner.engine.prepared_cache.stats
+            hits = cache.hits
             result = runner.run(query, bindings, options)
+            assert cache.hits == hits + warm, (runner.path, query)
             stats = result.stats
             assert stats is not None, (runner.path, query)
             assert {"prolog", "evaluate", "snap-apply"} <= set(
@@ -209,12 +211,12 @@ class TestOptionsMatrix:
             assert result.explain.rewritten is rewrites
         assert len(plan_runs) == (len(chosen) if rewrites else 0)
 
-    def test_interrupts_and_unbound_external(
-        self, runner, rewrites, use_indexes
-    ):
+    def test_interrupts_and_unbound_external(self, runner, rewrites, warm):
         for query in (SLOW[rewrites], UNBOUND[rewrites]):
             assert (runner.engine.compile(query) is not None) is rewrites
-        options = ExecutionOptions(use_indexes=use_indexes)
+            if warm:
+                runner.engine.prepare(query)
+        options = ExecutionOptions()
         token = CancelToken()
         token.cancel()
         with pytest.raises(QueryCancelledError):

@@ -5,8 +5,10 @@ A prepared query runs its body as a plan only when a §4.3 rewrite fired
 the same query through the same engine with that plan withheld:
 ``compile_query`` is patched to return None while the query prepares,
 so its body runs as written, lowered to closures like any other.
-:func:`on_tree_walker` withholds the closures too, so the tree-walker of
-Figs. 2-3 runs everything.  :func:`without_pushdown` withholds the
+:func:`on_spec` withholds the closures too, so the executable
+specification of Figs. 2-3 (:mod:`repro.semantics.spec`) runs
+everything, with none of production's access paths.
+:func:`without_pushdown` withholds the
 where-pushdown rule of :mod:`repro.lang.simplify` the same way, and
 :func:`without_reclamation` an engine's statement-end reclamation.
 There is no production switch for any of them.
@@ -19,6 +21,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.algebra import compile as algebra_compile
+from repro.semantics import compiled, spec
+from repro.semantics.evaluator import Evaluator
 
 
 @contextmanager
@@ -31,22 +35,36 @@ def without_plans():
 
 
 @contextmanager
-def on_tree_walker():
-    """Every query prepared inside the block runs on the tree-walker:
-    ``compile_closure`` declines every expression, and plans, which have
-    no other executor, are withheld.  A query prepared inside the block
-    keeps its tree-walker form in the prepared cache, so a reference run
-    should have an engine of its own, or clear the cache after it."""
-    from repro.semantics import compiled
-
+def on_spec():
+    """Every query prepared inside the block runs on the spec: its
+    expressions are not lowered (``compiled.lower`` hands each back as
+    written), ``Evaluator.run_snapped`` is the spec's, and plans, which
+    only closures run, are withheld.  A query prepared inside the block
+    keeps its unlowered form in the prepared cache, so a reference run
+    should have an engine of its own, or clear the cache after it (see
+    :func:`by_spec`)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(compiled, "compile_closure", _decline)
+        patch.setattr(compiled, "lower", _as_written)
+        patch.setattr(Evaluator, "run_snapped", spec.run_snapped)
         with without_plans():
             yield
 
 
-def _decline(expr, params=(), registry=None):
-    return None
+def _as_written(expr, registry=None, params=()):
+    return expr
+
+
+def by_spec(engine, query: str, *, on=None, **kwargs):
+    """``(on or engine).execute(query, **kwargs)`` on the spec; *on* is
+    a transaction of *engine*, or None.  *engine*'s prepared cache is
+    cleared before and after, so neither side reuses the other's
+    prepared query."""
+    engine.prepared_cache.clear()
+    try:
+        with on_spec():
+            return (on or engine).execute(query, **kwargs)
+    finally:
+        engine.prepared_cache.clear()
 
 
 def interpreted(engine, query: str, **kwargs):

@@ -1,11 +1,14 @@
 """Property: a ``B//name[P1]...[Pn]`` step evaluated in one pass over the
 named descendants, grouped by parent, is observationally the per-node
-child step it replaces (``Evaluator.use_name_index = False``), whether
-the step runs as a compiled closure (pure predicates) or on the
-tree-walker (predicates that collect updates or snap).
+child step it replaces, as the spec (:mod:`repro.semantics.spec`)
+evaluates it: one ``child::name[P...]`` step per node of
+``B/descendant-or-self::node()``, walking each axis.  Production takes
+the grouped route when no predicate may snap, and the per-node steps
+(as closures) when one may.
 
-Two engines are built from the same random tree, one per path, and run
-the same scenario; node ids are allocated identically, so values are
+Two engines are built from the same random tree, one run on the spec
+(:func:`tests.interpreted.on_spec`) and one as prepared, and run the
+same scenario; node ids are allocated identically, so values are
 compared as ids, errors by code and message, and the store at the end
 row by row.  The predicates cover positional tails, the index-probe
 shape followed by a tail, a predicate that logs every (item, position,
@@ -18,13 +21,18 @@ transaction after buffered inserts, renames and deletes."""
 
 import itertools
 import json
+from contextlib import nullcontext
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import Engine
 from repro.errors import XQueryError
+from repro.lang.core_ast import CCompiled
 from repro.persist import record_rows
 from repro.prepared import rehandled_fork
+from repro.semantics import spec
+from repro.semantics.context import DynamicContext
+from tests.interpreted import on_spec
 
 KEYS = ("x", "y", "b")
 
@@ -102,9 +110,8 @@ def render(children, counter) -> str:
     return "".join(out)
 
 
-def make_engine(xml: str, k: int, v: str, x: int, grouped: bool) -> Engine:
+def make_engine(xml: str, k: int, v: str, x: int) -> Engine:
     engine = Engine()
-    engine.evaluator.use_name_index = grouped
     engine.bind("t", engine.parse_fragment(f"<root>{xml}</root>"))
     engine.bind("log", engine.parse_fragment("<log/>"))
     engine.bind("n", 3)
@@ -142,7 +149,8 @@ def snapshot(engine: Engine, writes, queries) -> list:
     """Queries on a snapshot taken before *writes* hit the live store:
     the snapshot reads through its overlay.  Bodies run lowered, as
     ``run_module`` would run them, but their Δ is not applied (a
-    snapshot is read-only), so it is compared directly."""
+    snapshot is read-only), so it is compared directly.  On the spec the
+    bodies are not lowered, and the spec evaluates them."""
     prepared = [engine.prepare(query) for query in queries]
     snap = engine.store.begin_snapshot()
     try:
@@ -150,8 +158,13 @@ def snapshot(engine: Engine, writes, queries) -> list:
         fork = rehandled_fork(engine.evaluator, snap)
         for pq in prepared:
             def run(pq=pq):
+                body = pq.compiled().body
+                if type(body) is not CCompiled:
+                    context = DynamicContext(globals_=fork.globals)
+                    value, delta = spec.evaluate(fork, body, context)
+                    return ids(value), [repr(r) for r in delta]
                 fork.pending = []
-                value = pq.compiled().body.invoke(fork, ())
+                value = body.invoke(fork, ())
                 return ids(value), [repr(r) for r in fork.pending]
 
             seen.append(outcome(run))
@@ -175,8 +188,39 @@ def transaction(engine: Engine, writes, queries) -> list:
 
 SCENARIOS = {"live": live, "snapshot": snapshot, "transaction": transaction}
 
+# Two parents with p children at two depths, same-name nesting, a q in
+# between and a text leaf: every grouped step meets several groups.
+FOREST = [
+    ("p", "x", 1, [("p", "b", 2, []), ("q", "y", 3, [
+        ("p", "x", 4, [("p", "x", 5, [])]), ("p", "b", 6, []), "t",
+    ])]),
+    ("q", "x", 7, [("p", "y", 8, []), ("p", "x", 9, [])]),
+]
 
-@settings(max_examples=120, deadline=None)
+
+def targeted(scenario: str, writes: list[str], queries: list[str]):
+    """An example on FOREST with $k = 2, $v = "x" and $x = 4."""
+    return example(
+        forest=FOREST, k=2, v="x", x=4, scenario=scenario, writes=writes,
+        queries=queries,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+# Positions and the probe shape with tails; Δ order and evaluation
+# count across groups; a nested snap that restructures the tree
+# mid-step; the first error of a raising predicate.
+@targeted("live", [], [
+    f"{base}//p{predicate}" for base in BASES for predicate in PREDICATES[:7]
+])
+@targeted("live", [], [f"$t//p{PREDICATES[7]}", f"$t//p{PREDICATES[8]}"])
+@targeted("live", [], [f"$t//p{PREDICATES[9]}", f"($t//q)//p{PREDICATES[10]}"])
+@targeted("snapshot", WRITES[:2], [
+    f"$t//p{PREDICATES[7]}", f"$t//p{PREDICATES[4]}", f"$t//p{PREDICATES[10]}",
+])
+@targeted("transaction", WRITES[1:], [
+    f"$t//p{PREDICATES[5]}", f"$t//p{PREDICATES[7]}", f"$t//p{PREDICATES[9]}",
+])
 @given(
     forest=forests(),
     k=st.integers(0, 3),
@@ -197,9 +241,10 @@ def test_grouped_step_equals_per_node_steps(
 ):
     xml = render(forest, itertools.count())
     observed = []
-    for grouped in (True, False):
-        engine = make_engine(xml, k, v, x, grouped)
-        seen = SCENARIOS[scenario](engine, writes, queries)
+    for by_spec in (True, False):
+        with on_spec() if by_spec else nullcontext():
+            engine = make_engine(xml, k, v, x)
+            seen = SCENARIOS[scenario](engine, writes, queries)
         engine.store.check_invariants()
         observed.append((seen, rows(engine)))
     assert observed[0] == observed[1]

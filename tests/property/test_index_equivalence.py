@@ -1,9 +1,12 @@
-"""Property: indexed execution is observationally equivalent to
-unindexed execution — for randomized XMark-style queries, for child-axis
-key lookups with positional and value tails, across random update
-sequences, across transactional commits, rolled-back snaps and journal
-replays, for snapshot readers taken mid-update-stream, and for
-statements inside a transaction that read its own buffered writes.
+"""Property: production's access paths — value-index probes, the
+element-name index, indexed join builds — are observationally the spec
+(:mod:`repro.semantics.spec`, run through
+:func:`tests.interpreted.by_spec`), which walks every axis and probes
+nothing: for XMark-style queries, for child-axis key lookups with
+positional and value tails, across update sequences, across
+transactional commits, rolled-back snaps and journal replays, for
+snapshot readers taken mid-update-stream, and for statements inside a
+transaction that read its own buffered writes.
 
 The fast paths only ever *narrow* work (probe supersets are re-verified
 against exact semantics), so any divergence is a bug in maintenance,
@@ -20,17 +23,16 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.durability import DurableEngine
-from repro.engine import Engine, ExecutionOptions
+from repro.engine import Engine
 from repro.errors import UpdateApplicationError
+from repro.prepared import rehandled_fork
+from repro.semantics import spec
 from repro.semantics.context import DynamicContext
-from repro.semantics.evaluator import Evaluator
-from repro.xdm.nodes import Node
 from repro.xmark.generator import XMarkConfig, generate_auction_xml
-
-_NO_INDEX = ExecutionOptions(use_indexes=False)
+from tests.interpreted import by_spec
 
 WORDS = ["fine", "word", "widget", "rare", "zebra", ""]
 
@@ -85,18 +87,18 @@ def each(target: str, update: str) -> str:
 def updates_pool(rng: random.Random) -> list[str]:
     n = rng.randrange(20)
     k = 1 + n % 4
+    # The targets may be gone by now (a person moved away, an @id
+    # deleted), so each update binds them with a `for`.
     return [
-        f"snap {{ replace value of {{ ($doc//person)[{1 + n % 5}]/@id }} "
-        f'with {{ "person{n}" }} }}',
+        each(f"($doc//person)[{1 + n % 5}]/@id",
+             f'replace value of {{ $x }} with {{ "person{n}" }}'),
         "snap { replace value of { ($doc//item)[1]/name } "
         f'with {{ "{rng.choice(WORDS[:-1])} #{n}" }} }}',
         "snap { delete { ($doc//closed_auction)[1] } }",
         'snap { insert { <person id="personX"><name>Draw Card</name>'
         "</person> } into { ($doc//people, $doc//folk)[1] } }",
-        f"snap {{ rename {{ ($doc//item)[{1 + n % 3}]/@id }} "
-        'to { "id" } }',
-        # Moves between trees (insert copies; delete detaches).  The
-        # targets may be gone by now, so each binds them with a `for`.
+        each(f"($doc//item)[{1 + n % 3}]/@id", 'rename { $x } to { "id" }'),
+        # Moves between trees (insert copies; delete detaches).
         each(f"($doc//person)[{k}]",
              "(insert { $x } into { $other }, delete { $x })"),
         each("($doc//people)[1]",
@@ -118,25 +120,24 @@ def updates_pool(rng: random.Random) -> list[str]:
 
 
 def run_both(engine: Engine, query: str):
+    """*query*'s node ids as prepared, and on the spec."""
     fast = engine.execute(query)
-    slow = engine.execute(query, options=_NO_INDEX)
+    slow = by_spec(engine, query)
     return (
         [n.nid for n in fast.items],
         [n.nid for n in slow.items],
     )
 
 
-def run_on_snapshot(engine: Engine, snap, prepared, use_indexes: bool):
-    """Evaluate a prepared query's body against *snap*."""
-    ev = Evaluator(snap, engine.functions)
-    ev.use_indexes = use_indexes
-    ev.globals = {
-        name: [Node(snap, node.nid) for node in engine.variable(name)]
-        for name in ("doc", "other")
-    }
-    value, _ = ev.evaluate(
-        prepared._module.body, DynamicContext(dict(ev.globals))
-    )
+def run_on_snapshot(engine: Engine, snap, prepared, on_spec: bool):
+    """A prepared query's body against *snap*: lowered (its plan, when a
+    rewrite gave it one), or as written on the spec."""
+    fork = rehandled_fork(engine.evaluator, snap)
+    if on_spec:
+        context = DynamicContext(globals_=fork.globals)
+        value, _ = spec.evaluate(fork, prepared._module.body, context)
+    else:
+        value = prepared.compiled().body.invoke(fork, ())
     return [n.nid for n in value]
 
 
@@ -195,7 +196,7 @@ STEPS = {
 }
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10_000))
 def test_reads_indexed_equals_unindexed(seed):
     rng = random.Random(seed)
@@ -205,7 +206,7 @@ def test_reads_indexed_equals_unindexed(seed):
         assert fast == slow, query
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=8, deadline=None)
 @given(st.integers(0, 10_000), st.data())
 def test_update_streams_keep_equivalence(seed, data):
     rng = random.Random(seed)
@@ -222,12 +223,12 @@ def test_update_streams_keep_equivalence(seed, data):
     engine.store.check_invariants()
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=8, deadline=None)
 @given(st.integers(0, 10_000))
 def test_snapshot_reads_mid_update_stream(seed):
     """A snapshot taken between updates must answer indexed probes from
-    its own epoch: equal to unindexed evaluation against the snapshot,
-    regardless of how far the live store has moved on."""
+    its own epoch: equal to the spec against the snapshot, regardless of
+    how far the live store has moved on."""
     rng = random.Random(seed)
     engine = fresh_engine(seed)
     store = engine.store
@@ -240,17 +241,22 @@ def test_snapshot_reads_mid_update_stream(seed):
     for update in rng.sample(updates_pool(rng), 2):
         engine.execute(update)
 
-    # ...while the snapshot reader answers from its epoch, with and
-    # without index probes.
+    # ...while the snapshot reader answers from its epoch, as prepared
+    # and on the spec.
     for query, pq in zip(queries, prepared):
-        fast = run_on_snapshot(engine, snap, pq, use_indexes=True)
-        slow = run_on_snapshot(engine, snap, pq, use_indexes=False)
+        fast = run_on_snapshot(engine, snap, pq, on_spec=False)
+        slow = run_on_snapshot(engine, snap, pq, on_spec=True)
         assert fast == slow, query
     store.release_snapshot(snap)
     store.check_invariants()
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=6, deadline=None)
+# Every step kind, each after another, on every run.
+@example(1, ["transactional-commit", "journal-replay", "rolled-back-snap",
+             "update"])
+@example(2, ["rolled-back-snap", "update", "journal-replay",
+             "transactional-commit"])
 @given(
     st.integers(0, 10_000),
     st.lists(st.sampled_from(sorted(STEPS)), min_size=1, max_size=4),
@@ -259,9 +265,9 @@ def test_commits_and_rollbacks_keep_equivalence(seed, steps):
     """The three paths that install or put back raw records — a
     transactional commit, a snap rolled back from its undo log and a
     journal replay — and the key-moving updates between them leave the
-    maintained indexes equal to a rebuild, indexed answers equal to
-    unindexed ones on the live store, and a snapshot opened before the
-    step still answering (either way) as the store did then."""
+    maintained indexes equal to a rebuild, production's answers equal to
+    the spec's on the live store, and a snapshot opened before the step
+    still answering (either way) as the store did then."""
     rng = random.Random(seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "engine")
@@ -284,9 +290,9 @@ def test_commits_and_rollbacks_keep_equivalence(seed, steps):
             for query, pq, then in zip(queries, prepared, before):
                 fast, slow = run_both(engine, query)
                 assert fast == slow, (step, query)
-                for use_indexes in (True, False):
-                    got = run_on_snapshot(engine, snap, pq, use_indexes)
-                    assert got == then, (step, query, use_indexes)
+                for on_spec in (False, True):
+                    got = run_on_snapshot(engine, snap, pq, on_spec)
+                    assert got == then, (step, query, on_spec)
             store.release_snapshot(snap)
         engine.store.check_invariants()
         engine.close()
@@ -375,13 +381,13 @@ TXN_WRITES = {
 }
 
 
-def txn_both(txn, query: str):
+def txn_both(engine: Engine, txn, query: str):
     fast = txn.execute(query)
-    slow = txn.execute(query, options=_NO_INDEX)
+    slow = by_spec(engine, query, on=txn)
     return [n.nid for n in fast.items], [n.nid for n in slow.items]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10_000))
 def test_child_axis_reads_indexed_equals_unindexed(seed):
     rng = random.Random(seed)
@@ -394,7 +400,11 @@ def test_child_axis_reads_indexed_equals_unindexed(seed):
     assert engine.store.indexes.probes > before
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=8, deadline=None)
+# Every buffered write on every run.
+@example(1, ["revalue", "insert", "delete-owner", "rename"])
+@example(2, ["insert-text", "revalue-text", "rename-owner", "move"])
+@example(3, ["rename-parent", "revalue"])
 @given(
     st.integers(0, 10_000),
     st.lists(st.sampled_from(sorted(TXN_WRITES)), min_size=1, max_size=4),
@@ -410,7 +420,7 @@ def test_transaction_statements_see_buffered_writes(seed, writes):
             for write in writes:
                 txn.execute(TXN_WRITES[write])
                 for query in txn_pool(rng):
-                    fast, slow = txn_both(txn, query)
+                    fast, slow = txn_both(engine, txn, query)
                     assert fast == slow, (write, query)
     engine.store.indexes.verify()
     for query in txn_pool(rng):

@@ -1,5 +1,6 @@
 """Property: a ``B[number(c) op X]`` step answered from a numeric column
-equals the scan, in value and in error code.
+equals the spec's scan (:func:`tests.interpreted.by_spec`), in value and
+in error code.
 
 Documents mix every content a ``c`` element can have: one numeric text
 in each lexical form ``fn:number`` reads (and some it reads as NaN),
@@ -19,10 +20,9 @@ from decimal import Decimal
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import Engine, ExecutionOptions
+from repro.engine import Engine
 from repro.errors import XQueryError
-
-_NO_INDEX = ExecutionOptions(use_indexes=False)
+from tests.interpreted import by_spec
 
 BIG = "1" + "0" * 400
 
@@ -130,9 +130,12 @@ FAILING = (
 )
 
 
-def outcome(engine: Engine, query: str, options=None):
+def outcome(engine: Engine, query: str, on_spec: bool = False):
     try:
-        items = engine.execute(query, options=options).items
+        if on_spec:
+            items = by_spec(engine, query).items
+        else:
+            items = engine.execute(query).items
     except XQueryError as error:
         return ("error", error.code)
     return [getattr(item, "nid", item) for item in items]
@@ -140,7 +143,7 @@ def outcome(engine: Engine, query: str, options=None):
 
 def agree(engine: Engine, query: str) -> None:
     fast = outcome(engine, query)
-    assert fast == outcome(engine, query, _NO_INDEX), query
+    assert fast == outcome(engine, query, on_spec=True), query
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,26 +1,30 @@
 """Property: an updating statement compiled to closures means what the
-tree-walker of Figs. 2-3 makes of it.
+executable specification of Figs. 2-3 makes of it.
 
 Every node of a prepared query, and the §4.3 plan a rewrite gave it,
 compiles to a closure that appends its update requests, in evaluation
 order, to the innermost snap's Δ (:mod:`repro.semantics.compiled`).  For
-the reference run every closure is declined and plans are withheld
-(:func:`tests.interpreted.on_tree_walker`), so the tree-walker evaluates
-every statement as written and no effect verdict decides what runs; the
-other run prepares as usual.  Each example draws a document, an updating
+the reference run nothing is lowered and plans are withheld
+(:func:`tests.interpreted.on_spec`), so the spec
+(:mod:`repro.semantics.spec`) evaluates every statement as written, and
+no effect verdict or access path decides what runs; the other run
+prepares as usual.  Each example draws a document, an updating
 statement or a pure program (:func:`tests.gen.statements`: snaps of
 primitives in all three modes, nested snaps, loops updating what they
 bind, recursive updating functions, FLWORs a rewrite may fire on) and a
 host: the live store, a statement of a transaction
 that then commits, or a ``DurableEngine`` that is then closed and
 recovered.  The two runs, each on an engine of its own, must agree on
-the value (its items by type, kind and content) or the error code, and
-on ``store_fingerprint`` (the recovered store's too), node ids
-included.  When no rewrite gave the statement a plan they must also
-agree on the ``index.probes`` and ``store.nodes_created`` counts.  An
-exception that is not an ``XQueryError`` fails the property, and so does
-a run in which no drawn statement got a plan: the plans' closures must
-meet the tree-walker on generated input, not only on templates.
+the value or the error code, and on ``store_fingerprint`` (the
+recovered store's too), node ids included.  Values are compared item by
+item (by type, kind and content) up to a renaming of node ids: the same
+node must appear at the same positions, so a plan that returns one node
+twice where the spec returns two equal nodes fails.  When no rewrite
+gave the statement a plan the runs must also agree on the
+``store.nodes_created`` count.  An exception that is not an
+``XQueryError`` fails the property, and so does a run in which no drawn
+statement got a plan: the plans' closures must meet the spec on
+generated input, not only on templates.
 
 Fixed examples run on every run: two inserts whose order a sequence
 decides, snaps nested in each mode, a depth-bounded updating recursion
@@ -40,11 +44,11 @@ from repro.durability import DurableEngine, recover
 from repro.engine import Engine, ExecutionOptions
 from repro.errors import XQueryError
 from tests.gen import PROLOG, documents, plans, statements
-from tests.interpreted import on_tree_walker
-from tests.property.test_compiled_closures import render
+from tests.interpreted import on_spec
+from tests.property.test_compiled_closures import identified
 
 FRAGMENT = '<h><a k="1"/><b n="2">t</b></h>'
-COUNTERS = ("index.probes", "store.nodes_created")
+COUNTERS = ("store.nodes_created",)
 OPTIONS = ExecutionOptions(collect_stats=True)
 
 
@@ -67,7 +71,7 @@ def observe(run) -> tuple:
         return ("error", error.code), ()
     counters = result.stats.counters
     return (
-        ("ok", [render(item) for item in result.items]),
+        ("ok", identified(result.items)),
         tuple(counters.get(name, 0) for name in COUNTERS),
     )
 
@@ -88,7 +92,7 @@ def transaction(xml, statement, directory):
             with session.transaction() as txn:
                 result = txn.execute(statement, options=OPTIONS)
                 # Render inside: the handles point into the view.
-                result.items = [render(item) for item in result.items]
+                result.items = identified(result.items)
         return result
 
     try:
@@ -117,11 +121,11 @@ def durable(xml, statement, directory):
 HOSTS = {"live": live, "transaction": transaction, "durable": durable}
 
 
-def outcome(xml, statement, host, walked) -> tuple:
+def outcome(xml, statement, host, by_spec) -> tuple:
     with ExitStack() as stack:
         directory = stack.enter_context(tempfile.TemporaryDirectory())
-        if walked:
-            stack.enter_context(on_tree_walker())
+        if by_spec:
+            stack.enter_context(on_spec())
         seen, counters, engine, fingerprints = HOSTS[host](
             xml, statement, directory
         )
@@ -134,11 +138,11 @@ def outcome(xml, statement, host, walked) -> tuple:
 
 def check(xml, statement, host) -> bool:
     """Compare the two runs; True when the statement got a plan."""
-    walked = outcome(xml, statement, host, True)
+    specified = outcome(xml, statement, host, True)
     closures = outcome(xml, statement, host, False)
-    assert closures[:2] == walked[:2], statement
+    assert closures[:2] == specified[:2], statement
     if not closures[3]:
-        assert closures[2] == walked[2], statement
+        assert closures[2] == specified[2], statement
     return closures[3]
 
 

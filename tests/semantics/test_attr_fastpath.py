@@ -1,21 +1,19 @@
 """The ``step[@name <op> value]`` direct-store predicate fast path.
 
 ``Evaluator._attr_compare_filter`` must be observably identical to the
-generic per-candidate predicate evaluation — same kept nodes, same
+spec's per-candidate predicate evaluation — same kept nodes, same
 coercion behaviour (untyped attribute content vs strings and numbers),
-same treatment of missing attributes.  Each case runs both ways: the
-normal engine, and one with the fast path disabled so the generic route
-answers.  These reads are pure, so both routes are the compiled step's:
-the fast path through ``_attr_compare_filter`` and the generic one
-through ``repro.semantics.compiled._predicate_filter``.  The value
-indexes are off (``use_indexes=False``), or an index probe would answer
-the ``=`` cases before either route is reached.
+same treatment of missing attributes.  Each case runs both ways: on the
+spec (:func:`tests.interpreted.by_spec`), and on an engine whose value
+index probes all decline, or a probe would answer the ``=`` cases
+before the fast path is reached.
 """
 
 import pytest
 
 from repro import Engine
 from repro.semantics import compiled
+from tests.interpreted import by_spec
 
 DOC = """<root>
   <item id="a1" n="01"/><item id="a2" n="1"/><item n="2"/>
@@ -41,27 +39,28 @@ CASES = [
 ]
 
 
-def _run(query: str, disable_fast: bool) -> str:
+def unprobed() -> Engine:
+    """An engine on DOC whose value-index probes all decline."""
     engine = Engine()
     engine.load_document("d", DOC)
     engine.bind("x", "a1")
-    if disable_fast:
-        engine.evaluator._attr_compare_filter = (
-            lambda shape, nids, comparand: None
-        )
-    return engine.execute(query, use_indexes=False).serialize()
+    engine.evaluator._indexed_predicate_step = (
+        lambda item, shape, comparand: None
+    )
+    return engine
 
 
 @pytest.mark.parametrize("query", CASES)
 def test_fast_path_matches_generic_path(query):
-    assert _run(query, False) == _run(query, True)
+    engine = unprobed()
+    fast = engine.execute(query).serialize()
+    assert fast == by_spec(engine, query).serialize()
 
 
 def test_fast_path_actually_fires(monkeypatch):
     """Guard against the fast path silently never applying: the filtered
     step must not evaluate the predicate through the generic route."""
-    engine = Engine()
-    engine.load_document("d", DOC)
+    engine = unprobed()
     calls = []
     original = compiled._predicate_filter
 
@@ -71,11 +70,11 @@ def test_fast_path_actually_fires(monkeypatch):
 
     monkeypatch.setattr(compiled, "_predicate_filter", spy)
     query = 'count($d//item[@id = "a1"])'
-    assert engine.execute(query, use_indexes=False).first_value() == 2
+    assert engine.execute(query).first_value() == 2
     assert calls == []
     # A second predicate still takes the generic route: the spy sees it.
     query = 'count($d//item[@n = "1"][@id])'
-    assert engine.execute(query, use_indexes=False).first_value() == 1
+    assert engine.execute(query).first_value() == 1
     assert calls
 
 

@@ -1,7 +1,7 @@
 """User-function recursion ends in a value or a typed refusal.
 
-Both call paths (the tree-walker's and the compiled closures') count
-open user-function calls; past ``MAX_CALL_DEPTH`` the query is
+Both call paths (the compiled closures' and the executable spec's)
+count open user-function calls; past ``MAX_CALL_DEPTH`` the query is
 refused with ``ResourceLimitError`` (REPR0007, ``max_call_depth``) and
 its pending Δ is discarded, and a body that spends so many frames per
 level that the Python stack runs out first is refused the same way."""
@@ -12,6 +12,7 @@ from repro import Engine
 from repro.concurrent import ConcurrentExecutor
 from repro.errors import ResourceLimitError
 from repro.semantics.evaluator import MAX_CALL_DEPTH
+from tests.interpreted import on_spec
 
 SUM = (
     "declare function local:sum($s) { if (empty($s)) then 0 "
@@ -85,3 +86,17 @@ def test_refused_on_an_executor_worker_thread():
         with pytest.raises(ResourceLimitError):
             executor.execute(DEEP_BODY + "local:g(400)")
         assert executor.execute(COUNT_DOWN + "local:f(50)").values() == [50]
+
+
+def test_the_spec_refuses_at_the_same_depth():
+    """The spec opens a level per call under the same guard: a recursion
+    inside the limit runs, the first call past it is refused, and a
+    stack that runs out first is refused the same way."""
+    depth = MAX_CALL_DEPTH - 1
+    with on_spec():
+        assert Engine().execute(COUNT_DOWN + f"local:f({depth})").values() == [
+            depth
+        ]
+        error = refused(Engine(), SUM + "local:sum(1 to 170)")
+        assert error.observed == MAX_CALL_DEPTH + 1
+        refused(Engine(), DEEP_BODY + "local:g(400)")

@@ -25,7 +25,7 @@ def compile_counts(monkeypatch, steps: int) -> tuple[int, int]:
 
     with monkeypatch.context() as patch:
         patch.setattr(compiled, "_compile", counted)
-        pure = compiled.compile_closure(normalize(parse("$d" + STEP * steps)))
+        pure = compiled.lower(normalize(parse("$d" + STEP * steps)))
     return calls[0], len(pure.blank)
 
 

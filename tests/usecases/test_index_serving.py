@@ -14,19 +14,17 @@ a second predicate in ``place_bid``/``add_watch``) are child-axis
 probes: through front-end snapshots for ``highest_bid``/``watchers``,
 and through the transaction view for the endpoints' statements.
 
-Every indexed answer is checked against the same call with index probes
-switched off.
+Every indexed answer is checked against the same call on the spec
+(:func:`tests.interpreted.by_spec`), which probes no index.
 """
 
 import pytest
 
 from repro.concurrent.snapshot import StoreSnapshot
-from repro.engine import ExecutionOptions
 from repro.txn.view import TransactionView
 from repro.usecases import AuctionFrontEnd, AuctionService
 from repro.xmark import XMarkConfig, generate_auction_xml
-
-NO_INDEX = ExecutionOptions(use_indexes=False)
+from tests.interpreted import by_spec
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +45,10 @@ def item_and_user_ids(service) -> tuple[list[str], list[str]]:
 
 
 def unindexed_get_item(service, item: str, user: str) -> str:
-    return service.engine.execute(
+    return by_spec(
+        service.engine,
         "get_item_nolog($itemid, $userid)",
         bindings={"itemid": item, "userid": user},
-        use_indexes=False,
     ).serialize()
 
 
@@ -155,8 +153,8 @@ def test_bid_and_watch_reads_answer_through_snapshot_probes(
 ):
     service = seeded_service(xml)
     expected = {
-        (kind, n): service.engine.execute(
-            query, bindings={"itemid": f"item{n}"}, use_indexes=False
+        (kind, n): by_spec(
+            service.engine, query, bindings={"itemid": f"item{n}"}
         ).serialize()
         for kind, query in READS.items()
         for n in range(12)
@@ -192,8 +190,8 @@ def test_bid_and_watch_statements_probe_inside_transactions(
         with session.transaction() as txn:
             for query, bindings in statements:
                 fast = txn.execute(query, bindings=bindings).serialize()
-                slow = txn.execute(
-                    query, bindings=bindings, options=NO_INDEX
+                slow = by_spec(
+                    service.engine, query, on=txn, bindings=bindings
                 ).serialize()
                 assert fast == slow, query
             txn.rollback()
